@@ -40,59 +40,104 @@ let render_event (e : Serve.event) =
 (* Sequential specifications                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A model state is purely functional: [step] returns the specification's
-   observation for the operation in that state plus the successor state,
-   and [canon] is an injective string key for memoization. *)
+module Imap = Map.Make (Int)
+
+(* A SplitMix64-style finaliser on OCaml's 63-bit ints. *)
+let mix x =
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+(* The hash of one binding of a model state; the ledger's log head is
+   the binding of key -1. *)
+let binding_hash k v = mix (mix k lxor v)
+
+(* A model state is purely functional and carries [h], the XOR of
+   [binding_hash] over its bindings. [step] keeps [h] up to date, so the
+   memo can hash a search node without walking the state. *)
 type mstate =
-  | Kv_m of (int * int) list  (** assoc sorted by key *)
-  | Ledger_m of { bal : int array; head : int; slot_cap : int }
+  | Kv_m of { map : int Imap.t; h : int }
+  | Ledger_m of { bal : int array; head : int; slot_cap : int; h : int }
 
-let canon = function
-  | Kv_m assoc ->
-      let b = Buffer.create 32 in
-      List.iter (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%d=%d;" k v)) assoc;
-      Buffer.contents b
-  | Ledger_m { bal; head; _ } ->
-      let b = Buffer.create 64 in
-      Buffer.add_string b (string_of_int head);
-      Array.iter (fun v -> Buffer.add_string b (Printf.sprintf ";%d" v)) bal;
-      Buffer.contents b
+let state_hash = function Kv_m { h; _ } | Ledger_m { h; _ } -> h
 
-(* Sorted-assoc upsert (mirrors Thashmap.put: insert-or-replace). *)
-let rec put k v = function
-  | [] -> [ (k, v) ]
-  | (k', _) :: tl when k' = k -> (k, v) :: tl
-  | (k', _) as hd :: tl -> if k < k' then (k, v) :: hd :: tl else hd :: put k v tl
+let same_state a b =
+  match (a, b) with
+  | Kv_m a, Kv_m b -> a.h = b.h && Imap.equal Int.equal a.map b.map
+  | Ledger_m a, Ledger_m b -> a.h = b.h && a.head = b.head && a.bal = b.bal
+  | Kv_m _, Ledger_m _ | Ledger_m _, Kv_m _ -> false
 
-let step st (op : Serve.op) : Serve.obs * mstate =
-  match (st, op) with
-  | Kv_m assoc, Read k -> (O_val (List.assoc_opt k assoc), st)
-  | Kv_m assoc, Update (k, v) -> (O_unit, Kv_m (put k v assoc))
-  | Kv_m assoc, Insert (k, v) ->
-      let fresh = not (List.mem_assoc k assoc) in
-      (O_flag fresh, if fresh then Kv_m (put k v assoc) else st)
-  | Kv_m assoc, Scan (k, len) ->
-      (O_vals (List.init (max 0 len) (fun i -> List.assoc_opt (k + i) assoc)), st)
-  | Kv_m assoc, Rmw k ->
-      let old = Option.value (List.assoc_opt k assoc) ~default:0 in
-      (O_rmw old, Kv_m (put k (old + 1) assoc))
-  | Ledger_m l, Order { src; dst; amount } ->
-      let appended = l.head < l.slot_cap in
-      let bal = Array.copy l.bal in
-      bal.(src) <- bal.(src) - amount;
-      bal.(dst) <- bal.(dst) + amount;
-      ( O_flag appended,
-        Ledger_m { l with bal; head = (if appended then l.head + 1 else l.head) } )
-  | Ledger_m l, Settle _ ->
+let kv_state map =
+  Kv_m { map; h = Imap.fold (fun k v h -> h lxor binding_hash k v) map 0 }
+
+let ledger_state ~accounts ~slot_cap =
+  let bal = Array.make accounts Serve.initial_balance in
+  let h = ref (binding_hash (-1) 0) in
+  Array.iteri (fun a b -> h := !h lxor binding_hash a b) bal;
+  Ledger_m { bal; head = 0; slot_cap; h = !h }
+
+(* Upsert (mirrors Thashmap.put: insert-or-replace). *)
+let kv_put map h k v =
+  let h =
+    match Imap.find k map with
+    | old -> h lxor binding_hash k old
+    | exception Not_found -> h
+  in
+  Kv_m { map = Imap.add k v map; h = h lxor binding_hash k v }
+
+(* Key [k] is bound to [o] ([None]: unbound). *)
+let holds map k = function
+  | None -> not (Imap.mem k map)
+  | Some v -> ( match Imap.find k map with v' -> v = v' | exception Not_found -> false)
+
+let rec scan_holds map k len = function
+  | [] -> len = 0
+  | o :: tl -> len > 0 && holds map k o && scan_holds map (k + 1) (len - 1) tl
+
+(* [step st op obs] is the successor state when the specification,
+   applying [op] in [st], observes exactly [obs], and [None] when it
+   observes anything else. *)
+let step st (op : Serve.op) (obs : Serve.obs) =
+  match (st, op, obs) with
+  | Kv_m _, (Order _ | Settle _ | Audit), _
+  | Ledger_m _, (Read _ | Update _ | Insert _ | Scan _ | Rmw _), _ ->
+      invalid_arg "Txlin: operation does not belong to this service"
+  | Kv_m { map; _ }, Read k, O_val o -> if holds map k o then Some st else None
+  | Kv_m { map; h }, Update (k, v), O_unit -> Some (kv_put map h k v)
+  | Kv_m { map; h }, Insert (k, v), O_flag fresh ->
+      if fresh = Imap.mem k map then None
+      else if fresh then Some (kv_put map h k v)
+      else Some st
+  | Kv_m { map; _ }, Scan (k, len), O_vals vs ->
+      if scan_holds map k (max 0 len) vs then Some st else None
+  | Kv_m { map; h }, Rmw k, O_rmw old ->
+      let cur = match Imap.find k map with v -> v | exception Not_found -> 0 in
+      if cur = old then Some (kv_put map h k (old + 1)) else None
+  | Ledger_m l, Order { src; dst; amount }, O_flag appended ->
+      if appended <> (l.head < l.slot_cap) then None
+      else begin
+        let bal = Array.copy l.bal in
+        let h = l.h lxor binding_hash src bal.(src) in
+        bal.(src) <- bal.(src) - amount;
+        let h = h lxor binding_hash src bal.(src) lxor binding_hash dst bal.(dst) in
+        bal.(dst) <- bal.(dst) + amount;
+        let head = if appended then l.head + 1 else l.head in
+        let h =
+          h lxor binding_hash dst bal.(dst)
+          lxor binding_hash (-1) l.head
+          lxor binding_hash (-1) head
+        in
+        Some (Ledger_m { l with bal; head; h })
+      end
+  | Ledger_m l, Settle _, O_flag existed ->
       (* Settlement marks are never read back by any request, so the only
          observable part is whether an order existed to settle. *)
-      (O_flag (l.head > 0), st)
-  | Ledger_m l, Audit ->
+      if existed = (l.head > 0) then Some st else None
+  | Ledger_m l, Audit, O_flag balanced ->
       let total = Array.fold_left ( + ) 0 l.bal in
-      (O_flag (total = Array.length l.bal * Serve.initial_balance), st)
-  | Kv_m _, (Order _ | Settle _ | Audit)
-  | Ledger_m _, (Read _ | Update _ | Insert _ | Scan _ | Rmw _) ->
-      invalid_arg "Txlin: operation does not belong to this service"
+      if balanced = (total = Array.length l.bal * Serve.initial_balance) then Some st
+      else None
+  | _, _, (O_unit | O_val _ | O_vals _ | O_flag _ | O_rmw _) -> None
 
 (* ------------------------------------------------------------------ *)
 (* Per-key independence (the locality pruning)                          *)
@@ -132,8 +177,8 @@ let uf_union parent a b =
 (* ------------------------------------------------------------------ *)
 
 (* The pending-request / pending-response multisets of the AsyncSpec
-   construction appear here as the [remaining] set: an event in
-   [remaining] whose invoke has passed is a pending request, one whose
+   construction appear here as the remaining set: a remaining event
+   whose invoke has passed is a pending request, one whose
    linearization point has been chosen moves to the (implicit) response
    multiset and is removed when its response is consumed. Concretely the
    search picks, at every step, one remaining event [o] that is minimal
@@ -144,9 +189,23 @@ let uf_union parent a b =
    Completed events are tried in commit-cycle order: the final attempt's
    commit lies inside the event's [invoke, respond] window, and on
    correct hardware replaying commits in order satisfies the spec, so
-   the first candidate always works and clean histories check in linear
-   time. On lying hardware the search backtracks; memoization over
-   (remaining-set, model-state) and the [budget] bound the blow-up. *)
+   the first candidate always works and clean histories explore one
+   search node per event. On lying hardware the search backtracks;
+   memoization over (remaining-set, model-state) and the [budget] bound
+   the blow-up.
+
+   Apart from [step], a search node and each candidate it tries cost
+   O(1) and allocate nothing; [step] is O(log K) for K keys in a KV
+   group (the ledger's order step copies its balance array). The
+   remaining set is two intrusive doubly-linked lists over the indices
+   of the commit-ordered event array: one in commit order gives the
+   candidate order, one in respond order has the minimum response at its
+   head. Descent unlinks an event from both and backtracking relinks it,
+   which restores both lists exactly because relinks run in reverse
+   order of unlinks. The set is also kept as a bitset and as the XOR of
+   one [mix] per member; a memo entry is keyed by that XOR combined with
+   the state's hash, and a hit prunes only after the bitset and the
+   state compare equal. *)
 
 type tri = Lin | Nonlin | Unknown
 
@@ -160,46 +219,99 @@ let ev_obs (e : Serve.event) =
 let ev_commit (e : Serve.event) =
   match e.ev_outcome with Ev_done { commit; _ } -> commit | _ -> max_int
 
+(* A doubly-linked list over [0, n) in the given order, with sentinel
+   [n] as both head and tail. *)
+type links = { next : int array; prev : int array }
+
+let links order =
+  let n = Array.length order in
+  let next = Array.make (n + 1) n and prev = Array.make (n + 1) n in
+  let last =
+    Array.fold_left
+      (fun last i ->
+        next.(last) <- i;
+        prev.(i) <- last;
+        i)
+      n order
+  in
+  next.(last) <- n;
+  prev.(n) <- last;
+  { next; prev }
+
+let unlink l i =
+  l.next.(l.prev.(i)) <- l.next.(i);
+  l.prev.(l.next.(i)) <- l.prev.(i)
+
+let relink l i =
+  l.next.(l.prev.(i)) <- i;
+  l.prev.(l.next.(i)) <- i
+
 (* [events] must be sorted by commit cycle. [states] counts explored
    search nodes across calls (shared budget). *)
-let search ~budget ~states ~init events : tri =
-  let memo : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let key remaining st =
-    let b = Buffer.create 32 in
-    List.iter (fun (e : Serve.event) -> Buffer.add_string b (Printf.sprintf "%d," e.ev_id)) remaining;
-    Buffer.add_char b '|';
-    Buffer.add_string b (canon st);
-    Buffer.contents b
+let search ~budget ~states ~init (events : Serve.event array) : tri =
+  let n = Array.length events in
+  let obs = Array.map ev_obs events in
+  let by_commit = links (Array.init n Fun.id) in
+  let by_respond =
+    let order = Array.init n Fun.id in
+    Array.sort (fun a b -> Int.compare events.(a).ev_respond events.(b).ev_respond) order;
+    links order
   in
-  let rec dfs remaining st =
+  let set = Bytes.make ((n + 7) / 8) '\255' and set_h = ref 0 in
+  let flip i =
+    let b = i lsr 3 in
+    Bytes.set_uint8 set b (Bytes.get_uint8 set b lxor (1 lsl (i land 7)));
+    set_h := !set_h lxor mix i
+  in
+  for i = 0 to n - 1 do
+    set_h := !set_h lxor mix i
+  done;
+  let memo : (int, (Bytes.t * mstate) list) Hashtbl.t = Hashtbl.create 64 in
+  let rec seen st = function
+    | [] -> false
+    | (s, st') :: tl -> (Bytes.equal s set && same_state st st') || seen st tl
+  in
+  let pruned st =
+    Hashtbl.length memo > 0
+    &&
+    match Hashtbl.find memo (!set_h lxor state_hash st) with
+    | entries -> seen st entries
+    | exception Not_found -> false
+  in
+  let remember st =
+    let k = !set_h lxor state_hash st in
+    let entries = Option.value (Hashtbl.find_opt memo k) ~default:[] in
+    Hashtbl.replace memo k ((Bytes.copy set, st) :: entries)
+  in
+  let rec dfs st =
     incr states;
     if !states > budget then raise Out_of_budget;
-    match remaining with
-    | [] -> true
-    | _ ->
-        let k = key remaining st in
-        if Hashtbl.mem memo k then false
-        else begin
-          let min_resp =
-            List.fold_left
-              (fun acc (e : Serve.event) -> min acc e.ev_respond)
-              max_int remaining
-          in
-          let ok =
-            List.exists
-              (fun (e : Serve.event) ->
-                e.ev_invoke <= min_resp
-                &&
-                let obs, st' = step st e.ev_op in
-                obs = ev_obs e
-                && dfs (List.filter (fun (o : Serve.event) -> o.ev_id <> e.ev_id) remaining) st')
-              remaining
-          in
-          if not ok then Hashtbl.add memo k ();
-          ok
-        end
+    let first = by_commit.next.(n) in
+    if first = n then true
+    else if pruned st then false
+    else
+      try_from st events.(by_respond.next.(n)).ev_respond first
+      || (remember st; false)
+  (* The candidates from [i] on in commit order, each real-time minimal
+     (no remaining event responded before it was invoked). *)
+  and try_from st min_resp i =
+    i <> n
+    && ((events.(i).ev_invoke <= min_resp
+        &&
+        match step st events.(i).ev_op obs.(i) with
+        | None -> false
+        | Some st' ->
+            unlink by_commit i;
+            unlink by_respond i;
+            flip i;
+            let ok = dfs st' in
+            flip i;
+            relink by_respond i;
+            relink by_commit i;
+            ok)
+       || try_from st min_resp by_commit.next.(i))
   in
-  match dfs events init with
+  match dfs init with
   | true -> Lin
   | false -> Nonlin
   | exception Out_of_budget -> Unknown
@@ -213,11 +325,11 @@ let shrink ~budget ~init events =
     search ~budget ~states ~init evs = Nonlin
   in
   let rec go evs =
-    let n = List.length evs in
+    let n = Array.length evs in
     let rec try_drop i =
       if i >= n then evs
       else
-        let cand = List.filteri (fun j _ -> j <> i) evs in
+        let cand = Array.init (n - 1) (fun j -> if j < i then evs.(j) else evs.(j + 1)) in
         if still_bad cand then go cand else try_drop (i + 1)
     in
     try_drop 0
@@ -262,18 +374,20 @@ let check ?(budget = default_budget) ~service ~records ~accounts
       0 events
   in
   let by_commit evs =
-    List.sort
+    let sorted = Array.of_list evs in
+    Array.sort
       (fun (a : Serve.event) b ->
-        compare (ev_commit a, a.ev_id) (ev_commit b, b.ev_id))
-      evs
+        match Int.compare (ev_commit a) (ev_commit b) with
+        | 0 -> Int.compare a.ev_id b.ev_id
+        | c -> c)
+      sorted;
+    sorted
   in
   (* Partition the completed events into independent groups, each with
      its own initial model state. *)
   let groups =
     match service with
-    | Serve.Ledger ->
-        [ ( by_commit completed,
-            Ledger_m { bal = Array.make accounts Serve.initial_balance; head = 0; slot_cap } ) ]
+    | Serve.Ledger -> [ (by_commit completed, ledger_state ~accounts ~slot_cap) ]
     | Serve.Kv _ ->
         let parent = Hashtbl.create 64 in
         List.iter
@@ -291,20 +405,18 @@ let check ?(budget = default_budget) ~service ~records ~accounts
             Hashtbl.replace tbl root
               (e :: (Option.value (Hashtbl.find_opt tbl root) ~default:[])))
           completed;
+        (* Every touched key below [records] starts at [k + 1]. *)
+        let rec preload m k hi = if k > hi then m else preload (Imap.add k (k + 1) m) (k + 1) hi in
         Hashtbl.fold
           (fun root evs acc ->
-            let keys =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun (e : Serve.event) ->
-                     let lo, hi = key_span e.ev_op in
-                     List.init (hi - lo + 1) (fun i -> lo + i))
-                   evs)
-            in
             let init =
-              Kv_m (List.filter_map (fun k -> if k < records then Some (k, k + 1) else None) keys)
+              List.fold_left
+                (fun m (e : Serve.event) ->
+                  let lo, hi = key_span e.ev_op in
+                  preload m lo (min hi (records - 1)))
+                Imap.empty evs
             in
-            (root, by_commit evs, init) :: acc)
+            (root, by_commit evs, kv_state init) :: acc)
           tbl []
         |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
         |> List.map (fun (_, evs, init) -> (evs, init))
@@ -323,7 +435,7 @@ let check ?(budget = default_budget) ~service ~records ~accounts
   let witness =
     match !bad with
     | [] -> []
-    | (evs, init) :: _ -> shrink ~budget ~init evs
+    | (evs, init) :: _ -> Array.to_list (shrink ~budget ~init evs)
   in
   let ok = !bad = [] && !unknown = 0 in
   let detail =
@@ -331,7 +443,7 @@ let check ?(budget = default_budget) ~service ~records ~accounts
       Printf.sprintf
         "non-linearizable: no order over %d committed request(s) explains the \
          observations; minimal violating history (%d event(s)): %s"
-        (List.length (fst (List.hd !bad)))
+        (Array.length (fst (List.hd !bad)))
         (List.length witness)
         (String.concat " | " (List.map render_event witness))
     else if !unknown > 0 then

@@ -28,13 +28,25 @@
       is one group);
     - {b commit-cycle ordering}: candidates are tried in commit order.
       The commit witness satisfies invoke <= commit <= respond, so on
-      correct hardware the first candidate always linearizes and clean
-      histories check in linear time — the search only backtracks when
-      something is actually wrong;
+      correct hardware the first candidate always linearizes and a clean
+      history explores one search node per committed request plus one
+      per group — the search only backtracks when something is actually
+      wrong;
     - {b memoization + budget}: failed (remaining-set, spec-state) pairs
       are never re-explored, and a state budget turns pathological
       searches into an explicit {e inconclusive} advisory rather than a
       hang.
+
+    A search node costs O(log K) for K keys in its KV group (the
+    ledger's order step copies its balance array) and allocates nothing
+    outside the specification step, so a clean KV check takes
+    O(n log K) time for n committed requests. The remaining set is two
+    intrusive doubly-linked lists over the group's commit-ordered events
+    (commit order for the candidates, respond order for the minimum
+    response), unlinked on descent and relinked on backtrack; the KV
+    specification is an [int] map; and a memo entry is keyed by a hash
+    of the remaining set and the state, both maintained step by step,
+    with every hit confirmed by exact comparison before it prunes.
 
     What the oracle cannot see: effects on locations no committed request
     ever observes (e.g. settlement marks), and anything in a run whose

@@ -135,12 +135,10 @@ let test_trace_forces_sequential () =
             (Alcotest.(check int) "cell ran on the main domain" main)
             domains))
 
-(* Pool-speedup smoke on a multi-cell fixture, measuring the pool itself
-   (raw run_thunks over pure-compute cells, no harness). With real cores
-   available, --jobs 2 must beat sequential on embarrassingly parallel
-   work; on a single-core host (CI containers, where Domain.
-   recommended_domain_count() = 1) winning is physically impossible, so
-   the assertion degrades to a bound on the pool's own overhead. *)
+(* The pool on the speedup fixture (raw run_thunks over pure-compute
+   cells, no harness): --jobs 2 returns exactly the sequential results.
+   The speedup itself is not asserted here, because dune runs other test
+   binaries beside this one; @perf-smoke's --min-speedup 1.0 gates it. *)
 let test_pool_speedup_smoke () =
   with_pool (fun () ->
       let cells = 8 in
@@ -151,25 +149,10 @@ let test_pool_speedup_smoke () =
         done;
         !acc
       in
-      let time jobs =
-        let thunks = Array.init cells (fun i () -> work i) in
-        let t0 = Unix.gettimeofday () in
-        let r = Parallel.run_thunks ~jobs thunks in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      ignore (time 1 : float * int array) (* warm-up *);
-      let seq, rs = time 1 in
-      let par, rp = time 2 in
-      Alcotest.(check bool) "parallel results identical" true (rs = rp);
-      if Parallel.available () >= 2 then begin
-        if par >= seq then
-          Alcotest.failf "--jobs 2 did not win: %.3fs vs %.3fs sequential" par
-            seq
-      end
-      else if par > 2.0 *. seq then
-        Alcotest.failf
-          "single-core pool overhead out of bounds: %.3fs vs %.3fs sequential"
-          par seq)
+      let run jobs = Parallel.run_thunks ~jobs (Array.init cells (fun i () -> work i)) in
+      let rs = run 1 in
+      let rp = run 2 in
+      Alcotest.(check bool) "parallel results identical" true (rs = rp))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism battery                                                  *)

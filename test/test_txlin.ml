@@ -1,7 +1,8 @@
 (* Tests for Txlin, the async linearizability oracle: clean acceptance
    on every service at underload and 2.5x overload (all arrival
    processes, with and without a fault storm), the linear-time clean
-   path, negative fixtures against broken-hardware ablations and the
+   path and its allocation budget on the benchmark's history shape,
+   negative fixtures against broken-hardware ablations and the
    seeded lost-update plan (each must yield a conclusive violation with
    a 1-minimal witness), a QCheck battery comparing the oracle against
    an independent brute-force all-permutations reference on small
@@ -191,6 +192,41 @@ let test_commit_witness_and_linear_clean_path () =
     (v.Txlin.v_obligations + v.Txlin.v_groups)
     v.Txlin.v_states
 
+(* The host cost of a clean check on the benchmark's history shape (kv-e
+   over 512 records at 2.5x measured capacity, queue 8, deadline 4 us,
+   3000 requests), where scans chain most keys into one large group. The
+   search explores one node per obligation plus one per group, and the
+   check allocates under 400 minor words per obligation, over twice the
+   measured 184. Allocation is a pure function of the seed, so this
+   cannot flake; building a memo key or copying the remaining set at
+   every node costs tens of thousands of words per obligation. *)
+let test_clean_check_cost () =
+  let tm = tm_cfg ~seed:1000 () in
+  let base =
+    {
+      (Serve.default_cfg (Serve.Kv Serve.E)) with
+      Serve.requests = 3000;
+      records = 512;
+      queue_cap = 8;
+      deadline = Some (us_cycles 4);
+      record = true;
+    }
+  in
+  let cfg = overloaded tm ~threads:4 base 2.5 in
+  let r = Serve.run tm ~threads:4 cfg in
+  let w0 = Gc.minor_words () in
+  let v = check_run cfg r in
+  let per_obligation =
+    (Gc.minor_words () -. w0) /. float_of_int (max 1 v.Txlin.v_obligations)
+  in
+  Alcotest.(check bool) "clean" true v.Txlin.v_ok;
+  Alcotest.(check int) "linear-time clean search"
+    (v.Txlin.v_obligations + v.Txlin.v_groups)
+    v.Txlin.v_states;
+  if per_obligation > 400. then
+    Alcotest.failf "check allocated %.0f minor words per obligation (budget 400)"
+      per_obligation
+
 (* Recording must never perturb the run: every reported number is
    byte-identical with [record] on or off. *)
 let test_record_on_off_identity () =
@@ -333,10 +369,15 @@ let ref_step assoc (op : Serve.op) =
   match op with
   | Serve.Read k -> (Serve.O_val (List.assoc_opt k assoc), assoc)
   | Serve.Update (k, v) -> (Serve.O_unit, (k, v) :: List.remove_assoc k assoc)
+  | Serve.Insert (k, v) ->
+      if List.mem_assoc k assoc then (Serve.O_flag false, assoc)
+      else (Serve.O_flag true, (k, v) :: assoc)
+  | Serve.Scan (k, len) ->
+      (Serve.O_vals (List.init len (fun i -> List.assoc_opt (k + i) assoc)), assoc)
   | Serve.Rmw k ->
       let old = Option.value (List.assoc_opt k assoc) ~default:0 in
       (Serve.O_rmw old, (k, old + 1) :: List.remove_assoc k assoc)
-  | _ -> invalid_arg "ref_step: generator only emits Read/Update/Rmw"
+  | _ -> invalid_arg "ref_step: generator only emits KV operations"
 
 let ref_init records = List.init records (fun k -> (k, k + 1))
 
@@ -379,19 +420,24 @@ let brute_linearizable ~records events =
 
 let n_keys = 3
 
-(* Random small histories: up to 8 requests over up to [n_keys] keys,
-   mixing arbitrary observations (usually non-linearizable) with
-   histories whose observations were produced by replaying in invocation
-   order (always linearizable: invocation order respects real time). *)
+(* Random small histories: up to 8 requests over keys [0, n_keys] — one
+   past the preloaded records, so inserts can be fresh and scans can run
+   off the end — where scans join keys into multi-key groups. They mix
+   arbitrary observations (usually non-linearizable) with histories whose
+   observations were produced by replaying in invocation order (always
+   linearizable: invocation order respects real time) or in a random
+   order (linearizable only when some real-time order explains it). *)
 let gen_history =
   QCheck.Gen.(
+    let key = int_range 0 n_keys in
     let gen_op =
       oneof
         [
-          map (fun k -> Serve.Read k) (int_range 0 (n_keys - 1));
-          map2 (fun k v -> Serve.Update (k, v)) (int_range 0 (n_keys - 1))
-            (int_range 0 3);
-          map (fun k -> Serve.Rmw k) (int_range 0 (n_keys - 1));
+          map (fun k -> Serve.Read k) key;
+          map2 (fun k v -> Serve.Update (k, v)) key (int_range 0 3);
+          map2 (fun k v -> Serve.Insert (k, v)) key (int_range 0 3);
+          map2 (fun k len -> Serve.Scan (k, len)) key (int_range 1 3);
+          map (fun k -> Serve.Rmw k) key;
         ]
     in
     let gen_skeleton =
@@ -401,10 +447,16 @@ let gen_history =
     let* skel = gen_skeleton in
     let* consistent = bool in
     if consistent then
-      (* Replay in invocation order against the reference model; stamp
-         commit = invoke so Txlin's commit ordering sees the same order. *)
+      (* Replay against the reference model; stamp commit = invoke, inside
+         every event's window. *)
+      let* shuffled = bool in
+      let* ranks = list_repeat (List.length skel) (int_range 0 30) in
       let sorted =
-        List.sort (fun (_, i1, _) (_, i2, _) -> compare i1 i2) skel
+        List.map2
+          (fun rank ((_, invoke, _) as ev) -> ((if shuffled then rank else invoke), ev))
+          ranks skel
+        |> List.stable_sort (fun (r1, _) (r2, _) -> compare r1 r2)
+        |> List.map snd
       in
       let _, evs =
         List.fold_left
@@ -430,15 +482,14 @@ let gen_history =
           frequency
             [
               ( 8,
+                let value = oneof [ return None; map Option.some (int_range 0 5) ] in
                 let* obs =
                   match op with
-                  | Serve.Read _ ->
-                      oneof
-                        [
-                          return (Serve.O_val None);
-                          map (fun v -> Serve.O_val (Some v)) (int_range 0 5);
-                        ]
+                  | Serve.Read _ -> map (fun v -> Serve.O_val v) value
                   | Serve.Update _ -> return Serve.O_unit
+                  | Serve.Insert _ -> map (fun b -> Serve.O_flag b) bool
+                  | Serve.Scan (_, len) ->
+                      map (fun vs -> Serve.O_vals vs) (list_repeat len value)
                   | Serve.Rmw _ -> map (fun v -> Serve.O_rmw v) (int_range 0 5)
                   | _ -> assert false
                 in
@@ -519,6 +570,7 @@ let () =
           Alcotest.test_case "fault storm" `Quick test_clean_under_storm;
           Alcotest.test_case "commit witness + linear clean path" `Quick
             test_commit_witness_and_linear_clean_path;
+          Alcotest.test_case "clean check cost" `Quick test_clean_check_cost;
           Alcotest.test_case "record on/off identity" `Quick
             test_record_on_off_identity;
         ] );
