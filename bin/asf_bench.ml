@@ -28,6 +28,7 @@ module Xvalidate = Asf_harness.Xvalidate
 module Serve = Asf_serve.Serve
 module Txlin = Asf_txlin.Txlin
 module Params = Asf_machine.Params
+module Sharers = Asf_cache.Sharers
 
 (* ------------------------------------------------------------------ *)
 (* Shared mode parsing                                                  *)
@@ -808,22 +809,36 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Deterministic seed.")
 
+(* An int flag confined to [lo, hi]: a value outside it is a parse
+   error (exit 2) whose message names the bound. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo || n > hi ->
+        Error
+          (`Msg
+             (if hi = max_int then Printf.sprintf "%d is below the minimum %d" n lo
+              else Printf.sprintf "%d is outside %d..%d" n lo hi))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let threads_arg =
   Arg.(
     value
-    & opt int 8
+    & opt (int_in 1 ~hi:Sharers.max_limited_cores) 8
     & info [ "threads"; "t"; "cores" ] ~docv:"N"
-        ~doc:"Worker threads (= simulated cores).")
+        ~doc:"Worker threads (= simulated cores), 1 to 512.")
 
 let sockets_arg =
   Arg.(
     value
-    & opt int 0
+    & opt (int_in 0 ~hi:Sharers.max_sockets) 0
     & info [ "sockets" ] ~docv:"N"
         ~doc:
           "Spread the simulated cores over $(docv) sockets (one shared L3 \
-           per socket, 110-cycle interconnect hop on cross-socket probes). \
-           0 keeps the mode profile's own socket count.")
+           per socket, 110-cycle interconnect hop on cross-socket probes), \
+           at most 16. 0 keeps the mode profile's own socket count.")
 
 let mode_arg =
   Arg.(value & opt string "llb256"
@@ -980,9 +995,10 @@ let serve_cmd =
                 offered = $(docv) x capacity (2.0 = sustained 2x overload).")
   in
   let queue_cap =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_in 1) 64
          & info [ "queue-cap" ] ~docv:"N"
-             ~doc:"Per-core run-queue bound; arrivals beyond it are shed.")
+             ~doc:"Per-core run-queue bound (at least 1); arrivals beyond it are \
+                   shed.")
   in
   let deadline_us =
     Arg.(value & opt (some int) None
@@ -1111,4 +1127,7 @@ let () =
         (String.concat "|" known_subcommands);
       exit 2
   | _ -> ());
-  exit (Cmd.eval' main_cmd)
+  (* A bad flag or flag value is a usage error: exit 2, not cmdliner's
+     own 124. *)
+  let code = Cmd.eval' main_cmd in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -85,17 +85,6 @@ type t = {
 
 let fresh_stats () = { hits = 0; misses = 0 }
 
-let backend_of_env () =
-  match Sys.getenv_opt "ASF_SHARERS" with
-  | None | Some "" | Some "auto" -> None
-  | Some "bitmask" -> Some Sharers.Bitmask
-  | Some "limited" -> Some Sharers.Limited
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "ASF_SHARERS=%s: expected \"bitmask\", \"limited\" or \"auto\""
-           other)
-
 let drop_from_core t ~core line =
   if Cache.invalidate t.l1.(core) line then t.evict_hooks.(core) line;
   ignore (Cache.invalidate t.l2.(core) line)
@@ -104,12 +93,9 @@ let create ?sharers (params : Params.t) ~n_cores =
   let kind =
     match sharers with
     | Some k -> k
-    | None -> (
-        match backend_of_env () with
-        | Some k -> k
-        | None ->
-            if n_cores <= Sharers.max_bitmask_cores then Sharers.Bitmask
-            else Sharers.Limited)
+    | None ->
+        if n_cores <= Sharers.max_bitmask_cores then Sharers.Bitmask
+        else Sharers.Limited
   in
   let sharers =
     Sharers.make_ctx ~kind ~n_cores ~n_sockets:params.n_sockets

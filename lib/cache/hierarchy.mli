@@ -19,11 +19,10 @@ val create : ?sharers:Sharers.kind -> Asf_machine.Params.t -> n_cores:int -> t
     for topologies of at most 62 cores and {!Sharers.Limited} (4
     exact pointers overflowing to per-socket presence bits) beyond —
     the old one-bit-per-core representation silently overflowed the
-    tagged int at core 63. The [ASF_SHARERS] environment variable
-    ([bitmask]/[limited]/[auto], read at each create) or the [?sharers]
-    argument force a backend; forcing [Bitmask] above 62 cores raises
-    [Invalid_argument]. Both backends produce byte-identical runs on
-    every topology the bitmask supports. *)
+    tagged int at core 63. The [?sharers] argument forces a backend;
+    forcing [Bitmask] above 62 cores raises [Invalid_argument]. Both
+    backends produce byte-identical runs on every topology the bitmask
+    supports. *)
 
 val set_evict_hook : t -> core:int -> (int -> unit) -> unit
 (** [set_evict_hook t ~core f]: [f line] is called whenever [line] leaves

@@ -34,10 +34,17 @@ type t = int
 val max_bitmask_cores : int
 (** 62: the widest topology the bitmask backend can represent. *)
 
+val max_limited_cores : int
+(** 512: the widest topology the limited backend can represent. *)
+
+val max_sockets : int
+(** 16: the most sockets the limited backend's coarse vector holds. *)
+
 val make_ctx : kind:kind -> n_cores:int -> n_sockets:int -> ctx
 (** Raises [Invalid_argument] when the backend cannot represent the
-    topology: [Bitmask] with more than 62 cores, [Limited] with more
-    than 512 cores or 16 sockets. *)
+    topology: [Bitmask] with more than {!max_bitmask_cores} cores,
+    [Limited] with more than {!max_limited_cores} cores or
+    {!max_sockets} sockets. *)
 
 val kind : ctx -> kind
 

@@ -58,24 +58,12 @@ let sched_counters () =
 let running_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-(* Scheduler-queue override for acceptance runs: ASF_PQUEUE=heap (or
-   calendar) forces one representation for any existing binary, the same
-   way ASF_ALWAYS_SCHEDULE forces the reference scheduler. Results are
-   bit-identical either way — that is the Pqueue contract the model
-   battery pins. *)
-let default_pqueue =
-  match Sys.getenv_opt "ASF_PQUEUE" with
-  | Some "heap" -> Pqueue.Heap
-  | Some "calendar" -> Pqueue.Calendar
-  | Some ("auto" | "") | None -> Pqueue.Auto
-  | Some v -> invalid_arg ("ASF_PQUEUE: unknown queue policy " ^ v)
-
-let create ?(always_schedule = false) ?(pqueue = default_pqueue) ~n_cores () =
+let create ?(always_schedule = false) ~n_cores () =
   if n_cores <= 0 then invalid_arg "Engine.create: n_cores must be positive";
   {
     n_cores;
     core_time = Array.make n_cores 0;
-    heap = Pqueue.create ~policy:pqueue ();
+    heap = Pqueue.create ();
     seq = 0;
     live = 0;
     current = 0;
@@ -134,9 +122,7 @@ let spawn_at t ~core ~time f =
    bound: exact right after the scheduler pops, and only ever lowered by
    enqueues in between, so it never exceeds the true queue minimum and a
    fused elapse stays legal. A core's run of consecutive elapses batches
-   under one cached bound without touching the queue at all — which also
-   keeps the fused path O(1) when the calendar regime (whose min lookup
-   is amortized, not worst-case, constant) is active. *)
+   under one cached bound without touching the queue at all. *)
 let elapse n =
   match !(Domain.DLS.get running_key) with
   | Some t when not t.always_schedule ->

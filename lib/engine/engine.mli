@@ -23,15 +23,11 @@
 
 type t
 
-val create :
-  ?always_schedule:bool -> ?pqueue:Pqueue.policy -> n_cores:int -> unit -> t
+val create : ?always_schedule:bool -> n_cores:int -> unit -> t
 (** A fresh engine with [n_cores] cores, all clocks at cycle 0.
     [always_schedule] (default [false]) disables the fusion fast path so
     every [elapse] takes the enqueue/pop round-trip — the reference
-    scheduler the equivalence battery compares against.
-    [pqueue] selects the scheduler-queue representation (default: the
-    [ASF_PQUEUE] environment variable — [heap], [calendar] or [auto] —
-    or {!Pqueue.Auto}); any choice yields bit-identical runs. *)
+    scheduler the equivalence battery compares against. *)
 
 val n_cores : t -> int
 

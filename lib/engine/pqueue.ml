@@ -1,132 +1,54 @@
-(* Event queue with two regimes behind one interface.
-
-   Small regime: a structure-of-arrays binary min-heap — the (time, seq)
+(* Event queue: a structure-of-arrays binary min-heap. The (time, seq)
    keys live in two unboxed int arrays and the payloads in a parallel
    value array, so a push/pop cycle allocates nothing and key comparisons
    never chase a pointer. Sifting moves a hole instead of swapping: each
    level costs three array writes rather than a full element exchange.
 
-   Large regime: a calendar queue (R. Brown, CACM 31(10), 1988). Events
-   hash by time into bucketed "days" of [width] cycles; a dequeue scans
-   forward from a cursor bucket one day at a time, so with a width
-   matched to the event density both push and drop_min cost O(1)
-   amortized instead of the heap's O(log n) sift. The calendar resizes
-   (bucket count tracks the population, width re-derived from the
-   observed time span) as the queue grows and shrinks.
-
-   Under [Auto] (the default) a queue starts in the heap regime,
-   migrates to the calendar when the population crosses
-   [engage_threshold], and demotes back to the heap when the calendar
-   drains or a rebuild detects a pathological distribution (most events
-   piled into one bucket, where the calendar degenerates to the linear
-   scan the heap strictly beats). [Heap] and [Calendar] force one
-   regime. The model battery in test_engine.ml drives both regimes with
-   the same operation sequences and requires the identical (time, seq)
-   pop order, so the regime is unobservable from outside — which is what
-   lets the engine's determinism contract ignore it.
-
-   Vacated slots: popping an element clears every array slot it (or a
-   sift's displaced copy) occupied, by storing a dummy payload captured
-   from the first value ever pushed. Without this, popped payloads — for
-   the scheduler, effect continuations and their closures — stayed
-   reachable from the value arrays beyond [len] for the rest of a run.
-   The dummy itself pins exactly one payload per queue, which the
-   liveness regression test accounts for. *)
-
-type policy = Heap | Calendar | Auto
-
-type 'a bucket = {
-  mutable b_times : int array;
-  mutable b_seqs : int array;
-  mutable b_vals : 'a array;
-  mutable b_len : int;
-}
+   Vacated slots: popping an element clears the array slot the sift's
+   displaced copy left behind, by storing a dummy payload captured from
+   the first value ever pushed. Without this, popped payloads — for the
+   scheduler, effect continuations and their closures — stayed reachable
+   from the value array beyond [len] for the rest of a run. The dummy
+   itself pins exactly one payload per queue, which the liveness
+   regression test accounts for. *)
 
 type 'a t = {
-  policy : policy;
-  (* Heap regime. *)
   mutable times : int array;
   mutable seqs : int array;
   mutable vals : 'a array;
-  mutable hlen : int;
-  (* Shared. *)
-  mutable len : int;  (* population, whichever regime is active *)
+  mutable len : int;
   mutable dummy : 'a array;  (* [||] until the first push; then [|d|] *)
-  (* Calendar regime; [buckets = [||]] means the heap regime is active. *)
-  mutable buckets : 'a bucket array;
-  mutable width : int;
-  mutable cur : int;  (* cursor bucket of the forward scan *)
-  mutable cur_top : int;  (* exclusive time bound of the cursor's day *)
-  (* Cached minimum locator, so the scheduler's min_time / drop_min pair
-     scans the calendar once, not twice. *)
-  mutable loc_valid : bool;
-  mutable loc_bucket : int;
-  mutable loc_slot : int;
-  mutable loc_time : int;
-  mutable loc_seq : int;
-  (* Auto-regime hysteresis: after a pathological rebuild refusal, don't
-     try the calendar again until the population doubles. *)
-  mutable engage_at : int;
 }
 
-(* Population at which [Auto] migrates heap -> calendar. Simulator
-   queues hold one pending task per live thread, so paper-scale runs
-   (<= 8 cores) stay in the heap regime; big spawn populations (the
-   open-system serve harness, 64-512-core topologies) cross over. *)
-let engage_threshold = 192
-
-let create ?(policy = Auto) () =
-  {
-    policy;
-    times = [||];
-    seqs = [||];
-    vals = [||];
-    hlen = 0;
-    len = 0;
-    dummy = [||];
-    buckets = [||];
-    width = 1;
-    cur = 0;
-    cur_top = 0;
-    loc_valid = false;
-    loc_bucket = 0;
-    loc_slot = 0;
-    loc_time = 0;
-    loc_seq = 0;
-    engage_at = engage_threshold;
-  }
+let create () = { times = [||]; seqs = [||]; vals = [||]; len = 0; dummy = [||] }
 
 let is_empty q = q.len = 0
 
 let length q = q.len
 
-let calendar_active q = Array.length q.buckets > 0
-
-(* ------------------------------------------------------------------ *)
-(* Heap regime                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let heap_grow q =
+let grow q =
   let cap = Array.length q.times in
-  if q.hlen = cap then begin
+  if q.len = cap then begin
     let d = q.dummy.(0) in
     let ncap = if cap = 0 then 16 else cap * 2 in
     let nt = Array.make ncap 0 and ns = Array.make ncap 0 in
     let nv = Array.make ncap d in
-    Array.blit q.times 0 nt 0 q.hlen;
-    Array.blit q.seqs 0 ns 0 q.hlen;
-    Array.blit q.vals 0 nv 0 q.hlen;
+    Array.blit q.times 0 nt 0 q.len;
+    Array.blit q.seqs 0 ns 0 q.len;
+    Array.blit q.vals 0 nv 0 q.len;
     q.times <- nt;
     q.seqs <- ns;
     q.vals <- nv
   end
 
-let heap_push q ~time ~seq v =
-  heap_grow q;
+let push q ~time ~seq v =
+  if time < 0 then invalid_arg "Pqueue.push: negative time";
+  if Array.length q.dummy = 0 then q.dummy <- [| v |];
+  grow q;
   let ts = q.times and ss = q.seqs and vs = q.vals in
   (* Sift the hole up from the new leaf. *)
-  let i = ref q.hlen in
-  q.hlen <- q.hlen + 1;
+  let i = ref q.len in
+  q.len <- q.len + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / 2 in
@@ -142,10 +64,13 @@ let heap_push q ~time ~seq v =
   ss.(!i) <- seq;
   vs.(!i) <- v
 
-let heap_drop_min q =
+let min_time q = if q.len = 0 then max_int else q.times.(0)
+
+let drop_min q =
+  if q.len = 0 then invalid_arg "Pqueue.drop_min: empty";
   let top = q.vals.(0) in
-  let n = q.hlen - 1 in
-  q.hlen <- n;
+  let n = q.len - 1 in
+  q.len <- n;
   let ts = q.times and ss = q.seqs and vs = q.vals in
   if n > 0 then begin
     (* The displaced last element sifts down as a hole from the root. *)
@@ -179,331 +104,3 @@ let heap_drop_min q =
      live copy is inside the heap proper. *)
   vs.(n) <- q.dummy.(0);
   top
-
-(* ------------------------------------------------------------------ *)
-(* Calendar regime                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let n_buckets q = Array.length q.buckets
-
-let bucket_index q time =
-  let i = time / q.width mod n_buckets q in
-  if i < 0 then i + n_buckets q else i
-
-(* Exclusive upper bound of the day containing [time], saturating
-   instead of overflowing near [max_int]; a saturated cursor makes
-   [cal_locate] fall back to the exact direct search. *)
-let day_top q time =
-  if time > max_int - q.width then max_int
-  else ((time / q.width) + 1) * q.width
-
-let bucket_add q b ~time ~seq v =
-  let cap = Array.length b.b_times in
-  if b.b_len = cap then begin
-    let d = q.dummy.(0) in
-    let ncap = if cap = 0 then 4 else cap * 2 in
-    let nt = Array.make ncap 0 and ns = Array.make ncap 0 in
-    let nv = Array.make ncap d in
-    Array.blit b.b_times 0 nt 0 b.b_len;
-    Array.blit b.b_seqs 0 ns 0 b.b_len;
-    Array.blit b.b_vals 0 nv 0 b.b_len;
-    b.b_times <- nt;
-    b.b_seqs <- ns;
-    b.b_vals <- nv
-  end;
-  b.b_times.(b.b_len) <- time;
-  b.b_seqs.(b.b_len) <- seq;
-  b.b_vals.(b.b_len) <- v;
-  b.b_len <- b.b_len + 1
-
-(* Remove slot [i] by swapping the last entry in and vacating its slot. *)
-let bucket_remove q b i =
-  let n = b.b_len - 1 in
-  if i < n then begin
-    b.b_times.(i) <- b.b_times.(n);
-    b.b_seqs.(i) <- b.b_seqs.(n);
-    b.b_vals.(i) <- b.b_vals.(n)
-  end;
-  b.b_vals.(n) <- q.dummy.(0);
-  b.b_len <- n
-
-(* Exact minimum by scanning every bucket; used when no event is due
-   within a whole year of days (a long gap, or a saturated cursor).
-   Jumps the cursor to the winner's day. *)
-let direct_search q =
-  let bb = ref 0 and bi = ref 0 in
-  let bt = ref max_int and bs = ref max_int in
-  for bk = 0 to n_buckets q - 1 do
-    let b = q.buckets.(bk) in
-    for i = 0 to b.b_len - 1 do
-      let t = b.b_times.(i) in
-      if t < !bt || (t = !bt && b.b_seqs.(i) < !bs) then begin
-        bb := bk;
-        bi := i;
-        bt := t;
-        bs := b.b_seqs.(i)
-      end
-    done
-  done;
-  q.loc_valid <- true;
-  q.loc_bucket <- !bb;
-  q.loc_slot <- !bi;
-  q.loc_time <- !bt;
-  q.loc_seq <- !bs;
-  q.cur <- !bb;
-  q.cur_top <- day_top q !bt
-
-(* Find the minimum (time, seq) event and cache its location. The
-   forward scan visits buckets from the cursor, considering only events
-   due "today" (inside the cursor's day window); days are disjoint time
-   bands, so the first bucket with a due event holds the minimum. The
-   cursor invariant — no stored event is earlier than today's start —
-   is maintained by [cal_push] rewinding the cursor on an
-   earlier-than-today insert. *)
-let cal_locate q =
-  if not q.loc_valid then begin
-    let nb = n_buckets q in
-    let found = ref false in
-    let scanned = ref 0 in
-    while
-      (not !found) && !scanned < nb && q.cur_top <= max_int - q.width
-    do
-      let b = q.buckets.(q.cur) in
-      let best = ref (-1) in
-      let bt = ref max_int and bs = ref max_int in
-      for i = 0 to b.b_len - 1 do
-        let t = b.b_times.(i) in
-        if t < q.cur_top && (t < !bt || (t = !bt && b.b_seqs.(i) < !bs))
-        then begin
-          best := i;
-          bt := t;
-          bs := b.b_seqs.(i)
-        end
-      done;
-      if !best >= 0 then begin
-        q.loc_valid <- true;
-        q.loc_bucket <- q.cur;
-        q.loc_slot <- !best;
-        q.loc_time <- !bt;
-        q.loc_seq <- !bs;
-        found := true
-      end
-      else begin
-        q.cur <- (q.cur + 1) mod nb;
-        q.cur_top <- q.cur_top + q.width;
-        incr scanned
-      end
-    done;
-    if not !found then direct_search q
-  end
-
-let cal_push q ~time ~seq v =
-  let bi = bucket_index q time in
-  bucket_add q q.buckets.(bi) ~time ~seq v;
-  (* An insert earlier than today rewinds the cursor, keeping the
-     forward-scan invariant. *)
-  if time < q.cur_top - q.width then begin
-    q.cur <- bi;
-    q.cur_top <- day_top q time
-  end;
-  if q.loc_valid && (time < q.loc_time || (time = q.loc_time && seq < q.loc_seq))
-  then begin
-    (* The new event undercuts the cached minimum; it sits last in its
-       bucket. *)
-    q.loc_bucket <- bi;
-    q.loc_slot <- q.buckets.(bi).b_len - 1;
-    q.loc_time <- time;
-    q.loc_seq <- seq
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Regime transitions                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let next_pow2 n =
-  let p = ref 1 in
-  while !p < n do
-    p := !p * 2
-  done;
-  !p
-
-(* Copy every stored element out of whichever regime is active. Only
-   runs on regime transitions, so the allocation is amortized away. *)
-let snapshot q =
-  let n = q.len in
-  let d = q.dummy.(0) in
-  let ts = Array.make n 0 and ss = Array.make n 0 and vs = Array.make n d in
-  let j = ref 0 in
-  if calendar_active q then
-    Array.iter
-      (fun b ->
-        for i = 0 to b.b_len - 1 do
-          ts.(!j) <- b.b_times.(i);
-          ss.(!j) <- b.b_seqs.(i);
-          vs.(!j) <- b.b_vals.(i);
-          incr j
-        done)
-      q.buckets
-  else
-    for i = 0 to q.hlen - 1 do
-      ts.(!j) <- q.times.(i);
-      ss.(!j) <- q.seqs.(i);
-      vs.(!j) <- q.vals.(i);
-      incr j
-    done;
-  (ts, ss, vs)
-
-(* Drop the heap's live slots (the elements now live elsewhere, or are
-   being discarded by [clear]). *)
-let vacate_heap q =
-  if Array.length q.dummy > 0 then
-    Array.fill q.vals 0 q.hlen q.dummy.(0);
-  q.hlen <- 0
-
-(* Distribute all elements into a calendar sized for the current
-   population. Returns [false] — leaving the active regime untouched —
-   when [force] is false and the distribution is pathological: the
-   derived width piles more than half the population into one bucket,
-   where bucket scans degenerate to the linear search the heap beats. *)
-let rebuild_calendar q ~force =
-  let n = q.len in
-  let ts, ss, vs = snapshot q in
-  let tmin = ref max_int and tmax = ref min_int in
-  Array.iter
-    (fun t ->
-      if t < !tmin then tmin := t;
-      if t > !tmax then tmax := t)
-    ts;
-  let nb = max 16 (next_pow2 n) in
-  let width = max 1 (((!tmax - !tmin) / max 1 n) + 1) in
-  let pathological =
-    (not force) && n > 32
-    &&
-    let counts = Array.make nb 0 in
-    let peak = ref 0 in
-    Array.iter
-      (fun t ->
-        let i = t / width mod nb in
-        let i = if i < 0 then i + nb else i in
-        counts.(i) <- counts.(i) + 1;
-        if counts.(i) > !peak then peak := counts.(i))
-      ts;
-    !peak > n / 2
-  in
-  if pathological then begin
-    q.engage_at <- max (2 * n) q.engage_at;
-    false
-  end
-  else begin
-    vacate_heap q;
-    q.buckets <- Array.init nb (fun _ -> { b_times = [||]; b_seqs = [||]; b_vals = [||]; b_len = 0 });
-    q.width <- width;
-    for i = 0 to n - 1 do
-      bucket_add q q.buckets.(bucket_index q ts.(i)) ~time:ts.(i) ~seq:ss.(i)
-        vs.(i)
-    done;
-    let start = if n = 0 then 0 else !tmin in
-    q.cur <- (if n = 0 then 0 else bucket_index q start);
-    q.cur_top <- day_top q start;
-    q.loc_valid <- false;
-    true
-  end
-
-(* Collapse the calendar back into the heap. *)
-let demote q =
-  let ts, ss, vs = snapshot q in
-  q.buckets <- [||];
-  q.loc_valid <- false;
-  for i = 0 to Array.length ts - 1 do
-    heap_push q ~time:ts.(i) ~seq:ss.(i) vs.(i)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Interface                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let push q ~time ~seq v =
-  if time < 0 then invalid_arg "Pqueue.push: negative time";
-  if Array.length q.dummy = 0 then q.dummy <- [| v |];
-  if calendar_active q then begin
-    cal_push q ~time ~seq v;
-    q.len <- q.len + 1;
-    if q.len > 2 * n_buckets q then
-      if not (rebuild_calendar q ~force:(q.policy = Calendar)) then begin
-        (* Growing but pathological: the calendar is degenerating. *)
-        demote q;
-        q.engage_at <- max q.engage_at (2 * q.len)
-      end
-  end
-  else begin
-    heap_push q ~time ~seq v;
-    q.len <- q.len + 1;
-    match q.policy with
-    | Calendar -> ignore (rebuild_calendar q ~force:true)
-    | Auto ->
-        if q.len >= q.engage_at then ignore (rebuild_calendar q ~force:false)
-    | Heap -> ()
-  end
-
-let min_time q =
-  if q.len = 0 then max_int
-  else if calendar_active q then begin
-    cal_locate q;
-    q.loc_time
-  end
-  else q.times.(0)
-
-let peek_time q = if q.len = 0 then None else Some (min_time q)
-
-let peek_key q =
-  if q.len = 0 then None
-  else if calendar_active q then begin
-    cal_locate q;
-    Some (q.loc_time, q.loc_seq)
-  end
-  else Some (q.times.(0), q.seqs.(0))
-
-let drop_min q =
-  if q.len = 0 then invalid_arg "Pqueue.pop: empty";
-  if calendar_active q then begin
-    cal_locate q;
-    let b = q.buckets.(q.loc_bucket) in
-    let v = b.b_vals.(q.loc_slot) in
-    bucket_remove q b q.loc_slot;
-    q.loc_valid <- false;
-    q.len <- q.len - 1;
-    (match q.policy with
-    | Auto ->
-        if q.len = 0 then q.buckets <- [||]
-        else if 2 * q.len < engage_threshold then demote q
-    | Calendar ->
-        if q.len > 0 && n_buckets q > 16 && 4 * q.len < n_buckets q then
-          ignore (rebuild_calendar q ~force:true)
-    | Heap -> ());
-    v
-  end
-  else begin
-    q.len <- q.len - 1;
-    heap_drop_min q
-  end
-
-let pop q =
-  if q.len = 0 then invalid_arg "Pqueue.pop: empty";
-  let time, seq =
-    if calendar_active q then begin
-      cal_locate q;
-      (q.loc_time, q.loc_seq)
-    end
-    else (q.times.(0), q.seqs.(0))
-  in
-  let v = drop_min q in
-  (time, seq, v)
-
-let clear q =
-  vacate_heap q;
-  q.buckets <- [||];
-  q.len <- 0;
-  q.cur <- 0;
-  q.cur_top <- 0;
-  q.loc_valid <- false;
-  q.engage_at <- engage_threshold

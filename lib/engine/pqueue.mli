@@ -5,30 +5,16 @@
     key a monotonically increasing sequence number that makes the schedule
     deterministic (FIFO among simultaneous events).
 
-    Two representations live behind this interface, chosen by {!policy}:
-    a structure-of-arrays binary min-heap (keys in unboxed int arrays;
-    steady-state push/pop allocates nothing) for small populations, and a
-    calendar queue (time-bucketed days, O(1) amortized push/drop_min) for
-    large ones. The pop order is the (time, seq) total order in either
-    regime — the representation is unobservable apart from speed, which
-    is what keeps heap and calendar runs of the simulator bit-identical.
+    The representation is a structure-of-arrays binary min-heap: keys in
+    unboxed int arrays, so steady-state push/drop_min allocates nothing.
 
     Popped slots are vacated: a queue retains (pins) at most one payload
     beyond its live [length] elements — a dummy captured from the first
     push, used to clear abandoned array slots. *)
 
-type policy =
-  | Heap  (** always the binary heap *)
-  | Calendar  (** always the calendar queue *)
-  | Auto
-      (** start as a heap, migrate to the calendar past a population
-          threshold, demote back when it drains or the time distribution
-          defeats bucketing (the default) *)
-
 type 'a t
 
-val create : ?policy:policy -> unit -> 'a t
-(** An empty queue under [policy] (default {!Auto}). *)
+val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
@@ -37,25 +23,11 @@ val length : 'a t -> int
 val push : 'a t -> time:int -> seq:int -> 'a -> unit
 (** @raise Invalid_argument if [time] is negative. *)
 
-val pop : 'a t -> int * int * 'a
-(** Removes and returns the minimum element as [(time, seq, v)].
-    @raise Invalid_argument if the queue is empty. *)
-
-val drop_min : 'a t -> 'a
-(** Removes and returns only the minimum element's payload — the
-    allocation-free [pop] used by the scheduler hot loop (read the key
-    beforehand with {!min_time} / {!peek_key} if needed).
-    @raise Invalid_argument if the queue is empty. *)
-
 val min_time : 'a t -> int
 (** Time of the minimum element, or [max_int] when the queue is empty —
-    an allocation-free [peek_time] shaped for "would anything run before
-    cycle [t]?" comparisons. *)
+    shaped for "would anything run before cycle [t]?" comparisons. *)
 
-val peek_key : 'a t -> (int * int) option
-(** [(time, seq)] key of the minimum element, if any. *)
-
-val peek_time : 'a t -> int option
-(** Time of the minimum element, if any. *)
-
-val clear : 'a t -> unit
+val drop_min : 'a t -> 'a
+(** Removes the minimum element and returns its payload (read its time
+    beforehand with {!min_time} if needed).
+    @raise Invalid_argument if the queue is empty. *)

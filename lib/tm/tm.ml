@@ -163,11 +163,7 @@ and ctx = {
 let create cfg =
   if cfg.mode = Seq_mode && cfg.n_cores > 1 then
     invalid_arg "Tm.create: Seq_mode is uninstrumented and single-threaded";
-  (* ASF_ALWAYS_SCHEDULE forces every elapse through the heap round-trip
-     (the reference scheduler), so the fusion fast path can be A/B-tested
-     from any existing binary without a rebuild. *)
-  let always_schedule = Sys.getenv_opt "ASF_ALWAYS_SCHEDULE" <> None in
-  let engine = Engine.create ~always_schedule ~n_cores:cfg.n_cores () in
+  let engine = Engine.create ~n_cores:cfg.n_cores () in
   let mem = Memsys.create cfg.params engine in
   if cfg.abort_on_tlb_miss then Tlb.set_abort_on_tlb_miss (Memsys.tlb mem) true;
   let galloc = Alloc.create () in

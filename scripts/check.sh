@@ -84,26 +84,6 @@ dune build @perf-smoke
 # byte-for-byte.
 dune build @scale-smoke
 
-# Sharer-backend equivalence gate: identical paper-scale runs under the
-# full-bitmask and the limited-pointer/coarse-vector directory backends
-# must be byte-identical — at <= 62 cores the representations are
-# observably equivalent (coarse-mode spurious probes only ever hit cores
-# that hold nothing, which is a no-op).
-echo "sharer-backend equivalence gate"
-SH_A=$(mktemp)
-SH_B=$(mktemp)
-ASF_SHARERS=bitmask "$BENCH" stamp -a intruder -m llb256 -t 8 --sockets 2 \
-  --scale 0.2 > "$SH_A"
-ASF_SHARERS=limited "$BENCH" stamp -a intruder -m llb256 -t 8 --sockets 2 \
-  --scale 0.2 > "$SH_B"
-cmp "$SH_A" "$SH_B"
-ASF_SHARERS=bitmask "$BENCH" intset -s rb-tree -r 1024 -u 20 -t 8 \
-  --txns 300 -m llb8 > "$SH_A"
-ASF_SHARERS=limited "$BENCH" intset -s rb-tree -r 1024 -u 20 -t 8 \
-  --txns 300 -m llb8 > "$SH_B"
-cmp "$SH_A" "$SH_B"
-rm -f "$SH_A" "$SH_B"
-
 # Watchdog negative fixture: under the livelock plan (permanent spurious
 # aborts + a hanging serial-lock holder) the run MUST be ended by the
 # progress watchdog with a non-zero exit; a zero exit means the watchdog
@@ -114,5 +94,20 @@ if "$BENCH" intset -s rb-tree -r 64 -u 20 -t 2 --txns 50 \
   echo "check.sh: watchdog negative fixture FAILED to fire" >&2
   exit 1
 fi
+
+# Usage-error fixtures: out-of-range and malformed flag values MUST exit
+# 2 (README, "Exit codes") with a message, never an uncaught exception.
+for args in "intset -t 0" "intset -t 600" "intset -t 64 --sockets 17" \
+    "intset -t 8 --sockets 17" "serve --queue-cap 0" "--bogus" \
+    "intset -t abc"; do
+  echo "usage-error fixture: asf_bench $args"
+  rc=0
+  # $args is left unquoted on purpose: it is a word list.
+  "$BENCH" $args > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "check.sh: 'asf_bench $args' exited $rc, expected 2" >&2
+    exit 1
+  fi
+done
 
 echo "check.sh: build, tests, checker smoke, and fault soak runs OK"

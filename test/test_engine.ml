@@ -13,47 +13,53 @@ module Trace = Asf_trace.Trace
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Drain [q], returning each element's [(min_time, payload)]. *)
+let drain q =
+  let out = ref [] in
+  while not (Pqueue.is_empty q) do
+    let t = Pqueue.min_time q in
+    out := (t, Pqueue.drop_min q) :: !out
+  done;
+  List.rev !out
+
 let test_pqueue_order () =
   let q = Pqueue.create () in
   Pqueue.push q ~time:5 ~seq:1 "a";
   Pqueue.push q ~time:3 ~seq:2 "b";
   Pqueue.push q ~time:5 ~seq:0 "c";
   Pqueue.push q ~time:1 ~seq:9 "d";
-  let order = List.init 4 (fun _ -> let _, _, v = Pqueue.pop q in v) in
+  let order = List.map snd (drain q) in
   Alcotest.(check (list string)) "min (time,seq) first" [ "d"; "b"; "c"; "a" ] order;
   Alcotest.(check bool) "empty after draining" true (Pqueue.is_empty q)
 
 let test_pqueue_peek_drop () =
   let q = Pqueue.create () in
-  Alcotest.(check (option (pair int int))) "peek empty" None (Pqueue.peek_key q);
   Alcotest.(check int) "min_time empty" max_int (Pqueue.min_time q);
   Pqueue.push q ~time:5 ~seq:2 "a";
   Pqueue.push q ~time:5 ~seq:1 "b";
   Pqueue.push q ~time:9 ~seq:0 "c";
-  Alcotest.(check (option (pair int int)))
-    "min key: earliest time, then smallest seq" (Some (5, 1))
-    (Pqueue.peek_key q);
   Alcotest.(check int) "min_time" 5 (Pqueue.min_time q);
-  Alcotest.(check string) "drop_min returns the payload" "b" (Pqueue.drop_min q);
-  Alcotest.(check (option (pair int int))) "next key" (Some (5, 2)) (Pqueue.peek_key q);
+  Alcotest.(check string) "earliest time, then smallest seq" "b" (Pqueue.drop_min q);
+  Alcotest.(check int) "next min_time" 5 (Pqueue.min_time q);
   Alcotest.(check string) "second" "a" (Pqueue.drop_min q);
+  Alcotest.(check int) "last min_time" 9 (Pqueue.min_time q);
   Alcotest.(check string) "last" "c" (Pqueue.drop_min q);
-  Alcotest.(check bool) "empty after draining" true (Pqueue.is_empty q)
+  Alcotest.(check bool) "empty after draining" true (Pqueue.is_empty q);
+  Alcotest.check_raises "drop_min on empty"
+    (Invalid_argument "Pqueue.drop_min: empty") (fun () -> ignore (Pqueue.drop_min q))
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing key order" ~count:200
     QCheck.(list (pair small_nat small_nat))
     (fun pairs ->
       let q = Pqueue.create () in
-      List.iteri (fun i (t, s) -> Pqueue.push q ~time:t ~seq:((s * 1000) + i) ()) pairs;
-      let prev = ref (-1, -1) in
-      let ok = ref true in
-      while not (Pqueue.is_empty q) do
-        let t, s, () = Pqueue.pop q in
-        if (t, s) < !prev then ok := false;
-        prev := (t, s)
-      done;
-      !ok)
+      List.iteri
+        (fun i (t, s) ->
+          let seq = (s * 1000) + i in
+          Pqueue.push q ~time:t ~seq (t, seq))
+        pairs;
+      let keys = List.map snd (drain q) in
+      keys = List.sort compare keys)
 
 let test_pqueue_negative_time_rejected () =
   let q = Pqueue.create () in
@@ -61,16 +67,12 @@ let test_pqueue_negative_time_rejected () =
     (Invalid_argument "Pqueue.push: negative time") (fun () ->
       Pqueue.push q ~time:(-1) ~seq:0 ())
 
-(* Calendar-vs-heap model battery: the same operation sequence, run under
-   every policy, must produce the identical (time, seq, payload) pop
-   sequence — and match a sorted-list reference model — across event-time
-   distributions chosen to hit every calendar path: dense (many events
-   per day), sparse (day gaps wide enough for the direct-search
-   fallback), clustered (every event in one bucket — the pathological
-   distribution Auto must refuse and Calendar must survive), and a
-   near-monotone ramp (the scheduler's own shape). Sequences are long
-   enough that Auto crosses the engage threshold and drains back, so the
-   heap->calendar->heap transitions run under the comparison too. *)
+(* Model battery: a random push/pop sequence must pop the identical
+   (time, seq, payload) sequence as a sorted-list reference model, with
+   [min_time] agreeing with every popped element, across four event-time
+   distributions: dense (many equal times), sparse (huge gaps), clustered
+   (every event at one time, so seq alone orders them) and a
+   near-monotone ramp (the scheduler's own shape). *)
 let pqueue_ops_gen =
   QCheck.Gen.(
     int_range 0 3 >>= fun dist ->
@@ -87,14 +89,21 @@ let pqueue_dist_time dist prev t =
   match dist with
   | 0 -> t mod 97 (* dense *)
   | 1 -> t * 1_000_003 (* sparse *)
-  | 2 -> 42 (* clustered / pathological *)
+  | 2 -> 42 (* clustered *)
   | _ -> prev + (t mod 7) (* ramp *)
 
-let run_pqueue_ops policy (dist, ops) =
-  let q = Pqueue.create ~policy () in
+let run_pqueue_ops (dist, ops) =
+  let q = Pqueue.create () in
   let out = ref [] in
   let seq = ref 0 in
   let prev = ref 0 in
+  (* Payloads are the seqs, so a wrong [min_time] shows up as a key the
+     model never produced. *)
+  let pop () =
+    let t = Pqueue.min_time q in
+    let s = Pqueue.drop_min q in
+    out := (t, s, s) :: !out
+  in
   List.iter
     (function
       | `Push t ->
@@ -102,16 +111,10 @@ let run_pqueue_ops policy (dist, ops) =
           let time = pqueue_dist_time dist !prev t in
           prev := time;
           Pqueue.push q ~time ~seq:!seq !seq
-      | `Pop ->
-          if not (Pqueue.is_empty q) then begin
-            let mt = Pqueue.min_time q in
-            let ((t, _, _) as e) = Pqueue.pop q in
-            (* min_time must agree with the element pop then returns. *)
-            out := (if mt = t then e else (-1, -1, -1)) :: !out
-          end)
+      | `Pop -> if not (Pqueue.is_empty q) then pop ())
     ops;
   while not (Pqueue.is_empty q) do
-    out := Pqueue.pop q :: !out
+    pop ()
   done;
   List.rev !out
 
@@ -136,48 +139,37 @@ let run_pqueue_model (dist, ops) =
     ops;
   List.rev !out @ List.sort compare !live
 
-let prop_pqueue_policies_agree =
-  QCheck.Test.make
-    ~name:"heap, calendar and auto pop identical sequences (model battery)"
+let prop_pqueue_matches_model =
+  QCheck.Test.make ~name:"heap matches the sorted-list model"
     ~count:120
     (QCheck.make ~print:print_pqueue_ops pqueue_ops_gen)
-    (fun ops ->
-      let reference = run_pqueue_model ops in
-      List.for_all
-        (fun policy -> run_pqueue_ops policy ops = reference)
-        [ Pqueue.Heap; Pqueue.Calendar; Pqueue.Auto ])
+    (fun ops -> run_pqueue_ops ops = run_pqueue_model ops)
 
 (* Liveness regression for the vacated-slot fix: after popping every
    element, the queue may pin at most one payload (the dummy captured
    from the first push) — popped continuations must not stay reachable
-   from the internal arrays. The population crosses the Auto engage
-   threshold, so heap slots, calendar buckets and both regime
-   transitions are all covered. *)
+   from the internal arrays. *)
 let test_pqueue_vacate_liveness () =
-  List.iter
-    (fun (name, policy) ->
-      let n = 300 in
-      let w = Weak.create n in
-      let q = Pqueue.create ~policy () in
-      for i = 0 to n - 1 do
-        let v = ref i in
-        Weak.set w i (Some v);
-        Pqueue.push q ~time:(i * 3) ~seq:i v
-      done;
-      let sink = ref (ref (-1)) in
-      for _ = 1 to n do
-        sink := Pqueue.drop_min q
-      done;
-      sink := ref (-1);
-      Gc.full_major ();
-      let live = ref 0 in
-      for i = 0 to n - 1 do
-        if Weak.check w i then incr live
-      done;
-      if !live > 1 then
-        Alcotest.failf "%s: %d popped payloads still reachable (allowed: 1)"
-          name !live)
-    [ ("heap", Pqueue.Heap); ("calendar", Pqueue.Calendar); ("auto", Pqueue.Auto) ]
+  let n = 300 in
+  let w = Weak.create n in
+  let q = Pqueue.create () in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Pqueue.push q ~time:(i * 3) ~seq:i v
+  done;
+  let sink = ref (ref (-1)) in
+  for _ = 1 to n do
+    sink := Pqueue.drop_min q
+  done;
+  sink := ref (-1);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr live
+  done;
+  if !live > 1 then
+    Alcotest.failf "%d popped payloads still reachable (allowed: 1)" !live
 
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
@@ -508,22 +500,42 @@ let test_engine_lookahead_window () =
    bit-identically on the fused engine and the always-schedule reference
    — same execution log, per-core clocks, scheduling-event counts, and
    emitted trace stream (resume/spawn/finish kinds included, which the
-   default filter would hide). *)
+   default filter would hide). Besides elapses, a thread's steps include
+   [spawn_at] calls at [now + d] followed by more elapses: a spawn from a
+   running thread can land before that thread's next elapse, so its
+   enqueue must lower the cached lookahead bound, or the next elapse
+   would fuse past it. *)
 
-let run_program ?pqueue ~always_schedule (n_cores, threads) =
+let run_program ~always_schedule (n_cores, threads) =
   let tracer = Trace.create ~filter:[ "resume"; "spawn"; "finish" ] () in
   Trace.install tracer;
   Fun.protect ~finally:Trace.uninstall (fun () ->
-      let e = Engine.create ?pqueue ~always_schedule ~n_cores () in
+      let e = Engine.create ~always_schedule ~n_cores () in
       let log = ref [] in
+      (* [who] is [(id, -1)] for the [id]-th top-level thread and
+         [(id, i)] for the thread spawned by its step [i]. *)
+      let note who i core = log := (who, i, Engine.core_time e core) :: !log in
+      let elapses who core delays () =
+        List.iteri
+          (fun i d ->
+            Engine.elapse d;
+            note who i core)
+          delays
+      in
       List.iteri
-        (fun id (core, delays) ->
+        (fun id (core, steps) ->
           Engine.spawn e ~core (fun () ->
               List.iteri
-                (fun i d ->
-                  Engine.elapse d;
-                  log := (id, i, Engine.core_time e core) :: !log)
-                delays))
+                (fun i step ->
+                  match step with
+                  | `Elapse d ->
+                      Engine.elapse d;
+                      note (id, -1) i core
+                  | `Spawn (c, d, delays) ->
+                      Engine.spawn_at e ~core:c
+                        ~time:(Engine.core_time e core + d)
+                        (elapses (id, i) c delays))
+                steps))
         threads;
       Engine.run e;
       ( List.rev !log,
@@ -534,19 +546,30 @@ let run_program ?pqueue ~always_schedule (n_cores, threads) =
 let program_gen =
   QCheck.Gen.(
     int_range 1 3 >>= fun n_cores ->
-    list_size (int_range 1 5)
-      (pair
-         (int_range 0 (n_cores - 1))
-         (list_size (int_range 0 8) (int_range 0 25)))
+    let core = int_range 0 (n_cores - 1) and delay = int_range 0 25 in
+    let step =
+      frequency
+        [
+          (4, delay >|= fun d -> `Elapse d);
+          ( 1,
+            triple core delay (list_size (int_range 0 4) delay)
+            >|= fun (c, d, ds) -> `Spawn (c, d, ds) );
+        ]
+    in
+    list_size (int_range 1 5) (pair core (list_size (int_range 0 8) step))
     >|= fun threads -> (n_cores, threads))
 
 let print_program (n_cores, threads) =
+  let delays ds = String.concat "," (List.map string_of_int ds) in
+  let step = function
+    | `Elapse d -> string_of_int d
+    | `Spawn (c, d, ds) -> Printf.sprintf "spawn(core %d, +%d: %s)" c d (delays ds)
+  in
   Printf.sprintf "cores=%d %s" n_cores
     (String.concat "; "
        (List.map
-          (fun (c, ds) ->
-            Printf.sprintf "core %d: [%s]" c
-              (String.concat "," (List.map string_of_int ds)))
+          (fun (c, steps) ->
+            Printf.sprintf "core %d: [%s]" c (String.concat "," (List.map step steps)))
           threads))
 
 let prop_fusion_equivalent =
@@ -568,22 +591,6 @@ let prop_fusion_equivalent =
       else if trace_f <> trace_r then
         QCheck.Test.fail_report "trace streams differ"
       else true)
-
-(* Scheduler-queue equivalence (QCheck): the queue representation must be
-   unobservable from the engine — a forced-calendar run matches a
-   forced-heap run on log, clocks, events and trace, both with fusion on
-   (the production path) and with every elapse through the queue (which
-   maximizes queue traffic). *)
-let prop_pqueue_policy_equivalent =
-  QCheck.Test.make ~name:"calendar-queue engine matches heap engine"
-    ~count:150
-    (QCheck.make ~print:print_program program_gen)
-    (fun p ->
-      List.for_all
-        (fun always_schedule ->
-          run_program ~pqueue:Pqueue.Heap ~always_schedule p
-          = run_program ~pqueue:Pqueue.Calendar ~always_schedule p)
-        [ false; true ])
 
 (* ------------------------------------------------------------------ *)
 (* Addr                                                                *)
@@ -696,7 +703,7 @@ let () =
             test_pqueue_negative_time_rejected;
           Alcotest.test_case "vacated slots" `Quick test_pqueue_vacate_liveness;
           q prop_pqueue_sorted;
-          q prop_pqueue_policies_agree;
+          q prop_pqueue_matches_model;
         ] );
       ( "prng",
         [
@@ -732,7 +739,6 @@ let () =
           Alcotest.test_case "lookahead window" `Quick
             test_engine_lookahead_window;
           q prop_fusion_equivalent;
-          q prop_pqueue_policy_equivalent;
         ] );
       ("addr", [ Alcotest.test_case "arithmetic" `Quick test_addr_arithmetic ]);
       ( "ram",

@@ -1,9 +1,18 @@
-(* Tests for the IntegerSet driver: size consistency, determinism, and
-   the paper's qualitative orderings. *)
+(* Tests for the IntegerSet benchmark: size consistency, determinism, the
+   paper's qualitative orderings, and sharer-backend equivalence on the
+   traffic of a real run. *)
 
+module Prng = Asf_engine.Prng
+module Params = Asf_machine.Params
+module Addr = Asf_mem.Addr
+module Memsys = Asf_cache.Memsys
+module Hierarchy = Asf_cache.Hierarchy
+module Sharers = Asf_cache.Sharers
 module Tm = Asf_tm_rt.Tm
 module Stats = Asf_tm_rt.Stats
 module Variant = Asf_core.Variant
+module Ops = Asf_dstruct.Ops
+module Trbtree = Asf_dstruct.Trbtree
 module Intset = Asf_intset.Intset
 
 let quick structure =
@@ -80,6 +89,96 @@ let test_deterministic () =
   in
   Alcotest.(check int) "same cycles" (run ()) (run ())
 
+(* Sharer-backend equivalence on real traffic. An 8-core dual-socket
+   rb-tree run (range 1024, 20 % updates, LLB-8) records every memory
+   access; the recording is replayed through a fresh hierarchy under each
+   directory backend. Both must answer every access with the same
+   latency and fire the same eviction hooks, and end with the same
+   cache and coherence counters, which must also equal the live run's.
+   A hierarchy that answers every access identically makes the whole
+   run identical, so this pins the bitmask-vs-limited equivalence at
+   <= 62 cores. Widely read tree nodes overflow the limited backend's
+   four pointers, so its coarse mode is exercised too. *)
+let n_replay_cores = 8
+
+let record_rbtree_run () =
+  let n_cores = n_replay_cores and range = 1024 in
+  let tm =
+    { (Tm.default_config (Tm.Asf_mode Variant.llb8) ~n_cores) with
+      Tm.params = Params.dual_socket }
+  in
+  let sys = Tm.create tm in
+  let setup_o = Ops.setup sys in
+  let tree = Trbtree.create setup_o in
+  let rng = Prng.create (tm.Tm.seed + 4242) in
+  let n = ref 0 in
+  while !n < range / 2 do
+    let k = Prng.int rng range in
+    if Trbtree.insert setup_o tree k k then incr n
+  done;
+  let accesses = ref [] in
+  Memsys.set_access_hook (Tm.memsys sys)
+    (Some
+       (fun ~core ~addr ~write ~speculative:_ ->
+         accesses := (core, Addr.line_of addr, write) :: !accesses));
+  for core = 0 to n_cores - 1 do
+    ignore
+      (Tm.spawn sys ~core (fun ctx ->
+           let o = Ops.tx ctx and rng = Tm.prng ctx in
+           for _ = 1 to 300 do
+             let k = Prng.int rng range and roll = Prng.int rng 200 in
+             if roll < 20 then ignore (Tm.atomic ctx (fun () -> Trbtree.insert o tree k k))
+             else if roll < 40 then ignore (Tm.atomic ctx (fun () -> Trbtree.remove o tree k))
+             else ignore (Tm.atomic ctx (fun () -> Trbtree.mem o tree k))
+           done))
+  done;
+  Tm.run sys;
+  (Memsys.hierarchy (Tm.memsys sys), Array.of_list (List.rev !accesses))
+
+let replay kind accesses =
+  let h = Hierarchy.create ~sharers:kind Params.dual_socket ~n_cores:n_replay_cores in
+  let evicts = ref [] in
+  for core = 0 to n_replay_cores - 1 do
+    Hierarchy.set_evict_hook h ~core (fun line -> evicts := (core, line) :: !evicts)
+  done;
+  let lat =
+    Array.map (fun (core, line, write) -> Hierarchy.access h ~core ~line ~write) accesses
+  in
+  (h, lat, List.rev !evicts)
+
+(* Every counter that reaches a report; [probes] is left out because
+   coarse mode sends spurious probes by design. *)
+let counters h =
+  let lv (s : Hierarchy.level_stats) = [ s.hits; s.misses ] in
+  List.concat
+    (List.init n_replay_cores (fun core ->
+         lv (Hierarchy.l1_stats h ~core) @ lv (Hierarchy.l2_stats h ~core)))
+  @ lv (Hierarchy.l3_stats h)
+  @ [
+      Hierarchy.forwards h;
+      Hierarchy.invalidations h;
+      Hierarchy.cross_socket_probes h;
+      Hierarchy.dir_high_water h;
+    ]
+
+let test_sharer_backends_agree_on_replay () =
+  let live, accesses = record_rbtree_run () in
+  let hb, lat_b, ev_b = replay Sharers.Bitmask accesses in
+  let hl, lat_l, ev_l = replay Sharers.Limited accesses in
+  Array.iteri
+    (fun i lb ->
+      if lb <> lat_l.(i) then
+        Alcotest.failf "access %d of %d: bitmask latency %d, limited %d" i
+          (Array.length accesses) lb lat_l.(i))
+    lat_b;
+  Alcotest.(check (list (pair int int))) "eviction-hook sequences" ev_b ev_l;
+  Alcotest.(check (list int)) "limited counters = bitmask counters" (counters hb)
+    (counters hl);
+  Alcotest.(check (list int)) "replay counters = live run's" (counters live)
+    (counters hb);
+  Alcotest.(check bool) "the run reaches coarse mode (spurious probes)" true
+    (Hierarchy.probes hl > Hierarchy.probes hb)
+
 let () =
   Alcotest.run "intset"
     [
@@ -92,5 +191,10 @@ let () =
         [
           Alcotest.test_case "early release" `Quick test_early_release_helps_llb8_list;
           Alcotest.test_case "asf > stm" `Slow test_asf_beats_stm_single_thread;
+        ] );
+      ( "sharers",
+        [
+          Alcotest.test_case "backends agree on replayed traffic" `Quick
+            test_sharer_backends_agree_on_replay;
         ] );
     ]
