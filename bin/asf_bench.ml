@@ -823,6 +823,16 @@ let int_in ?(hi = max_int) lo =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* The float twin of [int_in]: a finite value above [lo]. *)
+let float_above lo =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (Float.is_finite x && x > lo) ->
+        Error (`Msg (Printf.sprintf "%s is not a finite number above %g" s lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let threads_arg =
   Arg.(
     value
@@ -937,12 +947,17 @@ let intset_cmd =
          & info [ "structure"; "s" ] ~docv:"S"
              ~doc:"linked-list, skip-list, rb-tree, or hash-set.")
   in
-  let range = Arg.(value & opt int 1024 & info [ "range"; "r" ] ~docv:"N" ~doc:"Key range.") in
+  let range =
+    Arg.(value & opt (int_in 1) 1024
+         & info [ "range"; "r" ] ~docv:"N" ~doc:"Key range (at least 1).")
+  in
   let updates =
-    Arg.(value & opt int 20 & info [ "updates"; "u" ] ~docv:"PCT" ~doc:"Update percentage.")
+    Arg.(value & opt (int_in 0 ~hi:100) 20
+         & info [ "updates"; "u" ] ~docv:"PCT" ~doc:"Update percentage, 0 to 100.")
   in
   let txns =
-    Arg.(value & opt int 1000 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per thread.")
+    Arg.(value & opt (int_in 1) 1000
+         & info [ "txns" ] ~docv:"N" ~doc:"Transactions per thread (at least 1).")
   in
   let er = Arg.(value & flag & info [ "early-release" ] ~doc:"ASF early release.") in
   Cmd.v
@@ -958,7 +973,8 @@ let stamp_cmd =
          & info [ "app"; "a" ] ~docv:"APP" ~doc:"STAMP application name.")
   in
   let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"X" ~doc:"Input size multiplier.")
+    Arg.(value & opt (float_above 0.) 1.0
+         & info [ "scale" ] ~docv:"X" ~doc:"Input size multiplier (above 0).")
   in
   Cmd.v
     (Cmd.info "stamp" ~doc:"Run one STAMP application")
@@ -974,7 +990,8 @@ let serve_cmd =
              ~doc:"Service: kv-a .. kv-f (YCSB-style mixes) or ledger.")
   in
   let requests =
-    Arg.(value & opt int 2000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Total arrivals.")
+    Arg.(value & opt (int_in 1) 2000
+         & info [ "requests"; "n" ] ~docv:"N" ~doc:"Total arrivals (at least 1).")
   in
   let arrival =
     Arg.(value & opt string "poisson"
@@ -987,12 +1004,12 @@ let serve_cmd =
              ~doc:"Nominal mean inter-arrival gap in cycles (ignored with $(b,--load)).")
   in
   let load =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some (float_above 0.)) None
          & info [ "load" ] ~docv:"MULT"
              ~doc:
-               "Offered load as a multiple of measured capacity: first run a \
-                closed-loop capacity probe, then derive the arrival gap so that \
-                offered = $(docv) x capacity (2.0 = sustained 2x overload).")
+               "Offered load as a multiple of measured capacity (above 0): first \
+                run a closed-loop capacity probe, then derive the arrival gap so \
+                that offered = $(docv) x capacity (2.0 = sustained 2x overload).")
   in
   let queue_cap =
     Arg.(value & opt (int_in 1) 64
@@ -1001,11 +1018,11 @@ let serve_cmd =
                    shed.")
   in
   let deadline_us =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 1)) None
          & info [ "deadline-us" ] ~docv:"US"
              ~doc:
-               "Per-request deadline in microseconds of simulated time; a request \
-                past it stops retrying and reports a timeout.")
+               "Per-request deadline in microseconds of simulated time (at least \
+                1); a request past it stops retrying and reports a timeout.")
   in
   let no_governor =
     Arg.(value & flag
@@ -1014,12 +1031,12 @@ let serve_cmd =
                    fallback).")
   in
   let records =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 1)) None
          & info [ "records" ] ~docv:"N"
              ~doc:
-               "KV services: preloaded key count (default 1024). Small values \
-                concentrate contention — the negative-test fixtures use them to \
-                make broken hardware observable quickly.")
+               "KV services: preloaded key count (default 1024, at least 1). \
+                Small values concentrate contention — the negative-test fixtures \
+                use them to make broken hardware observable quickly.")
   in
   let ablate =
     Arg.(value & opt_all string []

@@ -60,6 +60,10 @@ type t = {
   rollback_on_abort : bool;
   resolve_conflicts : bool;
   regions : region array;
+  (* Per-core read and write signatures: one bit per protected line
+     ([sig_bit]), a superset of the region's read / written lines. *)
+  rsig : int array;
+  wsig : int array;
   quantum : int;
   tracer : Trace.t;
   faults : Faults.t;
@@ -80,6 +84,15 @@ let set_observer t f = t.observer <- f
 let notify t ~core ev =
   match t.observer with Some f -> f ~core ev | None -> ()
 
+(* A line's signature bit, one of 62: multiply-shift hashing of [line]
+   into 30 bits, then [h * 62 / 2^30] maps those onto 0..61. *)
+let sig_bit line =
+  1 lsl ((((line * 0x4F1BBCDCBFA53E0B) lsr 33) * 62) lsr 30)
+
+let clear_sigs t core =
+  t.rsig.(core) <- 0;
+  t.wsig.(core) <- 0
+
 (* Roll back a region's speculative stores and clear its protected sets,
    recording the first abort reason. Idempotent; the victim observes the
    doom at its next ASF operation. The rollback writes RAM directly: the
@@ -96,29 +109,44 @@ let doom ?line t core reason =
       Llb.iter_written r.llb (fun line backup -> Ram.write_line ram line backup);
     Llb.clear r.llb;
     Hashtbl.reset r.tracked;
+    clear_sigs t core;
     notify t ~core (Obs_doom reason)
   end
 
 (* A write probe conflicts with read and write sets; a read probe
    conflicts with write sets only. *)
 let region_conflicts t r ~line ~write =
-  let in_write = Llb.written r.llb line in
-  let in_read =
-    Llb.mem r.llb line
-    || (t.variant.Variant.l1_read_set && Hashtbl.mem r.tracked line)
-  in
-  in_write || (write && in_read)
+  Llb.written r.llb line
+  || (write
+     && (Llb.mem r.llb line
+        || (t.variant.Variant.l1_read_set && Hashtbl.mem r.tracked line)))
+
+(* The signature filter: [false] proves that [core]'s region cannot
+   conflict with a probe of the line whose bit is [bit]; [true] only
+   says it may, and [region_conflicts] decides. *)
+let may_conflict t core bit ~write =
+  (Array.unsafe_get t.wsig core
+  lor if write then Array.unsafe_get t.rsig core else 0)
+  land bit
+  <> 0
 
 (* Requester-wins: any conflicting probe dooms the region that already
-   holds the line. Plain index loops, not [Array.iteri]: this runs once
-   per memory access, and the iteration closure (capturing the probe
-   parameters) would be the access path's last per-access allocation. *)
+   holds the line. This runs once per memory access over every core, so
+   a region is first tested against its signatures (two array loads) and
+   the exact LLB lookup runs only on a signature hit. A signature is a
+   superset of the region's lines, so the filter skips only regions
+   [region_conflicts] would reject, and the ascending core order keeps
+   dooms, trace events and observer calls in the same order. Plain
+   index loops, not [Array.iteri]: the iteration closure would allocate
+   on every access. *)
 let resolve t ~requester ~line ~write =
-  if t.resolve_conflicts then
+  if t.resolve_conflicts then begin
+    let bit = sig_bit line in
     for core = 0 to Array.length t.regions - 1 do
       let r = Array.unsafe_get t.regions core in
       if
-        core <> requester && r.active && r.doomed = None
+        may_conflict t core bit ~write
+        && core <> requester && r.active && r.doomed = None
         && region_conflicts t r ~line ~write
       then begin
         doom ~line t core Abort.Contention;
@@ -127,13 +155,16 @@ let resolve t ~requester ~line ~write =
           (Trace.Probe_rollback { requester; line_addr = Addr.line_base line })
       end
     done
+  end
 
 let any_remote_conflict t ~requester ~line ~write =
+  let bit = sig_bit line in
   let found = ref false in
   for core = 0 to Array.length t.regions - 1 do
     let r = Array.unsafe_get t.regions core in
     if
-      core <> requester && r.active && r.doomed = None
+      may_conflict t core bit ~write
+      && core <> requester && r.active && r.doomed = None
       && region_conflicts t r ~line ~write
     then found := true
   done;
@@ -218,6 +249,8 @@ let create ?(costs = default_costs) ?(requester_wins = true)
               start_time = 0;
               last_conflict = None;
             });
+      rsig = Array.make n_cores 0;
+      wsig = Array.make n_cores 0;
       quantum = (Memsys.params mem).Asf_machine.Params.interrupt_quantum;
       tracer = Memsys.tracer mem;
       faults = Faults.installed ();
@@ -308,6 +341,7 @@ let commit ?(extra = 0) t ~core =
        flash-clear the protected sets. *)
     Llb.clear r.llb;
     Hashtbl.reset r.tracked;
+    clear_sigs t core;
     r.active <- false;
     r.nesting <- 0;
     t.commits <- t.commits + 1;
@@ -319,10 +353,12 @@ let abort_explicit t ~core ~code = self_abort t ~core (Abort.Explicit code)
 
 let track_read t core line =
   let r = region t core in
-  if not (Llb.written r.llb line) then
+  if not (Llb.written r.llb line) then begin
     if t.variant.Variant.l1_read_set then Hashtbl.replace r.tracked line ()
     else if not (Llb.protect_read r.llb line) then
-      self_abort ~line t ~core Abort.Capacity
+      self_abort ~line t ~core Abort.Capacity;
+    t.rsig.(core) <- t.rsig.(core) lor sig_bit line
+  end
 
 (* Requester-loses ablation: a speculative access that would conflict
    with another region aborts itself before touching memory, leaving the
@@ -359,6 +395,7 @@ let prepare_store t ~core addr =
     let backup = Ram.read_line (Memsys.ram t.mem) line in
     if not (Llb.protect_write r.llb line ~backup) then
       self_abort ~line t ~core Abort.Capacity;
+    t.wsig.(core) <- t.wsig.(core) lor sig_bit line;
     if t.variant.Variant.l1_read_set then Hashtbl.remove r.tracked line
   end
 

@@ -73,7 +73,8 @@ val set_index : Asf_machine.Params.t -> int -> int
     power-of-two indexing. *)
 
 val iter_written : t -> (int -> int array -> unit) -> unit
-(** Iterates over written lines and their backups (abort rollback). *)
+(** Iterates over written lines and their backups (abort rollback), in
+    an unspecified order. *)
 
 val written_count : t -> int
 

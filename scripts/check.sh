@@ -99,7 +99,10 @@ fi
 # 2 (README, "Exit codes") with a message, never an uncaught exception.
 for args in "intset -t 0" "intset -t 600" "intset -t 64 --sockets 17" \
     "intset -t 8 --sockets 17" "serve --queue-cap 0" "--bogus" \
-    "intset -t abc"; do
+    "intset -t abc" "intset -r 0" "intset -u 150" "intset --txns=0" \
+    "intset --txns=-1" "serve -n 0" "serve --records 0" "serve --load 0" \
+    "serve --load=-1" "serve --deadline-us 0" "serve --deadline-us=-3" \
+    "stamp --scale=-1"; do
   echo "usage-error fixture: asf_bench $args"
   rc=0
   # $args is left unquoted on purpose: it is a word list.

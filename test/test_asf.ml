@@ -59,6 +59,139 @@ let test_llb_release_rules () =
   Alcotest.(check bool) "written entry pinned" false (Llb.release b 2);
   Alcotest.(check bool) "absent not releasable" false (Llb.release b 9)
 
+(* Model check: random operation sequences against an association-list
+   model of the buffer, comparing every observable after every step. A
+   capacity-8 buffer has 16 slots, so probe chains collide and wrap the
+   table end, exercising backward-shift deletion across the wrap; a
+   capacity-5 buffer rounds its 10 slots up to 16; a capacity-[max_int]
+   buffer grows from 64 slots. Lines are drawn from a range several
+   times the table size. *)
+
+type llb_op =
+  | Read of int
+  | Write of int
+  | Release of int
+  | Clear
+  | Limit of int option
+
+let show_llb_op = function
+  | Read l -> Printf.sprintf "read %d" l
+  | Write l -> Printf.sprintf "write %d" l
+  | Release l -> Printf.sprintf "release %d" l
+  | Clear -> "clear"
+  | Limit None -> "limit none"
+  | Limit (Some n) -> Printf.sprintf "limit %d" n
+
+let llb_ops ~capacity ~lines ~max_len =
+  let open QCheck.Gen in
+  let line = int_bound (lines - 1) in
+  let op =
+    frequency
+      [
+        (8, map (fun l -> Read l) line);
+        (6, map (fun l -> Write l) line);
+        (6, map (fun l -> Release l) line);
+        (1, return Clear);
+        ( 1,
+          map
+            (fun n -> Limit (if n = 0 then None else Some n))
+            (int_bound (min capacity 300)) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_llb_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 max_len) op)
+
+(* The model is [(line, backup)] pairs, [None] for a read-only entry. *)
+let llb_matches_model ~capacity ops =
+  let b = Llb.create ~capacity in
+  let model = ref [] and limit = ref None in
+  let eff () = match !limit with Some n -> min n capacity | None -> capacity in
+  let fits () = List.length !model < eff () in
+  let fail step fmt =
+    Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "step %d: %s" step m) fmt
+  in
+  List.iteri
+    (fun step op ->
+      let got, want =
+        match op with
+        | Read l ->
+            let want =
+              if List.mem_assoc l !model then true
+              else if fits () then (
+                model := (l, None) :: !model;
+                true)
+              else false
+            in
+            (Llb.protect_read b l, want)
+        | Write l ->
+            let backup = [| l; step |] in
+            let want =
+              match List.assoc_opt l !model with
+              | Some (Some _) -> true
+              | Some None ->
+                  model := (l, Some backup) :: List.remove_assoc l !model;
+                  true
+              | None when fits () ->
+                  model := (l, Some backup) :: !model;
+                  true
+              | None -> false
+            in
+            (Llb.protect_write b l ~backup, want)
+        | Release l ->
+            let want =
+              match List.assoc_opt l !model with
+              | Some None ->
+                  model := List.remove_assoc l !model;
+                  true
+              | _ -> false
+            in
+            (Llb.release b l, want)
+        | Clear ->
+            Llb.clear b;
+            model := [];
+            (true, true)
+        | Limit n ->
+            Llb.set_limit b n;
+            limit := n;
+            (true, true)
+      in
+      if got <> want then fail step "%s returned %b" (show_llb_op op) got;
+      let written = List.filter_map (fun (l, w) -> Option.map (fun w -> (l, w)) w) !model in
+      let n = List.length !model and nw = List.length written in
+      let check name got want =
+        if got <> want then fail step "after %s: %s = %d, model %d" (show_llb_op op) name got want
+      in
+      check "entries" (Llb.entries b) n;
+      check "read_count" (Llb.read_count b) (n - nw);
+      check "written_count" (Llb.written_count b) nw;
+      check "effective_capacity" (Llb.effective_capacity b) (eff ());
+      if Llb.protected_lines b <> List.sort compare (List.map fst !model) then
+        fail step "after %s: protected_lines differ" (show_llb_op op);
+      (match op with
+      | Read l | Write l | Release l ->
+          if Llb.mem b l <> List.mem_assoc l !model then fail step "mem %d" l
+      | Clear | Limit _ -> ());
+      List.iter
+        (fun (l, w) ->
+          if not (Llb.mem b l) then fail step "line %d lost" l;
+          if Llb.written b l <> Option.is_some w then fail step "written %d" l)
+        !model;
+      let seen = ref [] in
+      Llb.iter_written b (fun l backup -> seen := (l, backup) :: !seen);
+      if List.sort compare !seen <> List.sort compare written then
+        fail step "after %s: iter_written differs" (show_llb_op op))
+    ops;
+  true
+
+let prop_llb_model ~capacity ~lines ~max_len ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "matches model (capacity %s)"
+             (if capacity = max_int then "max_int" else string_of_int capacity))
+    (llb_ops ~capacity ~lines ~max_len)
+    (llb_matches_model ~capacity)
+
 (* ------------------------------------------------------------------ *)
 (* Single-region behaviour                                             *)
 (* ------------------------------------------------------------------ *)
@@ -400,6 +533,76 @@ let test_speculative_store_invisible_until_commit () =
   Alcotest.(check int) "writer committed" 5 (Memsys.peek m 800);
   Alcotest.(check int) "one commit" 1 (Asf.commits a)
 
+(* The per-core signatures only narrow which regions get the exact LLB
+   lookup. Core 1 read-protects line A; core 0 then plain-stores 500
+   other lines, enough to hit each of the 62 signature bits several
+   times, A's included. None of them may doom core 1; the store to A
+   itself must. *)
+let test_signature_hits_are_exact () =
+  let e, _m, a = setup ~variant:Variant.llb256 () in
+  let line_a = 4000 in
+  let spurious = ref [] and doomed_by_a = ref false and result = ref None in
+  run_threads e
+    [
+      (fun () ->
+        Engine.elapse 500;
+        for l = 1 to 500 do
+          Asf.plain_store a ~core:0 (Addr.line_base l) l;
+          if not (Asf.line_protected a ~core:1 line_a) then spurious := l :: !spurious
+        done;
+        Asf.plain_store a ~core:0 (Addr.line_base line_a) 1;
+        doomed_by_a := not (Asf.line_protected a ~core:1 line_a));
+      (fun () ->
+        try
+          Asf.speculate a ~core:1;
+          ignore (Asf.lock_load a ~core:1 (Addr.line_base line_a));
+          Engine.elapse 1_000_000;
+          ignore (Asf.lock_load a ~core:1 (Addr.line_base line_a));
+          Asf.commit a ~core:1
+        with Asf.Aborted r -> result := Some r);
+    ];
+  Alcotest.(check (list int)) "no store to another line dooms core 1" [] !spurious;
+  Alcotest.(check bool) "the store to A dooms core 1" true !doomed_by_a;
+  match !result with
+  | Some Abort.Contention -> ()
+  | Some r -> Alcotest.failf "expected contention, got %s" (Abort.to_string r)
+  | None -> Alcotest.fail "core 1 committed"
+
+(* One plain store to a line 63 regions have read dooms all of them, in
+   ascending core order, as the checking layer's observer sees it. *)
+let test_broadcast_dooms_in_core_order () =
+  let n_cores = 64 in
+  let e = Engine.create ~n_cores () in
+  let m = Memsys.create (Params.with_sockets Params.barcelona ~sockets:4) e in
+  let a = Asf.create m Variant.llb256 in
+  for p = 0 to 63 do
+    Memsys.map_page m p
+  done;
+  let dooms = ref [] in
+  Asf.set_observer a
+    (Some
+       (fun ~core -> function
+         | Asf.Obs_doom r -> dooms := (core, Abort.to_string r) :: !dooms
+         | _ -> ()));
+  let addr = Addr.line_base 4000 in
+  run_threads e
+    (List.init n_cores (fun core () ->
+         if core = 0 then begin
+           Engine.elapse 20_000;
+           Asf.plain_store a ~core addr 1
+         end
+         else
+           try
+             Asf.speculate a ~core;
+             ignore (Asf.lock_load a ~core addr);
+             Engine.elapse 200_000;
+             Asf.commit a ~core
+           with Asf.Aborted _ -> ()));
+  Alcotest.(check (list (pair int string)))
+    "cores 1..63 doomed in order"
+    (List.init (n_cores - 1) (fun i -> (i + 1, Abort.to_string Abort.Contention)))
+    (List.rev !dooms)
+
 (* ------------------------------------------------------------------ *)
 (* Early release                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -697,7 +900,14 @@ let () =
           Alcotest.test_case "capacity" `Quick test_llb_capacity;
           Alcotest.test_case "write upgrade" `Quick test_llb_write_upgrade;
           Alcotest.test_case "release rules" `Quick test_llb_release_rules;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_llb_model ~capacity:8 ~lines:64 ~max_len:200 ~count:300;
+              prop_llb_model ~capacity:5 ~lines:64 ~max_len:200 ~count:100;
+              prop_llb_model ~capacity:256 ~lines:2048 ~max_len:400 ~count:100;
+              prop_llb_model ~capacity:max_int ~lines:1024 ~max_len:400 ~count:100;
+            ] );
       ( "region",
         [
           Alcotest.test_case "commit publishes" `Quick test_commit_publishes;
@@ -722,6 +932,9 @@ let () =
             test_requester_loses_plain_still_dooms;
           Alcotest.test_case "read/read ok" `Quick test_read_read_no_conflict;
           Alcotest.test_case "isolation" `Quick test_speculative_store_invisible_until_commit;
+          Alcotest.test_case "signature hits are exact" `Quick test_signature_hits_are_exact;
+          Alcotest.test_case "broadcast dooms in core order" `Quick
+            test_broadcast_dooms_in_core_order;
         ] );
       ( "release",
         [
