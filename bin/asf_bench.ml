@@ -505,87 +505,75 @@ let run_serve service mode threads sockets requests arrival gap load queue_cap
         match records with None -> base | Some r -> { base with Serve.records = r }
       in
       match sweep_arg with
-      | Some mults_spec -> (
-          let mults =
-            String.split_on_char ',' mults_spec |> List.map String.trim
-            |> List.filter (fun s -> s <> "")
-            |> List.filter_map float_of_string_opt
+      | Some mults ->
+          let results, knee = Serve.sweep tm ~threads base ~mults in
+          let verdicts =
+            if lin_on then
+              List.map (fun (_, r) -> Some (Txlin.check_result base r)) results
+            else List.map (fun _ -> None) results
           in
-          match mults with
-          | [] ->
-              Printf.eprintf
-                "--sweep needs a comma-separated list of load multipliers (e.g. \
-                 0.5,0.9,1.5,2)\n";
-              1
-          | mults ->
-              let results, knee = Serve.sweep tm ~threads base ~mults in
-              let verdicts =
-                if lin_on then
-                  List.map (fun (_, r) -> Some (Txlin.check_result base r)) results
-                else List.map (fun _ -> None) results
-              in
-              Report.print
-                (Report.make ~id:"serve-sweep"
-                   ~title:
-                     (Printf.sprintf
-                        "Throughput vs offered load: %s, %d threads, mode %s"
-                        (Serve.service_name service) threads mode)
-                   ~notes:
-                     [
-                       (match knee with
-                       | Some k -> Printf.sprintf "knee: %.3f req/ms" k
-                       | None -> "knee: not reached in this range");
-                     ]
-                   ([
-                      "mult"; "offered"; "achieved"; "p50"; "p99"; "shed";
-                      "timeout"; "gov-final";
+          Report.print
+            (Report.make ~id:"serve-sweep"
+               ~title:
+                 (Printf.sprintf
+                    "Throughput vs offered load: %s, %d threads, mode %s"
+                    (Serve.service_name service) threads mode)
+               ~notes:
+                 [
+                   (match knee with
+                   | Some k -> Printf.sprintf "knee: %.3f req/ms" k
+                   | None -> "knee: not reached in this range");
+                 ]
+               ([
+                  "mult"; "offered"; "achieved"; "p50"; "p99"; "shed";
+                  "timeout"; "gov-final";
+                ]
+               @ if lin_on then [ "lin" ] else [])
+               (List.map2
+                  (fun (m, (r : Serve.result)) v ->
+                    [
+                      Printf.sprintf "%.2f" m;
+                      Printf.sprintf "%.3f" r.Serve.r_offered;
+                      Printf.sprintf "%.3f" r.Serve.r_achieved;
+                      string_of_int r.Serve.r_p50;
+                      string_of_int r.Serve.r_p99;
+                      string_of_int r.Serve.r_shed;
+                      string_of_int r.Serve.r_timeout;
+                      r.Serve.r_final_gov;
                     ]
-                   @ if lin_on then [ "lin" ] else [])
-                   (List.map2
-                      (fun (m, (r : Serve.result)) v ->
-                        [
-                          Printf.sprintf "%.2f" m;
-                          Printf.sprintf "%.3f" r.Serve.r_offered;
-                          Printf.sprintf "%.3f" r.Serve.r_achieved;
-                          string_of_int r.Serve.r_p50;
-                          string_of_int r.Serve.r_p99;
-                          string_of_int r.Serve.r_shed;
-                          string_of_int r.Serve.r_timeout;
-                          r.Serve.r_final_gov;
-                        ]
-                        @
-                        match v with
-                        | None -> []
-                        | Some v ->
-                            [
-                              (if v.Txlin.v_ok then "ok"
-                               else if v.Txlin.v_inconclusive then "inconcl"
-                               else "VIOLATION");
-                            ])
-                      results verdicts));
-              let prc =
-                List.fold_left
-                  (fun acc (_, r) -> max acc (serve_partition r))
-                  0 results
-              in
-              let lrc =
-                List.fold_left
-                  (fun acc v ->
+                    @
                     match v with
-                    | Some v when (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive
-                      ->
-                        last_extra_findings :=
-                          !last_extra_findings
-                          @ Txlin.findings ~workload:v.Txlin.v_service v;
-                        max acc 1
-                    | _ -> acc)
-                  0 verdicts
-              in
-              if
-                List.for_all (fun (_, r) -> r.Serve.r_invariant_ok) results
-                && prc = 0 && lrc = 0
-              then 0
-              else 1)
+                    | None -> []
+                    | Some v ->
+                        [
+                          (if v.Txlin.v_ok then "ok"
+                           else if v.Txlin.v_inconclusive then "inconcl"
+                           else "VIOLATION");
+                        ])
+                  results verdicts));
+          let prc =
+            List.fold_left
+              (fun acc (_, r) -> max acc (serve_partition r))
+              0 results
+          in
+          let lrc =
+            List.fold_left
+              (fun acc v ->
+                match v with
+                | Some v when (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive
+                  ->
+                    last_extra_findings :=
+                      !last_extra_findings
+                      @ Txlin.findings ~workload:v.Txlin.v_service v;
+                    max acc 1
+                | _ -> acc)
+              0 verdicts
+          in
+          if
+            List.for_all (fun (_, r) -> r.Serve.r_invariant_ok) results
+            && prc = 0 && lrc = 0
+          then 0
+          else 1
       | None ->
           let cfg =
             let named g =
@@ -823,7 +811,8 @@ let int_in ?(hi = max_int) lo =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
-(* The float twin of [int_in]: a finite value above [lo]. *)
+(* The float twins of [int_in]: a finite value above [lo], or at least
+   [lo]. *)
 let float_above lo =
   let parse s =
     match Arg.conv_parser Arg.float s with
@@ -832,6 +821,35 @@ let float_above lo =
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let parse_at_least lo s =
+  match float_of_string_opt (String.trim s) with
+  | Some x when Float.is_finite x && x >= lo -> Ok x
+  | _ -> Error (`Msg (Printf.sprintf "%S is not a finite number of at least %g" s lo))
+
+let float_at_least lo = Arg.conv (parse_at_least lo, Arg.conv_printer Arg.float)
+
+(* A comma-separated list of [float_at_least lo] values. Unlike
+   [Arg.list], which drops empty entries, every entry must parse. *)
+let floats_at_least lo =
+  let parse s =
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | e :: rest -> Result.bind (parse_at_least lo e) (fun x -> go (x :: acc) rest)
+    in
+    go [] (String.split_on_char ',' s)
+  in
+  let print ppf xs =
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+      Format.pp_print_float ppf xs
+  in
+  Arg.conv (parse, print)
+
+(* The smallest load multiplier [serve] accepts. Idle cores poll every
+   200 cycles, so host time grows as 1/load: 0.5 s at 0.001, 4.5 s at
+   0.0001, and a load near 0 never ends. *)
+let min_load = 0.001
 
 let threads_arg =
   Arg.(
@@ -999,15 +1017,18 @@ let serve_cmd =
              ~doc:"Arrival process: poisson, bursty, ramp, or closed.")
   in
   let gap =
-    Arg.(value & opt int 300
+    Arg.(value & opt (int_in 1) 300
          & info [ "gap" ] ~docv:"CYCLES"
-             ~doc:"Nominal mean inter-arrival gap in cycles (ignored with $(b,--load)).")
+             ~doc:
+               "Nominal mean inter-arrival gap in cycles (at least 1; ignored \
+                with $(b,--load)).")
   in
   let load =
-    Arg.(value & opt (some (float_above 0.)) None
+    Arg.(value & opt (some (float_at_least min_load)) None
          & info [ "load" ] ~docv:"MULT"
              ~doc:
-               "Offered load as a multiple of measured capacity (above 0): first \
+               "Offered load as a multiple of measured capacity (at least \
+                0.001): first \
                 run a closed-loop capacity probe, then derive the arrival gap so \
                 that offered = $(docv) x capacity (2.0 = sustained 2x overload).")
   in
@@ -1048,10 +1069,11 @@ let serve_cmd =
                 expected to fail.")
   in
   let sweep =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (floats_at_least min_load)) None
          & info [ "sweep" ] ~docv:"MULTS"
              ~doc:
-               "Comma-separated capacity multipliers (e.g. 0.5,0.9,1.2,2): measure \
+               "Comma-separated capacity multipliers, each at least 0.001 (e.g. \
+                0.5,0.9,1.2,2): measure \
                 capacity, run one Poisson experiment per multiplier, and print the \
                 throughput-vs-offered-load table with the detected knee.")
   in

@@ -2,7 +2,9 @@
 
     Tracks presence only — data values live in {!Asf_mem.Ram}. Used for the
     three data-cache levels and (with one set and high associativity) for
-    TLBs. Keys are cache-line indices (or page indices for TLB use). *)
+    TLBs. Keys are non-negative cache-line indices (or page indices for TLB
+    use). Each set keeps its ways in recency order, so a lookup scans a set
+    once and LRU needs no timestamps. *)
 
 type t
 
@@ -22,7 +24,8 @@ val mem : t -> int -> bool
 val find_way_idx : t -> int -> int
 (** Index of the way holding the key, or [-1] — the allocation-free form
     of a presence/lookup test for per-access hot paths. Does not touch
-    LRU state. *)
+    LRU state. The index stays valid for {!touch_evict_at} on the same
+    key until this cache is next touched, invalidated or cleared. *)
 
 val touch : t -> int -> bool * int option
 (** [touch t key] performs an access: on hit, updates LRU and returns
@@ -34,10 +37,18 @@ val touch_evict : t -> int -> int
     tag, or [-1] when nothing was pushed out (a hit, or a fill into an
     invalid way). Behaviour and LRU effects are identical to {!touch}. *)
 
+val touch_evict_at : t -> int -> int -> int
+(** [touch_evict_at t key idx] is [touch_evict t key] with the lookup
+    already done: [idx] must be [find_way_idx t key], with no change to
+    [t] in between. A hit moves the way to the front of its set; a miss
+    fills at the front. Returns the evicted tag when the set was full,
+    else [-1]. Lets a caller that probed the set scan it only once. *)
+
 val invalidate : t -> int -> bool
 (** Removes an entry; returns whether it was present. *)
 
 val iter : t -> (int -> unit) -> unit
-(** Iterates over all resident keys (diagnostics, flash-clear helpers). *)
+(** Iterates over all resident keys (diagnostics, flash-clear helpers), in
+    an unspecified order. *)
 
 val clear : t -> unit

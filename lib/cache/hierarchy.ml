@@ -186,11 +186,16 @@ let access t ~core ~line ~write =
   let dirty0 = Array.unsafe_get sh_dirty idx in
   (* Latency from the nearest level that holds the line. A miss that must
      be served by a remote dirty copy costs a cache-to-cache forward at
-     L3-like latency plus the probe. *)
+     L3-like latency plus the probe. Each level is scanned once: the way
+     indices found here feed the fills at the end. They stay valid
+     because in between only *other* cores' L1 and L2 are invalidated
+     ([iter_others ~except:core]), and the evict hooks touch no cache. *)
   let socket = socket_of t core in
-  let in_l1 = Cache.mem t.l1.(core) line in
-  let in_l2 = Cache.mem t.l2.(core) line in
-  let in_l3 = Cache.mem t.l3.(socket) line in
+  let l1 = t.l1.(core) and l2 = t.l2.(core) and l3 = t.l3.(socket) in
+  let i1 = Cache.find_way_idx l1 line in
+  let i2 = Cache.find_way_idx l2 line in
+  let i3 = Cache.find_way_idx l3 line in
+  let in_l1 = i1 >= 0 and in_l2 = i2 >= 0 and in_l3 = i3 >= 0 in
   let remote_dirty = dirty0 <> -1 && dirty0 <> core in
   (* Probes and forwards that cross a socket boundary pay the
      interconnect hop. *)
@@ -264,10 +269,10 @@ let access t ~core ~line ~write =
     Array.unsafe_set sh_owners idx (Sharers.add ctx owners0 core)
   end;
   (* Fill this core's caches and the shared L3. *)
-  (let victim = Cache.touch_evict t.l1.(core) line in
+  (let victim = Cache.touch_evict_at l1 line i1 in
    if victim <> -1 then t.evict_hooks.(core) victim);
-  ignore (Cache.touch_evict t.l2.(core) line);
-  ignore (Cache.touch_evict t.l3.(socket) line);
+  ignore (Cache.touch_evict_at l2 line i2);
+  ignore (Cache.touch_evict_at l3 line i3);
   base_latency + !extra
 
 let l1_stats t ~core = t.l1s.(core)

@@ -192,6 +192,16 @@ let ctz8 =
         !n
       end)
 
+(* Index of the lowest set bit of a non-zero int: skip zero bytes, then
+   one [ctz8] lookup. A loop over locals, so it allocates nothing. *)
+let lowest_bit m =
+  let m = ref m and base = ref 0 in
+  while !m land 0xff = 0 do
+    m := !m lsr 8;
+    base := !base + 8
+  done;
+  !base + Array.unsafe_get ctz8 (!m land 0xff)
+
 (* Ascending-bit iteration; top-level and tail-recursive so no closure
    or ref cell is allocated per invalidation event. *)
 let rec iter_bits_excl m base except f =

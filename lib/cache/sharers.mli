@@ -74,6 +74,10 @@ val iter_others : ctx -> t -> except:int -> (int -> unit) -> unit
 (** Visit the probe set minus [except] in ascending core order.
     Coarse words visit every core of each flagged socket. *)
 
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a non-zero int, read from the same
+    byte table the bitmask backend iterates with. Allocation-free. *)
+
 val exact : ctx -> t -> bool
 (** [true] unless the word has degraded to a coarse vector. *)
 

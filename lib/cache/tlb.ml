@@ -76,26 +76,29 @@ let unmap_page t page =
 let translate t ~core addr ~speculative =
   let page = Addr.page_of addr in
   let l1 = t.l1.(core) and l2 = t.l2.(core) in
-  if Cache.mem l1 page then begin
-    ignore (Cache.touch_evict l1 page);
+  (* One scan per level: a miss index is [-1], which is all
+     [touch_evict_at] needs to fill. *)
+  let i1 = Cache.find_way_idx l1 page in
+  if i1 >= 0 then begin
+    ignore (Cache.touch_evict_at l1 page i1);
     Translated 0
   end
-  else if Cache.mem l2 page then begin
-    ignore (Cache.touch_evict l2 page);
-    ignore (Cache.touch_evict l1 page);
-    if t.abort_on_tlb_miss && speculative then
-      Tlb_miss_abort t.params.tlb_l2_latency
-    else Translated t.params.tlb_l2_latency
-  end
-  else if not (page_mapped t page) then Fault page
-  else begin
-    if t.abort_on_tlb_miss && speculative then
+  else
+    let i2 = Cache.find_way_idx l2 page in
+    if i2 >= 0 then begin
+      ignore (Cache.touch_evict_at l2 page i2);
+      ignore (Cache.touch_evict_at l1 page (-1));
+      if t.abort_on_tlb_miss && speculative then
+        Tlb_miss_abort t.params.tlb_l2_latency
+      else Translated t.params.tlb_l2_latency
+    end
+    else if not (page_mapped t page) then Fault page
+    else if t.abort_on_tlb_miss && speculative then
       Tlb_miss_abort t.params.page_walk_latency
     else begin
-      ignore (Cache.touch_evict l2 page);
-      ignore (Cache.touch_evict l1 page);
+      ignore (Cache.touch_evict_at l2 page (-1));
+      ignore (Cache.touch_evict_at l1 page (-1));
       Translated t.params.page_walk_latency
     end
-  end
 
 let mapped_pages t = t.mapped

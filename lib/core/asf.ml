@@ -3,6 +3,7 @@ module Addr = Asf_mem.Addr
 module Ram = Asf_mem.Ram
 module Memsys = Asf_cache.Memsys
 module Tlb = Asf_cache.Tlb
+module Sharers = Asf_cache.Sharers
 module Trace = Asf_trace.Trace
 module Faults = Asf_faults.Faults
 
@@ -61,9 +62,17 @@ type t = {
   resolve_conflicts : bool;
   regions : region array;
   (* Per-core read and write signatures: one bit per protected line
-     ([sig_bit]), a superset of the region's read / written lines. *)
+     ([sig_bit]), a superset of the region's read / written lines. The
+     row view holds one word per core. The column view is its exact
+     transpose, so a probe can list the cores that may hold a line:
+     bit [k] of [rhold.(b * sig_words + w)] is set iff bit [b] of
+     [rsig.(w * 62 + k)] is set. Both views change only in [add_sig]
+     and [clear_sigs]. *)
   rsig : int array;
   wsig : int array;
+  rhold : int array;
+  whold : int array;
+  sig_words : int;
   quantum : int;
   tracer : Trace.t;
   faults : Faults.t;
@@ -84,14 +93,36 @@ let set_observer t f = t.observer <- f
 let notify t ~core ev =
   match t.observer with Some f -> f ~core ev | None -> ()
 
-(* A line's signature bit, one of 62: multiply-shift hashing of [line]
-   into 30 bits, then [h * 62 / 2^30] maps those onto 0..61. *)
-let sig_bit line =
-  1 lsl ((((line * 0x4F1BBCDCBFA53E0B) lsr 33) * 62) lsr 30)
+(* A line's signature bit index, one of 0..61: multiply-shift hashing
+   of [line] into 30 bits, then [h * 62 / 2^30] maps those onto 0..61. *)
+let sig_bit line = (((line * 0x4F1BBCDCBFA53E0B) lsr 33) * 62) lsr 30
+
+(* Set [line]'s bit in [core]'s [row] word and, if it was clear, [core]'s
+   bit in the matching [hold] column word. *)
+let add_sig t row hold core line =
+  let b = sig_bit line in
+  let word = row.(core) in
+  if word land (1 lsl b) = 0 then begin
+    row.(core) <- word lor (1 lsl b);
+    let i = (b * t.sig_words) + (core / 62) in
+    hold.(i) <- hold.(i) lor (1 lsl (core mod 62))
+  end
+
+(* Clear [core]'s row word and its bit in each column the word names:
+   O(bits set), not O(cores). *)
+let clear_row t row hold core =
+  let w = core / 62 and keep = lnot (1 lsl (core mod 62)) in
+  let m = ref row.(core) in
+  while !m <> 0 do
+    let i = (Sharers.lowest_bit !m * t.sig_words) + w in
+    hold.(i) <- hold.(i) land keep;
+    m := !m land (!m - 1)
+  done;
+  row.(core) <- 0
 
 let clear_sigs t core =
-  t.rsig.(core) <- 0;
-  t.wsig.(core) <- 0
+  clear_row t t.rsig t.rhold core;
+  clear_row t t.wsig t.whold core
 
 (* Roll back a region's speculative stores and clear its protected sets,
    recording the first abort reason. Idempotent; the victim observes the
@@ -121,54 +152,54 @@ let region_conflicts t r ~line ~write =
      && (Llb.mem r.llb line
         || (t.variant.Variant.l1_read_set && Hashtbl.mem r.tracked line)))
 
-(* The signature filter: [false] proves that [core]'s region cannot
-   conflict with a probe of the line whose bit is [bit]; [true] only
-   says it may, and [region_conflicts] decides. *)
-let may_conflict t core bit ~write =
-  (Array.unsafe_get t.wsig core
-  lor if write then Array.unsafe_get t.rsig core else 0)
-  land bit
-  <> 0
+(* The probe: visit the cores whose signatures have the line's bit (its
+   writers, plus its readers on a write probe), in ascending core order,
+   and ask the exact LLB of each live remote region. A signature is a
+   superset of its region's lines, so the candidates include every
+   region [region_conflicts] accepts. Returns whether one conflicts;
+   with [~doom:true] each such region is doomed (requester-wins).
 
-(* Requester-wins: any conflicting probe dooms the region that already
-   holds the line. This runs once per memory access over every core, so
-   a region is first tested against its signatures (two array loads) and
-   the exact LLB lookup runs only on a signature hit. A signature is a
-   superset of the region's lines, so the filter skips only regions
-   [region_conflicts] would reject, and the ascending core order keeps
-   dooms, trace events and observer calls in the same order. Plain
-   index loops, not [Array.iteri]: the iteration closure would allocate
-   on every access. *)
-let resolve t ~requester ~line ~write =
-  if t.resolve_conflicts then begin
-    let bit = sig_bit line in
-    for core = 0 to Array.length t.regions - 1 do
+   Each column word is loaded once and its bits visited lowest first, so
+   cores keep ascending order and dooms, trace events and observer calls
+   keep theirs. A doom clears only the doomed core's own bits, and every
+   lower core of the loaded word has already been visited, so working on
+   the loaded snapshot skips nobody. Plain loops over locals: a local
+   closure would allocate on every access. *)
+let probe t ~requester ~line ~write ~doom:dooms =
+  let n = t.sig_words in
+  let col = sig_bit line * n in
+  let found = ref false in
+  for w = 0 to n - 1 do
+    let m =
+      ref
+        (Array.unsafe_get t.whold (col + w)
+        lor if write then Array.unsafe_get t.rhold (col + w) else 0)
+    in
+    while !m <> 0 do
+      let core = (w * 62) + Sharers.lowest_bit !m in
+      m := !m land (!m - 1);
       let r = Array.unsafe_get t.regions core in
       if
-        may_conflict t core bit ~write
-        && core <> requester && r.active && r.doomed = None
+        core <> requester && r.active && r.doomed = None
         && region_conflicts t r ~line ~write
       then begin
-        doom ~line t core Abort.Contention;
-        Trace.emit t.tracer ~core
-          ~cycle:(Engine.core_time t.engine core)
-          (Trace.Probe_rollback { requester; line_addr = Addr.line_base line })
+        found := true;
+        if dooms then begin
+          doom ~line t core Abort.Contention;
+          Trace.emit t.tracer ~core
+            ~cycle:(Engine.core_time t.engine core)
+            (Trace.Probe_rollback { requester; line_addr = Addr.line_base line })
+        end
       end
     done
-  end
-
-let any_remote_conflict t ~requester ~line ~write =
-  let bit = sig_bit line in
-  let found = ref false in
-  for core = 0 to Array.length t.regions - 1 do
-    let r = Array.unsafe_get t.regions core in
-    if
-      may_conflict t core bit ~write
-      && core <> requester && r.active && r.doomed = None
-      && region_conflicts t r ~line ~write
-    then found := true
   done;
   !found
+
+let resolve t ~requester ~line ~write =
+  if t.resolve_conflicts then ignore (probe t ~requester ~line ~write ~doom:true)
+
+let any_remote_conflict t ~requester ~line ~write =
+  probe t ~requester ~line ~write ~doom:false
 
 (* Deliver an abort to the calling core: reason from the doomed flag (the
    region is already rolled back), pipeline-flush cost, region reset. *)
@@ -229,6 +260,7 @@ let create ?(costs = default_costs) ?(requester_wins = true)
     ?(rollback_on_abort = true) ?(resolve_conflicts = true) mem variant =
   let engine = Memsys.engine mem in
   let n_cores = Engine.n_cores engine in
+  let sig_words = (n_cores + 61) / 62 in
   let t =
     {
       mem;
@@ -251,6 +283,9 @@ let create ?(costs = default_costs) ?(requester_wins = true)
             });
       rsig = Array.make n_cores 0;
       wsig = Array.make n_cores 0;
+      rhold = Array.make (62 * sig_words) 0;
+      whold = Array.make (62 * sig_words) 0;
+      sig_words;
       quantum = (Memsys.params mem).Asf_machine.Params.interrupt_quantum;
       tracer = Memsys.tracer mem;
       faults = Faults.installed ();
@@ -357,7 +392,7 @@ let track_read t core line =
     if t.variant.Variant.l1_read_set then Hashtbl.replace r.tracked line ()
     else if not (Llb.protect_read r.llb line) then
       self_abort ~line t ~core Abort.Capacity;
-    t.rsig.(core) <- t.rsig.(core) lor sig_bit line
+    add_sig t t.rsig t.rhold core line
   end
 
 (* Requester-loses ablation: a speculative access that would conflict
@@ -395,7 +430,7 @@ let prepare_store t ~core addr =
     let backup = Ram.read_line (Memsys.ram t.mem) line in
     if not (Llb.protect_write r.llb line ~backup) then
       self_abort ~line t ~core Abort.Capacity;
-    t.wsig.(core) <- t.wsig.(core) lor sig_bit line;
+    add_sig t t.wsig t.whold core line;
     if t.variant.Variant.l1_read_set then Hashtbl.remove r.tracked line
   end
 

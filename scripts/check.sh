@@ -102,7 +102,10 @@ for args in "intset -t 0" "intset -t 600" "intset -t 64 --sockets 17" \
     "intset -t abc" "intset -r 0" "intset -u 150" "intset --txns=0" \
     "intset --txns=-1" "serve -n 0" "serve --records 0" "serve --load 0" \
     "serve --load=-1" "serve --deadline-us 0" "serve --deadline-us=-3" \
-    "stamp --scale=-1"; do
+    "stamp --scale=-1" "serve --sweep 0,1" "serve --sweep=-1" \
+    "serve --sweep 1e-9" "serve --load 1e-9" "serve --gap 0" \
+    "serve --gap=-5" "serve --sweep 1,abc" "serve --sweep nan" \
+    "serve --sweep inf" "serve --sweep ,"; do
   echo "usage-error fixture: asf_bench $args"
   rc=0
   # $args is left unquoted on purpose: it is a word list.

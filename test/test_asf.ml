@@ -603,6 +603,159 @@ let test_broadcast_dooms_in_core_order () =
     (List.init (n_cores - 1) (fun i -> (i + 1, Abort.to_string Abort.Contention)))
     (List.rev !dooms)
 
+(* A machine wider than one signature word: above 62 cores a probe's
+   candidates span several column words. Pages as in [setup]. *)
+let setup_wide ?(requester_wins = true) n_cores =
+  let e = Engine.create ~n_cores () in
+  let params = Params.with_sockets Params.barcelona ~sockets:(min 4 n_cores) in
+  let m = Memsys.create params e in
+  let a = Asf.create m ~requester_wins Variant.llb256 in
+  for p = 0 to 63 do
+    Memsys.map_page m p
+  done;
+  (e, m, a)
+
+(* Requester-loses on 130 cores: the only holder of the line is core
+   129, in the third, partial signature word, and a speculative store
+   by core 0 must still find it and abort itself. *)
+let test_requester_loses_last_word () =
+  let e, m, a = setup_wide ~requester_wins:false 130 in
+  let addr = Addr.line_base 4000 in
+  Memsys.poke m addr 5;
+  let requester = ref None and holder = ref None in
+  Engine.spawn e ~core:0 (fun () ->
+      Engine.elapse 20_000;
+      try
+        Asf.speculate a ~core:0;
+        Asf.lock_store a ~core:0 addr 99;
+        Asf.commit a ~core:0
+      with Asf.Aborted r -> requester := Some r);
+  Engine.spawn e ~core:129 (fun () ->
+      try
+        Asf.speculate a ~core:129;
+        ignore (Asf.lock_load a ~core:129 addr);
+        Engine.elapse 200_000;
+        Asf.commit a ~core:129
+      with Asf.Aborted r -> holder := Some r);
+  Engine.run e;
+  (match !requester with
+  | Some Abort.Contention -> ()
+  | Some r -> Alcotest.failf "requester: expected contention, got %s" (Abort.to_string r)
+  | None -> Alcotest.fail "requester must self-abort under requester-loses");
+  Alcotest.(check bool) "holder survives" true (!holder = None);
+  Alcotest.(check int) "holder's commit is the only one" 1 (Asf.commits a);
+  Alcotest.(check int) "store never published" 5 (Memsys.peek m addr)
+
+(* The probe visits only the cores whose signature columns hold the
+   line's bit. Pin that against brute force on 1..130 cores (up to three
+   signature words, the last one partial): holder cores protect random
+   lines and park, then a prober core outside any region issues plain
+   loads and stores. Before each access the expected dooms are every
+   other core whose live region conflicts, by [Asf.line_written] for a
+   load and [Asf.line_protected] for a store; the observer must see
+   exactly those, in ascending core order. Each case draws a pool of 16
+   random lines; over 62 signature bits, most pools have lines that
+   share a bit. At most 12 cores hold lines, half of them among the top
+   8 cores, and holders mostly read, so many regions survive until the
+   probes and the last, partial signature word is exercised. *)
+type probe_case = {
+  cores : int;
+  prober : int;
+  holds : (int * bool) list array; (* per core: (line, write) *)
+  probes : (int * bool) list;
+}
+
+let show_accesses l =
+  String.concat " "
+    (List.map (fun (line, w) -> Printf.sprintf "%s%d" (if w then "w" else "r") line) l)
+
+let show_probe_case c =
+  let holds =
+    List.concat
+      (List.mapi
+         (fun core h ->
+           if h = [] then [] else [ Printf.sprintf "%d:[%s]" core (show_accesses h) ])
+         (Array.to_list c.holds))
+  in
+  Printf.sprintf "%d cores, prober %d, probes [%s], holds %s" c.cores c.prober
+    (show_accesses c.probes) (String.concat " " holds)
+
+let probe_case =
+  let open QCheck.Gen in
+  let* pool = array_repeat 16 (int_bound 4095) in
+  let line = map (Array.get pool) (int_bound 15) in
+  let hold = pair line (frequency [ (3, return false); (1, return true) ]) in
+  let* cores =
+    frequency [ (1, int_range 1 62); (1, int_range 63 124); (2, int_range 125 130) ]
+  in
+  let* prober = int_bound (cores - 1) in
+  let holder =
+    frequency [ (1, int_bound (cores - 1)); (1, int_range (max 0 (cores - 8)) (cores - 1)) ]
+  in
+  let* holders = list_size (int_range 1 12) (pair holder (list_size (int_range 1 3) hold)) in
+  let+ probes = list_size (int_range 1 10) (pair line bool) in
+  let holds = Array.make cores [] in
+  List.iter (fun (core, h) -> holds.(core) <- h) holders;
+  { cores; prober; holds; probes }
+
+let prop_probe_matches_brute_force =
+  QCheck.Test.make ~name:"probe dooms = brute force over every core" ~count:200
+    (QCheck.make ~print:show_probe_case probe_case)
+    (fun c ->
+      let e, _m, a = setup_wide c.cores in
+      let dooms = ref [] and mismatch = ref None in
+      Asf.set_observer a
+        (Some
+           (fun ~core -> function
+             | Asf.Obs_doom r -> dooms := (core, Abort.to_string r) :: !dooms
+             | _ -> ()));
+      for core = 0 to c.cores - 1 do
+        if core <> c.prober && c.holds.(core) <> [] then
+          Engine.spawn e ~core (fun () ->
+              try
+                Asf.speculate a ~core;
+                List.iter
+                  (fun (line, w) ->
+                    let addr = Addr.line_base line in
+                    if w then Asf.lock_store a ~core addr core
+                    else ignore (Asf.lock_load a ~core addr))
+                  c.holds.(core);
+                Engine.elapse 1_000_000;
+                Asf.commit a ~core
+              with Asf.Aborted _ -> ())
+      done;
+      Engine.spawn e ~core:c.prober (fun () ->
+          Engine.elapse 100_000;
+          List.iteri
+            (fun i (line, w) ->
+              let conflicts core =
+                core <> c.prober
+                &&
+                if w then Asf.line_protected a ~core line
+                else Asf.line_written a ~core line
+              in
+              let want =
+                List.filter conflicts (List.init c.cores Fun.id)
+                |> List.map (fun core -> (core, Abort.to_string Abort.Contention))
+              in
+              dooms := [];
+              let addr = Addr.line_base line in
+              if w then Asf.plain_store a ~core:c.prober addr i
+              else ignore (Asf.plain_load a ~core:c.prober addr);
+              let got = List.rev !dooms in
+              if got <> want && !mismatch = None then
+                mismatch := Some (i, want, got))
+            c.probes);
+      Engine.run e;
+      match !mismatch with
+      | None -> true
+      | Some (i, want, got) ->
+          let show l =
+            String.concat ", " (List.map (fun (core, r) -> Printf.sprintf "%d %s" core r) l)
+          in
+          QCheck.Test.fail_reportf "probe %d: want dooms [%s], got [%s]" i (show want)
+            (show got))
+
 (* ------------------------------------------------------------------ *)
 (* Early release                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -935,6 +1088,9 @@ let () =
           Alcotest.test_case "signature hits are exact" `Quick test_signature_hits_are_exact;
           Alcotest.test_case "broadcast dooms in core order" `Quick
             test_broadcast_dooms_in_core_order;
+          Alcotest.test_case "requester-loses, holder in last word" `Quick
+            test_requester_loses_last_word;
+          QCheck_alcotest.to_alcotest prop_probe_matches_brute_force;
         ] );
       ( "release",
         [

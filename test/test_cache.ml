@@ -90,29 +90,56 @@ module Lru_model = struct
     present
 end
 
-let prop_touch_evict_vs_model =
-  (* The allocation-free hot-path entry points ([touch_evict],
-     [invalidate] over [find_way_idx]) against the list model: hits,
-     evicted tags and membership must all agree. *)
-  QCheck.Test.make ~name:"touch_evict/invalidate match reference LRU model"
-    ~count:200
-    QCheck.(list (pair bool (int_range 0 63)))
+(* The allocation-free hot-path entry points against the list model:
+   [touch_evict], [touch_evict_at] fed [find_way_idx]'s index, and
+   [invalidate] (a quarter of the ops). Hits, evicted tags and
+   membership must all agree. *)
+let touch_evict_matches_model ~name ~sets ~assoc ~keys ~len =
+  QCheck.Test.make ~name ~count:200
+    QCheck.(list_of_size len (pair (int_range 0 3) (int_range 0 (keys - 1))))
     (fun ops ->
-      let c = Cache.create ~sets:4 ~assoc:3 in
-      let m = Lru_model.create ~sets:4 ~assoc:3 in
+      let c = Cache.create ~sets ~assoc in
+      let m = Lru_model.create ~sets ~assoc in
       List.for_all
-        (fun (inval, k) ->
-          if inval then Cache.invalidate c k = Lru_model.invalidate m k
+        (fun (op, k) ->
+          if op = 0 then Cache.invalidate c k = Lru_model.invalidate m k
           else begin
             let hit_model = Lru_model.mem m k in
-            let hit = Cache.mem c k in
-            let ev = Cache.touch_evict c k in
+            let idx = Cache.find_way_idx c k in
+            let ev =
+              if op = 1 then Cache.touch_evict c k else Cache.touch_evict_at c k idx
+            in
             let ev_model = Lru_model.touch m k in
-            hit = hit_model
+            (idx >= 0) = hit_model
             && (match ev_model with Some v -> ev = v | None -> ev = -1)
             && Cache.mem c k
           end)
         ops)
+
+let prop_touch_evict_vs_model =
+  touch_evict_matches_model ~name:"touch_evict/invalidate match reference LRU model"
+    ~sets:4 ~assoc:3 ~keys:64 ~len:QCheck.Gen.nat
+
+(* The L1 TLB's shape: one set of 48 ways. Its 64 keys are a third more
+   than its ways, so the set hovers near full and invalidations land in
+   the middle of full sets. *)
+let prop_touch_evict_48_ways =
+  touch_evict_matches_model ~name:"recency order matches LRU model, 1 set x 48 ways"
+    ~sets:1 ~assoc:48 ~keys:64 ~len:(QCheck.Gen.int_bound 600)
+
+(* A full 48-way set: an invalidation in the middle makes room for one
+   fill without eviction, and the next miss evicts the least recent way. *)
+let test_cache_invalidate_mid_set () =
+  let c = Cache.create ~sets:1 ~assoc:48 in
+  for k = 0 to 47 do
+    ignore (Cache.touch_evict c k)
+  done;
+  Alcotest.(check bool) "middle way removed" true (Cache.invalidate c 20);
+  Alcotest.(check bool) "ways behind the gap still found" true (Cache.mem c 0);
+  Alcotest.(check int) "fill into the gap evicts nothing" (-1) (Cache.touch_evict c 100);
+  Alcotest.(check int) "next miss evicts the LRU way" 0 (Cache.touch_evict c 101);
+  Alcotest.(check bool) "the rest survive" true
+    (List.for_all (Cache.mem c) (List.filter (fun k -> k > 0 && k <> 20) (List.init 48 Fun.id)))
 
 (* ------------------------------------------------------------------ *)
 (* TLB                                                                 *)
@@ -210,6 +237,105 @@ let prop_tlb_vs_reference_model =
           | _ ->
               Tlb.page_mapped t page = Hashtbl.mem pages page
               && Tlb.mapped_pages t = Hashtbl.length pages)
+        ops)
+
+(* [Tlb.translate] on two cores against a two-level LRU list model,
+   with shootdowns ([flush_page]), unmaps and remaps interleaved and the
+   Rock-style miss abort on or off. Pages come from 0..63, more than the
+   48-entry L1 TLB holds, and from one L2 TLB set, more than its ways
+   hold, so both levels evict. *)
+type tlb_op =
+  | Translate of int * int * bool (* core, page, speculative *)
+  | Flush of int
+  | Unmap of int
+  | Map of int
+
+let show_tlb_op = function
+  | Translate (c, p, s) -> Printf.sprintf "translate c%d p%d%s" c p (if s then " spec" else "")
+  | Flush p -> Printf.sprintf "flush p%d" p
+  | Unmap p -> Printf.sprintf "unmap p%d" p
+  | Map p -> Printf.sprintf "map p%d" p
+
+let prop_tlb_vs_two_level_model =
+  let p = Params.barcelona in
+  let l2_sets = p.tlb_l2_entries / p.tlb_l2_assoc in
+  let pool = List.init 64 Fun.id @ List.init 8 (fun k -> 100 + (k * l2_sets)) in
+  let gen =
+    let open QCheck.Gen in
+    let page = oneofl pool in
+    let op =
+      frequency
+        [
+          (12, map3 (fun c pg s -> Translate (c, pg, s)) (int_bound 1) page bool);
+          (1, map (fun pg -> Flush pg) page);
+          (1, map (fun pg -> Unmap pg) page);
+          (1, map (fun pg -> Map pg) page);
+        ]
+    in
+    pair bool (list_size (int_bound 400) op)
+  in
+  let print (abort, ops) =
+    Printf.sprintf "abort_on_tlb_miss %b: %s" abort
+      (String.concat "; " (List.map show_tlb_op ops))
+  in
+  QCheck.Test.make ~name:"translate matches two-level LRU model" ~count:200
+    (QCheck.make ~print gen)
+    (fun (abort, ops) ->
+      let t = Tlb.create p ~n_cores:2 in
+      Tlb.set_abort_on_tlb_miss t abort;
+      let mapped = Hashtbl.create 64 in
+      List.iter
+        (fun pg ->
+          Tlb.map_page t pg;
+          Hashtbl.replace mapped pg ())
+        pool;
+      let l1m = Array.init 2 (fun _ -> Lru_model.create ~sets:1 ~assoc:p.tlb_l1_entries) in
+      let l2m =
+        Array.init 2 (fun _ -> Lru_model.create ~sets:l2_sets ~assoc:p.tlb_l2_assoc)
+      in
+      let flush pg =
+        Array.iter (fun m -> ignore (Lru_model.invalidate m pg)) l1m;
+        Array.iter (fun m -> ignore (Lru_model.invalidate m pg)) l2m
+      in
+      let fill c pg =
+        ignore (Lru_model.touch l2m.(c) pg);
+        ignore (Lru_model.touch l1m.(c) pg)
+      in
+      let model c pg spec : Tlb.outcome =
+        if Lru_model.mem l1m.(c) pg then begin
+          ignore (Lru_model.touch l1m.(c) pg);
+          Tlb.Translated 0
+        end
+        else if Lru_model.mem l2m.(c) pg then begin
+          fill c pg;
+          if abort && spec then Tlb.Tlb_miss_abort p.tlb_l2_latency
+          else Tlb.Translated p.tlb_l2_latency
+        end
+        else if not (Hashtbl.mem mapped pg) then Tlb.Fault pg
+        else if abort && spec then Tlb.Tlb_miss_abort p.page_walk_latency
+        else begin
+          fill c pg;
+          Tlb.Translated p.page_walk_latency
+        end
+      in
+      List.for_all
+        (function
+          | Translate (c, pg, spec) ->
+              Tlb.translate t ~core:c (Addr.page_base pg) ~speculative:spec
+              = model c pg spec
+          | Flush pg ->
+              Tlb.flush_page t pg;
+              flush pg;
+              true
+          | Unmap pg ->
+              Tlb.unmap_page t pg;
+              Hashtbl.remove mapped pg;
+              flush pg;
+              true
+          | Map pg ->
+              Tlb.map_page t pg;
+              Hashtbl.replace mapped pg ();
+              true)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -798,8 +924,10 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "set isolation" `Quick test_cache_set_isolation;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
+          Alcotest.test_case "invalidate mid-set" `Quick test_cache_invalidate_mid_set;
           q prop_cache_vs_reference_lru;
           q prop_touch_evict_vs_model;
+          q prop_touch_evict_48_ways;
         ] );
       ( "tlb",
         [
@@ -807,6 +935,7 @@ let () =
           Alcotest.test_case "rock ablation" `Quick test_tlb_rock_ablation;
           Alcotest.test_case "map range" `Quick test_tlb_map_range;
           q prop_tlb_vs_reference_model;
+          q prop_tlb_vs_two_level_model;
         ] );
       ( "hierarchy",
         [
