@@ -1,21 +1,16 @@
 (* The full benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation,
-   each twice — sequentially ([--jobs 1]) and on the domain pool — with
-   the memoisation cache cleared before every timed run so both
+   It regenerates every table and figure of the paper's evaluation, each
+   twice — sequentially ([--jobs 1]) and on the domain pool — with the
+   memoisation cache cleared before every timed run so both
    measurements do the same cold-cache work. It prints the tables, writes
    results/<id>.csv (write failures are fatal), verifies that the
-   parallel reports are identical to the sequential ones, and emits
-   BENCH_asf.json with per-experiment host seconds and simulated
-   cycles/second for both paths.
+   parallel reports and counters are identical to the sequential ones,
+   and emits BENCH_asf.json with per-experiment host seconds and
+   simulated cycles/second for both paths.
 
-   Part 2 is the Bechamel suite: one [Test.make] per table/figure, each
-   timing the host-side cost of regenerating that artifact (at the quick
-   configuration, with the memoisation cache cleared per run so every
-   sample does real work). Skipped with --skip-bechamel.
-
-     main.exe [--quick] [--seed N] [--jobs N] [--out FILE]
-              [--csv DIR] [--skip-bechamel] *)
+     main.exe [--quick] [--seed N] [--jobs N] [--out FILE] [--csv DIR]
+              [--only IDS] [--min-speedup X] [--max-minor-words N] *)
 
 module Experiments = Asf_harness.Experiments
 module Report = Asf_harness.Report
@@ -25,8 +20,7 @@ module Txlin = Asf_txlin.Txlin
 module Tm = Asf_tm_rt.Tm
 module Variant = Asf_core.Variant
 module Params = Asf_machine.Params
-open Bechamel
-open Toolkit
+module Counters = Asf_engine.Counters
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                  *)
@@ -41,8 +35,6 @@ let jobs = ref 0 (* 0 = auto *)
 let out_file = ref "BENCH_asf.json"
 
 let csv_dir = ref "results"
-
-let skip_bechamel = ref false
 
 let only = ref ""
 
@@ -76,7 +68,6 @@ let () =
         Arg.Set_string out_file,
         "FILE Benchmark JSON output (default BENCH_asf.json)" );
       ("--csv", Arg.Set_string csv_dir, "DIR CSV output directory (default results)");
-      ("--skip-bechamel", Arg.Set skip_bechamel, " Skip the Bechamel suite");
       ( "--only",
         Arg.Set_string only,
         "IDS Comma-separated experiment ids to run (default: all)" );
@@ -91,7 +82,7 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "main.exe [--quick] [--seed N] [--jobs N] [--out FILE] [--csv DIR] \
-     [--skip-bechamel] [--only IDS] [--min-speedup X] [--max-minor-words N]"
+     [--only IDS] [--min-speedup X] [--max-minor-words N]"
 
 (* Resolve --only against the experiment registry; an unknown id is a
    usage error, not a silently empty run. *)
@@ -119,28 +110,32 @@ type timing = {
   id : string;
   seq_seconds : float;
   par_seconds : float;
-  sim_cycles : int;
-  fused : int;  (** elapses served by the fusion fast path (seq pass) *)
-  scheduled : int;  (** elapses that went through the heap (seq pass) *)
+  counters : int array;
+      (** {!Counters} slots of the seq pass (per-experiment deltas; the
+          directory high-water is the pass's max) *)
   minor_words : float;  (** GC minor words allocated by the seq pass *)
   major_words : float;
-  inval : int;  (** coherence counters, seq pass (per-experiment deltas) *)
-  fwd : int;
-  cross : int;
-  coh_probes : int;
-  dir_hw : int;  (** directory occupancy high-water across the pass *)
   deterministic : bool;
 }
 
-let fused_ratio t =
-  let total = t.fused + t.scheduled in
-  if total = 0 then 0.0 else float_of_int t.fused /. float_of_int total
+let count t slot = t.counters.(slot)
 
-(* One timed cold-cache regeneration at the given pool width. *)
+(* The coherence slots, in the order the alloc line and the scale block
+   print them. *)
+let coherence_slots =
+  Counters.[ invalidations; forwards; cross_socket_probes; probes; dir_high_water ]
+
+let fused_ratio t =
+  let fused = count t Counters.fused_elapses in
+  let total = fused + count t Counters.scheduled_elapses in
+  if total = 0 then 0.0 else float_of_int fused /. float_of_int total
+
+(* One timed cold-cache regeneration at the given pool width: its
+   reports, host seconds, counter bank and GC words. *)
 let timed_run e ~jobs =
   Experiments.clear_cache ();
   Parallel.set_jobs jobs;
-  Parallel.reset_sim_cycles ();
+  Parallel.reset_counters ();
   let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let reports = e.Experiments.run ~quick:!quick ~seed:!seed in
@@ -148,11 +143,8 @@ let timed_run e ~jobs =
   let g1 = Gc.quick_stat () in
   ( reports,
     dt,
-    Parallel.sim_cycles (),
-    Parallel.fused_scheduled (),
-    (g1.Gc.minor_words -. g0.Gc.minor_words,
-     g1.Gc.major_words -. g0.Gc.major_words),
-    Parallel.coherence () )
+    Parallel.counters (),
+    (g1.Gc.minor_words -. g0.Gc.minor_words, g1.Gc.major_words -. g0.Gc.major_words) )
 
 let part1 () =
   print_endline "=============================================================";
@@ -169,20 +161,11 @@ let part1 () =
     List.map
       (fun e ->
         let id = e.Experiments.id in
-        let ( seq_reports,
-              seq_seconds,
-              seq_cycles,
-              (fused, scheduled),
-              (minor_words, major_words),
-              (inval, fwd, cross, coh_probes, dir_hw) ) =
+        let seq_reports, seq_seconds, counters, (minor_words, major_words) =
           timed_run e ~jobs:1
         in
-        let par_reports, par_seconds, par_cycles, _, _, _ =
-          timed_run e ~jobs:par_jobs
-        in
-        let deterministic =
-          seq_reports = par_reports && seq_cycles = par_cycles
-        in
+        let par_reports, par_seconds, par_counters, _ = timed_run e ~jobs:par_jobs in
+        let deterministic = seq_reports = par_reports && counters = par_counters in
         if not deterministic then
           failures :=
             Printf.sprintf "%s: parallel output differs from sequential" id
@@ -198,23 +181,9 @@ let part1 () =
                   r.Report.id m)
           par_reports;
         let t =
-          {
-            id;
-            seq_seconds;
-            par_seconds;
-            sim_cycles = seq_cycles;
-            fused;
-            scheduled;
-            minor_words;
-            major_words;
-            inval;
-            fwd;
-            cross;
-            coh_probes;
-            dir_hw;
-            deterministic;
-          }
+          { id; seq_seconds; par_seconds; counters; minor_words; major_words; deterministic }
         in
+        let seq_cycles = count t Counters.sim_cycles in
         Printf.printf
           "[%s seq %.1fs (%.0f cyc/s), jobs=%d %.1fs (x%.2f), %d sim cycles, \
            fused %.1f%%, %s]\n%!"
@@ -227,10 +196,12 @@ let part1 () =
           (if deterministic then "bit-identical" else "MISMATCH");
         (* One machine-greppable allocation/coherence line per experiment;
            scripts/allocprof.sh turns these into CSV. *)
-        Printf.printf
-          "[alloc %s minor_words=%.0f major_words=%.0f invalidations=%d \
-           forwards=%d cross_socket_probes=%d probes=%d dir_high_water=%d]\n%!"
-          id minor_words major_words inval fwd cross coh_probes dir_hw;
+        Printf.printf "[alloc %s minor_words=%.0f major_words=%.0f%s]\n%!" id
+          minor_words major_words
+          (String.concat ""
+             (List.map
+                (fun slot -> Printf.sprintf " %s=%d" Counters.names.(slot) (count t slot))
+                coherence_slots));
         t)
       (selected_experiments ())
   in
@@ -295,6 +266,7 @@ let json_of_serve ((r : Serve.result), (v : Txlin.verdict)) =
 (* ------------------------------------------------------------------ *)
 
 let json_of_timings timings ~par_jobs ~serve =
+  let open Counters in
   let buf = Buffer.create 4096 in
   let total f = List.fold_left (fun acc t -> acc +. f t) 0.0 timings in
   let seq_total = total (fun t -> t.seq_seconds) in
@@ -309,6 +281,7 @@ let json_of_timings timings ~par_jobs ~serve =
   Buffer.add_string buf "  \"experiments\": [\n";
   List.iteri
     (fun i t ->
+      let c = count t in
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"id\": %S, \"seq_seconds\": %.3f, \"par_seconds\": %.3f, \
@@ -321,11 +294,12 @@ let json_of_timings timings ~par_jobs ~serve =
             \"deterministic\": %b}%s\n"
            t.id t.seq_seconds t.par_seconds
            (t.seq_seconds /. Float.max 1e-9 t.par_seconds)
-           t.sim_cycles
-           (float_of_int t.sim_cycles /. Float.max 1e-9 t.seq_seconds)
-           (float_of_int t.sim_cycles /. Float.max 1e-9 t.par_seconds)
-           t.fused t.scheduled (fused_ratio t) t.minor_words t.major_words
-           t.inval t.fwd t.cross t.dir_hw t.deterministic
+           (c sim_cycles)
+           (float_of_int (c sim_cycles) /. Float.max 1e-9 t.seq_seconds)
+           (float_of_int (c sim_cycles) /. Float.max 1e-9 t.par_seconds)
+           (c fused_elapses) (c scheduled_elapses) (fused_ratio t) t.minor_words
+           t.major_words (c invalidations) (c forwards) (c cross_socket_probes)
+           (c dir_high_water) t.deterministic
            (if i = List.length timings - 1 then "" else ",")))
     timings;
   Buffer.add_string buf "  ],\n";
@@ -336,15 +310,17 @@ let json_of_timings timings ~par_jobs ~serve =
      unconditional. *)
   (match List.find_opt (fun t -> t.id = "scale") timings with
   | Some t ->
+      let c = count t in
       Buffer.add_string buf
         (Printf.sprintf
            "  \"scale\": {\"ran\": true, \"sim_cycles\": %d, \
             \"seq_cycles_per_sec\": %.0f, \"invalidations\": %d, \
             \"forwards\": %d, \"cross_socket_probes\": %d, \"probes\": %d, \
             \"dir_high_water\": %d, \"minor_words\": %.0f},\n"
-           t.sim_cycles
-           (float_of_int t.sim_cycles /. Float.max 1e-9 t.seq_seconds)
-           t.inval t.fwd t.cross t.coh_probes t.dir_hw t.minor_words)
+           (c sim_cycles)
+           (float_of_int (c sim_cycles) /. Float.max 1e-9 t.seq_seconds)
+           (c invalidations) (c forwards) (c cross_socket_probes) (c probes)
+           (c dir_high_water) t.minor_words)
   | None ->
       Buffer.add_string buf
         "  \"scale\": {\"ran\": false, \"sim_cycles\": 0, \
@@ -437,45 +413,6 @@ let write_bench_json timings ~par_jobs ~serve =
           Printf.eprintf "ERROR: %s failed validation: %s\n%!" !out_file m;
           [ Printf.sprintf "benchmark json invalid: %s" m ])
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests =
-  let test_of e =
-    Test.make ~name:e.Experiments.id
-      (Staged.stage (fun () ->
-           Experiments.clear_cache ();
-           ignore (e.Experiments.run ~quick:true ~seed:!seed)))
-  in
-  Test.make_grouped ~name:"regen" (List.map test_of (selected_experiments ()))
-
-let part2 () =
-  print_endline "";
-  print_endline "=============================================================";
-  print_endline " Part 2: Bechamel — host cost per artifact (quick configs)";
-  print_endline "=============================================================";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:3 ~quota:(Time.second 1.0) ~stabilize:false ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances bechamel_tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Printf.printf "%-24s %14s %10s\n" "benchmark" "ms/run" "r^2";
-  List.iter
-    (fun (name, v) ->
-      let est =
-        match Analyze.OLS.estimates v with Some (e :: _) -> e /. 1e6 | _ -> nan
-      in
-      let r2 = match Analyze.OLS.r_square v with Some r -> r | None -> nan in
-      Printf.printf "%-24s %14.2f %10s\n" name est (if Float.is_nan r2 then "-" else Printf.sprintf "%.3f" r2))
-    rows
-
 (* The --min-speedup gate over part 1's totals (see the flag comment). *)
 let speedup_gate timings =
   if !min_speedup <= 0.0 || timings = [] then []
@@ -556,7 +493,6 @@ let () =
   let serve = serve_scenario () in
   let failures = failures @ serve_gate serve in
   let failures = failures @ write_bench_json timings ~par_jobs ~serve in
-  if not !skip_bechamel then part2 ();
   if failures <> [] then begin
     Printf.eprintf "\nbench: FAILED\n";
     List.iter (fun m -> Printf.eprintf "  - %s\n" m) (List.rev failures);

@@ -230,35 +230,31 @@ let list_experiments () =
     Experiments.all;
   0
 
-let run_one ~quick ~seed ~csv id =
-  match Experiments.find id with
-  | None ->
-      Printf.eprintf "unknown experiment %S; try --list\n" id;
-      1
-  | Some e ->
-      let t0 = Unix.gettimeofday () in
-      let reports = e.Experiments.run ~quick ~seed in
-      List.iter
-        (fun r ->
-          Report.print r;
-          match csv with
-          | Some dir ->
-              let path = Report.save_csv ~dir r in
-              Printf.printf "csv: %s\n" path
-          | None -> ())
-        reports;
-      Printf.printf "[%s done in %.1fs host time]\n%!" id (Unix.gettimeofday () -. t0);
-      0
+let run_one ~quick ~seed ~csv e =
+  let t0 = Unix.gettimeofday () in
+  let reports = e.Experiments.run ~quick ~seed in
+  List.iter
+    (fun r ->
+      Report.print r;
+      match csv with
+      | Some dir ->
+          let path = Report.save_csv ~dir r in
+          Printf.printf "csv: %s\n" path
+      | None -> ())
+    reports;
+  Printf.printf "[%s done in %.1fs host time]\n%!" e.Experiments.id
+    (Unix.gettimeofday () -. t0);
+  0
 
-let repro ids all quick seed csv do_list trace tfilter check check_json faults fseed jobs =
+let repro exps all quick seed csv do_list trace tfilter check check_json faults fseed jobs =
   (* 0 = auto: one worker per recommended domain; the pool clamps to the
      number of cells of each fan-out anyway. The report is bit-identical
      for every value (see DESIGN.md, "The determinism contract"). *)
   Parallel.set_jobs (if jobs <= 0 then Parallel.available () else jobs);
   if do_list then list_experiments ()
   else
-    let ids = if all then Experiments.ids () else ids in
-    if ids = [] then begin
+    let exps = if all then Experiments.all else exps in
+    if exps = [] then begin
       Printf.eprintf "nothing to run; use -e <id>, --all, or --list\n";
       1
     end
@@ -267,9 +263,9 @@ let repro ids all quick seed csv do_list trace tfilter check check_json faults f
           with_trace trace tfilter (fun () ->
               with_check check check_json (fun () ->
                   List.fold_left
-                    (fun rc id ->
-                      max rc (catch_livelock (fun () -> run_one ~quick ~seed ~csv id)))
-                    0 ids)))
+                    (fun rc e ->
+                      max rc (catch_livelock (fun () -> run_one ~quick ~seed ~csv e)))
+                    0 exps)))
 
 (* ------------------------------------------------------------------ *)
 (* intset                                                               *)
@@ -283,85 +279,71 @@ let apply_sockets sockets (tm : Tm.config) =
   if sockets = 0 then tm
   else { tm with Tm.params = Params.with_sockets tm.Tm.params ~sockets }
 
-let run_intset mode structure range updates threads sockets txns early_release seed
+(* [Seq_mode] is uninstrumented and single-threaded ({!Tm.create}): more
+   threads is a usage error (exit 2), rejected before anything runs. *)
+let single_threaded_seq mode threads run =
+  if mode = Tm.Seq_mode && threads > 1 then begin
+    Printf.eprintf "asf_bench: mode seq runs on one thread, not %d\n" threads;
+    2
+  end
+  else run ()
+
+let run_intset (_, mode) structure range updates threads sockets txns early_release seed
     trace tfilter check check_json faults fseed =
+  single_threaded_seq mode threads @@ fun () ->
   with_faults faults fseed @@ fun () ->
   with_trace trace tfilter @@ fun () ->
   with_check check check_json @@ fun () ->
   catch_livelock @@ fun () ->
-  let structure =
-    match structure with
-    | "linked-list" -> Some Intset.Linked_list
-    | "skip-list" -> Some Intset.Skip_list
-    | "rb-tree" -> Some Intset.Rb_tree
-    | "hash-set" -> Some Intset.Hash_set
-    | _ -> None
+  let cfg =
+    {
+      (Intset.default_cfg structure) with
+      Intset.range;
+      update_pct = updates;
+      txns_per_thread = txns;
+      early_release;
+    }
   in
-  match (structure, List.assoc_opt mode modes) with
-  | None, _ ->
-      Printf.eprintf "unknown structure (linked-list, skip-list, rb-tree, hash-set)\n";
-      1
-  | _, None ->
-      Printf.eprintf "unknown mode (%s)\n" mode_names;
-      1
-  | Some structure, Some mode ->
-      let cfg =
-        {
-          (Intset.default_cfg structure) with
-          Intset.range;
-          update_pct = updates;
-          txns_per_thread = txns;
-          early_release;
-        }
-      in
-      let tm =
-        apply_sockets sockets { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
-      in
-      let r = Intset.run tm ~threads cfg in
-      Printf.printf "%s range=%d upd=%d%% threads=%d: %.2f tx/us (%d cycles)\n"
-        (Intset.structure_name structure)
-        range updates threads r.Intset.throughput_tx_per_us r.Intset.cycles;
-      print_stats r.Intset.stats;
-      if not r.Intset.size_ok then Printf.printf "WARNING: size check failed\n";
-      (* Progress: every requested transaction must have committed, with
-         or without injected faults. *)
-      let progressed = Stats.commits r.Intset.stats = r.Intset.txns in
-      if not progressed then
-        Printf.printf "WARNING: progress check failed (%d of %d txns committed)\n"
-          (Stats.commits r.Intset.stats) r.Intset.txns;
-      if r.Intset.size_ok && progressed then 0 else 1
+  let tm =
+    apply_sockets sockets { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
+  in
+  let r = Intset.run tm ~threads cfg in
+  Printf.printf "%s range=%d upd=%d%% threads=%d: %.2f tx/us (%d cycles)\n"
+    (Intset.structure_name structure)
+    range updates threads r.Intset.throughput_tx_per_us r.Intset.cycles;
+  print_stats r.Intset.stats;
+  if not r.Intset.size_ok then Printf.printf "WARNING: size check failed\n";
+  (* Progress: every requested transaction must have committed, with
+     or without injected faults. *)
+  let progressed = Stats.commits r.Intset.stats = r.Intset.txns in
+  if not progressed then
+    Printf.printf "WARNING: progress check failed (%d of %d txns committed)\n"
+      (Stats.commits r.Intset.stats) r.Intset.txns;
+  if r.Intset.size_ok && progressed then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* stamp                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_stamp app mode threads sockets scale seed trace tfilter check check_json faults
+let run_stamp app (_, mode) threads sockets scale seed trace tfilter check check_json faults
     fseed =
+  single_threaded_seq mode threads @@ fun () ->
   with_faults faults fseed @@ fun () ->
   with_trace trace tfilter @@ fun () ->
   with_check check check_json @@ fun () ->
   catch_livelock @@ fun () ->
-  match (Stamp.of_name app, List.assoc_opt mode modes) with
-  | None, _ ->
-      Printf.eprintf "unknown app (%s)\n"
-        (String.concat ", " (List.map Stamp.name Stamp.all));
-      1
-  | _, None ->
-      Printf.eprintf "unknown mode (%s)\n" mode_names;
-      1
-  | Some app, Some mode ->
-      let tm =
-        apply_sockets sockets { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
-      in
-      let r = Stamp.run_scaled app ~scale tm ~threads in
-      Printf.printf "%s threads=%d: %.3f ms simulated\n" (Stamp.name app) threads
-        (C.ms tm.Tm.params r);
-      print_stats r.C.stats;
-      List.iter
-        (fun (check, passed) -> Printf.printf "check %-40s %s\n" check
-            (if passed then "ok" else "FAILED"))
-        r.C.checks;
-      if C.ok r then 0 else 1
+  let tm =
+    apply_sockets sockets { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
+  in
+  let r = Stamp.run_scaled app ~scale tm ~threads in
+  Printf.printf "%s threads=%d: %.3f ms simulated\n" (Stamp.name app) threads
+    (C.ms tm.Tm.params r);
+  print_stats r.C.stats;
+  List.iter
+    (fun (check, passed) -> Printf.printf "check %-40s %s\n" check
+        (if passed then "ok" else "FAILED"))
+    r.C.checks;
+  if C.ok r then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                                *)
@@ -423,7 +405,7 @@ let serve_partition (r : Serve.result) =
       last_extra_findings := !last_extra_findings @ [ f ];
       1
 
-let run_serve service mode threads sockets requests arrival gap load queue_cap
+let run_serve service (mode_name, tm_mode) threads sockets requests arrival gap load queue_cap
     deadline_us no_governor records ablate sweep_arg seed trace tfilter check
     check_json faults fseed =
   (* --check=lin is served by Txlin, not Txcheck: split it out of the
@@ -440,6 +422,7 @@ let run_serve service mode threads sockets requests arrival gap load queue_cap
         ( List.mem "lin" names,
           if rest = [] then None else Some (String.concat "," rest) )
   in
+  single_threaded_seq tm_mode threads @@ fun () ->
   with_faults faults fseed @@ fun () ->
   with_trace trace tfilter @@ fun () ->
   (fun body ->
@@ -456,172 +439,131 @@ let run_serve service mode threads sockets requests arrival gap load queue_cap
     | None -> with_check None check_json body)
   @@ fun () ->
   catch_livelock @@ fun () ->
-  match (Serve.service_of_string service, List.assoc_opt mode modes) with
-  | Error m, _ ->
-      Printf.eprintf "%s\n" m;
-      1
-  | _, None ->
-      Printf.eprintf "unknown mode (%s)\n" mode_names;
-      1
-  | Ok service, Some tm_mode -> (
-      match
-        List.fold_left
-          (fun acc a ->
-            match (acc, a) with
-            | Error _, _ -> acc
-            | Ok (_, rb), "resolve" -> Ok (false, rb)
-            | Ok (rs, _), "rollback" -> Ok (rs, false)
-            | Ok _, a ->
-                Error
-                  (Printf.sprintf
-                     "unknown ablation %S (valid: resolve, rollback)" a))
-          (Ok (true, true))
-          ablate
-      with
-      | Error m ->
-          Printf.eprintf "%s\n" m;
-          1
-      | Ok (resolve_conflicts, rollback_on_abort) -> (
-      let tm =
-        apply_sockets sockets
-          {
-            (Tm.default_config tm_mode ~n_cores:threads) with
-            Tm.seed;
-            resolve_conflicts;
-            rollback_on_abort;
-          }
+  let tm =
+    apply_sockets sockets
+      {
+        (Tm.default_config tm_mode ~n_cores:threads) with
+        Tm.seed;
+        resolve_conflicts = not (List.mem `Resolve ablate);
+        rollback_on_abort = not (List.mem `Rollback ablate);
+      }
+  in
+  let base =
+    {
+      (Serve.default_cfg service) with
+      Serve.requests;
+      queue_cap;
+      governor = not no_governor;
+      deadline = Option.map (us_to_cycles tm.Tm.params) deadline_us;
+      record = lin_on;
+    }
+  in
+  let base =
+    match records with None -> base | Some r -> { base with Serve.records = r }
+  in
+  match sweep_arg with
+  | Some mults ->
+      let results, knee = Serve.sweep tm ~threads base ~mults in
+      let verdicts =
+        if lin_on then
+          List.map (fun (_, r) -> Some (Txlin.check_result base r)) results
+        else List.map (fun _ -> None) results
       in
-      let base =
-        {
-          (Serve.default_cfg service) with
-          Serve.requests;
-          queue_cap;
-          governor = not no_governor;
-          deadline = Option.map (us_to_cycles tm.Tm.params) deadline_us;
-          record = lin_on;
-        }
-      in
-      let base =
-        match records with None -> base | Some r -> { base with Serve.records = r }
-      in
-      match sweep_arg with
-      | Some mults ->
-          let results, knee = Serve.sweep tm ~threads base ~mults in
-          let verdicts =
-            if lin_on then
-              List.map (fun (_, r) -> Some (Txlin.check_result base r)) results
-            else List.map (fun _ -> None) results
-          in
-          Report.print
-            (Report.make ~id:"serve-sweep"
-               ~title:
-                 (Printf.sprintf
-                    "Throughput vs offered load: %s, %d threads, mode %s"
-                    (Serve.service_name service) threads mode)
-               ~notes:
-                 [
-                   (match knee with
-                   | Some k -> Printf.sprintf "knee: %.3f req/ms" k
-                   | None -> "knee: not reached in this range");
-                 ]
-               ([
-                  "mult"; "offered"; "achieved"; "p50"; "p99"; "shed";
-                  "timeout"; "gov-final";
+      Report.print
+        (Report.make ~id:"serve-sweep"
+           ~title:
+             (Printf.sprintf
+                "Throughput vs offered load: %s, %d threads, mode %s"
+                (Serve.service_name service) threads mode_name)
+           ~notes:
+             [
+               (match knee with
+               | Some k -> Printf.sprintf "knee: %.3f req/ms" k
+               | None -> "knee: not reached in this range");
+             ]
+           ([
+              "mult"; "offered"; "achieved"; "p50"; "p99"; "shed";
+              "timeout"; "gov-final";
+            ]
+           @ if lin_on then [ "lin" ] else [])
+           (List.map2
+              (fun (m, (r : Serve.result)) v ->
+                [
+                  Printf.sprintf "%.2f" m;
+                  Printf.sprintf "%.3f" r.Serve.r_offered;
+                  Printf.sprintf "%.3f" r.Serve.r_achieved;
+                  string_of_int r.Serve.r_p50;
+                  string_of_int r.Serve.r_p99;
+                  string_of_int r.Serve.r_shed;
+                  string_of_int r.Serve.r_timeout;
+                  r.Serve.r_final_gov;
                 ]
-               @ if lin_on then [ "lin" ] else [])
-               (List.map2
-                  (fun (m, (r : Serve.result)) v ->
-                    [
-                      Printf.sprintf "%.2f" m;
-                      Printf.sprintf "%.3f" r.Serve.r_offered;
-                      Printf.sprintf "%.3f" r.Serve.r_achieved;
-                      string_of_int r.Serve.r_p50;
-                      string_of_int r.Serve.r_p99;
-                      string_of_int r.Serve.r_shed;
-                      string_of_int r.Serve.r_timeout;
-                      r.Serve.r_final_gov;
-                    ]
-                    @
-                    match v with
-                    | None -> []
-                    | Some v ->
-                        [
-                          (if v.Txlin.v_ok then "ok"
-                           else if v.Txlin.v_inconclusive then "inconcl"
-                           else "VIOLATION");
-                        ])
-                  results verdicts));
-          let prc =
-            List.fold_left
-              (fun acc (_, r) -> max acc (serve_partition r))
-              0 results
-          in
-          let lrc =
-            List.fold_left
-              (fun acc v ->
+                @
                 match v with
-                | Some v when (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive
-                  ->
-                    last_extra_findings :=
-                      !last_extra_findings
-                      @ Txlin.findings ~workload:v.Txlin.v_service v;
-                    max acc 1
-                | _ -> acc)
-              0 verdicts
-          in
-          if
-            List.for_all (fun (_, r) -> r.Serve.r_invariant_ok) results
-            && prc = 0 && lrc = 0
-          then 0
-          else 1
-      | None ->
-          let cfg =
-            let named g =
-              match arrival with
-              | "poisson" -> Ok (Serve.Poisson { mean_gap = g })
-              | "bursty" ->
-                  (* Heavy bursts at a quarter of the nominal gap, quiet
-                     phases at four times; windows sized so several bursts
-                     fit in a run. *)
-                  Ok
-                    (Serve.Bursty
-                       {
-                         mean_gap = g * 4;
-                         burst_gap = max 1 (g / 4);
-                         on_window = g * requests / 8;
-                         off_window = g * requests / 8;
-                       })
-              | "ramp" ->
-                  Ok
-                    (Serve.Ramp
-                       { low_gap = max 1 (g / 2); high_gap = g * 4; period = g * requests / 2 })
-              | "closed" -> Ok Serve.Closed
-              | a ->
-                  Error
-                    (Printf.sprintf
-                       "unknown arrival %S (valid: poisson, bursty, ramp, closed)" a)
-            in
-            match load with
-            | Some mult ->
-                let capacity = Serve.measure_capacity tm ~threads base in
-                let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
-                let g =
-                  max 1
-                    (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
-                in
-                named g
-            | None -> named gap
-          in
-          match cfg with
-          | Error m ->
-              Printf.eprintf "%s\n" m;
-              1
-          | Ok arrival ->
-              let cfg = { base with Serve.arrival } in
-              let r = Serve.run tm ~threads cfg in
-              let rc = print_serve_result r in
-              let rc = max rc (serve_partition r) in
-              if lin_on then max rc (serve_lin cfg r) else rc))
+                | None -> []
+                | Some v ->
+                    [
+                      (if v.Txlin.v_ok then "ok"
+                       else if v.Txlin.v_inconclusive then "inconcl"
+                       else "VIOLATION");
+                    ])
+              results verdicts));
+      let prc =
+        List.fold_left
+          (fun acc (_, r) -> max acc (serve_partition r))
+          0 results
+      in
+      let lrc =
+        List.fold_left
+          (fun acc v ->
+            match v with
+            | Some v when (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive
+              ->
+                last_extra_findings :=
+                  !last_extra_findings
+                  @ Txlin.findings ~workload:v.Txlin.v_service v;
+                max acc 1
+            | _ -> acc)
+          0 verdicts
+      in
+      if
+        List.for_all (fun (_, r) -> r.Serve.r_invariant_ok) results
+        && prc = 0 && lrc = 0
+      then 0
+      else 1
+  | None ->
+      let gap =
+        match load with
+        | Some mult ->
+            let capacity = Serve.measure_capacity tm ~threads base in
+            let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
+            max 1
+              (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
+        | None -> gap
+      in
+      let arrival =
+        match arrival with
+        | `Poisson -> Serve.Poisson { mean_gap = gap }
+        | `Bursty ->
+            (* Heavy bursts at a quarter of the nominal gap, quiet phases at
+               four times; windows sized so several bursts fit in a run. *)
+            Serve.Bursty
+              {
+                mean_gap = gap * 4;
+                burst_gap = max 1 (gap / 4);
+                on_window = gap * requests / 8;
+                off_window = gap * requests / 8;
+              }
+        | `Ramp ->
+            Serve.Ramp
+              { low_gap = max 1 (gap / 2); high_gap = gap * 4; period = gap * requests / 2 }
+        | `Closed -> Serve.Closed
+      in
+      let cfg = { base with Serve.arrival } in
+      let r = Serve.run tm ~threads cfg in
+      let rc = print_serve_result r in
+      let rc = max rc (serve_partition r) in
+      if lin_on then max rc (serve_lin cfg r) else rc
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                              *)
@@ -634,159 +576,145 @@ let run_serve service mode threads sockets requests arrival gap load queue_cap
    ANALYZE_asf.json. Exit 1 on any violation: an unsafe annotation, a
    restart hazard, release misuse, or a static-fits/runtime-abort
    contradiction (the latter is an analyzer bug by construction). *)
-let run_analyze json_path seed txns no_xcheck names fixtures =
+let run_analyze json_path seed txns no_xcheck workloads fixtures =
   catch_livelock @@ fun () ->
   let params = Asf_machine.Params.barcelona in
-  let resolve acc n =
-    match acc with
-    | Error _ -> acc
-    | Ok ws -> (
-        match Workloads.find n with Some w -> Ok (w :: ws) | None -> Error n)
+  let workloads =
+    if workloads <> [] then workloads
+    else Workloads.stock @ if fixtures then Workloads.fixtures else []
   in
-  let chosen =
-    match names with
-    | [] -> Ok (Workloads.stock @ if fixtures then Workloads.fixtures else [])
-    | ns -> Result.map List.rev (List.fold_left resolve (Ok []) ns)
-  in
-  match chosen with
-  | Error n ->
-      let names ws = String.concat ", " (List.map (fun w -> w.Workloads.w_name) ws) in
-      Printf.eprintf "unknown workload %S\n  stock: %s\n  fixtures: %s\n" n
-        (names Workloads.stock) (names Workloads.fixtures);
-      1
-  | Ok workloads ->
-      let seeds = [ seed; seed + 1; seed + 2 ] in
-      let t = Analyze.run ~seeds ~txns ~params workloads in
-      let vnames = List.map (fun v -> v.Variant.name) Analyze.variants in
-      let class_row wr cs =
-        let verdicts =
-          List.map
-            (fun variant ->
-              Analyze.verdict_name (Analyze.capacity_verdict ~params ~variant cs))
-            Analyze.variants
-        in
-        let tags =
-          List.filter
-            (fun (_, n) -> n > 0)
-            [
-              ("rel", cs.Analyze.cs_releases);
-              ("reread", cs.Analyze.cs_rereads);
-              ("alloc", cs.Analyze.cs_allocs);
-              ("DIVERGED", cs.Analyze.cs_diverged);
-            ]
-        in
-        let notes =
-          if tags = [] then "-"
-          else String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n) tags)
-        in
+  let seeds = [ seed; seed + 1; seed + 2 ] in
+  let t = Analyze.run ~seeds ~txns ~params workloads in
+  let vnames = List.map (fun v -> v.Variant.name) Analyze.variants in
+  let class_row wr cs =
+    let verdicts =
+      List.map
+        (fun variant ->
+          Analyze.verdict_name (Analyze.capacity_verdict ~params ~variant cs))
+        Analyze.variants
+    in
+    let tags =
+      List.filter
+        (fun (_, n) -> n > 0)
         [
-          wr.Analyze.wr_workload;
-          cs.Analyze.cs_class;
-          string_of_int cs.Analyze.cs_execs;
-          string_of_int cs.Analyze.cs_rd_max;
-          string_of_int cs.Analyze.cs_wr_max;
-          Printf.sprintf "%d..%d" cs.Analyze.cs_peak_min cs.Analyze.cs_peak_max;
-          string_of_int cs.Analyze.cs_all_set_occ;
+          ("rel", cs.Analyze.cs_releases);
+          ("reread", cs.Analyze.cs_rereads);
+          ("alloc", cs.Analyze.cs_allocs);
+          ("DIVERGED", cs.Analyze.cs_diverged);
         ]
-        @ verdicts @ [ notes ]
-      in
-      Report.print
-        (Report.make ~id:"analyze"
-           ~title:
-             (Printf.sprintf
-                "Txstatic access summaries and capacity verdicts (seeds %s, %d txns/seed)"
-                (String.concat "," (List.map string_of_int seeds))
-                txns)
-           ~notes:
-             [
-               "peak counts protected lines at their worst moment; every hw attempt \
-                adds 1 ABI line (serial-lock subscription)";
-               "l1set = worst per-L1-set occupancy over all touched lines";
-             ]
-           ([ "workload"; "class"; "execs"; "rd"; "wr"; "peak"; "l1set" ]
-           @ vnames @ [ "notes" ])
-           (List.concat_map
-              (fun wr -> List.map (class_row wr) wr.Analyze.wr_classes)
-              t.Analyze.a_reports));
-      let censuses, contradictions, xnotes =
-        if no_xcheck then ([], [], [])
-        else Xvalidate.cross_validate ~seed t
-      in
-      if censuses <> [] then
-        Report.print
-          (Report.make ~id:"xvalidate"
-             ~title:"Runtime capacity-abort census vs static verdict" ~notes:xnotes
-             [ "workload"; "variant"; "attempts"; "cap-aborts"; "max-fp"; "static" ]
-             (List.map
-                (fun c ->
-                  let wr =
-                    List.find
-                      (fun wr -> wr.Analyze.wr_workload = c.Xvalidate.v_workload)
-                      t.Analyze.a_reports
-                  in
-                  [
-                    c.Xvalidate.v_workload;
-                    c.Xvalidate.v_variant.Variant.name;
-                    string_of_int c.Xvalidate.v_attempts;
-                    string_of_int c.Xvalidate.v_cap_aborts;
-                    string_of_int c.Xvalidate.v_max_footprint;
-                    Analyze.verdict_name
-                      (Analyze.workload_verdict ~params
-                         ~variant:c.Xvalidate.v_variant wr);
-                  ])
-                censuses));
-      let all_findings = Analyze.findings t @ contradictions in
-      Report.print
-        (Report.make ~id:"analyze-findings" ~title:"Txstatic findings"
-           ~notes:
-             (List.map
-                (fun f -> f.Findings.f_kind ^ ": " ^ f.Findings.f_detail)
-                all_findings)
-           [ "source"; "severity"; "kind"; "workload"; "class"; "variant"; "line"; "count" ]
-           (match all_findings with
-           | [] -> [ [ "-"; "-"; "clean"; "-"; "-"; "-"; "-"; "0" ] ]
-           | fs ->
-               List.map
-                 (fun f ->
-                   [
-                     (match f.Findings.f_source with
-                     | Findings.Static -> "static"
-                     | Findings.Runtime -> "runtime");
-                     f.Findings.f_severity;
-                     f.Findings.f_kind;
-                     f.Findings.f_workload;
-                     (if f.Findings.f_class = "" then "-" else f.Findings.f_class);
-                     (if f.Findings.f_variant = "" then "-" else f.Findings.f_variant);
-                     (match f.Findings.f_line with
-                     | Some l -> string_of_int l
-                     | None -> "-");
-                     string_of_int f.Findings.f_count;
-                   ])
-                 fs));
-      let wrc =
-        match
-          Findings.write_json ~path:json_path
-            (Analyze.artifact_json t ~extra:contradictions)
-        with
-        | Ok () ->
-            Printf.printf "analyze: %s (%d workload(s), %d finding(s))\n" json_path
-              (List.length t.Analyze.a_reports)
-              (List.length all_findings);
-            0
-        | Error m ->
-            Printf.eprintf "cannot write %s: %s\n" json_path m;
-            1
-      in
-      let violations = List.filter Findings.is_violation all_findings in
-      if violations <> [] then begin
-        Printf.printf "analyze: %d violation(s)\n" (List.length violations);
-        max wrc 1
-      end
-      else begin
-        Printf.printf "analyze: clean (%d advisory finding(s))\n"
+    in
+    let notes =
+      if tags = [] then "-"
+      else String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n) tags)
+    in
+    [
+      wr.Analyze.wr_workload;
+      cs.Analyze.cs_class;
+      string_of_int cs.Analyze.cs_execs;
+      string_of_int cs.Analyze.cs_rd_max;
+      string_of_int cs.Analyze.cs_wr_max;
+      Printf.sprintf "%d..%d" cs.Analyze.cs_peak_min cs.Analyze.cs_peak_max;
+      string_of_int cs.Analyze.cs_all_set_occ;
+    ]
+    @ verdicts @ [ notes ]
+  in
+  Report.print
+    (Report.make ~id:"analyze"
+       ~title:
+         (Printf.sprintf
+            "Txstatic access summaries and capacity verdicts (seeds %s, %d txns/seed)"
+            (String.concat "," (List.map string_of_int seeds))
+            txns)
+       ~notes:
+         [
+           "peak counts protected lines at their worst moment; every hw attempt \
+            adds 1 ABI line (serial-lock subscription)";
+           "l1set = worst per-L1-set occupancy over all touched lines";
+         ]
+       ([ "workload"; "class"; "execs"; "rd"; "wr"; "peak"; "l1set" ]
+       @ vnames @ [ "notes" ])
+       (List.concat_map
+          (fun wr -> List.map (class_row wr) wr.Analyze.wr_classes)
+          t.Analyze.a_reports));
+  let censuses, contradictions, xnotes =
+    if no_xcheck then ([], [], [])
+    else Xvalidate.cross_validate ~seed t
+  in
+  if censuses <> [] then
+    Report.print
+      (Report.make ~id:"xvalidate"
+         ~title:"Runtime capacity-abort census vs static verdict" ~notes:xnotes
+         [ "workload"; "variant"; "attempts"; "cap-aborts"; "max-fp"; "static" ]
+         (List.map
+            (fun c ->
+              let wr =
+                List.find
+                  (fun wr -> wr.Analyze.wr_workload = c.Xvalidate.v_workload)
+                  t.Analyze.a_reports
+              in
+              [
+                c.Xvalidate.v_workload;
+                c.Xvalidate.v_variant.Variant.name;
+                string_of_int c.Xvalidate.v_attempts;
+                string_of_int c.Xvalidate.v_cap_aborts;
+                string_of_int c.Xvalidate.v_max_footprint;
+                Analyze.verdict_name
+                  (Analyze.workload_verdict ~params
+                     ~variant:c.Xvalidate.v_variant wr);
+              ])
+            censuses));
+  let all_findings = Analyze.findings t @ contradictions in
+  Report.print
+    (Report.make ~id:"analyze-findings" ~title:"Txstatic findings"
+       ~notes:
+         (List.map
+            (fun f -> f.Findings.f_kind ^ ": " ^ f.Findings.f_detail)
+            all_findings)
+       [ "source"; "severity"; "kind"; "workload"; "class"; "variant"; "line"; "count" ]
+       (match all_findings with
+       | [] -> [ [ "-"; "-"; "clean"; "-"; "-"; "-"; "-"; "0" ] ]
+       | fs ->
+           List.map
+             (fun f ->
+               [
+                 (match f.Findings.f_source with
+                 | Findings.Static -> "static"
+                 | Findings.Runtime -> "runtime");
+                 f.Findings.f_severity;
+                 f.Findings.f_kind;
+                 f.Findings.f_workload;
+                 (if f.Findings.f_class = "" then "-" else f.Findings.f_class);
+                 (if f.Findings.f_variant = "" then "-" else f.Findings.f_variant);
+                 (match f.Findings.f_line with
+                 | Some l -> string_of_int l
+                 | None -> "-");
+                 string_of_int f.Findings.f_count;
+               ])
+             fs));
+  let wrc =
+    match
+      Findings.write_json ~path:json_path
+        (Analyze.artifact_json t ~extra:contradictions)
+    with
+    | Ok () ->
+        Printf.printf "analyze: %s (%d workload(s), %d finding(s))\n" json_path
+          (List.length t.Analyze.a_reports)
           (List.length all_findings);
-        wrc
-      end
+        0
+    | Error m ->
+        Printf.eprintf "cannot write %s: %s\n" json_path m;
+        1
+  in
+  let violations = List.filter Findings.is_violation all_findings in
+  if violations <> [] then begin
+    Printf.printf "analyze: %d violation(s)\n" (List.length violations);
+    max wrc 1
+  end
+  else begin
+    Printf.printf "analyze: clean (%d advisory finding(s))\n"
+      (List.length all_findings);
+    wrc
+  end
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing                                                    *)
@@ -796,6 +724,10 @@ open Cmdliner
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Deterministic seed.")
+
+(* A flag value that must be one of [xs], each called [name x]: any other
+   value is a parse error (exit 2) that lists the valid names. *)
+let one_of name xs = Arg.enum (List.map (fun x -> (name x, x)) xs)
 
 (* An int flag confined to [lo, hi]: a value outside it is a parse
    error (exit 2) whose message names the bound. *)
@@ -869,7 +801,7 @@ let sockets_arg =
            at most 16. 0 keeps the mode profile's own socket count.")
 
 let mode_arg =
-  Arg.(value & opt string "llb256"
+  Arg.(value & opt (one_of fst modes) ("llb256", List.assoc "llb256" modes)
        & info [ "mode"; "m" ] ~docv:"MODE" ~doc:("Execution mode: " ^ mode_names ^ "."))
 
 let trace_arg =
@@ -940,9 +872,11 @@ let jobs_arg =
               $(docv); $(b,--jobs 1) is the fully sequential path, and \
               $(b,--trace) forces it.")
 
+let experiment_conv = one_of (fun e -> e.Experiments.id) Experiments.all
+
 let repro_cmd =
-  let ids =
-    Arg.(value & opt_all string []
+  let exps =
+    Arg.(value & opt_all experiment_conv []
          & info [ "e"; "experiment" ] ~docv:"ID" ~doc:"Experiment to run (repeatable).")
   in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Run every experiment.") in
@@ -955,13 +889,17 @@ let repro_cmd =
   Cmd.v
     (Cmd.info "repro" ~doc:"Reproduce the paper's tables and figures")
     Term.(
-      const repro $ ids $ all $ quick $ seed_arg $ csv $ list $ trace_arg
+      const repro $ exps $ all $ quick $ seed_arg $ csv $ list $ trace_arg
       $ trace_filter_arg $ check_arg $ check_json_arg $ faults_arg $ faults_seed_arg
       $ jobs_arg)
 
 let intset_cmd =
   let structure =
-    Arg.(value & opt string "rb-tree"
+    Arg.(value
+         & opt
+             (one_of Intset.structure_name
+                Intset.[ Linked_list; Skip_list; Rb_tree; Hash_set ])
+             Intset.Rb_tree
          & info [ "structure"; "s" ] ~docv:"S"
              ~doc:"linked-list, skip-list, rb-tree, or hash-set.")
   in
@@ -987,7 +925,7 @@ let intset_cmd =
 
 let stamp_cmd =
   let app_arg =
-    Arg.(value & opt string "genome"
+    Arg.(value & opt (one_of Stamp.name Stamp.all) Stamp.Genome
          & info [ "app"; "a" ] ~docv:"APP" ~doc:"STAMP application name.")
   in
   let scale =
@@ -1003,7 +941,11 @@ let stamp_cmd =
 
 let serve_cmd =
   let service =
-    Arg.(value & opt string "kv-a"
+    Arg.(value
+         & opt
+             (one_of Serve.service_name
+                Serve.[ Kv A; Kv B; Kv C; Kv D; Kv E; Kv F; Ledger ])
+             (Serve.Kv Serve.A)
          & info [ "service" ] ~docv:"S"
              ~doc:"Service: kv-a .. kv-f (YCSB-style mixes) or ledger.")
   in
@@ -1012,7 +954,14 @@ let serve_cmd =
          & info [ "requests"; "n" ] ~docv:"N" ~doc:"Total arrivals (at least 1).")
   in
   let arrival =
-    Arg.(value & opt string "poisson"
+    Arg.(value
+         & opt
+             (enum
+                [
+                  ("poisson", `Poisson); ("bursty", `Bursty); ("ramp", `Ramp);
+                  ("closed", `Closed);
+                ])
+             `Poisson
          & info [ "arrival" ] ~docv:"A"
              ~doc:"Arrival process: poisson, bursty, ramp, or closed.")
   in
@@ -1060,7 +1009,8 @@ let serve_cmd =
                 use them to make broken hardware observable quickly.")
   in
   let ablate =
-    Arg.(value & opt_all string []
+    Arg.(value
+         & opt_all (enum [ ("resolve", `Resolve); ("rollback", `Rollback) ]) []
          & info [ "ablate" ] ~docv:"WHAT"
              ~doc:
                "Broken-hardware ablation (repeatable): $(b,resolve) disables ASF \
@@ -1105,7 +1055,10 @@ let analyze_cmd =
                 capacity-abort census of the workloads with a real twin).")
   in
   let workloads =
-    Arg.(value & opt_all string []
+    Arg.(value
+         & opt_all
+             (one_of (fun w -> w.Workloads.w_name) (Workloads.stock @ Workloads.fixtures))
+             []
          & info [ "w"; "workload" ] ~docv:"NAME"
              ~doc:"Analyze only $(docv) (repeatable; default: every stock workload).")
   in
@@ -1130,11 +1083,11 @@ let main_cmd =
   Cmd.group
     ~default:
       Term.(
-        const (fun ids all quick seed csv list trace tfilter check cjson faults fseed
+        const (fun exps all quick seed csv list trace tfilter check cjson faults fseed
                    jobs ->
-            repro ids all quick seed csv list trace tfilter check cjson faults fseed
+            repro exps all quick seed csv list trace tfilter check cjson faults fseed
               jobs)
-        $ Arg.(value & opt_all string [] & info [ "e"; "experiment" ] ~docv:"ID")
+        $ Arg.(value & opt_all experiment_conv [] & info [ "e"; "experiment" ] ~docv:"ID")
         $ Arg.(value & flag & info [ "all" ])
         $ Arg.(value & flag & info [ "quick" ])
         $ seed_arg

@@ -2,35 +2,14 @@ module Params = Asf_machine.Params
 
 type level_stats = { mutable hits : int; mutable misses : int }
 
-(* Domain-local coherence totals, mirrored alongside each instance's own
-   counters (same pattern as Engine's retire/sched counters): the record
-   for the current domain is fetched once at [create], instances bump it
-   on every coherence event, and the domain pool banks per-cell deltas
-   into its arenas. [cc_dir_hw] is a high-water mark, not a sum — the
-   pool zeroes it around each cell and merges with [max]. *)
-type coh_counters = {
-  mutable cc_invalidations : int;
-  mutable cc_forwards : int;
-  mutable cc_cross : int;
-  mutable cc_probes : int;
-  mutable cc_dir_hw : int;
-}
+module Counters = Asf_engine.Counters
 
-let coh_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        cc_invalidations = 0;
-        cc_forwards = 0;
-        cc_cross = 0;
-        cc_probes = 0;
-        cc_dir_hw = 0;
-      })
-
+(* A one-line read of the {!Counters} bank, kept because the repository
+   benchmark (bench/perf) calls it: the coherence slots in their bank
+   order, [| invalidations; forwards; cross_socket_probes; probes;
+   dir_high_water |]. *)
 let domain_coherence () =
-  let c = Domain.DLS.get coh_key in
-  [| c.cc_invalidations; c.cc_forwards; c.cc_cross; c.cc_probes; c.cc_dir_hw |]
-
-let set_domain_dir_high_water v = (Domain.DLS.get coh_key).cc_dir_hw <- v
+  Array.sub (Counters.bank ()) Counters.invalidations (Counters.n - Counters.invalidations)
 
 (* Directory shard geometry: 8 Ki lines per shard. Growth allocates one
    64 KiB shard at a time (plus an occasional doubling of the small
@@ -80,7 +59,9 @@ type t = {
      The line being invalidated travels via [drop_line]. *)
   mutable drop_fn : int -> unit;
   mutable drop_line : int;
-  coh : coh_counters;
+  (* The creating domain's {!Counters} bank, bumped beside the instance's
+     own coherence counters. *)
+  bank : int array;
 }
 
 let fresh_stats () = { hits = 0; misses = 0 }
@@ -132,13 +113,13 @@ let create ?sharers (params : Params.t) ~n_cores =
       dir_occ = 0;
       drop_fn = ignore;
       drop_line = 0;
-      coh = Domain.DLS.get coh_key;
+      bank = Counters.bank ();
     }
   in
   t.drop_fn <-
     (fun c ->
       t.probes <- t.probes + 1;
-      t.coh.cc_probes <- t.coh.cc_probes + 1;
+      Counters.add t.bank Counters.probes 1;
       drop_from_core t ~core:c t.drop_line);
   t
 
@@ -173,7 +154,8 @@ let socket_of t core = core * t.params.Params.n_sockets / t.n_cores
 
 let bump_occupancy t =
   t.dir_occ <- t.dir_occ + 1;
-  if t.dir_occ > t.coh.cc_dir_hw then t.coh.cc_dir_hw <- t.dir_occ
+  if t.dir_occ > t.bank.(Counters.dir_high_water) then
+    t.bank.(Counters.dir_high_water) <- t.dir_occ
 
 let access t ~core ~line ~write =
   let p = t.params in
@@ -202,7 +184,7 @@ let access t ~core ~line ~write =
   let cross_penalty other_core =
     if socket_of t other_core <> socket then begin
       t.cross_socket_probes <- t.cross_socket_probes + 1;
-      t.coh.cc_cross <- t.coh.cc_cross + 1;
+      Counters.add t.bank Counters.cross_socket_probes 1;
       p.cross_socket_latency
     end
     else 0
@@ -222,7 +204,7 @@ let access t ~core ~line ~write =
         t.l2s.(core).misses <- t.l2s.(core).misses + 1;
         if remote_dirty then begin
           t.forwards <- t.forwards + 1;
-          t.coh.cc_forwards <- t.coh.cc_forwards + 1;
+          Counters.add t.bank Counters.forwards 1;
           p.l3_latency (* cache-to-cache forward *)
         end
         else if in_l3 then begin
@@ -245,13 +227,13 @@ let access t ~core ~line ~write =
     if Sharers.others ctx owners0 ~except:core || remote_dirty then begin
       extra := !extra + p.coherence_probe_latency;
       t.invalidations <- t.invalidations + 1;
-      t.coh.cc_invalidations <- t.coh.cc_invalidations + 1;
+      Counters.add t.bank Counters.invalidations 1;
       let crossed = Sharers.crossed ctx owners0 ~socket ~except:core in
       t.drop_line <- line;
       Sharers.iter_others ctx owners0 ~except:core t.drop_fn;
       if crossed then begin
         t.cross_socket_probes <- t.cross_socket_probes + 1;
-        t.coh.cc_cross <- t.coh.cc_cross + 1;
+        Counters.add t.bank Counters.cross_socket_probes 1;
         extra := !extra + p.cross_socket_latency
       end
     end;

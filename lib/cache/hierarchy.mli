@@ -69,15 +69,8 @@ val dir_high_water : t -> int
 val backend : t -> Sharers.kind
 
 val domain_coherence : unit -> int array
-(** Domain-local coherence totals, summed over every hierarchy created
-    on the calling domain:
+(** The calling domain's coherence slots of {!Asf_engine.Counters}, in
+    bank order:
     [| invalidations; forwards; cross_socket_probes; probes;
-       dir_high_water |].
-    The first four are monotone sums; the last is a high-water mark
-    (see {!set_domain_dir_high_water}). The domain pool banks per-cell
-    deltas of these around each experiment cell. *)
-
-val set_domain_dir_high_water : int -> unit
-(** Overwrite the calling domain's directory high-water slot — the
-    domain pool zeroes it before a cell and restores [max old new]
-    after, turning a domain-local mark into a per-cell one. *)
+       dir_high_water |]. Kept because the repository benchmark
+    (bench/perf) reads it. *)

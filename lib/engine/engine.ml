@@ -4,18 +4,6 @@ type task =
   | Start of int * (unit -> unit)
   | Resume of int * (unit, unit) Effect.Deep.continuation
 
-(* Domain-local accounting shared by every engine created on the domain;
-   the harness reads deltas around each experiment cell to price host
-   time in simulated cycles/sec and to report the fused-elapse ratio
-   (BENCH_asf.json). An engine always runs on the domain that created
-   it, so caching the record at [create] keeps the hot path to loads and
-   adds. *)
-type counters = {
-  mutable c_retired : int;  (* simulated cycles *)
-  mutable c_fused : int;  (* Elapse handled on the fusion fast path *)
-  mutable c_scheduled : int;  (* Elapse through the heap round-trip *)
-}
-
 type t = {
   n_cores : int;
   core_time : int array;
@@ -37,19 +25,21 @@ type t = {
   mutable scheduled : int;
   mutable heap_hwm : int;
   tracer : Trace.t;
-  counters : counters;
+  (* The creating domain's {!Counters} bank: an engine always runs on the
+     domain that created it, so caching it keeps the hot path to loads
+     and adds. *)
+  bank : int array;
 }
 
 type _ Effect.t += Elapse : int -> unit Effect.t
 
-let counters_key =
-  Domain.DLS.new_key (fun () -> { c_retired = 0; c_fused = 0; c_scheduled = 0 })
-
-let cycles_retired () = (Domain.DLS.get counters_key).c_retired
+(* One-line reads of the {!Counters} bank, kept because the repository
+   benchmark (bench/perf) calls them. *)
+let cycles_retired () = (Counters.bank ()).(Counters.sim_cycles)
 
 let sched_counters () =
-  let c = Domain.DLS.get counters_key in
-  (c.c_fused, c.c_scheduled)
+  let b = Counters.bank () in
+  (b.(Counters.fused_elapses), b.(Counters.scheduled_elapses))
 
 (* The engine currently executing a thread on this domain, consulted by
    {!elapse} for the fusion fast path. [run] installs the engine and
@@ -74,7 +64,7 @@ let create ?(always_schedule = false) ~n_cores () =
     scheduled = 0;
     heap_hwm = 0;
     tracer = Trace.installed ();
-    counters = Domain.DLS.get counters_key;
+    bank = Counters.bank ();
   }
 
 let n_cores t = t.n_cores
@@ -133,8 +123,8 @@ let elapse n =
       let nt = ct + n in
       if nt < t.lookahead then begin
         t.core_time.(core) <- nt;
-        t.counters.c_retired <- t.counters.c_retired + n;
-        t.counters.c_fused <- t.counters.c_fused + 1;
+        Counters.add t.bank Counters.sim_cycles n;
+        Counters.add t.bank Counters.fused_elapses 1;
         t.seq <- t.seq + 1;
         t.events <- t.events + 1;
         t.fused <- t.fused + 1;
@@ -164,7 +154,7 @@ let exec t core f =
                   if t.core_time.(core) > max_int - n then
                     invalid_arg "Engine.elapse: core clock overflow";
                   t.core_time.(core) <- t.core_time.(core) + n;
-                  t.counters.c_retired <- t.counters.c_retired + n;
+                  Counters.add t.bank Counters.sim_cycles n;
                   enqueue t ~time:t.core_time.(core) (Resume (core, k)))
           | _ -> None);
     }
@@ -191,7 +181,7 @@ let run t =
         | Resume (core, k) ->
             t.current <- core;
             t.scheduled <- t.scheduled + 1;
-            t.counters.c_scheduled <- t.counters.c_scheduled + 1;
+            Counters.add t.bank Counters.scheduled_elapses 1;
             Trace.emit t.tracer ~core ~cycle:time Trace.Thread_resume;
             Effect.Deep.continue k ()
       done)

@@ -84,11 +84,10 @@ val heap_high_water : t -> int
 (** Largest number of tasks ever queued at once in this engine's heap. *)
 
 val cycles_retired : unit -> int
-(** Total cycles simulated by every engine created on the calling domain
-    (a domain-local counter; read deltas around a run to price host time
-    in simulated cycles). *)
+(** The calling domain's {!Counters.sim_cycles}: total cycles simulated by
+    every engine created on it. Kept, like {!sched_counters}, because the
+    repository benchmark (bench/perf) reads it. *)
 
 val sched_counters : unit -> int * int
-(** [(fused, scheduled)] elapse totals over every engine created on the
-    calling domain — the domain-local companion of {!cycles_retired},
-    harvested per experiment cell for the benchmark's fused ratio. *)
+(** The calling domain's [(fused, scheduled)] elapse totals
+    ({!Counters.fused_elapses}, {!Counters.scheduled_elapses}). *)

@@ -2,7 +2,7 @@
     evaluation, plus the ablations called out in DESIGN.md.
 
     Every experiment is deterministic in [(quick, seed)]. [quick] runs a
-    scaled-down configuration (used by the Bechamel wrappers and smoke
+    scaled-down configuration (used by the benchmark harness and smoke
     tests); the default full configuration is the one recorded in
     EXPERIMENTS.md. Identical (application, mode, threads) runs are
     memoised within a process, so regenerating Fig. 4 and Fig. 6 together

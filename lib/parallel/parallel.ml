@@ -26,11 +26,10 @@
    replaces — and merges the harvested findings and injection censuses
    back in cell order. See DESIGN.md, "The determinism contract". *)
 
-module Engine = Asf_engine.Engine
+module Counters = Asf_engine.Counters
 module Trace = Asf_trace.Trace
 module Check = Asf_check.Check
 module Faults = Asf_faults.Faults
-module Hierarchy = Asf_cache.Hierarchy
 
 (* ------------------------------------------------------------------ *)
 (* The pool                                                             *)
@@ -141,58 +140,19 @@ let map ?jobs ?chunk ?around f xs =
   Array.to_list (map_array ?jobs ?chunk ?around f (Array.of_list xs))
 
 (* ------------------------------------------------------------------ *)
-(* Simulated-cycle accounting                                           *)
+(* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Cycles simulated by cells run through [cell_map] since the last
-   [reset_sim_cycles], harvested once per worker from the executing
-   domain's retired-cycle counter and summed on the main domain at join.
-   Powers the cycles/sec figures in BENCH_asf.json. *)
-let sim_cycle_acc = ref 0
+(* Every {!Counters} slot over the cells run through [cell_map] since the
+   last [reset_counters]: harvested once per worker participation from
+   the executing domain's bank and merged on the main domain at join.
+   Powers the cycles/sec, fused-ratio and coherence figures in
+   BENCH_asf.json. *)
+let totals = Array.make Counters.n 0
 
-(* Scheduling counters, harvested the same way: elapses served by the
-   fusion fast path vs. through the heap. Powers the fused_ratio figure
-   in BENCH_asf.json. *)
-let fused_acc = ref 0
+let reset_counters () = Array.fill totals 0 Counters.n 0
 
-let sched_acc = ref 0
-
-(* Coherence-traffic totals, harvested the same way from each domain's
-   {!Hierarchy.domain_coherence} counters: invalidations, forwards,
-   cross-socket probes, probed cores. The last slot is the directory
-   occupancy high-water — zeroed per worker participation and merged
-   with [max], not summed. Powers the coherence columns and the [scale]
-   block in BENCH_asf.json. *)
-let coh_inval_acc = ref 0
-
-let coh_fwd_acc = ref 0
-
-let coh_cross_acc = ref 0
-
-let coh_probe_acc = ref 0
-
-let coh_dir_hw_acc = ref 0
-
-let reset_sim_cycles () =
-  sim_cycle_acc := 0;
-  fused_acc := 0;
-  sched_acc := 0;
-  coh_inval_acc := 0;
-  coh_fwd_acc := 0;
-  coh_cross_acc := 0;
-  coh_probe_acc := 0;
-  coh_dir_hw_acc := 0
-
-let sim_cycles () = !sim_cycle_acc
-
-let fused_scheduled () = (!fused_acc, !sched_acc)
-
-let coherence () =
-  ( !coh_inval_acc,
-    !coh_fwd_acc,
-    !coh_cross_acc,
-    !coh_probe_acc,
-    !coh_dir_hw_acc )
+let counters () = Array.copy totals
 
 (* ------------------------------------------------------------------ *)
 (* Cells                                                                *)
@@ -217,10 +177,10 @@ type 'b cell_out = {
    census are independent of which domain ran which cell, and of the
    completion order.
 
-   Engine accounting (simulated cycles, fused/scheduled elapses) is
-   domain-local too; each worker banks its deltas into its own arena slot
-   and the main domain merges the slots once after the join, instead of
-   per-cell ref updates on the main domain.
+   The simulation counters are domain-local too; each worker stores its
+   participation's {!Counters} window in its own slot and the main domain
+   merges the slots once after the join, instead of per-cell updates on
+   the main domain.
 
    Tracing has no such merge path (rings are ordered by host emission):
    when a tracer is installed, the map degrades to sequential so every
@@ -235,18 +195,10 @@ let cell_map f xs =
   in
   let scoped = parts <> None || fplan <> None in
   let jobs = if Trace.enabled (Trace.installed ()) then 1 else !current_jobs in
-  (* Per-worker stat arenas: distinct slots, written by the owning worker
-     inside [around]'s finally and read on the main domain only after the
-     join (which orders the writes before the reads). *)
-  let slots = max 1 jobs in
-  let a_cycles = Array.make slots 0 in
-  let a_fused = Array.make slots 0 in
-  let a_sched = Array.make slots 0 in
-  let a_coh_inval = Array.make slots 0 in
-  let a_coh_fwd = Array.make slots 0 in
-  let a_coh_cross = Array.make slots 0 in
-  let a_coh_probe = Array.make slots 0 in
-  let a_coh_dir_hw = Array.make slots 0 in
+  (* Per-worker counter windows: distinct slots, written by the owning
+     worker inside [around]'s finally and read on the main domain only
+     after the join (which orders the writes before the reads). *)
+  let windows = Array.init (max 1 jobs) (fun _ -> Array.make Counters.n 0) in
   let around wid body =
     (* Executing-domain scope: save whatever this domain had installed
        (the main domain's own instances when wid = 0), substitute the
@@ -257,26 +209,10 @@ let cell_map f xs =
     let fl = Option.map (fun (plan, seed) -> Faults.create ~seed plan) fplan in
     (match chk with Some c -> Check.install c | None -> ());
     (match fl with Some fl -> Faults.install fl | None -> ());
-    let c0 = Engine.cycles_retired () in
-    let f0, s0 = Engine.sched_counters () in
-    let coh0 = Hierarchy.domain_coherence () in
-    (* Zero the domain's directory high-water so this participation's
-       mark is its own; the saved value is restored (as a max) in the
-       finally, so outer accounting on the main domain is preserved. *)
-    Hierarchy.set_domain_dir_high_water 0;
+    let window = Counters.open_window () in
     Fun.protect
       ~finally:(fun () ->
-        a_cycles.(wid) <- Engine.cycles_retired () - c0;
-        let f1, s1 = Engine.sched_counters () in
-        a_fused.(wid) <- f1 - f0;
-        a_sched.(wid) <- s1 - s0;
-        let coh1 = Hierarchy.domain_coherence () in
-        a_coh_inval.(wid) <- coh1.(0) - coh0.(0);
-        a_coh_fwd.(wid) <- coh1.(1) - coh0.(1);
-        a_coh_cross.(wid) <- coh1.(2) - coh0.(2);
-        a_coh_probe.(wid) <- coh1.(3) - coh0.(3);
-        a_coh_dir_hw.(wid) <- coh1.(4);
-        Hierarchy.set_domain_dir_high_water (max coh0.(4) coh1.(4));
+        windows.(wid) <- Counters.close_window window;
         (match saved_chk with
         | Some c -> Check.install c
         | None -> Check.uninstall ());
@@ -310,15 +246,7 @@ let cell_map f xs =
     end
   in
   let outs = map ~jobs ~around run_cell xs in
-  let total a = Array.fold_left ( + ) 0 a in
-  sim_cycle_acc := !sim_cycle_acc + total a_cycles;
-  fused_acc := !fused_acc + total a_fused;
-  sched_acc := !sched_acc + total a_sched;
-  coh_inval_acc := !coh_inval_acc + total a_coh_inval;
-  coh_fwd_acc := !coh_fwd_acc + total a_coh_fwd;
-  coh_cross_acc := !coh_cross_acc + total a_coh_cross;
-  coh_probe_acc := !coh_probe_acc + total a_coh_probe;
-  coh_dir_hw_acc := max !coh_dir_hw_acc (Array.fold_left max 0 a_coh_dir_hw);
+  Array.iter (Counters.merge ~into:totals) windows;
   List.map
     (fun o ->
       (match main_chk with

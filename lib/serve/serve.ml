@@ -15,18 +15,6 @@ type mix = A | B | C | D | E | F
 
 type service = Kv of mix | Ledger
 
-let service_of_string = function
-  | "kv-a" -> Ok (Kv A)
-  | "kv-b" -> Ok (Kv B)
-  | "kv-c" -> Ok (Kv C)
-  | "kv-d" -> Ok (Kv D)
-  | "kv-e" -> Ok (Kv E)
-  | "kv-f" -> Ok (Kv F)
-  | "ledger" -> Ok Ledger
-  | s ->
-      Error
-        (Printf.sprintf "unknown service %S (valid: kv-a .. kv-f, ledger)" s)
-
 let service_name = function
   | Kv A -> "kv-a"
   | Kv B -> "kv-b"

@@ -48,10 +48,8 @@ type service =
           transfers with an append-only order log, settlements against
           logged orders, and full-balance audit requests *)
 
-val service_of_string : string -> (service, string) result
-(** ["kv-a"] .. ["kv-f"], ["ledger"]. *)
-
 val service_name : service -> string
+(** ["kv-a"] .. ["kv-f"], ["ledger"]. *)
 
 val initial_balance : int
 (** Every ledger account's starting balance (the audit invariant's

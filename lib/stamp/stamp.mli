@@ -23,4 +23,4 @@ val run : app -> Asf_tm_rt.Tm.config -> threads:int -> Stamp_common.result
 
 val run_scaled : app -> scale:float -> Asf_tm_rt.Tm.config -> threads:int -> Stamp_common.result
 (** Like {!run} with the main size parameter multiplied by [scale]
-    (quick configurations for Bechamel hosting measurements). *)
+    (quick configurations for host-time measurements). *)

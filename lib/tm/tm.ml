@@ -20,19 +20,14 @@ type config = {
   n_cores : int;
   params : Params.t;
   seed : int;
-  max_retries : int;
   backoff : bool;
   selective_annotation : bool;
   abort_on_tlb_miss : bool;
   requester_wins : bool;
   resolve_conflicts : bool;
   rollback_on_abort : bool;
-  begin_abi_cycles : int;
-  commit_abi_cycles : int;
-  malloc_cycles : int;
   phase_quantum : int;
   stm_strategy : Stm.strategy;
-  watchdog : bool;
   watchdog_abort_limit : int;
   watchdog_window : int;
 }
@@ -43,25 +38,30 @@ let default_config mode ~n_cores =
     n_cores;
     params = Params.barcelona;
     seed = 1;
-    max_retries = 8;
     backoff = true;
     selective_annotation = true;
     abort_on_tlb_miss = false;
     requester_wins = true;
     resolve_conflicts = true;
     rollback_on_abort = true;
-    (* The ABI begin path is a software setjmp plus descriptor setup; its
-       cost is of the same order as an STM begin, which is why Table 1
-       shows similar start/commit cycles for ASF-TM and TinySTM. *)
-    begin_abi_cycles = 45;
-    commit_abi_cycles = 18;
-    malloc_cycles = 40;
     phase_quantum = 400;
     stm_strategy = Stm.Write_through;
-    watchdog = true;
     watchdog_abort_limit = 64;
     watchdog_window = 20_000_000;
   }
+
+(* Contention retries before the serial fallback. *)
+let max_retries = 8
+
+(* Software begin cost (setjmp, descriptor). The ABI begin path is a
+   software setjmp plus descriptor setup; its cost is of the same order
+   as an STM begin, which is why Table 1 shows similar start/commit
+   cycles for ASF-TM and TinySTM. *)
+let begin_abi_cycles = 45
+
+let commit_abi_cycles = 18
+
+let malloc_cycles = 40
 
 type path = Direct | Hw | Serial | Stm_path
 
@@ -140,7 +140,6 @@ and ctx = {
   mutable path : path;
   mutable pending_fault : int option;
   mutable consec_aborts : int;
-  mutable max_consec_aborts : int;
   mutable pending_cycles : int;
       (** accumulated bookkeeping charges awaiting the next ASF op's elapse *)
   mutable deadline : int;
@@ -170,14 +169,17 @@ let create cfg =
   let serial_lock = Alloc.alloc_lines galloc 1 in
   Memsys.poke mem serial_lock 0;
   Memsys.poke mem (serial_lock + 1) 0;
-  let asf =
+  let variant =
     match cfg.mode with
-    | Asf_mode v | Phased_mode v ->
-        Some
-          (Asf.create mem ~requester_wins:cfg.requester_wins
-             ~resolve_conflicts:cfg.resolve_conflicts
-             ~rollback_on_abort:cfg.rollback_on_abort v)
+    | Asf_mode v | Phased_mode v -> Some v
     | Stm_mode | Seq_mode -> None
+  in
+  let asf =
+    Option.map
+      (Asf.create mem ~requester_wins:cfg.requester_wins
+         ~resolve_conflicts:cfg.resolve_conflicts
+         ~rollback_on_abort:cfg.rollback_on_abort)
+      variant
   in
   let stm =
     match cfg.mode with
@@ -204,13 +206,7 @@ let create cfg =
   (* An installed checker spans runs the way the installed tracer does:
      each new system attaches (finalizing the previous run's oracle). *)
   (match Check.installed () with
-  | Some chk ->
-      let variant =
-        match cfg.mode with
-        | Asf_mode v | Phased_mode v -> Some v
-        | Stm_mode | Seq_mode -> None
-      in
-      Check.attach chk ?asf ?stm ?variant mem
+  | Some chk -> Check.attach chk ?asf ?stm ?variant mem
   | None -> ());
   {
     cfg;
@@ -231,8 +227,6 @@ let create cfg =
 let engine t = t.engine
 
 let memsys t = t.mem
-
-let alloc t = t.galloc
 
 let config t = t.cfg
 
@@ -266,7 +260,6 @@ let make_ctx sys ~core =
       path = Direct;
       pending_fault = None;
       consec_aborts = 0;
-      max_consec_aborts = 0;
       pending_cycles = 0;
       deadline = max_int;
       jitter_prev = 16;
@@ -290,9 +283,21 @@ let now ctx = Engine.core_time ctx.sys.engine ctx.core
 
 let emit ctx payload = Trace.emit ctx.sys.tracer ~core:ctx.core ~cycle:(now ctx) payload
 
+(* Brackets are written by hand, with no finaliser closure: the
+   exceptions that cross them (ASF and STM aborts, deadlines, the
+   watchdog's diagnosis) are control flow, so a plain re-raise is
+   enough. *)
+let exit_cat ctx = Stats.exit_ ctx.stats ~now:(now ctx)
+
 let with_cat ctx cat f =
   Stats.enter ctx.stats ~now:(now ctx) cat;
-  Fun.protect ~finally:(fun () -> Stats.exit_ ctx.stats ~now:(now ctx)) f
+  match f () with
+  | r ->
+      exit_cat ctx;
+      r
+  | exception e ->
+      exit_cat ctx;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Progress watchdog                                                    *)
@@ -362,11 +367,9 @@ let pp_diagnosis ppf d =
    forever. *)
 let watchdog_check ctx =
   let sys = ctx.sys in
-  if sys.cfg.watchdog then begin
-    let cycle = now ctx in
-    if cycle - sys.progress.last_commit_cycle > sys.cfg.watchdog_window then
-      raise (Livelock (diagnose sys ~cycle))
-  end
+  let cycle = now ctx in
+  if cycle - sys.progress.last_commit_cycle > sys.cfg.watchdog_window then
+    raise (Livelock (diagnose sys ~cycle))
 
 let note_commit ctx =
   ctx.consec_aborts <- 0;
@@ -378,10 +381,7 @@ let note_commit ctx =
 
 let last_commit_cycle ctx = ctx.last_commit
 
-let note_abort ctx =
-  ctx.consec_aborts <- ctx.consec_aborts + 1;
-  if ctx.consec_aborts > ctx.max_consec_aborts then
-    ctx.max_consec_aborts <- ctx.consec_aborts
+let note_abort ctx = ctx.consec_aborts <- ctx.consec_aborts + 1
 
 (* ------------------------------------------------------------------ *)
 (* Request deadlines                                                    *)
@@ -407,31 +407,6 @@ let check_deadline ctx =
 
 let note_wait ctx n = if deadline_active ctx then ctx.dl_wait <- ctx.dl_wait + n
 
-(* Abort accounting for a deadline abandonment that interrupts an *open*
-   attempt (the deadline passed while waiting for the serial lock): the
-   attempt's cycles fold into abort waste under the [Timeout] class, so
-   deadline-abandoned work is visible next to the architectural abort
-   census. *)
-let abandon_attempt ctx e =
-  Txmalloc.attempt_abort ctx.pool;
-  Stats.abort_attempt ctx.stats ~now:(now ctx) Abort.Timeout;
-  note_abort ctx;
-  emit ctx
-    (Trace.Tx_abort
-       { abort_class = Abort.class_name (Abort.index Abort.Timeout); addr = None });
-  raise e
-
-(* Per-core preemption stall, drawn once per transaction attempt. *)
-let inject_preempt ctx =
-  let fl = ctx.sys.faults in
-  if Faults.enabled fl then begin
-    let n = Faults.preempt_stall fl ~core:ctx.core in
-    if n > 0 then begin
-      emit ctx (Trace.Fault_inject { kind = "preempt-stall" });
-      Engine.elapse n
-    end
-  end
-
 let the_asf ctx =
   match ctx.sys.asf with Some a -> a | None -> invalid_arg "Tm: no ASF in this mode"
 
@@ -439,42 +414,76 @@ let the_tx ctx =
   match ctx.tx with Some tx -> tx | None -> invalid_arg "Tm: no STM in this mode"
 
 (* ------------------------------------------------------------------ *)
+(* Attempt bookkeeping                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every attempt on the ASF, STM and serial paths opens with
+   [open_attempt] and closes with [close_commit] or [close_abort]. *)
+
+(* An injected stall of [n] cycles (none when [n = 0]). *)
+let stall ctx kind n =
+  if n > 0 then begin
+    emit ctx (Trace.Fault_inject { kind });
+    Engine.elapse n
+  end
+
+(* Per-core preemption stall, drawn once per transaction attempt. *)
+let inject_preempt ctx =
+  let fl = ctx.sys.faults in
+  if Faults.enabled fl then stall ctx "preempt-stall" (Faults.preempt_stall fl ~core:ctx.core)
+
+let open_attempt ctx =
+  inject_preempt ctx;
+  Stats.begin_attempt ctx.stats ~now:(now ctx);
+  emit ctx Trace.Tx_begin;
+  Txmalloc.attempt_begin ctx.pool
+
+let close_commit ctx ~serial =
+  Txmalloc.attempt_commit ctx.pool;
+  Stats.commit_attempt ctx.stats ~now:(now ctx) ~serial;
+  note_commit ctx;
+  emit ctx (Trace.Tx_commit { serial })
+
+let close_abort ctx reason addr =
+  Txmalloc.attempt_abort ctx.pool;
+  Stats.abort_attempt ctx.stats ~now:(now ctx) reason;
+  note_abort ctx;
+  emit ctx (Trace.Tx_abort { abort_class = Abort.class_name (Abort.index reason); addr })
+
+(* Abort accounting for a deadline abandonment that interrupts an *open*
+   attempt (the deadline passed while waiting for the serial lock): the
+   attempt's cycles fold into abort waste under the [Timeout] class, so
+   deadline-abandoned work is visible next to the architectural abort
+   census. *)
+let abandon_attempt ctx e =
+  close_abort ctx Abort.Timeout None;
+  raise e
+
+(* ------------------------------------------------------------------ *)
 (* Transactional and annotated accesses                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [load]/[store] run once per transactional access, so the [with_cat]
-   closure plus [Fun.protect] bookkeeping is too expensive here; the
-   category bracket is written out by hand instead. The exceptions that
-   can escape (Asf.Aborted, Stm aborts) are control flow, so re-raising
-   with plain [raise] is fine. *)
+(* [load]/[store] run once per transactional access, so they write the
+   category bracket inline instead of allocating [with_cat]'s closure. *)
 
 let enter_ld_st ctx = Stats.enter ctx.stats ~now:(now ctx) Stats.cat_ld_st
 
-let exit_ld_st ctx = Stats.exit_ ctx.stats ~now:(now ctx)
-
 let load ctx addr =
   match ctx.path with
-  | Hw ->
-      enter_ld_st ctx;
-      let v =
-        try Asf.lock_load (the_asf ctx) ~core:ctx.core addr
-        with e ->
-          exit_ld_st ctx;
-          raise e
-      in
-      exit_ld_st ctx;
-      v
-  | Stm_path ->
-      enter_ld_st ctx;
-      let v =
-        try Stm.load (the_tx ctx) addr
-        with e ->
-          exit_ld_st ctx;
-          raise e
-      in
-      exit_ld_st ctx;
-      v
   | Serial | Direct -> Memsys.load ctx.sys.mem ~core:ctx.core addr
+  | (Hw | Stm_path) as path -> (
+      enter_ld_st ctx;
+      match
+        (match path with
+        | Hw -> Asf.lock_load (the_asf ctx) ~core:ctx.core addr
+        | _ -> Stm.load (the_tx ctx) addr)
+      with
+      | v ->
+          exit_cat ctx;
+          v
+      | exception e ->
+          exit_cat ctx;
+          raise e)
 
 let store ctx addr v =
   let fl = ctx.sys.faults in
@@ -488,44 +497,32 @@ let store ctx addr v =
     emit ctx (Trace.Fault_inject { kind = "lost-update" })
   else
   match ctx.path with
-  | Hw ->
-      enter_ld_st ctx;
-      (try Asf.lock_store (the_asf ctx) ~core:ctx.core addr v
-       with e ->
-         exit_ld_st ctx;
-         raise e);
-      exit_ld_st ctx
-  | Stm_path ->
-      enter_ld_st ctx;
-      (try Stm.store (the_tx ctx) addr v
-       with e ->
-         exit_ld_st ctx;
-         raise e);
-      exit_ld_st ctx
   | Serial | Direct -> Memsys.store ctx.sys.mem ~core:ctx.core addr v
+  | (Hw | Stm_path) as path -> (
+      enter_ld_st ctx;
+      match
+        (match path with
+        | Hw -> Asf.lock_store (the_asf ctx) ~core:ctx.core addr v
+        | _ -> Stm.store (the_tx ctx) addr v)
+      with
+      | () -> exit_cat ctx
+      | exception e ->
+          exit_cat ctx;
+          raise e)
 
 let nload ctx addr =
-  match ctx.path with
-  | Hw ->
-      if ctx.sys.cfg.selective_annotation then
-        Asf.plain_load (the_asf ctx) ~core:ctx.core addr
-      else load ctx addr
-  | Stm_path ->
-      if ctx.sys.cfg.selective_annotation then Memsys.load ctx.sys.mem ~core:ctx.core addr
-      else load ctx addr
-  | Serial | Direct -> Memsys.load ctx.sys.mem ~core:ctx.core addr
+  if not ctx.sys.cfg.selective_annotation then load ctx addr
+  else
+    match ctx.path with
+    | Hw -> Asf.plain_load (the_asf ctx) ~core:ctx.core addr
+    | Stm_path | Serial | Direct -> Memsys.load ctx.sys.mem ~core:ctx.core addr
 
 let nstore ctx addr v =
-  match ctx.path with
-  | Hw ->
-      if ctx.sys.cfg.selective_annotation then
-        Asf.plain_store (the_asf ctx) ~core:ctx.core addr v
-      else store ctx addr v
-  | Stm_path ->
-      if ctx.sys.cfg.selective_annotation then
-        Memsys.store ctx.sys.mem ~core:ctx.core addr v
-      else store ctx addr v
-  | Serial | Direct -> Memsys.store ctx.sys.mem ~core:ctx.core addr v
+  if not ctx.sys.cfg.selective_annotation then store ctx addr v
+  else
+    match ctx.path with
+    | Hw -> Asf.plain_store (the_asf ctx) ~core:ctx.core addr v
+    | Stm_path | Serial | Direct -> Memsys.store ctx.sys.mem ~core:ctx.core addr v
 
 let release ctx addr =
   match ctx.path with
@@ -534,8 +531,6 @@ let release ctx addr =
 
 let work _ctx n = Engine.elapse n
 
-let in_tx ctx = ctx.depth > 0
-
 let serial_mode ctx = ctx.path = Serial
 
 (* ------------------------------------------------------------------ *)
@@ -543,7 +538,7 @@ let serial_mode ctx = ctx.path = Serial
 (* ------------------------------------------------------------------ *)
 
 let malloc ctx words =
-  Engine.elapse ctx.sys.cfg.malloc_cycles;
+  Engine.elapse malloc_cycles;
   match ctx.path with
   | Hw -> (
       match Txmalloc.alloc_tx ctx.pool words with
@@ -552,7 +547,7 @@ let malloc ctx words =
   | Serial | Direct | Stm_path -> Txmalloc.alloc_direct ctx.pool words
 
 let free ctx addr words =
-  Engine.elapse (ctx.sys.cfg.malloc_cycles / 2);
+  Engine.elapse (malloc_cycles / 2);
   match ctx.path with
   | Hw | Stm_path -> Txmalloc.free_tx ctx.pool addr words
   | Serial | Direct -> Txmalloc.free_direct ctx.pool addr words
@@ -569,9 +564,11 @@ let free ctx addr words =
    and no waiter can be starved by ever-growing sleeps. *)
 let serial_spin_window attempt = 64 lsl min attempt 7
 
-let wait_serial_free ctx =
+(* Poll [ready] until it holds. Every failed poll is a retry point (the
+   watchdog and the deadline are checked) followed by a spin window. *)
+let spin_until ctx ready =
   let rec loop attempt =
-    if Memsys.load ctx.sys.mem ~core:ctx.core ctx.sys.serial_lock <> 0 then begin
+    if not (ready ()) then begin
       watchdog_check ctx;
       check_deadline ctx;
       let w = serial_spin_window attempt in
@@ -582,33 +579,29 @@ let wait_serial_free ctx =
   in
   loop 0
 
+let wait_serial_free ctx =
+  spin_until ctx (fun () ->
+      Memsys.load ctx.sys.mem ~core:ctx.core ctx.sys.serial_lock = 0)
+
 let acquire_serial ctx =
-  let rec loop attempt =
-    if
-      not
-        (Memsys.cas ctx.sys.mem ~core:ctx.core ctx.sys.serial_lock ~expect:0
-           ~value:(ctx.core + 1))
-    then begin
-      watchdog_check ctx;
-      check_deadline ctx;
-      let w = serial_spin_window attempt in
-      note_wait ctx w;
-      Engine.elapse w;
-      loop (attempt + 1)
-    end
-  in
-  loop 0
+  spin_until ctx (fun () ->
+      Memsys.cas ctx.sys.mem ~core:ctx.core ctx.sys.serial_lock ~expect:0
+        ~value:(ctx.core + 1))
 
 let release_serial ctx = Memsys.store ctx.sys.mem ~core:ctx.core ctx.sys.serial_lock 0
 
 let in_body ctx path f =
   ctx.depth <- 1;
   ctx.path <- path;
-  Fun.protect
-    ~finally:(fun () ->
+  match f () with
+  | r ->
       ctx.depth <- 0;
-      ctx.path <- Direct)
-    f
+      ctx.path <- Direct;
+      r
+  | exception e ->
+      ctx.depth <- 0;
+      ctx.path <- Direct;
+      raise e
 
 (* Serial-holder fault injection: a stall (or, for the livelock fixture, a
    permanent hang) after the lock is taken, while every other core waits.
@@ -617,11 +610,7 @@ let in_body ctx path f =
 let inject_serial_hold ctx =
   let fl = ctx.sys.faults in
   if Faults.enabled fl then begin
-    let n = Faults.serial_stall fl ~core:ctx.core in
-    if n > 0 then begin
-      emit ctx (Trace.Fault_inject { kind = "serial-stall" });
-      Engine.elapse n
-    end;
+    stall ctx "serial-stall" (Faults.serial_stall fl ~core:ctx.core);
     if Faults.serial_hang fl then begin
       emit ctx (Trace.Fault_inject { kind = "serial-hang" });
       let rec hang () =
@@ -635,10 +624,7 @@ let inject_serial_hold ctx =
 
 let run_serial ctx f =
   check_deadline ctx;
-  inject_preempt ctx;
-  Stats.begin_attempt ctx.stats ~now:(now ctx);
-  emit ctx Trace.Tx_begin;
-  Txmalloc.attempt_begin ctx.pool;
+  open_attempt ctx;
   (try with_cat ctx Stats.cat_start_commit (fun () -> acquire_serial ctx)
    with Deadline_exceeded _ as e -> abandon_attempt ctx e);
   (* Past this point the transaction is irrevocable: it holds the serial
@@ -648,10 +634,7 @@ let run_serial ctx f =
   let r = in_body ctx Serial (fun () -> with_cat ctx Stats.cat_non_instr f) in
   emit ctx Trace.Fallback_exit;
   with_cat ctx Stats.cat_start_commit (fun () -> release_serial ctx);
-  Txmalloc.attempt_commit ctx.pool;
-  Stats.commit_attempt ctx.stats ~now:(now ctx) ~serial:true;
-  note_commit ctx;
-  emit ctx (Trace.Tx_commit { serial = true });
+  close_commit ctx ~serial:true;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -721,6 +704,37 @@ let take_charges ctx =
 (* Abort code used when a hardware region observes a phase change. *)
 let phase_change_code = 42
 
+(* One speculative attempt on the ASF or STM path: open it, run [start],
+   the body on [path] and [commit], and close it. Returns the committed
+   value, or the abort's reason once the abort is accounted; the retry
+   policy is the caller's. A deadline can only pass inside [start], while
+   waiting for the serial lock before SPECULATE, so no region is live and
+   the attempt is closed as abandoned. *)
+let speculative_attempt ctx path ~start ~commit f =
+  open_attempt ctx;
+  match
+    with_cat ctx Stats.cat_start_commit start;
+    let r = in_body ctx path (fun () -> with_cat ctx Stats.cat_app f) in
+    with_cat ctx Stats.cat_start_commit commit;
+    r
+  with
+  | r ->
+      close_commit ctx ~serial:false;
+      Ok r
+  | exception (Deadline_exceeded _ as e) -> abandon_attempt ctx e
+  | exception Asf.Aborted reason ->
+      close_abort ctx reason
+        (match reason with
+        | Abort.Contention | Abort.Capacity ->
+            Asf.last_conflict (the_asf ctx) ~core:ctx.core
+        | Abort.Page_fault page -> Some (Addr.page_base page)
+        | _ -> None);
+      Error reason
+  | exception Stm.Stm_abort { orec } ->
+      close_abort ctx Abort.Contention
+        (Option.map (fun o -> Addr.line_base (Addr.line_of o)) orec);
+      Error Abort.Contention
+
 let rec asf_attempt ctx f retries =
   check_deadline ctx;
   service_pending_fault ctx;
@@ -730,27 +744,21 @@ let rec asf_attempt ctx f retries =
      serial execution makes no progress — is the {!Livelock} diagnosis
      from {!watchdog_check}. *)
   let forced =
-    ctx.sys.cfg.watchdog
-    && retries <= ctx.sys.cfg.max_retries
-    && ctx.consec_aborts >= ctx.sys.cfg.watchdog_abort_limit
+    retries <= max_retries && ctx.consec_aborts >= ctx.sys.cfg.watchdog_abort_limit
   in
   if forced then begin
     ctx.sys.progress.forced_serial <- ctx.sys.progress.forced_serial + 1;
     emit ctx (Trace.Fault_inject { kind = "forced-serial" })
   end;
-  if forced || ctx.force_serial || retries > ctx.sys.cfg.max_retries then
-    run_serial ctx f
+  if forced || ctx.force_serial || retries > max_retries then run_serial ctx f
   else begin
     let a = the_asf ctx in
-    inject_preempt ctx;
-    Stats.begin_attempt ctx.stats ~now:(now ctx);
-    emit ctx Trace.Tx_begin;
-    Txmalloc.attempt_begin ctx.pool;
     match
-      with_cat ctx Stats.cat_start_commit (fun () ->
+      speculative_attempt ctx Hw f
+        ~start:(fun () ->
           (* Do not even start while a serial transaction holds the lock. *)
           wait_serial_free ctx;
-          charge ctx ctx.sys.cfg.begin_abi_cycles;
+          charge ctx begin_abi_cycles;
           Asf.speculate a ~core:ctx.core ~extra:(take_charges ctx);
           (* Subscribe to the serial lock: its acquisition by any fallback
              transaction dooms this region via requester-wins. The phase
@@ -760,62 +768,36 @@ let rec asf_attempt ctx f retries =
           if
             ctx.sys.phase <> None
             && Asf.lock_load a ~core:ctx.core ctx.sys.phase_word <> 0
-          then Asf.self_abort a ~core:ctx.core (Abort.Explicit phase_change_code));
-      let r = in_body ctx Hw (fun () -> with_cat ctx Stats.cat_app f) in
-      with_cat ctx Stats.cat_start_commit (fun () ->
-          charge ctx ctx.sys.cfg.commit_abi_cycles;
-          Asf.commit a ~core:ctx.core ~extra:(take_charges ctx));
-      r
+          then Asf.self_abort a ~core:ctx.core (Abort.Explicit phase_change_code))
+        ~commit:(fun () ->
+          charge ctx commit_abi_cycles;
+          Asf.commit a ~core:ctx.core ~extra:(take_charges ctx))
     with
-    | r ->
-        Txmalloc.attempt_commit ctx.pool;
-        Stats.commit_attempt ctx.stats ~now:(now ctx) ~serial:false;
-        note_commit ctx;
-        emit ctx (Trace.Tx_commit { serial = false });
-        r
-    | exception (Deadline_exceeded _ as e) ->
-        (* Raised from [wait_serial_free], before SPECULATE: no hardware
-           region is live, only the attempt bookkeeping needs closing. *)
-        abandon_attempt ctx e
-    | exception Asf.Aborted reason -> (
-        Txmalloc.attempt_abort ctx.pool;
-        Stats.abort_attempt ctx.stats ~now:(now ctx) reason;
-        note_abort ctx;
-        (let addr =
-           match reason with
-           | Abort.Contention | Abort.Capacity ->
-               Asf.last_conflict (the_asf ctx) ~core:ctx.core
-           | Abort.Page_fault page -> Some (Addr.page_base page)
-           | _ -> None
-         in
-         emit ctx
-           (Trace.Tx_abort
-              { abort_class = Abort.class_name (Abort.index reason); addr }));
-        match reason with
-        | Abort.Page_fault page ->
-            (* Service the fault and retry: the access will then succeed
-               (no retry-budget charge; the fault is not contention). *)
-            ctx.pending_fault <- Some page;
-            asf_attempt ctx f retries
-        | Abort.Capacity when ctx.sys.phase <> None ->
-            (* PhasedTM fallback: a capacity overflow moves the whole
-               system into the software phase instead of serialising. *)
-            switch_to_sw ctx;
-            phased_dispatch ctx f
-        | Abort.Explicit c when c = phase_change_code ->
-            phased_dispatch ctx f
-        | Abort.Capacity | Abort.Malloc | Abort.Syscall | Abort.Disallowed ->
-            (* The paper's policy: capacity overflows (and transactions the
-               hardware cannot run) restart directly in serial mode. *)
-            run_serial ctx f
-        | Abort.Timeout ->
-            (* Never delivered by the hardware model; the class exists for
-               the runtime's own deadline accounting. *)
-            assert false
-        | Abort.Contention | Abort.Interrupt | Abort.Tlb_miss | Abort.Spurious
-        | Abort.Explicit _ ->
-            do_backoff ctx retries;
-            asf_attempt ctx f (retries + 1))
+    | Ok r -> r
+    | Error (Abort.Page_fault page) ->
+        (* Service the fault and retry: the access will then succeed (no
+           retry-budget charge; the fault is not contention). *)
+        ctx.pending_fault <- Some page;
+        asf_attempt ctx f retries
+    | Error Abort.Capacity when ctx.sys.phase <> None ->
+        (* PhasedTM fallback: a capacity overflow moves the whole system
+           into the software phase instead of serialising. *)
+        switch_to_sw ctx;
+        phased_dispatch ctx f
+    | Error (Abort.Explicit c) when c = phase_change_code -> phased_dispatch ctx f
+    | Error (Abort.Capacity | Abort.Malloc | Abort.Syscall | Abort.Disallowed) ->
+        (* The paper's policy: capacity overflows (and transactions the
+           hardware cannot run) restart directly in serial mode. *)
+        run_serial ctx f
+    | Error Abort.Timeout ->
+        (* Never delivered by the hardware model; the class exists for
+           the runtime's own deadline accounting. *)
+        assert false
+    | Error
+        ( Abort.Contention | Abort.Interrupt | Abort.Tlb_miss | Abort.Spurious
+        | Abort.Explicit _ ) ->
+        do_backoff ctx retries;
+        asf_attempt ctx f (retries + 1)
   end
 
 and phase_of ctx =
@@ -867,15 +849,16 @@ and stm_phased ctx f =
     (* No [elapse] between the checks above and this increment, so entry
        is atomic with respect to the drain in {!switch_to_hw}. *)
     ps.active_stm <- ps.active_stm + 1;
-    let r =
-      Fun.protect
-        ~finally:(fun () -> ps.active_stm <- ps.active_stm - 1)
-        (fun () -> stm_attempt ctx f 0)
-    in
-    ps.sw_txns_left <- ps.sw_txns_left - 1;
-    if ps.sw_txns_left <= 0 && (not ps.transitioning) && ps.current_phase = `Sw then
-      switch_to_hw ctx;
-    r
+    match stm_attempt ctx f 0 with
+    | exception e ->
+        ps.active_stm <- ps.active_stm - 1;
+        raise e
+    | r ->
+        ps.active_stm <- ps.active_stm - 1;
+        ps.sw_txns_left <- ps.sw_txns_left - 1;
+        if ps.sw_txns_left <= 0 && (not ps.transitioning) && ps.current_phase = `Sw then
+          switch_to_hw ctx;
+        r
   end
 
 and phased_dispatch ctx f =
@@ -888,32 +871,13 @@ and phased_dispatch ctx f =
 and stm_attempt ctx f retries =
   check_deadline ctx;
   let tx = the_tx ctx in
-  inject_preempt ctx;
-  Stats.begin_attempt ctx.stats ~now:(now ctx);
-  emit ctx Trace.Tx_begin;
-  Txmalloc.attempt_begin ctx.pool;
   match
-    with_cat ctx Stats.cat_start_commit (fun () -> Stm.start tx);
-    let r = in_body ctx Stm_path (fun () -> with_cat ctx Stats.cat_app f) in
-    with_cat ctx Stats.cat_start_commit (fun () -> Stm.commit tx);
-    r
+    speculative_attempt ctx Stm_path f
+      ~start:(fun () -> Stm.start tx)
+      ~commit:(fun () -> Stm.commit tx)
   with
-  | r ->
-      Txmalloc.attempt_commit ctx.pool;
-      Stats.commit_attempt ctx.stats ~now:(now ctx) ~serial:false;
-      note_commit ctx;
-      emit ctx (Trace.Tx_commit { serial = false });
-      r
-  | exception Stm.Stm_abort { orec } ->
-      Txmalloc.attempt_abort ctx.pool;
-      Stats.abort_attempt ctx.stats ~now:(now ctx) Abort.Contention;
-      note_abort ctx;
-      emit ctx
-        (Trace.Tx_abort
-           {
-             abort_class = Abort.class_name (Abort.index Abort.Contention);
-             addr = Option.map (fun o -> Addr.line_base (Addr.line_of o)) orec;
-           });
+  | Ok r -> r
+  | Error _ ->
       do_backoff ctx retries;
       stm_attempt ctx f (retries + 1)
 
@@ -930,13 +894,13 @@ let atomic ctx f =
     match ctx.sys.cfg.mode with
     | Seq_mode ->
         (* Uninstrumented baseline; still counted as a committed
-           transaction so commit totals are comparable across modes. *)
+           transaction so commit totals are comparable across modes. It
+           draws no preempt fault and its pool lists stay empty, so it
+           opens without [open_attempt]. *)
         Stats.begin_attempt ctx.stats ~now:(now ctx);
         emit ctx Trace.Tx_begin;
         let r = in_body ctx Direct f in
-        Stats.commit_attempt ctx.stats ~now:(now ctx) ~serial:false;
-        note_commit ctx;
-        emit ctx (Trace.Tx_commit { serial = false });
+        close_commit ctx ~serial:false;
         r
     | Stm_mode -> stm_attempt ctx f 0
     | Asf_mode _ -> asf_attempt ctx f 0
@@ -950,11 +914,16 @@ let atomic_until ctx ~deadline f =
   ctx.deadline <- deadline;
   ctx.jitter_prev <- 16;
   ctx.dl_wait <- 0;
-  Fun.protect
-    ~finally:(fun () -> ctx.deadline <- max_int)
-    (fun () ->
-      check_deadline ctx;
-      atomic ctx f)
+  match
+    check_deadline ctx;
+    atomic ctx f
+  with
+  | r ->
+      ctx.deadline <- max_int;
+      r
+  | exception e ->
+      ctx.deadline <- max_int;
+      raise e
 
 let deadline_wait ctx = ctx.dl_wait
 
@@ -995,8 +964,11 @@ let spawn sys ~core f =
   Engine.spawn sys.engine ~core (fun () ->
       (* Close the cycle accounting when the thread ends, so the category
          totals sum to the thread's exact simulated lifetime. *)
-      Fun.protect ~finally:(fun () -> Stats.finalize ctx.stats ~now:(now ctx)) (fun () ->
-          f ctx));
+      match f ctx with
+      | () -> Stats.finalize ctx.stats ~now:(now ctx)
+      | exception e ->
+          Stats.finalize ctx.stats ~now:(now ctx);
+          raise e);
   ctx
 
 let run sys = Engine.run sys.engine
@@ -1009,5 +981,3 @@ let phase_switches sys =
 let total_commits sys = sys.progress.total_commits
 
 let forced_serial_count sys = sys.progress.forced_serial
-
-let max_consecutive_aborts ctx = ctx.max_consec_aborts

@@ -39,7 +39,6 @@ type config = {
   n_cores : int;
   params : Asf_machine.Params.t;
   seed : int;
-  max_retries : int;  (** contention retries before serial fallback *)
   backoff : bool;  (** exponential back-off after contention aborts *)
   selective_annotation : bool;  (** when off, {!nload}/{!nstore} are
                                     treated as transactional (ablation) *)
@@ -55,17 +54,10 @@ type config = {
       (** broken-hardware ablation (default [true]): when [false], an
           aborted ASF region's speculative stores are {e not} rolled
           back, leaking partial effects. Negative-test fixture only. *)
-  begin_abi_cycles : int;  (** software begin cost (setjmp, descriptor) *)
-  commit_abi_cycles : int;
-  malloc_cycles : int;
   phase_quantum : int;  (** [Phased_mode]: software-phase length in
                             transactions *)
   stm_strategy : Asf_stm.Tinystm.strategy;
       (** versioning of the STM baseline; the paper uses write-through *)
-  watchdog : bool;
-      (** progress watchdog (default on): per-transaction
-          consecutive-abort escalation to serial mode, and a system-wide
-          zero-commit-throughput detector raising {!Livelock} *)
   watchdog_abort_limit : int;
       (** consecutive aborts of one transaction before it is forced onto
           the serial path regardless of remaining retry budget (catches
@@ -77,6 +69,10 @@ type config = {
 }
 
 val default_config : mode -> n_cores:int -> config
+(** The paper's configuration. The runtime's fixed costs are constants,
+    not fields: 8 contention retries before the serial fallback, 45
+    cycles of software begin (setjmp, descriptor setup), 18 of software
+    commit and 40 per [malloc]. The progress watchdog is always on. *)
 
 type system
 
@@ -88,8 +84,6 @@ val create : config -> system
 val engine : system -> Asf_engine.Engine.t
 
 val memsys : system -> Asf_cache.Memsys.t
-
-val alloc : system -> Asf_mem.Alloc.t
 
 val config : system -> config
 
@@ -209,8 +203,6 @@ val release : ctx -> Asf_mem.Addr.t -> unit
 val work : ctx -> int -> unit
 (** Charge [n] cycles of application compute. *)
 
-val in_tx : ctx -> bool
-
 val serial_mode : ctx -> bool
 (** Is this context currently executing in serial-irrevocable mode? *)
 
@@ -302,6 +294,3 @@ val total_commits : system -> int
 val forced_serial_count : system -> int
 (** Times the consecutive-abort escalation forced a transaction onto the
     serial path. *)
-
-val max_consecutive_aborts : ctx -> int
-(** Longest consecutive-abort run this context ever accumulated. *)

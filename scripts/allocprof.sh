@@ -25,7 +25,7 @@ out=$(mktemp)
 json=$(mktemp)
 trap 'rm -f "$out" "$json"' EXIT
 
-_build/default/bench/main.exe --quick --skip-bechamel --only "$IDS" \
+_build/default/bench/main.exe --quick --only "$IDS" \
   --out "$json" --csv "$(mktemp -d)" > "$out"
 
 echo "experiment,minor_words,major_words,invalidations,forwards,cross_socket_probes,probes,dir_high_water"

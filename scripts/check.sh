@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: full build (libraries, executables, examples,
 # benches) followed by the complete test suite and the Txcheck smoke
-# runs (one intset + one STAMP configuration per execution mode, each
+# runs of @check (intset + STAMP configurations per execution mode, each
 # under --check; any violated TM guarantee fails the run). Run from the
 # repo root.
 set -eu
@@ -11,13 +11,6 @@ dune build @all
 dune runtest
 
 BENCH=_build/default/bin/asf_bench.exe
-for mode in llb256 stm phased; do
-  echo "checker smoke: intset rb-tree / $mode"
-  "$BENCH" intset -s rb-tree -r 256 -u 20 -t 4 --txns 200 -m "$mode" \
-    --check > /dev/null
-  echo "checker smoke: stamp kmeans / $mode"
-  "$BENCH" stamp -a kmeans-low -m "$mode" -t 4 --scale 0.2 --check > /dev/null
-done
 dune build @check
 
 # Static transaction analysis: Txstatic over every stock workload model,
@@ -105,7 +98,10 @@ for args in "intset -t 0" "intset -t 600" "intset -t 64 --sockets 17" \
     "stamp --scale=-1" "serve --sweep 0,1" "serve --sweep=-1" \
     "serve --sweep 1e-9" "serve --load 1e-9" "serve --gap 0" \
     "serve --gap=-5" "serve --sweep 1,abc" "serve --sweep nan" \
-    "serve --sweep inf" "serve --sweep ,"; do
+    "serve --sweep inf" "serve --sweep ," "intset -s foo" "intset -m foo" \
+    "stamp -a foo" "serve --service foo" "serve -m foo" "serve --arrival foo" \
+    "serve --ablate foo" "repro -e nope" "analyze -w nope" \
+    "intset -m seq -t 8" "stamp -m seq -t 4" "serve -m seq -t 4"; do
   echo "usage-error fixture: asf_bench $args"
   rc=0
   # $args is left unquoted on purpose: it is a word list.

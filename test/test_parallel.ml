@@ -4,13 +4,14 @@
 
    The battery pins the contract from the outside: for a spread of
    experiments, seeds and pool widths (including a width far beyond the
-   cell count), the reports and the simulated-cycle total must be
+   cell count), the reports and every simulation counter must be
    bit-identical to the sequential run — also with a Txcheck checker and
    a Faultline injector installed. The seed sweep then checks that the
    simulated physics keeps its paper shape across seeds rather than on
    one lucky seed. *)
 
 module Parallel = Asf_parallel.Parallel
+module Counters = Asf_engine.Counters
 module Experiments = Asf_harness.Experiments
 module Report = Asf_harness.Report
 module Trace = Asf_trace.Trace
@@ -154,6 +155,44 @@ let test_pool_speedup_smoke () =
       let rp = run 2 in
       Alcotest.(check bool) "parallel results identical" true (rs = rp))
 
+(* A window reports the sums' differences and its own high-water, and
+   leaves the bank's high-water at the max of before and during; merge
+   adds sums and takes the max of the high-water. Run on a fresh domain
+   so its bank starts at zero. *)
+let test_counters_window_merge () =
+  let window, bank =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let b = Counters.bank () in
+           Counters.add b Counters.sim_cycles 100;
+           Counters.add b Counters.probes 3;
+           b.(Counters.dir_high_water) <- 50;
+           let w = Counters.open_window () in
+           Alcotest.(check int) "window zeroes the high-water" 0
+             b.(Counters.dir_high_water);
+           Counters.add b Counters.sim_cycles 40;
+           Counters.add b Counters.forwards 2;
+           b.(Counters.dir_high_water) <- 20;
+           let window = Counters.close_window w in
+           (window, Array.copy b)))
+  in
+  let expect = Array.make Counters.n 0 in
+  expect.(Counters.sim_cycles) <- 40;
+  expect.(Counters.forwards) <- 2;
+  expect.(Counters.dir_high_water) <- 20;
+  Alcotest.(check (array int)) "window = differences + own high-water" expect window;
+  Alcotest.(check int) "bank high-water restored as a max" 50
+    bank.(Counters.dir_high_water);
+  Alcotest.(check int) "bank sums untouched" 140 bank.(Counters.sim_cycles);
+  let into = Array.copy window in
+  let other = Array.make Counters.n 1 in
+  other.(Counters.dir_high_water) <- 7;
+  Counters.merge ~into other;
+  Alcotest.(check int) "merge adds sums" 41 into.(Counters.sim_cycles);
+  Alcotest.(check int) "merge adds every sum" 3 into.(Counters.forwards);
+  Alcotest.(check int) "merge takes the high-water max" 20
+    into.(Counters.dir_high_water)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism battery                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -164,14 +203,15 @@ let get_exp id =
   | None -> Alcotest.failf "unknown experiment %s" id
 
 (* One cold (memoisation dropped) quick run at the given pool width,
-   rendered to CSV — the same bytes the harness would write to disk. *)
+   rendered to CSV — the same bytes the harness would write to disk —
+   with the run's whole counter bank. *)
 let run_exp e ~seed ~jobs =
   Experiments.clear_cache ();
   Parallel.set_jobs jobs;
-  Parallel.reset_sim_cycles ();
+  Parallel.reset_counters ();
   let reports = e.Experiments.run ~quick:true ~seed in
   let csv = String.concat "\n" (List.map Report.to_csv reports) in
-  (csv, Parallel.sim_cycles ())
+  (csv, Parallel.counters ())
 
 let battery_ids = [ "abl-wins"; "abl-socket"; "abl-backoff"; "fig3"; "tab1" ]
 
@@ -182,23 +222,29 @@ let test_determinism_battery () =
           let e = get_exp id in
           List.iter
             (fun seed ->
-              let base_csv, base_cycles = run_exp e ~seed ~jobs:1 in
+              let base_csv, base_counters = run_exp e ~seed ~jobs:1 in
               Alcotest.(check bool)
                 (Printf.sprintf "%s seed=%d produced output" id seed)
                 true
                 (String.length base_csv > 0);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s seed=%d counted cycles and directory lines" id
+                   seed)
+                true
+                (base_counters.(Counters.sim_cycles) > 0
+                && base_counters.(Counters.dir_high_water) > 0);
               (* 64 exceeds every quick experiment's cell count. *)
               List.iter
                 (fun jobs ->
-                  let csv, cycles = run_exp e ~seed ~jobs in
+                  let csv, counters = run_exp e ~seed ~jobs in
                   Alcotest.(check string)
                     (Printf.sprintf "%s seed=%d jobs=%d CSV bit-identical" id
                        seed jobs)
                     base_csv csv;
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s seed=%d jobs=%d same simulated cycles"
-                       id seed jobs)
-                    base_cycles cycles)
+                  Alcotest.(check (array int))
+                    (Printf.sprintf "%s seed=%d jobs=%d same counters" id seed
+                       jobs)
+                    base_counters counters)
                 [ 2; 4; 64 ])
             [ 1; 7 ])
         battery_ids)
@@ -207,11 +253,11 @@ let test_determinism_fig6 () =
   (* fig6 exercises the STAMP path and the calibration-stamp prefetch. *)
   with_pool (fun () ->
       let e = get_exp "fig6" in
-      let base_csv, base_cycles = run_exp e ~seed:1 ~jobs:1 in
-      let csv, cycles = run_exp e ~seed:1 ~jobs:3 in
+      let base_csv, base_counters = run_exp e ~seed:1 ~jobs:1 in
+      let csv, counters = run_exp e ~seed:1 ~jobs:3 in
       Alcotest.(check string) "fig6 jobs=3 CSV bit-identical" base_csv csv;
-      Alcotest.(check int) "fig6 jobs=3 same simulated cycles" base_cycles
-        cycles)
+      Alcotest.(check (array int)) "fig6 jobs=3 same counters" base_counters
+        counters)
 
 (* The contract must also hold with observability installed: per-cell
    checkers / injectors are derived, then merged in cell order, so the
@@ -374,6 +420,8 @@ let () =
             test_trace_forces_sequential;
           QCheck_alcotest.to_alcotest prop_chunking_schedule_independent;
           Alcotest.test_case "pool speedup smoke" `Slow test_pool_speedup_smoke;
+          Alcotest.test_case "counter window and merge" `Quick
+            test_counters_window_merge;
         ] );
       ( "determinism",
         [

@@ -339,6 +339,47 @@ let test_cycle_categories_cover_txn_time () =
   in
   Alcotest.(check bool) "inside <= makespan" true (inside <= Tm.makespan sys)
 
+(* One core, no conflicts: a committed transaction's application
+   category is exactly its [work], even when its first attempt was
+   retried (that attempt folds into abort waste), and the work between
+   transactions lands outside. Pins both exits of the runtime's category
+   brackets: one that skipped its exit on an abort would leave the
+   category stack pointing inside the transaction for the rest of the
+   run. The first load of an unmapped page makes the ASF run's first
+   attempt abort inside [Tm.load]; [Tm.retry] aborts the body. *)
+let test_app_cycles_exact_across_retry () =
+  List.iter
+    (fun (mode, load_faults) ->
+      let txns = 10 in
+      let sys = mk ~n_cores:1 mode in
+      let ctx =
+        Tm.spawn sys ~core:0 (fun ctx ->
+            for _ = 1 to txns do
+              let first = ref true in
+              Tm.atomic ctx (fun () ->
+                  (* Word 1M: never allocated, its page unmapped. *)
+                  ignore (Tm.load ctx (1 lsl 20));
+                  Tm.work ctx 100;
+                  if !first then begin
+                    first := false;
+                    Tm.retry ctx
+                  end);
+              Tm.work ctx 50
+            done)
+      in
+      Tm.run sys;
+      let st = Tm.stats ctx in
+      let cy = Stats.cycles st in
+      Alcotest.(check int) "every transaction commits" txns (Stats.commits st);
+      Alcotest.(check bool) "every transaction retried" true
+        (Stats.total_aborts st >= txns);
+      Alcotest.(check bool) "an attempt aborted inside Tm.load" load_faults
+        ((Stats.aborts st).(Abort.index (Abort.Page_fault 0)) > 0);
+      Alcotest.(check int) "committed app cycles = work" (100 * txns) cy.(Stats.cat_app);
+      Alcotest.(check bool) "work between transactions counted outside" true
+        (cy.(Stats.cat_outside) >= 50 * txns))
+    [ (Tm.Asf_mode Variant.llb256, true); (Tm.Stm_mode, false) ]
+
 let test_aborted_cycles_folded_into_waste () =
   (* Regression: all cycles of an aborted attempt — whatever category they
      accrued under — must land in cat_abort_waste before the per-attempt
@@ -734,6 +775,8 @@ let () =
           Alcotest.test_case "abort waste folding" `Quick
             test_aborted_cycles_folded_into_waste;
           Alcotest.test_case "sum = core time" `Quick test_categories_sum_to_core_time;
+          Alcotest.test_case "app cycles exact across a retry" `Quick
+            test_app_cycles_exact_across_retry;
         ] );
       ( "backoff",
         [
