@@ -21,6 +21,7 @@ module Tm = Asf_tm_rt.Tm
 module Variant = Asf_core.Variant
 module Params = Asf_machine.Params
 module Counters = Asf_engine.Counters
+module Findings = Asf_analyze.Findings
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                  *)
@@ -224,23 +225,16 @@ let serve_scenario () =
       Tm.seed = !seed;
     }
   in
-  let deadline =
-    int_of_float (4.0 *. tm.Tm.params.Params.ghz *. 1000.)
-  in
   let base =
     {
       (Serve.default_cfg (Serve.Kv Serve.E)) with
       Serve.requests = (if !quick then 400 else 1500);
       queue_cap = 8;
-      deadline = Some deadline;
+      deadline = Some (Params.us_to_cycles tm.Tm.params 4);
       record = true;
     }
   in
-  let capacity = Serve.measure_capacity tm ~threads base in
-  let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
-  let mean_gap =
-    max 1 (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. 2.5)))
-  in
+  let mean_gap = Serve.load_gap tm ~threads base 2.5 in
   let cfg = { base with Serve.arrival = Serve.Poisson { mean_gap } } in
   let r = Serve.run tm ~threads cfg in
   (r, Txlin.check_result cfg r)
@@ -337,81 +331,32 @@ let json_of_timings timings ~par_jobs ~serve =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Minimal well-formedness check of the emitted JSON: brackets and braces
-   balance outside strings, strings terminate, and the required keys are
-   present — enough to catch an interrupted or garbled write without a
-   JSON library. *)
-let validate_json s =
-  let n = String.length s in
-  let rec scan i depth in_str =
-    if i >= n then if depth = 0 && not in_str then Ok () else Error "unbalanced"
-    else
-      let c = s.[i] in
-      if in_str then
-        if c = '\\' then scan (i + 2) depth true
-        else scan (i + 1) depth (c <> '"')
-      else
-        match c with
-        | '"' -> scan (i + 1) depth true
-        | '{' | '[' -> scan (i + 1) (depth + 1) false
-        | '}' | ']' ->
-            if depth = 0 then Error "unbalanced" else scan (i + 1) (depth - 1) false
-        | _ -> scan (i + 1) depth false
-  in
-  match scan 0 0 false with
-  | Error m -> Error m
-  | Ok () ->
-      let has key =
-        let key = "\"" ^ key ^ "\"" in
-        let k = String.length key in
-        let rec at i =
-          i + k <= n && (String.sub s i k = key || at (i + 1))
-        in
-        at 0
-      in
-      let missing =
-        List.filter
-          (fun k -> not (has k))
-          [
-            "schema"; "quick"; "seed"; "jobs"; "recommended_domains";
-            "experiments"; "totals"; "seq_seconds"; "par_seconds"; "speedup";
-            "sim_cycles"; "seq_cycles_per_sec"; "par_cycles_per_sec";
-            "fused_elapses"; "scheduled_elapses"; "fused_ratio";
-            "deterministic"; "serve"; "arrivals"; "completed"; "shed";
-            "timeout"; "timeout_aborts"; "max_depth"; "p50"; "p99";
-            "offered_req_ms"; "achieved_req_ms"; "gov_final"; "invariant_ok";
-            "partition_ok"; "lin_ok"; "lin_states"; "minor_words";
-            "major_words"; "invalidations"; "forwards"; "cross_socket_probes";
-            "dir_high_water"; "scale"; "ran"; "probes";
-          ]
-      in
-      if missing = [] then Ok ()
-      else Error ("missing keys: " ^ String.concat ", " missing)
-
+(* Write BENCH_asf.json, then re-read it and check it is well formed and
+   carries every key below — enough to catch an interrupted or garbled
+   write without a JSON library. *)
 let write_bench_json timings ~par_jobs ~serve =
   let json = json_of_timings timings ~par_jobs ~serve in
-  match
-    let oc = open_out !out_file in
-    output_string oc json;
-    close_out oc
-  with
-  | exception Sys_error m ->
-      Printf.eprintf "ERROR: cannot write %s: %s\n%!" !out_file m;
+  let required =
+    [
+      "schema"; "quick"; "seed"; "jobs"; "recommended_domains"; "experiments";
+      "totals"; "seq_seconds"; "par_seconds"; "speedup"; "sim_cycles";
+      "seq_cycles_per_sec"; "par_cycles_per_sec"; "fused_elapses";
+      "scheduled_elapses"; "fused_ratio"; "deterministic"; "serve"; "arrivals";
+      "completed"; "shed"; "timeout"; "timeout_aborts"; "max_depth"; "p50";
+      "p99"; "offered_req_ms"; "achieved_req_ms"; "gov_final"; "invariant_ok";
+      "partition_ok"; "lin_ok"; "lin_states"; "minor_words"; "major_words";
+      "invalidations"; "forwards"; "cross_socket_probes"; "dir_high_water";
+      "scale"; "ran"; "probes";
+    ]
+  in
+  match Findings.write_json ~required ~path:!out_file json with
+  | Ok () ->
+      Printf.printf "benchmark json: %s (%d bytes, validated)\n%!" !out_file
+        (String.length json);
+      []
+  | Error m ->
+      Printf.eprintf "ERROR: %s: %s\n%!" !out_file m;
       [ Printf.sprintf "benchmark json write failed: %s" m ]
-  | () -> (
-      (* Re-read and validate what actually landed on disk. *)
-      let ic = open_in_bin !out_file in
-      let len = in_channel_length ic in
-      let written = really_input_string ic len in
-      close_in ic;
-      match validate_json written with
-      | Ok () ->
-          Printf.printf "benchmark json: %s (%d bytes, validated)\n%!" !out_file
-            len;
-          []
-      | Error m ->
-          Printf.eprintf "ERROR: %s failed validation: %s\n%!" !out_file m;
-          [ Printf.sprintf "benchmark json invalid: %s" m ])
 
 (* The --min-speedup gate over part 1's totals (see the flag comment). *)
 let speedup_gate timings =

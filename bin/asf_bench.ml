@@ -57,167 +57,140 @@ let print_stats stats =
     aborts
 
 (* ------------------------------------------------------------------ *)
-(* Tracing                                                              *)
+(* Observers                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Install a tracer around [run] when --trace FILE was given; afterwards
-   write the sink (CSV if FILE ends in .csv, Chrome trace-event JSON
-   otherwise) and print the per-kind event summary. *)
-let with_trace trace_file trace_filter run =
-  match trace_file with
-  | None -> run ()
-  | Some path -> (
-      let filter =
-        Option.map
-          (fun s ->
-            String.split_on_char ',' s |> List.map String.trim
-            |> List.filter (fun x -> x <> ""))
-          trace_filter
-      in
-      match try Ok (Trace.create ?filter ()) with Invalid_argument m -> Error m with
-      | Error m ->
-          (* The Trace error already lists the valid kinds. *)
-          Printf.eprintf "%s\n" m;
-          1
-      | Ok tr -> (
-          Trace.install tr;
-          let rc = Fun.protect ~finally:Trace.uninstall run in
-          match
-            if Filename.check_suffix path ".csv" then Trace.write_csv tr path
-            else Trace.write_chrome_json tr path
-          with
-          | () ->
-              Report.print (Report.of_trace ~id:"trace" tr);
-              Printf.printf "trace: %s (%d events retained)\n" path
-                (List.length (Trace.events tr));
-              rc
-          | exception Sys_error m ->
-              Printf.eprintf "cannot write trace: %s\n" m;
-              1))
+(* The six observer flags, parsed and validated once for every
+   subcommand that runs a workload (see [observers_term]). *)
+type observers = {
+  trace : string option;  (** --trace FILE *)
+  trace_filter : string list option;  (** --trace-filter, validated kinds *)
+  txcheck : Check.part list option;  (** Txcheck parts; [None] = no Txcheck *)
+  lin : bool;  (** --check=lin (serve only): Txlin over the recorded history *)
+  check_json : string option;
+  faults : Faults.plan option;
+  faults_seed : int;
+}
 
-(* ------------------------------------------------------------------ *)
-(* Checking                                                             *)
-(* ------------------------------------------------------------------ *)
+let unobserved =
+  {
+    trace = None;
+    trace_filter = None;
+    txcheck = None;
+    lin = false;
+    check_json = None;
+    faults = None;
+    faults_seed = 1;
+  }
 
-(* Install a checker around [run] when --check was given; afterwards print
-   the findings table and fail the invocation if any guarantee was
-   violated. Like tracing, checking never advances simulated time, so all
-   reported numbers are identical with and without it. *)
-(* --check-json: after the run, re-emit the checker's findings as the
-   machine-readable shared record ({!Asf_analyze.Findings}), so CI can
-   diff the runtime side against the static analyzer's artifact. *)
-(* When the progress watchdog killed the run, its diagnosis is parked
-   here so the --check-json artifact can carry the structured livelock
-   findings alongside the checker's own. *)
-let last_livelock : Tm.diagnosis option ref = ref None
-
-(* Findings produced outside the Txcheck instance (the serve harness's
-   linearizability verdicts and partition violations) are parked here by
-   the run and folded into the same --check-json artifact. *)
-let last_extra_findings : Findings.t list ref = ref []
-
-let write_check_json ?chk path =
-  let fs =
-    match chk with
-    | Some chk -> Findings.of_check ~workload:"runtime" (Check.findings chk)
-    | None -> []
+(* Run [steps] in order with the requested observers installed, then
+   report what they saw, in this order: the Txcheck findings table, the
+   --check-json artifact and the verdict line; the trace sink (CSV if
+   FILE ends in .csv, Chrome trace-event JSON otherwise) and its
+   per-kind summary; the fault census. Each step returns its exit code
+   and the findings it made outside Txcheck (Txlin verdicts, partition
+   violations). A step ended by the progress watchdog prints the
+   diagnosis and scores exit code 3 — a distinct, deliberate outcome
+   that the negative soak fixture relies on — and the next step still
+   runs. --check-json carries the checker's findings, then the last
+   watchdog diagnosis, then the steps' findings. Observers never
+   advance simulated time, so every reported number is the same with
+   and without them, and --faults=none installs nothing at all. *)
+let observed o steps =
+  if o.check_json <> None && o.txcheck = None && not o.lin then
+    prerr_string "note: --check-json has no effect without --check\n";
+  let tracer =
+    Option.map (fun path -> (path, Trace.create ?filter:o.trace_filter ())) o.trace
   in
-  let fs =
-    match !last_livelock with
-    | None -> fs
-    | Some d -> fs @ Findings.of_livelock ~workload:"runtime" d
+  let checker = Option.map (fun parts -> Check.create ~parts ()) o.txcheck in
+  let injector =
+    match o.faults with
+    | Some plan when not (Faults.plan_is_none plan) ->
+        Some (Faults.create ~seed:o.faults_seed plan)
+    | _ -> None
   in
-  let fs = fs @ !last_extra_findings in
-  let doc =
-    Printf.sprintf "{\n  \"schema\": \"asf-findings-v1\",\n  \"findings\": %s\n}\n"
-      (Findings.json_of_findings fs)
+  let rc, livelock, extra =
+    Parallel.with_observers
+      {
+        tracer = (match tracer with Some (_, tr) -> tr | None -> Trace.null);
+        checker;
+        injector = Option.value injector ~default:Faults.null;
+      }
+      (fun () ->
+        List.fold_left
+          (fun (rc, livelock, extra) step ->
+            match step () with
+            | r, fs -> (max rc r, livelock, extra @ fs)
+            | exception Tm.Livelock d ->
+                Format.eprintf "%a@." Tm.pp_diagnosis d;
+                (max rc 3, Findings.of_livelock ~workload:"runtime" d, extra))
+          (0, [], []) steps)
   in
-  match Findings.write_json ~path doc with
-  | Ok () ->
-      Printf.printf "check-json: %s (%d finding(s))\n" path (List.length fs);
-      0
-  | Error m ->
-      Printf.eprintf "cannot write check json: %s\n" m;
-      1
-
-let with_check check check_json run =
-  match check with
-  | None ->
-      if check_json <> None then
-        Printf.eprintf "note: --check-json has no effect without --check\n";
-      run ()
-  | Some spec -> (
-      let names =
-        String.split_on_char ',' spec |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-      in
-      match
-        try Ok (Check.parts_of_names names) with Invalid_argument m -> Error m
-      with
-      | Error m ->
-          Printf.eprintf
-            "%s (valid parts: isolation, serial, lint, all; lin is \
-             serve-only)\n"
-            m;
-          1
-      | Ok parts ->
-          let chk = Check.create ~parts () in
-          Check.install chk;
-          let rc = Fun.protect ~finally:Check.uninstall run in
-          Report.print (Report.of_check ~id:"check" chk);
-          let jrc =
-            match check_json with None -> 0 | Some path -> write_check_json ~chk path
-          in
-          let violations = List.length (Check.violations chk) in
-          if violations > 0 then begin
-            Printf.printf "check: %d violation(s)\n" violations;
-            max (max rc jrc) 1
-          end
-          else begin
-            Printf.printf "check: clean (%d advisory finding(s))\n"
-              (List.length (Check.advisories chk));
-            max rc jrc
-          end)
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Install a fault injector around [run] when --faults PLAN was given;
-   afterwards print the per-site injection counts. --faults=none (or an
-   all-zero merge) installs nothing at all, so such runs are bit-identical
-   to runs without the flag. *)
-let with_faults fspec fseed run =
-  match fspec with
-  | None -> run ()
-  | Some spec -> (
-      match Faults.plan_of_spec spec with
-      | Error m ->
-          Printf.eprintf "%s\n" m;
-          1
-      | Ok plan ->
-          if Faults.plan_is_none plan then run ()
-          else begin
-            let fl = Faults.create ~seed:fseed plan in
-            Faults.install fl;
-            let rc = Fun.protect ~finally:Faults.uninstall run in
-            Printf.printf "faults[%s seed=%d]: %d injection(s)\n" plan.Faults.pname
-              fseed (Faults.total fl);
-            List.iter
-              (fun (site, n) -> if n > 0 then Printf.printf "  %-17s %d\n" site n)
-              (Faults.counts fl);
+  let write_json () =
+    match o.check_json with
+    | None -> 0
+    | Some path -> (
+        let fs =
+          Option.fold checker ~none:[] ~some:(fun chk ->
+              Findings.of_check ~workload:"runtime" (Check.findings chk))
+          @ livelock @ extra
+        in
+        let doc =
+          Printf.sprintf "{\n  \"schema\": \"asf-findings-v1\",\n  \"findings\": %s\n}\n"
+            (Findings.json_of_findings fs)
+        in
+        match Findings.write_json ~path doc with
+        | Ok () ->
+            Printf.printf "check-json: %s (%d finding(s))\n" path (List.length fs);
+            0
+        | Error m ->
+            Printf.eprintf "cannot write check json: %s\n" m;
+            1)
+  in
+  let rc =
+    match checker with
+    | Some chk ->
+        Report.print (Report.of_check ~id:"check" chk);
+        let rc = max rc (write_json ()) in
+        let violations = List.length (Check.violations chk) in
+        if violations > 0 then begin
+          Printf.printf "check: %d violation(s)\n" violations;
+          max rc 1
+        end
+        else begin
+          Printf.printf "check: clean (%d advisory finding(s))\n"
+            (List.length (Check.advisories chk));
+          rc
+        end
+    | None when o.lin -> max rc (write_json ())
+    | None -> rc
+  in
+  let rc =
+    match tracer with
+    | None -> rc
+    | Some (path, tr) -> (
+        match
+          if Filename.check_suffix path ".csv" then Trace.write_csv tr path
+          else Trace.write_chrome_json tr path
+        with
+        | () ->
+            Report.print (Report.of_trace ~id:"trace" tr);
+            Printf.printf "trace: %s (%d events retained)\n" path
+              (List.length (Trace.events tr));
             rc
-          end)
-
-(* A watchdog diagnosis is a distinct, deliberate outcome (exit code 3):
-   the run made no progress and says why — the negative soak fixture
-   relies on it. *)
-let catch_livelock f =
-  try f ()
-  with Tm.Livelock d ->
-    last_livelock := Some d;
-    Format.eprintf "%a@." Tm.pp_diagnosis d;
-    3
+        | exception Sys_error m ->
+            Printf.eprintf "cannot write trace: %s\n" m;
+            1)
+  in
+  Option.iter
+    (fun fl ->
+      Printf.printf "faults[%s seed=%d]: %d injection(s)\n" (Faults.plan fl).Faults.pname
+        o.faults_seed (Faults.total fl);
+      List.iter
+        (fun (site, n) -> if n > 0 then Printf.printf "  %-17s %d\n" site n)
+        (Faults.counts fl))
+    injector;
+  rc
 
 (* ------------------------------------------------------------------ *)
 (* repro                                                                *)
@@ -244,9 +217,9 @@ let run_one ~quick ~seed ~csv e =
     reports;
   Printf.printf "[%s done in %.1fs host time]\n%!" e.Experiments.id
     (Unix.gettimeofday () -. t0);
-  0
+  (0, [])
 
-let repro exps all quick seed csv do_list trace tfilter check check_json faults fseed jobs =
+let repro obs exps all quick seed csv do_list jobs =
   (* 0 = auto: one worker per recommended domain; the pool clamps to the
      number of cells of each fan-out anyway. The report is bit-identical
      for every value (see DESIGN.md, "The determinism contract"). *)
@@ -258,92 +231,60 @@ let repro exps all quick seed csv do_list trace tfilter check check_json faults 
       Printf.eprintf "nothing to run; use -e <id>, --all, or --list\n";
       1
     end
-    else
-      with_faults faults fseed (fun () ->
-          with_trace trace tfilter (fun () ->
-              with_check check check_json (fun () ->
-                  List.fold_left
-                    (fun rc e ->
-                      max rc (catch_livelock (fun () -> run_one ~quick ~seed ~csv e)))
-                    0 exps)))
+    else observed obs (List.map (fun e () -> run_one ~quick ~seed ~csv e) exps)
 
 (* ------------------------------------------------------------------ *)
 (* intset                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [--sockets 0] (the default) keeps the mode profile's own socket
-   count; any other value re-spreads the simulated cores via
-   {!Params.with_sockets}, charging the interconnect hop on
-   cross-socket coherence traffic. *)
-let apply_sockets sockets (tm : Tm.config) =
-  if sockets = 0 then tm
-  else { tm with Tm.params = Params.with_sockets tm.Tm.params ~sockets }
-
-(* [Seq_mode] is uninstrumented and single-threaded ({!Tm.create}): more
-   threads is a usage error (exit 2), rejected before anything runs. *)
-let single_threaded_seq mode threads run =
-  if mode = Tm.Seq_mode && threads > 1 then begin
-    Printf.eprintf "asf_bench: mode seq runs on one thread, not %d\n" threads;
-    2
-  end
-  else run ()
-
-let run_intset (_, mode) structure range updates threads sockets txns early_release seed
-    trace tfilter check check_json faults fseed =
-  single_threaded_seq mode threads @@ fun () ->
-  with_faults faults fseed @@ fun () ->
-  with_trace trace tfilter @@ fun () ->
-  with_check check check_json @@ fun () ->
-  catch_livelock @@ fun () ->
-  let cfg =
-    {
-      (Intset.default_cfg structure) with
-      Intset.range;
-      update_pct = updates;
-      txns_per_thread = txns;
-      early_release;
-    }
-  in
-  let tm =
-    apply_sockets sockets { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
-  in
-  let r = Intset.run tm ~threads cfg in
-  Printf.printf "%s range=%d upd=%d%% threads=%d: %.2f tx/us (%d cycles)\n"
-    (Intset.structure_name structure)
-    range updates threads r.Intset.throughput_tx_per_us r.Intset.cycles;
-  print_stats r.Intset.stats;
-  if not r.Intset.size_ok then Printf.printf "WARNING: size check failed\n";
-  (* Progress: every requested transaction must have committed, with
-     or without injected faults. *)
-  let progressed = Stats.commits r.Intset.stats = r.Intset.txns in
-  if not progressed then
-    Printf.printf "WARNING: progress check failed (%d of %d txns committed)\n"
-      (Stats.commits r.Intset.stats) r.Intset.txns;
-  if r.Intset.size_ok && progressed then 0 else 1
+let run_intset obs tm structure range updates txns early_release =
+  observed obs
+    [
+      (fun () ->
+        let cfg =
+          {
+            (Intset.default_cfg structure) with
+            Intset.range;
+            update_pct = updates;
+            txns_per_thread = txns;
+            early_release;
+          }
+        in
+        let threads = tm.Tm.n_cores in
+        let r = Intset.run tm ~threads cfg in
+        Printf.printf "%s range=%d upd=%d%% threads=%d: %.2f tx/us (%d cycles)\n"
+          (Intset.structure_name structure)
+          range updates threads r.Intset.throughput_tx_per_us r.Intset.cycles;
+        print_stats r.Intset.stats;
+        if not r.Intset.size_ok then Printf.printf "WARNING: size check failed\n";
+        (* Progress: every requested transaction must have committed, with
+           or without injected faults. *)
+        let progressed = Stats.commits r.Intset.stats = r.Intset.txns in
+        if not progressed then
+          Printf.printf "WARNING: progress check failed (%d of %d txns committed)\n"
+            (Stats.commits r.Intset.stats) r.Intset.txns;
+        ((if r.Intset.size_ok && progressed then 0 else 1), []));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* stamp                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_stamp app (_, mode) threads sockets scale seed trace tfilter check check_json faults
-    fseed =
-  single_threaded_seq mode threads @@ fun () ->
-  with_faults faults fseed @@ fun () ->
-  with_trace trace tfilter @@ fun () ->
-  with_check check check_json @@ fun () ->
-  catch_livelock @@ fun () ->
-  let tm =
-    apply_sockets sockets { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
-  in
-  let r = Stamp.run_scaled app ~scale tm ~threads in
-  Printf.printf "%s threads=%d: %.3f ms simulated\n" (Stamp.name app) threads
-    (C.ms tm.Tm.params r);
-  print_stats r.C.stats;
-  List.iter
-    (fun (check, passed) -> Printf.printf "check %-40s %s\n" check
-        (if passed then "ok" else "FAILED"))
-    r.C.checks;
-  if C.ok r then 0 else 1
+let run_stamp obs tm app scale =
+  observed obs
+    [
+      (fun () ->
+        let threads = tm.Tm.n_cores in
+        let r = Stamp.run_scaled app ~scale tm ~threads in
+        Printf.printf "%s threads=%d: %.3f ms simulated\n" (Stamp.name app) threads
+          (C.ms tm.Tm.params r);
+        print_stats r.C.stats;
+        List.iter
+          (fun (check, passed) ->
+            Printf.printf "check %-40s %s\n" check (if passed then "ok" else "FAILED"))
+          r.C.checks;
+        ((if C.ok r then 0 else 1), []));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                                *)
@@ -377,11 +318,27 @@ let print_serve_result (r : Serve.result) =
   print_stats r.Serve.r_stats;
   if r.Serve.r_invariant_ok then 0 else 1
 
-let us_to_cycles (p : Params.t) us = int_of_float (float_of_int us *. p.Params.ghz *. 1000.)
+(* Exit codes and findings of several checks: the worst code, the
+   findings in order. *)
+let outcomes xs = List.fold_left (fun (rc, fs) (r, f) -> (max rc r, fs @ f)) (0, []) xs
 
-(* The Txlin oracle line + findings for one recorded run. Everything
-   printed is a function of the recorded history, itself a function of
-   the seeds only — same determinism contract as the serve report. *)
+(* A Txlin verdict: only a conclusive violation fails the run. *)
+let lin_outcome (v : Txlin.verdict) =
+  ( (if (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive then 1 else 0),
+    Txlin.findings ~workload:v.Txlin.v_service v )
+
+(* The hoisted outcome-partition invariant: recorded in the result rather
+   than asserted mid-run, reported here as a structured finding. *)
+let partition_outcome (r : Serve.result) =
+  match Txlin.partition_finding ~workload:r.Serve.r_service r with
+  | None -> (0, [])
+  | Some f ->
+      Printf.printf "partition: FAILED (%s)\n" f.Findings.f_detail;
+      (1, [ f ])
+
+(* The Txlin oracle line for one recorded run. Everything printed is a
+   function of the recorded history, itself a function of the seeds only
+   — same determinism contract as the serve report. *)
 let serve_lin cfg (r : Serve.result) =
   let v = Txlin.check_result cfg r in
   Printf.printf "lin[%s]: %s (%d committed, %d absent, %d group(s), %d state(s))\n"
@@ -391,62 +348,85 @@ let serve_lin cfg (r : Serve.result) =
      else "VIOLATION")
     v.Txlin.v_obligations v.Txlin.v_absent v.Txlin.v_groups v.Txlin.v_states;
   if not v.Txlin.v_ok then Printf.printf "  %s\n" v.Txlin.v_detail;
-  last_extra_findings :=
-    !last_extra_findings @ Txlin.findings ~workload:v.Txlin.v_service v;
-  if (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive then 1 else 0
+  lin_outcome v
 
-(* The hoisted outcome-partition invariant: recorded in the result rather
-   than asserted mid-run, reported here as a structured finding. *)
-let serve_partition (r : Serve.result) =
-  match Txlin.partition_finding ~workload:r.Serve.r_service r with
-  | None -> 0
-  | Some f ->
-      Printf.printf "partition: FAILED (%s)\n" f.Findings.f_detail;
-      last_extra_findings := !last_extra_findings @ [ f ];
-      1
+(* The --arrival process around a nominal mean gap. *)
+let arrival_process kind ~gap ~requests =
+  match kind with
+  | `Poisson -> Serve.Poisson { mean_gap = gap }
+  | `Bursty ->
+      (* Heavy bursts at a quarter of the nominal gap, quiet phases at
+         four times; windows sized so several bursts fit in a run. *)
+      Serve.Bursty
+        {
+          mean_gap = gap * 4;
+          burst_gap = max 1 (gap / 4);
+          on_window = gap * requests / 8;
+          off_window = gap * requests / 8;
+        }
+  | `Ramp ->
+      Serve.Ramp { low_gap = max 1 (gap / 2); high_gap = gap * 4; period = gap * requests / 2 }
+  | `Closed -> Serve.Closed
 
-let run_serve service (mode_name, tm_mode) threads sockets requests arrival gap load queue_cap
-    deadline_us no_governor records ablate sweep_arg seed trace tfilter check
-    check_json faults fseed =
-  (* --check=lin is served by Txlin, not Txcheck: split it out of the
-     spec before the remainder reaches the Txcheck part parser. *)
-  let lin_on, check =
-    match check with
-    | None -> (false, None)
-    | Some spec ->
-        let names =
-          String.split_on_char ',' spec |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-        in
-        let rest = List.filter (fun n -> n <> "lin") names in
-        ( List.mem "lin" names,
-          if rest = [] then None else Some (String.concat "," rest) )
+(* --sweep: one Poisson run per capacity multiplier, printed as the
+   throughput-vs-offered-load table with the detected knee. *)
+let serve_sweep ~lin tm ~threads base mults =
+  let results, knee = Serve.sweep tm ~threads base ~mults in
+  let verdicts =
+    List.map (fun (_, r) -> if lin then Some (Txlin.check_result base r) else None) results
   in
-  single_threaded_seq tm_mode threads @@ fun () ->
-  with_faults faults fseed @@ fun () ->
-  with_trace trace tfilter @@ fun () ->
-  (fun body ->
-    match check with
-    | Some _ -> with_check check check_json body
-    | None when lin_on ->
-        (* lin-only checking: no Txcheck instance, but --check-json still
-           carries the lin/partition findings. *)
-        let rc = body () in
-        let jrc =
-          match check_json with None -> 0 | Some path -> write_check_json path
-        in
-        max rc jrc
-    | None -> with_check None check_json body)
-  @@ fun () ->
-  catch_livelock @@ fun () ->
+  Report.print
+    (Report.make ~id:"serve-sweep"
+       ~title:
+         (Printf.sprintf "Throughput vs offered load: %s, %d threads, mode %s"
+            (Serve.service_name base.Serve.service) threads
+            (fst (List.find (fun (_, m) -> m = tm.Tm.mode) modes)))
+       ~notes:
+         [
+           (match knee with
+           | Some k -> Printf.sprintf "knee: %.3f req/ms" k
+           | None -> "knee: not reached in this range");
+         ]
+       ([ "mult"; "offered"; "achieved"; "p50"; "p99"; "shed"; "timeout"; "gov-final" ]
+       @ if lin then [ "lin" ] else [])
+       (List.map2
+          (fun (m, (r : Serve.result)) v ->
+            [
+              Printf.sprintf "%.2f" m;
+              Printf.sprintf "%.3f" r.Serve.r_offered;
+              Printf.sprintf "%.3f" r.Serve.r_achieved;
+              string_of_int r.Serve.r_p50;
+              string_of_int r.Serve.r_p99;
+              string_of_int r.Serve.r_shed;
+              string_of_int r.Serve.r_timeout;
+              r.Serve.r_final_gov;
+            ]
+            @
+            match v with
+            | None -> []
+            | Some v ->
+                [
+                  (if v.Txlin.v_ok then "ok"
+                   else if v.Txlin.v_inconclusive then "inconcl"
+                   else "VIOLATION");
+                ])
+          results verdicts));
+  let invariants =
+    if List.for_all (fun (_, r) -> r.Serve.r_invariant_ok) results then 0 else 1
+  in
+  let partitions = outcomes (List.map (fun (_, r) -> partition_outcome r) results) in
+  let lins = outcomes (List.filter_map (Option.map lin_outcome) verdicts) in
+  outcomes [ (invariants, []); partitions; lins ]
+
+let run_serve obs tm service requests arrival gap load queue_cap deadline_us no_governor
+    records ablate sweep =
+  let threads = tm.Tm.n_cores in
   let tm =
-    apply_sockets sockets
-      {
-        (Tm.default_config tm_mode ~n_cores:threads) with
-        Tm.seed;
-        resolve_conflicts = not (List.mem `Resolve ablate);
-        rollback_on_abort = not (List.mem `Rollback ablate);
-      }
+    {
+      tm with
+      Tm.resolve_conflicts = not (List.mem `Resolve ablate);
+      rollback_on_abort = not (List.mem `Rollback ablate);
+    }
   in
   let base =
     {
@@ -454,116 +434,31 @@ let run_serve service (mode_name, tm_mode) threads sockets requests arrival gap 
       Serve.requests;
       queue_cap;
       governor = not no_governor;
-      deadline = Option.map (us_to_cycles tm.Tm.params) deadline_us;
-      record = lin_on;
+      deadline = Option.map (Params.us_to_cycles tm.Tm.params) deadline_us;
+      record = obs.lin;
     }
   in
   let base =
     match records with None -> base | Some r -> { base with Serve.records = r }
   in
-  match sweep_arg with
-  | Some mults ->
-      let results, knee = Serve.sweep tm ~threads base ~mults in
-      let verdicts =
-        if lin_on then
-          List.map (fun (_, r) -> Some (Txlin.check_result base r)) results
-        else List.map (fun _ -> None) results
-      in
-      Report.print
-        (Report.make ~id:"serve-sweep"
-           ~title:
-             (Printf.sprintf
-                "Throughput vs offered load: %s, %d threads, mode %s"
-                (Serve.service_name service) threads mode_name)
-           ~notes:
-             [
-               (match knee with
-               | Some k -> Printf.sprintf "knee: %.3f req/ms" k
-               | None -> "knee: not reached in this range");
-             ]
-           ([
-              "mult"; "offered"; "achieved"; "p50"; "p99"; "shed";
-              "timeout"; "gov-final";
-            ]
-           @ if lin_on then [ "lin" ] else [])
-           (List.map2
-              (fun (m, (r : Serve.result)) v ->
-                [
-                  Printf.sprintf "%.2f" m;
-                  Printf.sprintf "%.3f" r.Serve.r_offered;
-                  Printf.sprintf "%.3f" r.Serve.r_achieved;
-                  string_of_int r.Serve.r_p50;
-                  string_of_int r.Serve.r_p99;
-                  string_of_int r.Serve.r_shed;
-                  string_of_int r.Serve.r_timeout;
-                  r.Serve.r_final_gov;
-                ]
-                @
-                match v with
-                | None -> []
-                | Some v ->
-                    [
-                      (if v.Txlin.v_ok then "ok"
-                       else if v.Txlin.v_inconclusive then "inconcl"
-                       else "VIOLATION");
-                    ])
-              results verdicts));
-      let prc =
-        List.fold_left
-          (fun acc (_, r) -> max acc (serve_partition r))
-          0 results
-      in
-      let lrc =
-        List.fold_left
-          (fun acc v ->
-            match v with
-            | Some v when (not v.Txlin.v_ok) && not v.Txlin.v_inconclusive
-              ->
-                last_extra_findings :=
-                  !last_extra_findings
-                  @ Txlin.findings ~workload:v.Txlin.v_service v;
-                max acc 1
-            | _ -> acc)
-          0 verdicts
-      in
-      if
-        List.for_all (fun (_, r) -> r.Serve.r_invariant_ok) results
-        && prc = 0 && lrc = 0
-      then 0
-      else 1
-  | None ->
-      let gap =
-        match load with
-        | Some mult ->
-            let capacity = Serve.measure_capacity tm ~threads base in
-            let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
-            max 1
-              (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
-        | None -> gap
-      in
-      let arrival =
-        match arrival with
-        | `Poisson -> Serve.Poisson { mean_gap = gap }
-        | `Bursty ->
-            (* Heavy bursts at a quarter of the nominal gap, quiet phases at
-               four times; windows sized so several bursts fit in a run. *)
-            Serve.Bursty
-              {
-                mean_gap = gap * 4;
-                burst_gap = max 1 (gap / 4);
-                on_window = gap * requests / 8;
-                off_window = gap * requests / 8;
-              }
-        | `Ramp ->
-            Serve.Ramp
-              { low_gap = max 1 (gap / 2); high_gap = gap * 4; period = gap * requests / 2 }
-        | `Closed -> Serve.Closed
-      in
-      let cfg = { base with Serve.arrival } in
-      let r = Serve.run tm ~threads cfg in
-      let rc = print_serve_result r in
-      let rc = max rc (serve_partition r) in
-      if lin_on then max rc (serve_lin cfg r) else rc
+  observed obs
+    [
+      (fun () ->
+        match sweep with
+        | Some mults -> serve_sweep ~lin:obs.lin tm ~threads base mults
+        | None ->
+            let gap =
+              match load with
+              | Some mult -> Serve.load_gap tm ~threads base mult
+              | None -> gap
+            in
+            let cfg = { base with Serve.arrival = arrival_process arrival ~gap ~requests } in
+            let r = Serve.run tm ~threads cfg in
+            let rc = print_serve_result r in
+            let partition = partition_outcome r in
+            let lin = if obs.lin then [ serve_lin cfg r ] else [] in
+            outcomes ((rc, []) :: partition :: lin));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                              *)
@@ -576,8 +471,7 @@ let run_serve service (mode_name, tm_mode) threads sockets requests arrival gap 
    ANALYZE_asf.json. Exit 1 on any violation: an unsafe annotation, a
    restart hazard, release misuse, or a static-fits/runtime-abort
    contradiction (the latter is an analyzer bug by construction). *)
-let run_analyze json_path seed txns no_xcheck workloads fixtures =
-  catch_livelock @@ fun () ->
+let analyze json_path seed txns no_xcheck workloads fixtures =
   let params = Asf_machine.Params.barcelona in
   let workloads =
     if workloads <> [] then workloads
@@ -716,6 +610,10 @@ let run_analyze json_path seed txns no_xcheck workloads fixtures =
     wrc
   end
 
+let run_analyze json_path seed txns no_xcheck workloads fixtures =
+  observed unobserved
+    [ (fun () -> (analyze json_path seed txns no_xcheck workloads fixtures, [])) ]
+
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -804,6 +702,28 @@ let mode_arg =
   Arg.(value & opt (one_of fst modes) ("llb256", List.assoc "llb256" modes)
        & info [ "mode"; "m" ] ~docv:"MODE" ~doc:("Execution mode: " ^ mode_names ^ "."))
 
+(* The machine flags (-m, -t, --sockets, --seed) as one checked
+   {!Tm.config}. [Seq_mode] is uninstrumented and single-threaded
+   ({!Tm.create}): more threads is a usage error (exit 2). [--sockets 0]
+   keeps the mode profile's own socket count; any other value re-spreads
+   the simulated cores via {!Params.with_sockets}, charging the
+   interconnect hop on cross-socket coherence traffic. *)
+let machine_term =
+  let make (_, mode) threads sockets seed =
+    if mode = Tm.Seq_mode && threads > 1 then
+      Error (Printf.sprintf "mode seq runs on one thread, not %d" threads)
+    else
+      let tm = { (Tm.default_config mode ~n_cores:threads) with Tm.seed } in
+      Ok
+        (if sockets = 0 then tm
+         else { tm with Tm.params = Params.with_sockets tm.Tm.params ~sockets })
+  in
+  Term.(term_result' (const make $ mode_arg $ threads_arg $ sockets_arg $ seed_arg))
+
+(* A comma-separated list flag's names, blanks dropped. *)
+let names_of s =
+  String.split_on_char ',' s |> List.map String.trim |> List.filter (fun x -> x <> "")
+
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
@@ -814,15 +734,49 @@ let trace_arg =
               reported numbers are identical with and without it.")
 
 let trace_filter_arg =
-  Arg.(value & opt (some string) None
+  let parse s =
+    let names = names_of s in
+    match List.find_opt (fun n -> not (List.mem n Trace.filter_names)) names with
+    | None -> Ok names
+    | Some n ->
+        Error
+          (`Msg
+             (Printf.sprintf "unknown event kind %S (valid: %s)" n
+                (String.concat ", " Trace.filter_names)))
+  in
+  let print ppf names = Format.pp_print_string ppf (String.concat "," names) in
+  Arg.(value & opt (some (conv (parse, print))) None
        & info [ "trace-filter" ] ~docv:"EVENTS"
            ~doc:
              ("Comma-separated event kinds to record (default: all except resume). \
                Kinds: " ^ String.concat ", " Trace.filter_names ^ "."))
 
-let check_arg =
-  Arg.(value & opt ~vopt:(Some "all") (some string) None
-       & info [ "check" ] ~docv:"PARTS"
+(* --check's parts: Txcheck's, and on [serve] also [lin], the Txlin
+   oracle, which is no Txcheck part — a serve spec naming nothing else
+   runs no Txcheck. *)
+let check_arg ~serve =
+  let parse s =
+    let names = names_of s in
+    let rest = if serve then List.filter (fun n -> n <> "lin") names else names in
+    match if serve && rest = [] then None else Some (Check.parts_of_names rest) with
+    | parts -> Ok (parts, serve && List.mem "lin" names)
+    | exception Invalid_argument _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "%S names an unknown part (valid: isolation, serial, \
+                              lint, all%s)"
+                s
+                (if serve then ", lin" else "; lin is serve-only")))
+  in
+  let print ppf (parts, lin) =
+    Format.pp_print_string ppf
+      (String.concat ","
+         (List.map Check.part_name (Option.value parts ~default:[])
+         @ if lin then [ "lin" ] else []))
+  in
+  Arg.(value
+       & opt ~vopt:(Result.get_ok (parse "all")) (conv (parse, print)) (None, false)
+       & info [ "check" ] ~docv:"PARTS" ~absent:"off"
            ~doc:
              "Run the correctness checker alongside the workload and print its \
               findings: $(b,isolation) (shadow-memory strong-isolation checks), \
@@ -844,7 +798,9 @@ let check_json_arg =
               static analyzer emits (see $(b,asf_bench analyze)).")
 
 let faults_arg =
-  Arg.(value & opt (some string) None
+  let parse s = Result.map_error (fun m -> `Msg m) (Faults.plan_of_spec s) in
+  let print ppf p = Format.pp_print_string ppf p.Faults.pname in
+  Arg.(value & opt (some (conv (parse, print))) None
        & info [ "faults" ] ~docv:"PLAN"
            ~doc:
              ("Inject deterministic faults while the workload runs: a \
@@ -862,6 +818,18 @@ let faults_seed_arg =
              "Seed of the fault-injection draws (independent of $(b,--seed), so \
               the same workload can be perturbed differently).")
 
+(* The observer flags (--trace, --trace-filter, --check, --check-json,
+   --faults, --faults-seed), validated while parsing: a bad name is a
+   usage error (exit 2) before anything runs. Only [serve] accepts
+   --check=lin. *)
+let observers_term ~serve =
+  let make trace trace_filter (txcheck, lin) check_json faults faults_seed =
+    { trace; trace_filter; txcheck; lin; check_json; faults; faults_seed }
+  in
+  Term.(
+    const make $ trace_arg $ trace_filter_arg $ check_arg ~serve $ check_json_arg
+    $ faults_arg $ faults_seed_arg)
+
 let jobs_arg =
   Arg.(value & opt int 0
        & info [ "jobs"; "j" ] ~docv:"N"
@@ -874,7 +842,7 @@ let jobs_arg =
 
 let experiment_conv = one_of (fun e -> e.Experiments.id) Experiments.all
 
-let repro_cmd =
+let repro_term =
   let exps =
     Arg.(value & opt_all experiment_conv []
          & info [ "e"; "experiment" ] ~docv:"ID" ~doc:"Experiment to run (repeatable).")
@@ -886,12 +854,12 @@ let repro_cmd =
          & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as DIR/<id>.csv.")
   in
   let list = Arg.(value & flag & info [ "list" ] ~doc:"List experiments and exit.") in
-  Cmd.v
-    (Cmd.info "repro" ~doc:"Reproduce the paper's tables and figures")
-    Term.(
-      const repro $ exps $ all $ quick $ seed_arg $ csv $ list $ trace_arg
-      $ trace_filter_arg $ check_arg $ check_json_arg $ faults_arg $ faults_seed_arg
-      $ jobs_arg)
+  Term.(
+    const repro $ observers_term ~serve:false $ exps $ all $ quick $ seed_arg $ csv
+    $ list $ jobs_arg)
+
+let repro_cmd =
+  Cmd.v (Cmd.info "repro" ~doc:"Reproduce the paper's tables and figures") repro_term
 
 let intset_cmd =
   let structure =
@@ -919,9 +887,8 @@ let intset_cmd =
   Cmd.v
     (Cmd.info "intset" ~doc:"Run one IntegerSet configuration")
     Term.(
-      const run_intset $ mode_arg $ structure $ range $ updates $ threads_arg
-      $ sockets_arg $ txns $ er $ seed_arg $ trace_arg $ trace_filter_arg
-      $ check_arg $ check_json_arg $ faults_arg $ faults_seed_arg)
+      const run_intset $ observers_term ~serve:false $ machine_term $ structure $ range
+      $ updates $ txns $ er)
 
 let stamp_cmd =
   let app_arg =
@@ -934,10 +901,7 @@ let stamp_cmd =
   in
   Cmd.v
     (Cmd.info "stamp" ~doc:"Run one STAMP application")
-    Term.(
-      const run_stamp $ app_arg $ mode_arg $ threads_arg $ sockets_arg $ scale
-      $ seed_arg $ trace_arg $ trace_filter_arg $ check_arg $ check_json_arg
-      $ faults_arg $ faults_seed_arg)
+    Term.(const run_stamp $ observers_term ~serve:false $ machine_term $ app_arg $ scale)
 
 let serve_cmd =
   let service =
@@ -1031,10 +995,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run an open-system serving experiment (arrivals, deadlines, overload)")
     Term.(
-      const run_serve $ service $ mode_arg $ threads_arg $ sockets_arg $ requests
+      const run_serve $ observers_term ~serve:true $ machine_term $ service $ requests
       $ arrival $ gap $ load $ queue_cap $ deadline_us $ no_governor $ records
-      $ ablate $ sweep $ seed_arg $ trace_arg $ trace_filter_arg $ check_arg
-      $ check_json_arg $ faults_arg $ faults_seed_arg)
+      $ ablate $ sweep)
 
 let analyze_cmd =
   let json =
@@ -1080,21 +1043,7 @@ let main_cmd =
     "Reproduce 'Evaluation of AMD's Advanced Synchronization Facility Within a \
      Complete Transactional Memory Stack' (EuroSys 2010)"
   in
-  Cmd.group
-    ~default:
-      Term.(
-        const (fun exps all quick seed csv list trace tfilter check cjson faults fseed
-                   jobs ->
-            repro exps all quick seed csv list trace tfilter check cjson faults fseed
-              jobs)
-        $ Arg.(value & opt_all experiment_conv [] & info [ "e"; "experiment" ] ~docv:"ID")
-        $ Arg.(value & flag & info [ "all" ])
-        $ Arg.(value & flag & info [ "quick" ])
-        $ seed_arg
-        $ Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR")
-        $ Arg.(value & flag & info [ "list" ])
-        $ trace_arg $ trace_filter_arg $ check_arg $ check_json_arg $ faults_arg
-        $ faults_seed_arg $ jobs_arg)
+  Cmd.group ~default:repro_term
     (Cmd.info "asf_bench" ~doc)
     [ repro_cmd; intset_cmd; stamp_cmd; analyze_cmd; serve_cmd ]
 

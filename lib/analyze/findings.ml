@@ -131,8 +131,9 @@ let json_of_findings fs =
   Buffer.contents b
 
 (* Structural validation: bracket balance outside string literals, plus
-   the top-level keys every artifact of ours carries. *)
-let validate_json s =
+   the required keys (by default the two every findings artifact
+   carries). *)
+let validate_json ?(required = [ "schema"; "findings" ]) s =
   let depth = ref 0 and in_str = ref false and esc = ref false in
   let bad = ref None in
   String.iteri
@@ -167,11 +168,11 @@ let validate_json s =
           in
           scan 0
         in
-        let missing = List.filter (fun k -> not (has k)) [ "schema"; "findings" ] in
+        let missing = List.filter (fun k -> not (has k)) required in
         if missing = [] then Ok ()
         else Error ("missing keys: " ^ String.concat ", " missing)
 
-let write_json ~path doc =
+let write_json ?required ~path doc =
   match
     let oc = open_out path in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc doc)
@@ -185,4 +186,5 @@ let write_json ~path doc =
           (fun () -> really_input_string ic (in_channel_length ic))
       with
       | exception Sys_error m -> Error m
-      | back -> if back <> doc then Error "re-read mismatch" else validate_json back)
+      | back ->
+          if back <> doc then Error "re-read mismatch" else validate_json ?required back)

@@ -54,10 +54,13 @@ val json_of_findings : t list -> string
 (** The findings as a JSON array (one object per finding, stable key
     order). *)
 
-val validate_json : string -> (unit, string) result
+val validate_json : ?required:string list -> string -> (unit, string) result
 (** Structural check on an emitted document: balanced brackets outside
-    strings and the required top-level keys present. *)
+    strings and every [required] key present (default: ["schema"] and
+    ["findings"]). *)
 
-val write_json : path:string -> string -> (unit, string) result
-(** Write a whole JSON document, then re-read and {!validate_json} it —
-    the emit-then-verify discipline the bench harness uses. *)
+val write_json :
+  ?required:string list -> path:string -> string -> (unit, string) result
+(** Write a whole JSON document, then re-read and {!validate_json} it
+    against [required] — the emit-then-verify discipline the bench
+    harness uses too. *)

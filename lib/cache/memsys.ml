@@ -19,8 +19,6 @@ type t = {
   mutable access_hook :
     (core:int -> addr:Addr.t -> write:bool -> speculative:bool -> unit) option;
   mutable fault_hook : (core:int -> fault -> unit) option;
-  mutable loads : int;
-  mutable stores : int;
   mutable faults_serviced : int;
   (* Memoised OOO scaling: [scale] runs once per access, and the raw
      latencies it sees are small sums of fixed machine parameters, so a
@@ -46,8 +44,6 @@ let create params engine =
     probe_hook = (fun ~requester:_ ~line:_ ~write:_ -> ());
     access_hook = None;
     fault_hook = None;
-    loads = 0;
-    stores = 0;
     faults_serviced = 0;
     scale_tab = Array.init scale_tab_size (scale_raw params);
   }
@@ -151,21 +147,17 @@ let access_post t ~core ~write ~extra addr =
   Engine.elapse (scale t (lat + extra))
 
 let load t ~core ?(speculative = false) addr =
-  t.loads <- t.loads + 1;
   let extra = access_pre t ~core ~speculative ~write:false addr in
   let v = Ram.read t.ram addr in
   access_post t ~core ~write:false ~extra addr;
   v
 
 let store t ~core ?(speculative = false) addr v =
-  t.stores <- t.stores + 1;
   let extra = access_pre t ~core ~speculative ~write:true addr in
   Ram.write t.ram addr v;
   access_post t ~core ~write:true ~extra addr
 
 let cas t ~core addr ~expect ~value =
-  t.loads <- t.loads + 1;
-  t.stores <- t.stores + 1;
   let extra = access_pre t ~core ~speculative:false ~write:true addr in
   let cur = Ram.read t.ram addr in
   let ok = cur = expect in
@@ -174,8 +166,6 @@ let cas t ~core addr ~expect ~value =
   ok
 
 let faa t ~core addr delta =
-  t.loads <- t.loads + 1;
-  t.stores <- t.stores + 1;
   let extra = access_pre t ~core ~speculative:false ~write:true addr in
   let cur = Ram.read t.ram addr in
   Ram.write t.ram addr (cur + delta);
@@ -193,9 +183,5 @@ let poke t addr v =
   Ram.write t.ram addr v
 
 let map_page t page = Tlb.map_page t.tlb page
-
-let loads t = t.loads
-
-let stores t = t.stores
 
 let faults_serviced t = t.faults_serviced

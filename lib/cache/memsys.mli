@@ -89,8 +89,4 @@ val map_page : t -> int -> unit
 
 (** {1 Counters} *)
 
-val loads : t -> int
-
-val stores : t -> int
-
 val faults_serviced : t -> int

@@ -491,18 +491,6 @@ let protected_lines t ~core =
 
 let written_lines t ~core = Llb.written_count (region t core).llb
 
-(* Injection entry points: doom passively (the victim observes the abort
-   at its next ASF operation, exactly like a remote probe) rather than
-   raising here — the injector is not running on the victim core. *)
-let inject_abort t ~core reason =
-  let r = region t core in
-  if r.active && r.doomed = None then begin
-    emit_inject t core (Abort.to_string reason);
-    doom t core reason
-  end
-
-let throttle_capacity t ~core limit = Llb.set_limit (region t core).llb limit
-
 let speculates t = t.speculates
 
 let commits t = t.commits

@@ -122,18 +122,6 @@ val self_abort : ?line:int -> t -> core:int -> Abort.t -> 'a
     reason (used by ASF-TM for [Syscall] and [Malloc] aborts). [line] is
     the cache line responsible, when known (recorded for tracing). *)
 
-val inject_abort : t -> core:int -> Abort.t -> unit
-(** Fault-injection entry point: doom [core]'s region {e passively} with
-    the given reason, exactly like a remote probe would — the victim
-    observes the abort at its next ASF operation. No-op when the core has
-    no live region. Never advances simulated time. *)
-
-val throttle_capacity : t -> core:int -> int option -> unit
-(** Fault-injection entry point: transiently cap (or, with [None],
-    restore) the usable LLB capacity of [core]'s region — the ASF spec
-    only promises a {e minimum} guaranteed capacity. See
-    {!Llb.set_limit}. *)
-
 val in_region : t -> core:int -> bool
 
 val last_conflict : t -> core:int -> int option

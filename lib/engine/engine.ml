@@ -9,7 +9,6 @@ type t = {
   core_time : int array;
   heap : task Pqueue.t;
   mutable seq : int;
-  mutable live : int;
   mutable current : int;
   mutable events : int;
   (* Ablation for the fusion-equivalence battery: [true] forces every
@@ -55,7 +54,6 @@ let create ?(always_schedule = false) ~n_cores () =
     core_time = Array.make n_cores 0;
     heap = Pqueue.create ();
     seq = 0;
-    live = 0;
     current = 0;
     events = 0;
     always_schedule;
@@ -78,7 +76,6 @@ let enqueue t ~time task =
 
 let spawn t ~core f =
   if core < 0 || core >= t.n_cores then invalid_arg "Engine.spawn: bad core";
-  t.live <- t.live + 1;
   Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_spawn;
   enqueue t ~time:t.core_time.(core) (Start (core, f))
 
@@ -91,7 +88,6 @@ let spawn t ~core f =
 let spawn_at t ~core ~time f =
   if core < 0 || core >= t.n_cores then invalid_arg "Engine.spawn_at: bad core";
   if time < 0 then invalid_arg "Engine.spawn_at: negative time";
-  t.live <- t.live + 1;
   Trace.emit t.tracer ~core ~cycle:time Trace.Thread_spawn;
   enqueue t ~time (Start (core, f))
 
@@ -140,9 +136,7 @@ let exec t core f =
   Effect.Deep.match_with f ()
     {
       retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish);
+        (fun () -> Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish);
       exnc = (fun e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -195,8 +189,6 @@ let now t = t.core_time.(t.current)
 let max_time t = Array.fold_left max 0 t.core_time
 
 let events t = t.events
-
-let live_threads t = t.live
 
 let fused_elapses t = t.fused
 

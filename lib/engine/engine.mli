@@ -72,8 +72,6 @@ val events : t -> int
 (** Number of scheduling events processed so far — fused elapses count
     exactly like their scheduled equivalents (for diagnostics). *)
 
-val live_threads : t -> int
-
 val fused_elapses : t -> int
 (** Elapses this engine handled on the fusion fast path. *)
 

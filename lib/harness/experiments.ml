@@ -806,7 +806,6 @@ let abl_socket ~quick ~seed =
 let serve_exp ~quick ~seed =
   let threads = 4 in
   let requests = if quick then 400 else 1500 in
-  let deadline_cycles p us = int_of_float (float_of_int us *. p.Params.ghz *. 1000.) in
   let rows =
     Parallel.cell_map
       (fun (sname, service, mult) ->
@@ -816,15 +815,11 @@ let serve_exp ~quick ~seed =
             (Serve.default_cfg service) with
             Serve.requests;
             queue_cap = 16;
-            deadline = Some (deadline_cycles tm.Tm.params 4);
+            deadline = Some (Params.us_to_cycles tm.Tm.params 4);
             record = true;
           }
         in
-        let capacity = Serve.measure_capacity tm ~threads base in
-        let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
-        let mean_gap =
-          max 1 (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
-        in
+        let mean_gap = Serve.load_gap tm ~threads base mult in
         let cell_cfg = { base with Serve.arrival = Serve.Poisson { mean_gap } } in
         let r = Serve.run tm ~threads cell_cfg in
         let v = Txlin.check_result cell_cfg r in
@@ -945,15 +940,12 @@ let scale ~quick ~seed =
     Parallel.cell_map
       (fun () ->
         let tm = cfg64 (Tm.Asf_mode Variant.llb256) in
-        let deadline_cycles us =
-          int_of_float (float_of_int us *. tm.Tm.params.Params.ghz *. 1000.)
-        in
         let scfg =
           {
             (Serve.default_cfg (Serve.Kv Serve.A)) with
             Serve.requests = (if quick then 400 else 1500);
             queue_cap = 16;
-            deadline = Some (deadline_cycles 8);
+            deadline = Some (Params.us_to_cycles tm.Tm.params 8);
             (* Fixed-gap underload: no capacity probe at 64 cores. *)
             arrival = Serve.Poisson { mean_gap = 2000 };
           }

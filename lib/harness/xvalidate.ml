@@ -1,4 +1,5 @@
 module Check = Asf_check.Check
+module Parallel = Asf_parallel.Parallel
 module Tm = Asf_tm_rt.Tm
 module Variant = Asf_core.Variant
 module Prng = Asf_engine.Prng
@@ -39,11 +40,10 @@ let profile_census ~workload ~variant (chk : Check.t) =
   }
 
 (* The checker must be installed before Tm.create (systems attach at
-   creation), and uninstalled before the next census. *)
+   creation), and removed before the next census. *)
 let with_lint_checker f =
   let chk = Check.create ~parts:[ Check.Lint ] () in
-  Check.install chk;
-  Fun.protect ~finally:Check.uninstall (fun () -> f ());
+  Parallel.with_observers { (Parallel.observers ()) with checker = Some chk } f;
   chk
 
 let intset_census ~seed ~variant ~structure ~early_release name =

@@ -104,19 +104,11 @@ let topology ~cores ~sockets =
   }
 
 let topo_64c4s = topology ~cores:64 ~sockets:4
-let topo_128c8s = topology ~cores:128 ~sockets:8
 let topo_256c8s = topology ~cores:256 ~sockets:8
-let topologies = [ topo_64c4s; topo_128c8s; topo_256c8s ]
-
-let topology_of_string s =
-  match List.find_opt (fun t -> t.topo_name = s) topologies with
-  | Some t -> Ok t
-  | None ->
-      Error
-        (Printf.sprintf "unknown topology %S (expected one of: %s)" s
-           (String.concat ", " (List.map (fun t -> t.topo_name) topologies)))
 
 let cycles_to_us p cycles = float_of_int cycles /. (p.ghz *. 1000.0)
+
+let us_to_cycles p us = int_of_float (float_of_int us *. p.ghz *. 1000.)
 
 let cycles_to_ms p cycles = cycles_to_us p cycles /. 1000.0
 

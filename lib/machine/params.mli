@@ -76,18 +76,16 @@ val topo_64c4s : topology
 (** 64 Barcelona-like cores over 4 sockets — the scale experiment's
     topology. *)
 
-val topo_128c8s : topology
-
 val topo_256c8s : topology
 (** 256 cores over 8 sockets — forces the limited-pointer sharer
     backend (the bitmask caps at 62 cores). *)
 
-val topologies : topology list
-
-val topology_of_string : string -> (topology, string) result
-
 val cycles_to_us : t -> int -> float
 (** Convert a cycle count to microseconds at the profile's frequency. *)
+
+val us_to_cycles : t -> int -> int
+(** Convert whole microseconds to cycles at the profile's frequency,
+    rounded down. *)
 
 val cycles_to_ms : t -> int -> float
 

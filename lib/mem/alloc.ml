@@ -75,5 +75,3 @@ let size_of t addr =
   | None -> invalid_arg "Alloc.size_of: unknown address"
 
 let live_words t = t.live_words
-
-let high_water t = t.cursor

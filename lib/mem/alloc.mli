@@ -33,6 +33,3 @@ val size_of : t -> Addr.t -> int
 
 val live_words : t -> int
 (** Words currently allocated (excluding headers). *)
-
-val high_water : t -> Addr.t
-(** One past the highest address ever handed out. *)

@@ -46,8 +46,3 @@ let write_line t line words =
   assert (Array.length words = Addr.words_per_line);
   let base = Addr.line_base line in
   Array.iteri (fun i v -> write t (base + i) v) words
-
-let footprint_words t =
-  Array.fold_left
-    (fun acc c -> match c with Some _ -> acc + chunk_words | None -> acc)
-    0 t.chunks

@@ -19,6 +19,3 @@ val read_line : t -> int -> int array
 val write_line : t -> int -> int array -> unit
 (** [write_line t line words] restores the 8 words of a line (used for ASF
     write-set rollback). *)
-
-val footprint_words : t -> int
-(** Number of words in chunks that have been materialised (diagnostics). *)

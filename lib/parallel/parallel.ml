@@ -140,6 +140,39 @@ let map ?jobs ?chunk ?around f xs =
   Array.to_list (map_array ?jobs ?chunk ?around f (Array.of_list xs))
 
 (* ------------------------------------------------------------------ *)
+(* Installed observers                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* What a domain has installed for the systems it creates: its tracer,
+   Txcheck checker and Faultline injector. *)
+type observers = {
+  tracer : Trace.t;
+  checker : Check.t option;
+  injector : Faults.t;
+}
+
+let observers () =
+  {
+    tracer = Trace.installed ();
+    checker = Check.installed ();
+    injector = Faults.installed ();
+  }
+
+let install o =
+  Trace.install o.tracer;
+  (match o.checker with Some c -> Check.install c | None -> Check.uninstall ());
+  Faults.install o.injector
+
+(* Run [f] with [o] installed on the calling domain, then put back what
+   the domain had installed before, also when [f] raises. The CLI, the
+   pool workers and the cross-validation censuses all scope their
+   observers through this one function. *)
+let with_observers o f =
+  let saved = observers () in
+  install o;
+  Fun.protect ~finally:(fun () -> install saved) f
+
+(* ------------------------------------------------------------------ *)
 (* Counters                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -200,24 +233,25 @@ let cell_map f xs =
      after the join (which orders the writes before the reads). *)
   let windows = Array.init (max 1 jobs) (fun _ -> Array.make Counters.n 0) in
   let around wid body =
-    (* Executing-domain scope: save whatever this domain had installed
-       (the main domain's own instances when wid = 0), substitute the
-       worker's cached derivations, and restore on the way out. *)
-    let saved_chk = Check.installed () in
-    let saved_fl = Faults.installed () in
-    let chk = Option.map (fun parts -> Check.create ~parts ()) parts in
-    let fl = Option.map (fun (plan, seed) -> Faults.create ~seed plan) fplan in
-    (match chk with Some c -> Check.install c | None -> ());
-    (match fl with Some fl -> Faults.install fl | None -> ());
+    (* Executing-domain scope: the worker's cached derivations replace
+       whatever this domain had installed (the main domain's own
+       instances when wid = 0) until the worker is done. Where the main
+       domain has none installed, neither has a worker: a fresh domain
+       starts with nothing, and wid 0 already has nothing. *)
     let window = Counters.open_window () in
     Fun.protect
-      ~finally:(fun () ->
-        windows.(wid) <- Counters.close_window window;
-        (match saved_chk with
-        | Some c -> Check.install c
-        | None -> Check.uninstall ());
-        Faults.install saved_fl)
-      body
+      ~finally:(fun () -> windows.(wid) <- Counters.close_window window)
+      (fun () ->
+        with_observers
+          {
+            (observers ()) with
+            checker = Option.map (fun parts -> Check.create ~parts ()) parts;
+            injector =
+              (match fplan with
+              | Some (plan, seed) -> Faults.create ~seed plan
+              | None -> Faults.null);
+          }
+          body)
   in
   let run_cell x =
     if not scoped then { co_val = f x; co_findings = []; co_hits = [||] }

@@ -707,17 +707,17 @@ let knee_point ?(threshold = 0.9) pts =
   if not saturated then None
   else Some (List.fold_left (fun acc (o, _) -> max acc o) 0.0 good)
 
-let sweep (tm_cfg : Tm.config) ~threads cfg ~mults =
+let load_gap (tm_cfg : Tm.config) ~threads cfg =
   let capacity = measure_capacity tm_cfg ~threads cfg in
   let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm_cfg.Tm.params 1 in
+  fun mult -> max 1 (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
+
+let sweep tm_cfg ~threads cfg ~mults =
+  let gap = load_gap tm_cfg ~threads cfg in
   let results =
     List.map
       (fun m ->
-        let offered = capacity *. m in
-        let mean_gap =
-          max 1 (int_of_float (cycles_per_ms /. Float.max 1e-9 offered))
-        in
-        (m, run tm_cfg ~threads { cfg with arrival = Poisson { mean_gap } }))
+        (m, run tm_cfg ~threads { cfg with arrival = Poisson { mean_gap = gap m } }))
       mults
   in
   let pts = List.map (fun (_, r) -> (r.r_offered, r.r_achieved)) results in

@@ -237,6 +237,11 @@ val measure_capacity : Tm.config -> threads:int -> cfg -> float
     and deadlines disabled. The sweep expresses offered load as a
     multiple of this. *)
 
+val load_gap : Tm.config -> threads:int -> cfg -> float -> int
+(** [load_gap tm_cfg ~threads cfg] measures capacity once; the returned
+    function maps a load multiplier to the Poisson mean gap, in cycles,
+    that offers that multiple of it (at least 1). *)
+
 val sweep :
   Tm.config ->
   threads:int ->

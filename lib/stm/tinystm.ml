@@ -321,10 +321,6 @@ let active tx = tx.running
 
 let last_conflict tx = tx.last_conflict
 
-let read_set_size tx = tx.nreads
-
-let write_set_size tx = tx.nwrites
-
 let starts t = t.starts
 
 let commits t = t.commits

@@ -82,10 +82,6 @@ val last_conflict : tx -> Asf_mem.Addr.t option
 (** The conflicting orec behind this descriptor's most recent abort, when
     known. Survives the abort; cleared at the next {!start}. *)
 
-val read_set_size : tx -> int
-
-val write_set_size : tx -> int
-
 (** {1 Counters} *)
 
 val starts : t -> int

@@ -14,18 +14,6 @@ let cat_outside = 5
 
 let n_categories = 6
 
-let names =
-  [|
-    "non-instr code";
-    "instr app code";
-    "tx load/store";
-    "tx start/commit";
-    "abort/restart";
-    "outside tx";
-  |]
-
-let category_name i = names.(i)
-
 type category = int
 
 type t = {

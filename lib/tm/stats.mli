@@ -36,8 +36,6 @@ val cat_outside : int
 
 val n_categories : int
 
-val category_name : int -> string
-
 type nonrec category = int
 
 val create : unit -> t

@@ -88,6 +88,34 @@ if "$BENCH" intset -s rb-tree -r 64 -u 20 -t 2 --txns 50 \
   exit 1
 fi
 
+# Findings-artifact fixtures: --check-json must carry the finding that
+# explains a failed run, written to a scratch directory. The livelock run
+# must end with the watchdog's exit 3 and record a "livelock" finding;
+# the lost-update run must fail the Txlin oracle (exit 1) and record a
+# "non-linearizable" finding.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+expect_finding() { # expect_finding RC KIND ARGS...: exit RC, F holds KIND
+  want_rc=$1 kind=$2
+  shift 2
+  echo "findings fixture: asf_bench $* --check-json F"
+  rm -f "$tmp/findings.json"
+  rc=0
+  "$BENCH" "$@" --check-json "$tmp/findings.json" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne "$want_rc" ]; then
+    echo "check.sh: 'asf_bench $*' exited $rc, expected $want_rc" >&2
+    exit 1
+  fi
+  if ! grep -q "\"kind\": \"$kind\"" "$tmp/findings.json"; then
+    echo "check.sh: 'asf_bench $*' wrote no \"$kind\" finding" >&2
+    exit 1
+  fi
+}
+expect_finding 3 livelock intset -s rb-tree -r 64 -u 20 -t 2 --txns 50 \
+  --faults=livelock --faults-seed=1 --check
+expect_finding 1 non-linearizable serve --service kv-f -t 4 -n 300 --gap 200 \
+  --records 4 --faults lostupdate --faults-seed 3 --check=lin
+
 # Usage-error fixtures: out-of-range and malformed flag values MUST exit
 # 2 (README, "Exit codes") with a message, never an uncaught exception.
 for args in "intset -t 0" "intset -t 600" "intset -t 64 --sockets 17" \
@@ -101,7 +129,12 @@ for args in "intset -t 0" "intset -t 600" "intset -t 64 --sockets 17" \
     "serve --sweep inf" "serve --sweep ," "intset -s foo" "intset -m foo" \
     "stamp -a foo" "serve --service foo" "serve -m foo" "serve --arrival foo" \
     "serve --ablate foo" "repro -e nope" "analyze -w nope" \
-    "intset -m seq -t 8" "stamp -m seq -t 4" "serve -m seq -t 4"; do
+    "intset -m seq -t 8" "stamp -m seq -t 4" "serve -m seq -t 4" \
+    "intset --check foo" "intset --check=lin" "serve --check foo" \
+    "repro -e tab1 --check foo" "intset --faults strom" \
+    "repro -e tab1 --faults nope" \
+    "intset --trace /dev/null --trace-filter bogus" \
+    "intset --trace-filter bogus"; do
   echo "usage-error fixture: asf_bench $args"
   rc=0
   # $args is left unquoted on purpose: it is a word list.

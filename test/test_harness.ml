@@ -263,29 +263,6 @@ let test_elision_stm_mode () =
   Tm.run sys;
   Alcotest.(check int) "stm-mode elision" 400 (Tm.setup_peek sys counter)
 
-(* ------------------------------------------------------------------ *)
-(* Profile                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_profile_counters () =
-  let sys = Tm.create (Tm.default_config (Tm.Asf_mode Variant.llb256) ~n_cores:2) in
-  let a = Tm.setup_alloc sys 1 in
-  let _ =
-    Tm.spawn sys ~core:0 (fun ctx ->
-        for _ = 1 to 50 do
-          Tm.atomic ctx (fun () -> Tm.store ctx a (Tm.load ctx a + 1))
-        done)
-  in
-  Tm.run sys;
-  let p = Asf_harness.Profile.of_system sys in
-  Alcotest.(check bool) "loads counted" true (p.Asf_harness.Profile.loads > 50);
-  Alcotest.(check bool) "hot loop has high L1 hit rate" true
-    (p.Asf_harness.Profile.l1_hit_rate > 0.9);
-  Alcotest.(check bool) "makespan positive" true
-    (p.Asf_harness.Profile.makespan_cycles > 0);
-  Alcotest.(check int) "eight lines" 8
-    (List.length (Asf_harness.Profile.lines p))
-
 let () =
   Alcotest.run "harness"
     [
@@ -308,7 +285,6 @@ let () =
           Alcotest.test_case "registry" `Quick test_registry_ids_unique;
           Alcotest.test_case "quick runs" `Slow test_quick_experiments_well_formed;
         ] );
-      ( "profile", [ Alcotest.test_case "counters" `Quick test_profile_counters ] );
       ( "elision",
         [
           Alcotest.test_case "correctness" `Quick test_elision_correct;

@@ -159,6 +159,36 @@ let test_pool_speedup_smoke () =
    leaves the bank's high-water at the max of before and during; merge
    adds sums and takes the max of the high-water. Run on a fresh domain
    so its bank starts at zero. *)
+(* [with_observers] installs all three observers for the thunk and puts
+   back exactly what was installed before, also when the thunk raises. *)
+let test_with_observers_restores () =
+  let outer_chk = Check.create () in
+  Check.install outer_chk;
+  Fun.protect ~finally:Check.uninstall (fun () ->
+      let tr = Trace.create () in
+      let fl = Faults.create Faults.none in
+      let o = { Parallel.tracer = tr; checker = None; injector = fl } in
+      let inside () =
+        Alcotest.(check bool) "tracer installed" true (Trace.installed () == tr);
+        Alcotest.(check bool) "checker removed" true (Check.installed () = None);
+        Alcotest.(check bool) "injector installed" true (Faults.installed () == fl)
+      in
+      let restored what =
+        Alcotest.(check bool) (what ^ ": tracer restored") true
+          (Trace.installed () == Trace.null);
+        Alcotest.(check bool) (what ^ ": checker restored") true
+          (match Check.installed () with Some c -> c == outer_chk | None -> false);
+        Alcotest.(check bool) (what ^ ": injector restored") true
+          (Faults.installed () == Faults.null)
+      in
+      Alcotest.(check int) "result passed through" 7
+        (Parallel.with_observers o (fun () -> inside (); 7));
+      restored "return";
+      (match Parallel.with_observers o (fun () -> inside (); failwith "boom") with
+      | () -> Alcotest.fail "exception swallowed"
+      | exception Failure _ -> ());
+      restored "raise")
+
 let test_counters_window_merge () =
   let window, bank =
     Domain.join
@@ -273,12 +303,8 @@ let run_checked ~jobs =
     | Error m -> Alcotest.failf "faults plan: %s" m
   in
   let fl = Faults.create ~seed:42 plan in
-  Check.install chk;
-  Faults.install fl;
-  Fun.protect
-    ~finally:(fun () ->
-      Check.uninstall ();
-      Faults.uninstall ())
+  Parallel.with_observers
+    { (Parallel.observers ()) with checker = Some chk; injector = fl }
     (fun () ->
       let e = get_exp "abl-wins" in
       let reports = e.Experiments.run ~quick:true ~seed:1 in
@@ -422,6 +448,8 @@ let () =
           Alcotest.test_case "pool speedup smoke" `Slow test_pool_speedup_smoke;
           Alcotest.test_case "counter window and merge" `Quick
             test_counters_window_merge;
+          Alcotest.test_case "with_observers restores" `Quick
+            test_with_observers_restores;
         ] );
       ( "determinism",
         [

@@ -15,17 +15,12 @@ module Serve = Asf_serve.Serve
 let tm_cfg ?(seed = 1) ?(n_cores = 4) () =
   { (Tm.default_config (Tm.Asf_mode Variant.llb256) ~n_cores) with Tm.seed }
 
-let us_cycles n =
-  int_of_float (float_of_int n *. Params.barcelona.Params.ghz *. 1000.)
+let us_cycles = Params.us_to_cycles Params.barcelona
 
-(* Derive the Poisson gap that offers [mult] x the measured closed-loop
-   capacity — the same derivation the sweep and the CLI use. *)
+(* A Poisson load of [mult] x the measured closed-loop capacity, derived
+   as the sweep and the CLI derive it. *)
 let overloaded tm ~threads cfg mult =
-  let capacity = Serve.measure_capacity tm ~threads cfg in
-  let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
-  let mean_gap =
-    max 1 (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
-  in
+  let mean_gap = Serve.load_gap tm ~threads cfg mult in
   { cfg with Serve.arrival = Serve.Poisson { mean_gap } }
 
 (* Everything a run reports except the raw Stats.t, as one comparable

@@ -26,15 +26,10 @@ let tm_cfg ?(seed = 1) ?(resolve = true) ?(rollback = true) ?(n_cores = 4) () =
     rollback_on_abort = rollback;
   }
 
-let us_cycles n =
-  int_of_float (float_of_int n *. Params.barcelona.Params.ghz *. 1000.)
+let us_cycles = Params.us_to_cycles Params.barcelona
 
 let overloaded tm ~threads cfg mult =
-  let capacity = Serve.measure_capacity tm ~threads cfg in
-  let cycles_per_ms = 1.0 /. Params.cycles_to_ms tm.Tm.params 1 in
-  let mean_gap =
-    max 1 (int_of_float (cycles_per_ms /. Float.max 1e-9 (capacity *. mult)))
-  in
+  let mean_gap = Serve.load_gap tm ~threads cfg mult in
   { cfg with Serve.arrival = Serve.Poisson { mean_gap } }
 
 let all_services =
