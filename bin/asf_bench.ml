@@ -223,7 +223,7 @@ let repro obs exps all quick seed csv do_list jobs =
   (* 0 = auto: one worker per recommended domain; the pool clamps to the
      number of cells of each fan-out anyway. The report is bit-identical
      for every value (see DESIGN.md, "The determinism contract"). *)
-  Parallel.set_jobs (if jobs <= 0 then Parallel.available () else jobs);
+  Parallel.set_jobs (if jobs = 0 then Parallel.available () else jobs);
   if do_list then list_experiments ()
   else
     let exps = if all then Experiments.all else exps in
@@ -831,12 +831,12 @@ let observers_term ~serve =
     $ faults_arg $ faults_seed_arg)
 
 let jobs_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt (int_in 0) 0
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:
              "Run each experiment's independent simulator cells on $(docv) \
-              domains (default: the host's recommended domain count; clamped \
-              to the number of cells). Output is bit-identical for every \
+              domains (0, the default: the host's recommended domain count; \
+              clamped to the number of cells). Output is bit-identical for every \
               $(docv); $(b,--jobs 1) is the fully sequential path, and \
               $(b,--trace) forces it.")
 
@@ -1006,9 +1006,11 @@ let analyze_cmd =
              ~doc:"Write the analysis artifact (summaries, verdicts, findings) to $(docv).")
   in
   let txns =
-    Arg.(value & opt int 240
+    Arg.(value & opt (int_in 0) 240
          & info [ "txns" ] ~docv:"N"
-             ~doc:"Abstract transactions to explore per workload and seed.")
+             ~doc:
+               "Abstract transactions to explore per workload and seed (0 \
+                executes each transaction class once).")
   in
   let no_xcheck =
     Arg.(value & flag

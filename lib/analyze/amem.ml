@@ -21,8 +21,11 @@ let peek t a = match Hashtbl.find_opt t.mem a with Some v -> v | None -> 0
 
 let poke t a v = Hashtbl.replace t.mem a v
 
-let setup_ops ?(rand_seed = 0x5e70) t =
-  let rng = Prng.create rand_seed in
+(* The seed of the set-up operations' random bits. *)
+let setup_seed = 0x5e70
+
+let setup_ops t =
+  let rng = Prng.create setup_seed in
   Ops.dry ~ld:(peek t) ~st:(poke t) ~alloc:(alloc_words t)
     ~rand_bits:(fun () -> Prng.int rng (1 lsl 30))
     ()

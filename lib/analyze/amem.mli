@@ -29,7 +29,7 @@ val peek : t -> Asf_mem.Addr.t -> int
 val poke : t -> Asf_mem.Addr.t -> int -> unit
 (** Unrecorded write. *)
 
-val setup_ops : ?rand_seed:int -> t -> Asf_dstruct.Ops.t
+val setup_ops : t -> Asf_dstruct.Ops.t
 (** Unrecorded operations for building workload state before analysis —
     the analyzer's counterpart of {!Asf_dstruct.Ops.setup}. *)
 

@@ -209,6 +209,9 @@ let uf_union parent a b =
 
 type tri = Lin | Nonlin | Unknown
 
+(* The search-node budget of one check, shared by its groups. *)
+let budget = 500_000
+
 exception Out_of_budget
 
 let ev_obs (e : Serve.event) =
@@ -248,7 +251,7 @@ let relink l i =
 
 (* [events] must be sorted by commit cycle. [states] counts explored
    search nodes across calls (shared budget). *)
-let search ~budget ~states ~init (events : Serve.event array) : tri =
+let search ~states ~init (events : Serve.event array) : tri =
   let n = Array.length events in
   let obs = Array.map ev_obs events in
   let by_commit = links (Array.init n Fun.id) in
@@ -319,10 +322,10 @@ let search ~budget ~states ~init (events : Serve.event array) : tri =
 (* Greedy 1-minimal shrink: repeatedly drop any single event whose
    removal keeps the history conclusively non-linearizable. The result
    still fails the search, which is what the shrink property test pins. *)
-let shrink ~budget ~init events =
+let shrink ~init events =
   let still_bad evs =
     let states = ref 0 in
-    search ~budget ~states ~init evs = Nonlin
+    search ~states ~init evs = Nonlin
   in
   let rec go evs =
     let n = Array.length evs in
@@ -352,10 +355,7 @@ type verdict = {
   v_detail : string;
 }
 
-let default_budget = 500_000
-
-let check ?(budget = default_budget) ~service ~records ~accounts
-    (events : Serve.event array) : verdict =
+let check ~service ~records ~accounts (events : Serve.event array) : verdict =
   let completed, absent =
     Array.fold_right
       (fun (e : Serve.event) (c, a) ->
@@ -427,7 +427,7 @@ let check ?(budget = default_budget) ~service ~records ~accounts
   List.iter
     (fun (evs, init) ->
       if !bad = [] then
-        match search ~budget ~states ~init evs with
+        match search ~states ~init evs with
         | Lin -> ()
         | Nonlin -> bad := [ (evs, init) ]
         | Unknown -> incr unknown)
@@ -435,7 +435,7 @@ let check ?(budget = default_budget) ~service ~records ~accounts
   let witness =
     match !bad with
     | [] -> []
-    | (evs, init) :: _ -> Array.to_list (shrink ~budget ~init evs)
+    | (evs, init) :: _ -> Array.to_list (shrink ~init evs)
   in
   let ok = !bad = [] && !unknown = 0 in
   let detail =
@@ -467,9 +467,8 @@ let check ?(budget = default_budget) ~service ~records ~accounts
     v_detail = detail;
   }
 
-let check_result ?budget (cfg : Serve.cfg) (r : Serve.result) =
-  check ?budget ~service:cfg.service ~records:cfg.records ~accounts:cfg.accounts
-    r.r_events
+let check_result (cfg : Serve.cfg) (r : Serve.result) =
+  check ~service:cfg.service ~records:cfg.records ~accounts:cfg.accounts r.r_events
 
 (* ------------------------------------------------------------------ *)
 (* Findings                                                             *)

@@ -33,9 +33,9 @@
       per group — the search only backtracks when something is actually
       wrong;
     - {b memoization + budget}: failed (remaining-set, spec-state) pairs
-      are never re-explored, and a state budget turns pathological
-      searches into an explicit {e inconclusive} advisory rather than a
-      hang.
+      are never re-explored, and a budget of 500_000 search nodes per
+      check turns pathological searches into an explicit
+      {e inconclusive} advisory rather than a hang.
 
     A search node costs O(log K) for K keys in its KV group (the
     ledger's order step copies its balance array) and allocates nothing
@@ -75,11 +75,7 @@ type verdict = {
   v_detail : string;  (** human-readable one-line summary *)
 }
 
-val default_budget : int
-(** Default search-node budget ([500_000]). *)
-
 val check :
-  ?budget:int ->
   service:Serve.service ->
   records:int ->
   accounts:int ->
@@ -92,7 +88,7 @@ val check :
     ledger's order-log capacity is the number of [Order] obligations in
     [events] — all outcomes, matching how the run sizes the log. *)
 
-val check_result : ?budget:int -> Serve.cfg -> Serve.result -> verdict
+val check_result : Serve.cfg -> Serve.result -> verdict
 (** {!check} over [r.r_events] with the spec parameters taken from the
     run's own [cfg] (requires the run to have had [cfg.record] set). *)
 

@@ -11,15 +11,12 @@ exception Aborted of Abort.t
 
 exception Colocation_fault of { core : int; line : int }
 
-type costs = {
-  speculate_cycles : int;
-  commit_cycles : int;
-  abort_cycles : int;
-  release_cycles : int;
-}
-
-let default_costs =
-  { speculate_cycles = 8; commit_cycles = 14; abort_cycles = 40; release_cycles = 2 }
+(* Cycles charged by SPECULATE, COMMIT, an abort (pipeline flush +
+   rollback initiation) and RELEASE. *)
+let speculate_cycles = 8
+let commit_cycles = 14
+let abort_cycles = 40
+let release_cycles = 2
 
 let max_nesting = 256
 
@@ -51,7 +48,6 @@ type t = {
   mem : Memsys.t;
   engine : Engine.t;
   variant : Variant.t;
-  costs : costs;
   requester_wins : bool;
   (* Test-only broken-hardware ablations: [rollback_on_abort:false] skips
      the write-back of LLB backups when a region is doomed, violating
@@ -210,7 +206,7 @@ let finish_abort t core =
   r.nesting <- 0;
   r.doomed <- None;
   t.aborts.(Abort.index reason) <- t.aborts.(Abort.index reason) + 1;
-  Engine.elapse t.costs.abort_cycles;
+  Engine.elapse abort_cycles;
   raise (Aborted reason)
 
 let self_abort ?line t ~core reason =
@@ -256,7 +252,7 @@ let check t core =
     end
   end
 
-let create ?(costs = default_costs) ?(requester_wins = true)
+let create ?(requester_wins = true)
     ?(rollback_on_abort = true) ?(resolve_conflicts = true) mem variant =
   let engine = Memsys.engine mem in
   let n_cores = Engine.n_cores engine in
@@ -266,7 +262,6 @@ let create ?(costs = default_costs) ?(requester_wins = true)
       mem;
       engine;
       variant;
-      costs;
       requester_wins;
       rollback_on_abort;
       resolve_conflicts;
@@ -361,7 +356,7 @@ let speculate ?(extra = 0) t ~core =
     end;
     t.speculates <- t.speculates + 1;
     notify t ~core Obs_speculate;
-    Engine.elapse (t.costs.speculate_cycles + extra)
+    Engine.elapse (speculate_cycles + extra)
   end
 
 let commit ?(extra = 0) t ~core =
@@ -381,7 +376,7 @@ let commit ?(extra = 0) t ~core =
     r.nesting <- 0;
     t.commits <- t.commits + 1;
     notify t ~core Obs_commit;
-    Engine.elapse (t.costs.commit_cycles + extra)
+    Engine.elapse (commit_cycles + extra)
   end
 
 let abort_explicit t ~core ~code = self_abort t ~core (Abort.Explicit code)
@@ -457,7 +452,7 @@ let release t ~core addr =
   end
   else ignore (Llb.release r.llb line);
   notify t ~core (Obs_release line);
-  Engine.elapse t.costs.release_cycles
+  Engine.elapse release_cycles
 
 let plain_load t ~core addr = Memsys.load t.mem ~core ~speculative:false addr
 

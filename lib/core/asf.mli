@@ -27,19 +27,9 @@ exception Colocation_fault of { core : int; line : int }
     speculatively — a program error per the ASF specification, not an
     abort. *)
 
-type costs = {
-  speculate_cycles : int;
-  commit_cycles : int;
-  abort_cycles : int;  (** pipeline flush + rollback initiation *)
-  release_cycles : int;
-}
-
-val default_costs : costs
-
 type t
 
 val create :
-  ?costs:costs ->
   ?requester_wins:bool ->
   ?rollback_on_abort:bool ->
   ?resolve_conflicts:bool ->

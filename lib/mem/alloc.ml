@@ -10,8 +10,10 @@ type t = {
   mutable live_words : int;
 }
 
-let create ?(base = Addr.words_per_page) () =
-  if base <= 0 then invalid_arg "Alloc.create: base must be positive";
+(* The first address the arena may return: one page. *)
+let base = Addr.words_per_page
+
+let create () =
   {
     cursor = base;
     free_lists = Hashtbl.create 64;

@@ -12,8 +12,8 @@
 
 type t
 
-val create : ?base:Addr.t -> unit -> t
-(** [base] (default: one page) is the first address the arena may return. *)
+val create : unit -> t
+(** An empty arena; the first address it may return is one page. *)
 
 val alloc : t -> ?align:int -> int -> Addr.t
 (** [alloc t ~align n] returns a block of [n > 0] words aligned to [align]

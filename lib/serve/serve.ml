@@ -41,12 +41,9 @@ type cfg = {
   requests : int;
   queue_cap : int;
   deadline : int option;
-  poll : int;
   governor : bool;
   records : int;
   accounts : int;
-  scan_len : int;
-  sample_every : int;
   record : bool;
 }
 
@@ -57,16 +54,22 @@ let default_cfg service =
     requests = 2000;
     queue_cap = 64;
     deadline = None;
-    poll = 200;
     governor = true;
     records = 1024;
     accounts = 48;
-    scan_len = 8;
-    sample_every = 2048;
     record = false;
   }
 
 let initial_balance = 1000
+
+(* Idle worker re-poll interval, cycles. *)
+let poll_cycles = 200
+
+(* KV mix E: keys per scan. *)
+let scan_len = 8
+
+(* Governor sampling interval, cycles. *)
+let sample_every = 2048
 
 (* ------------------------------------------------------------------ *)
 (* Request population                                                   *)
@@ -154,7 +157,7 @@ let schedule cfg ~seed ~threads =
     | B -> if roll < 95 then Read (key ()) else Update (key (), value ())
     | C -> Read (key ())
     | D -> if roll < 95 then read_latest () else insert ()
-    | E -> if roll < 95 then Scan (key (), cfg.scan_len) else insert ()
+    | E -> if roll < 95 then Scan (key (), scan_len) else insert ()
     | F -> if roll < 50 then Read (key ()) else Rmw (key ())
   in
   let gen_ledger () =
@@ -498,7 +501,7 @@ let run (tm_cfg : Tm.config) ~threads cfg =
   let last_sample = ref 0 in
   let total_depth () = Array.fold_left (fun acc q -> acc + q.len) 0 queues in
   let gov_poll t =
-    if cfg.governor && t - !last_sample >= cfg.sample_every then begin
+    if cfg.governor && t - !last_sample >= sample_every then begin
       last_sample := t;
       governor_step gov ~now:t ~depth:(total_depth ())
         ~commits:(Tm.total_commits sys)
@@ -588,7 +591,7 @@ let run (tm_cfg : Tm.config) ~threads cfg =
             let rec loop () =
               if accounted () < cfg.requests then begin
                 (match qpop queues.(core) with
-                | None -> Tm.work ctx cfg.poll
+                | None -> Tm.work ctx poll_cycles
                 | Some rq -> serve_one ctx o rq);
                 gov_poll (Tm.now ctx);
                 loop ()

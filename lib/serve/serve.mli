@@ -131,12 +131,9 @@ type cfg = {
   requests : int;  (** total arrivals *)
   queue_cap : int;  (** per-core run-queue bound (admission control) *)
   deadline : int option;  (** per-request relative deadline, cycles *)
-  poll : int;  (** idle worker re-poll interval, cycles *)
   governor : bool;  (** overload governor enabled *)
   records : int;  (** KV: preloaded keys; also sizes the bucket array *)
   accounts : int;  (** ledger: number of accounts *)
-  scan_len : int;  (** KV mix E: keys per scan *)
-  sample_every : int;  (** governor sampling interval, cycles *)
   record : bool;
       (** record the invocation/response history into [r_events]
           (default off; free in simulated time either way) *)
@@ -147,7 +144,7 @@ val default_cfg : service -> cfg
 (** {1 Overload governor}
 
     Pure state machine, exposed for unit tests. Transitions (evaluated at
-    most once per [sample_every] cycles):
+    most once per 2048 cycles):
     - Normal -> Shedding after [streak] consecutive samples with total
       queue depth at the high watermark and not draining (sustained queue
       growth);

@@ -24,34 +24,26 @@ type observer_event =
   | Ev_commit
   | Ev_abort of Asf_mem.Addr.t option  (** conflicting orec, when known *)
 
-type costs = {
-  start_cycles : int;
-  load_cycles : int;
-  store_cycles : int;
-  commit_cycles : int;
-  abort_cycles : int;
-}
-
 (* Instruction-overhead estimates for TinySTM's hot paths (beyond the
-   memory traffic, which the simulator charges explicitly): an inlined
-   stm_load is a few dozen instructions (orec hash, lock tests, read-log
-   append), stores add undo logging and the CAS shadow work. *)
-let default_costs =
-  {
-    start_cycles = 45;
-    load_cycles = 26;
-    store_cycles = 30;
-    commit_cycles = 35;
-    abort_cycles = 40;
-  }
+   memory traffic, which the simulator charges explicitly): the
+   descriptor setup per attempt; an inlined stm_load is a few dozen
+   instructions (orec hash, lock tests, read-log append); stores add undo
+   logging and the CAS shadow work. *)
+let start_cycles = 45
+let load_cycles = 26
+let store_cycles = 30
+let commit_cycles = 35
+let abort_cycles = 40
+
+(* The orec table holds 2^[orec_bits] words. *)
+let orec_bits = 16
+let n_orecs = 1 lsl orec_bits
 
 type t = {
   mem : Memsys.t;
-  costs : costs;
   strategy : strategy;
   alloc : Alloc.t;
   orec_base : Addr.t;
-  orec_mask : int;
   clock_addr : Addr.t;
   mutable starts : int;
   mutable commits : int;
@@ -86,8 +78,7 @@ type tx = {
   mutable last_conflict : Addr.t option;
 }
 
-let create ?(costs = default_costs) ?(strategy = Write_through) ?(orec_bits = 16) mem alloc =
-  let n_orecs = 1 lsl orec_bits in
+let create ?(strategy = Write_through) mem alloc =
   let orec_base = Alloc.alloc alloc ~align:Addr.words_per_line n_orecs in
   let clock_addr = Alloc.alloc_lines alloc 1 in
   (* The STM library's data segment is mapped at load time: touching it
@@ -98,11 +89,9 @@ let create ?(costs = default_costs) ?(strategy = Write_through) ?(orec_bits = 16
   Memsys.poke mem clock_addr 0;
   {
     mem;
-    costs;
     strategy;
     alloc;
     orec_base;
-    orec_mask = n_orecs - 1;
     clock_addr;
     starts = 0;
     commits = 0;
@@ -139,7 +128,7 @@ let make_tx t ~core =
 (* Fibonacci-hash a line index into the orec table. *)
 let orec_of tx addr =
   let line = Addr.line_of addr in
-  tx.stm.orec_base + (line * 0x9E3779B1 lsr 8 land tx.stm.orec_mask)
+  tx.stm.orec_base + (line * 0x9E3779B1 lsr 8 land (n_orecs - 1))
 
 let locked word = word land 1 = 1
 
@@ -171,7 +160,7 @@ let start tx =
   tx.stm.starts <- tx.stm.starts + 1;
   notify tx Ev_start;
   tx.start_ts <- mem_load tx tx.stm.clock_addr;
-  Engine.elapse tx.stm.costs.start_cycles
+  Engine.elapse start_cycles
 
 (* Undo writes in reverse order, release owned orecs at their pre-
    acquisition version, and deliver the abort. Write-through means the
@@ -188,7 +177,7 @@ let rollback ?conflict tx =
    Trace.emit tr ~core:tx.core
      ~cycle:(Engine.core_time (Memsys.engine tx.stm.mem) tx.core)
      (Trace.Stm_rollback { reads = tx.nreads; writes = tx.nwrites }));
-  Engine.elapse tx.stm.costs.abort_cycles
+  Engine.elapse abort_cycles
 
 let abort_on ?conflict tx =
   rollback ?conflict tx;
@@ -220,7 +209,7 @@ let extend tx =
 
 let load tx addr =
   assert tx.running;
-  Engine.elapse tx.stm.costs.load_cycles;
+  Engine.elapse load_cycles;
   let orec = orec_of tx addr in
   let rec attempt tries =
     if tries = 0 then abort_on ~conflict:orec tx
@@ -275,7 +264,7 @@ let effectuate_store tx addr value =
 
 let store tx addr value =
   assert tx.running;
-  Engine.elapse tx.stm.costs.store_cycles;
+  Engine.elapse store_cycles;
   let orec = orec_of tx addr in
   if Hashtbl.mem tx.owned orec then effectuate_store tx addr value
   else begin
@@ -294,7 +283,7 @@ let store tx addr value =
 
 let commit tx =
   assert tx.running;
-  Engine.elapse tx.stm.costs.commit_cycles;
+  Engine.elapse commit_cycles;
   if Hashtbl.length tx.owned = 0 then begin
     (* Read-only: the snapshot was consistent throughout. *)
     tx.running <- false;

@@ -34,28 +34,12 @@ type strategy =
           replayed at commit; aborts are cheaper, loads must snoop the
           write log and commits pay the write-back *)
 
-type costs = {
-  start_cycles : int;  (** descriptor setup per attempt *)
-  load_cycles : int;  (** bookkeeping instructions per transactional load *)
-  store_cycles : int;
-  commit_cycles : int;
-  abort_cycles : int;
-}
-
-val default_costs : costs
-
 type t
 
-val create :
-  ?costs:costs ->
-  ?strategy:strategy ->
-  ?orec_bits:int ->
-  Asf_cache.Memsys.t ->
-  Asf_mem.Alloc.t ->
-  t
-(** Allocates the orec table (2^[orec_bits] words, default 16) and the
-    global clock in simulated memory, pre-mapped as a loaded STM library's
-    data segment would be. [strategy] defaults to {!Write_through}. *)
+val create : ?strategy:strategy -> Asf_cache.Memsys.t -> Asf_mem.Alloc.t -> t
+(** Allocates the orec table (2^16 words) and the global clock in
+    simulated memory, pre-mapped as a loaded STM library's data segment
+    would be. [strategy] defaults to {!Write_through}. *)
 
 val strategy : t -> strategy
 
