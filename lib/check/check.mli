@@ -16,8 +16,11 @@
       write is a strong-isolation violation; a plain write hitting a line
       another region only read is an unannotated-shared race; a plain
       access by a region to a line it wrote speculatively itself is a
-      colocation hazard. Each finding carries a trail of the recent
-      accesses to the offending line.
+      colocation hazard. Each finding carries a trail of the newest
+      accesses to the offending line (at most 8). The pass asks every
+      core's exact LLB ({!Asf_core.Asf.line_written},
+      {!Asf_core.Asf.line_protected}), never a conflict signature, so it
+      stays independent of the filter it checks.
     - {e Serial} — a conflict-serializability oracle plus abort hygiene.
       Committed attempts' read/write sets (hardware regions via the access
       hook, STM transactions via the observer) form a conflict graph with
@@ -33,7 +36,23 @@
 
     Violations are hard errors (the stack broke a guarantee); advisories
     are profile-grounded suggestions for the programmer. On stock
-    workloads with stock hardware the checker reports zero violations. *)
+    workloads with stock hardware the checker reports zero violations.
+
+    Where a report has to pick, it follows fixed rules, so the same run
+    always prints the same findings:
+    - the lint's [(e.g. ...)] examples are the four lowest qualifying
+      lines;
+    - a [conflict-cycle] starts at the earliest-committed attempt left
+      once every attempt outside a cycle is peeled off and, from each
+      attempt, follows its earliest-created in-edge from another
+      leftover attempt; the finding's line is that of the first edge it
+      follows;
+    - the [abort-hygiene] findings of one abort come in the order its
+      lines were first written.
+
+    The bookkeeping is flat int tables: an observed access hashes no key
+    through [Hashtbl] and allocates only when it meets a new line or
+    outgrows a table. *)
 
 type part = Isolation | Serial | Lint
 
@@ -58,8 +77,9 @@ type finding = {
   mutable count : int;  (** occurrences folded into this finding *)
   detail : string;
   trail : string list;
-      (** recent accesses to the line, oldest first, ending with the
-          offending one *)
+      (** the newest accesses to the line (at most 8), oldest first,
+          ending with the offending one; a [conflict-cycle] lists its
+          attempts instead *)
 }
 
 type attempt_profile = {
@@ -81,10 +101,10 @@ val parts : t -> part list
 
 val reset : t -> unit
 (** Return the checker to its just-{!create}d state (same parts, no runs,
-    no findings) without allocating a new instance — equivalent to
-    [create ~parts:(parts t) ()] for every observable purpose. The pool
-    workers reset one cached checker between cells instead of creating a
-    fresh one per cell. *)
+    no findings, [T] numbers from 1 again), keeping the instance and the
+    int tables it has grown — equivalent to [create ~parts:(parts t) ()]
+    for every observable purpose. The pool workers reset one cached
+    checker between cells instead of creating a fresh one per cell. *)
 
 (** {1 Global installation}
 
@@ -108,14 +128,17 @@ val attach :
   Asf_cache.Memsys.t ->
   unit
 (** Hook the checker into one simulated system (one {e run}). Installs the
-    memory-system access hook when [asf] is given, and the ASF / STM
-    observers for whichever layers exist. Attaching again (a new system)
-    first finalizes the previous run's oracle and lint, so one checker can
-    span an experiment's whole sequence of runs. *)
+    memory-system access hook and the ASF observer only when [asf] is
+    given, so STM and sequential systems pay nothing per plain access,
+    and the STM observer when [stm] is given. Attaching again (a new
+    system) first finalizes the previous run's oracle and lint, so one
+    checker can span an experiment's whole sequence of runs; the [T]
+    numbers that name committed attempts keep counting across runs. *)
 
 val finalize : t -> unit
-(** Close the current run: build and check the conflict graph, run the
-    abort-hygiene bookkeeping, and emit lint advisories. Idempotent. *)
+(** Close the current run: sweep the committed accesses once in observed
+    order into the conflict graph and check it for a cycle, and emit lint
+    advisories. Idempotent. *)
 
 (** {1 Results} *)
 

@@ -40,7 +40,9 @@ let table =
      guarantee exits 1. The twins that follow are the flag equivalences
      of the determinism contract (DESIGN.md): tracing, --check and
      --faults none only append to the plain run's output, and --jobs 2
-     prints the tables --jobs 1 prints. *)
+     prints the tables --jobs 1 prints, also under --check, where each
+     pool worker resets its cached checker between cells and the
+     findings are merged in cell order. *)
   List.map (row "check")
     [
       rb_tree ^ " --check";
@@ -59,6 +61,8 @@ let table =
   @ [
       row "check" ~twin:"repro -e abl-wins -e fig8 --quick --jobs 2"
         "repro -e abl-wins -e fig8 --quick --jobs 1";
+      row "check" ~twin:"repro -e tab1 -e fig9 --quick --check --jobs 2"
+        "repro -e tab1 -e fig9 --quick --check --jobs 1";
     ]
   (* analyze: Txstatic over every stock workload model with the runtime
      cross-validation on. Exit 1 on any unsafe-annotation,
@@ -163,6 +167,10 @@ let table =
      resolution disabled) and must end non-linearizable (exit 1). Under
      the livelock plan (permanent spurious aborts and a hanging
      serial-lock holder) the watchdog must end the run (exit 3). The
+     same two ablations must fail Txcheck (exit 1): conflict resolution
+     disabled leaves conflicting regions undoomed (isolation) and lets
+     an unserializable history commit (serial), and rollback disabled
+     leaves speculative stores in memory after an abort (serial). The
      --check-json file must record the finding that explains a failed
      run. Out-of-range and malformed flag values are usage errors with a
      message (exit 2, README "Exit codes"), never an uncaught
@@ -183,6 +191,14 @@ let table =
       row "fixtures" ~exit:1 ~kind:"non-linearizable"
         "serve --service kv-f -t 4 -n 300 --gap 200 --records 4 --faults lostupdate \
          --faults-seed 3 --check=lin";
+      row "fixtures" ~exit:1 ~kind:"unresolved-conflict"
+        "serve --service kv-f -t 4 -n 400 --gap 60 --records 2 --ablate resolve \
+         --check=isolation";
+      row "fixtures" ~exit:1 ~kind:"conflict-cycle"
+        "serve --service kv-f -t 4 -n 400 --gap 60 --records 2 --ablate resolve --check=serial";
+      row "fixtures" ~exit:1 ~kind:"abort-hygiene"
+        "serve --service kv-f -t 4 -n 300 --gap 200 --records 4 --ablate rollback \
+         --check=serial";
     ]
   @ List.map (row "fixtures" ~exit:2)
       [

@@ -226,32 +226,34 @@ let test_stock_hardware_clean () =
 (* Serializability oracle and abort hygiene                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_conflict_cycle_detected () =
-  (* With conflict resolution disabled both cross-writing regions commit:
-     T0 reads A then writes B, T1 reads B then writes A — a classic
-     unserializable interleaving the oracle must reject. *)
-  let e, m, a = setup ~resolve:false () in
+(* Two regions that cross-write, meant to run with conflict resolution
+   disabled so both commit: core 0 reads A then writes B, core 1 reads B
+   then writes A — a classic unserializable interleaving. With [release],
+   core 0 RELEASEs A right after reading it. *)
+let cross_writes ?(release = false) a =
   let la = 1000 and lb = 2000 in
-  Memsys.poke m la 0;
-  Memsys.poke m lb 0;
+  [
+    (fun () ->
+      Asf.speculate a ~core:0;
+      ignore (Asf.lock_load a ~core:0 la);
+      if release then Asf.release a ~core:0 la;
+      Engine.elapse 5000;
+      Asf.lock_store a ~core:0 lb 1;
+      Asf.commit a ~core:0);
+    (fun () ->
+      Engine.elapse 1000;
+      Asf.speculate a ~core:1;
+      ignore (Asf.lock_load a ~core:1 lb);
+      Engine.elapse 5000;
+      Asf.lock_store a ~core:1 la 2;
+      Asf.commit a ~core:1);
+  ]
+
+let test_conflict_cycle_detected () =
+  let e, m, a = setup ~resolve:false () in
   let chk = Check.create ~parts:[ Check.Serial ] () in
   Check.attach chk ~asf:a m;
-  run_threads e
-    [
-      (fun () ->
-        Asf.speculate a ~core:0;
-        ignore (Asf.lock_load a ~core:0 la);
-        Engine.elapse 5000;
-        Asf.lock_store a ~core:0 lb 1;
-        Asf.commit a ~core:0);
-      (fun () ->
-        Engine.elapse 1000;
-        Asf.speculate a ~core:1;
-        ignore (Asf.lock_load a ~core:1 lb);
-        Engine.elapse 5000;
-        Asf.lock_store a ~core:1 la 2;
-        Asf.commit a ~core:1);
-    ];
+  run_threads e (cross_writes a);
   Check.finalize chk;
   match find_kind chk "conflict-cycle" with
   | Some f ->
@@ -259,6 +261,89 @@ let test_conflict_cycle_detected () =
         (List.mem 0 f.Check.cores && List.mem 1 f.Check.cores);
       Alcotest.(check bool) "cycle trail names the attempts" true
         (List.length f.Check.trail >= 2)
+  | None -> Alcotest.failf "expected conflict-cycle, got %s" (String.concat "," (kinds chk))
+
+let test_release_drops_read () =
+  (* Core 0 RELEASEs its read of A before core 1 writes A and commits:
+     the read leaves the oracle's history, so only core 1 -> core 0 (on
+     B) remains and there is no cycle. Without the RELEASE the same
+     schedule is a cycle. *)
+  let cycles release =
+    let e, m, a = setup ~resolve:false () in
+    let chk = Check.create ~parts:[ Check.Serial ] () in
+    Check.attach chk ~asf:a m;
+    run_threads e (cross_writes ~release a);
+    Check.finalize chk;
+    kinds chk
+  in
+  Alcotest.(check (list string)) "cycle without RELEASE" [ "conflict-cycle" ]
+    (cycles false);
+  Alcotest.(check (list string)) "no cycle with RELEASE" [] (cycles true)
+
+let test_cycle_follows_conflicts () =
+  (* Three regions with conflict resolution disabled, committing in core
+     order: core [i] reads line [i] early and writes line [i + 1 mod 3]
+     late, so the conflicts are c1 -> c0 (on B), c2 -> c1 (on C) and
+     c0 -> c2 (on A). The report starts at the earliest-committed
+     attempt, T1 on core 0, follows its in-edges, and names the line of
+     the first edge it follows. *)
+  let e, m, a = setup ~n_cores:3 ~resolve:false () in
+  let line i = 1000 * (i + 1) in
+  let chk = Check.create ~parts:[ Check.Serial ] () in
+  Check.attach chk ~asf:a m;
+  run_threads e
+    (List.init 3 (fun core () ->
+         Engine.elapse (1000 * core);
+         Asf.speculate a ~core;
+         ignore (Asf.lock_load a ~core (line core));
+         Engine.elapse 10000;
+         Asf.lock_store a ~core (line ((core + 1) mod 3)) 1;
+         Asf.commit a ~core));
+  Check.finalize chk;
+  match find_kind chk "conflict-cycle" with
+  | Some f ->
+      Alcotest.(check string) "the cycle, in conflict order"
+        "committed attempts are not conflict-serializable: T1(c0#1) -> T3(c2#1) -> \
+         T2(c1#1) -> T1(c0#1)"
+        f.Check.detail;
+      let named = List.map (fun s -> Scanf.sscanf s "T%d(c%d" (fun _ c -> c)) f.Check.trail in
+      let conflicts = [ (1, 0); (2, 1); (0, 2) ] in
+      List.iteri
+        (fun i c ->
+          let next = List.nth named ((i + 1) mod List.length named) in
+          Alcotest.(check bool)
+            (Printf.sprintf "c%d conflicts with c%d" c next)
+            true
+            (List.mem (c, next) conflicts))
+        named;
+      Alcotest.(check (option int)) "line of the edge into T1"
+        (Some (Addr.line_base (Addr.line_of (line 1))))
+        f.Check.line
+  | None -> Alcotest.failf "expected conflict-cycle, got %s" (String.concat "," (kinds chk))
+
+let test_t_numbers_span_runs () =
+  (* One checker over two systems: the first run commits one attempt
+     (T1), so the second run's cycle is named from T2 on. *)
+  let chk = Check.create ~parts:[ Check.Serial ] () in
+  let e, m, a = setup () in
+  Check.attach chk ~asf:a m;
+  run_threads e
+    [
+      (fun () ->
+        Asf.speculate a ~core:0;
+        Asf.lock_store a ~core:0 3000 1;
+        Asf.commit a ~core:0);
+    ];
+  let e, m, a = setup ~resolve:false () in
+  Check.attach chk ~asf:a m;
+  run_threads e (cross_writes a);
+  Check.finalize chk;
+  match find_kind chk "conflict-cycle" with
+  | Some f ->
+      Alcotest.(check string) "second run counts on"
+        "committed attempts are not conflict-serializable: T2(c0#1) -> T3(c1#1) -> \
+         T2(c0#1)"
+        f.Check.detail
   | None -> Alcotest.failf "expected conflict-cycle, got %s" (String.concat "," (kinds chk))
 
 let test_serializable_history_clean () =
@@ -365,6 +450,36 @@ let test_capacity_lint () =
     (List.length (Check.lint_capacity chk ~capacity:256));
   Alcotest.(check (list string)) "no violations" [] (kinds chk)
 
+let test_lint_examples_lowest () =
+  (* Six lines read by one core, in no particular order: both line
+     advisories count all six and show the four lowest. *)
+  let e, m, a = setup ~variant:Variant.llb256 () in
+  let chk = Check.create ~parts:[ Check.Lint ] () in
+  Check.attach chk ~asf:a ~variant:Variant.llb256 m;
+  run_threads e
+    [
+      (fun () ->
+        Asf.speculate a ~core:0;
+        List.iter
+          (fun l -> ignore (Asf.lock_load a ~core:0 (l * Addr.words_per_line)))
+          [ 130; 110; 150; 120; 100; 140 ];
+        Asf.commit a ~core:0);
+    ];
+  Check.finalize chk;
+  let examples =
+    String.concat ", "
+      (List.map (fun l -> Printf.sprintf "0x%x" (Addr.line_base l)) [ 100; 110; 120; 130 ])
+  in
+  List.iter
+    (fun kind ->
+      match List.find_opt (fun f -> f.Check.kind = kind) (Check.advisories chk) with
+      | Some f ->
+          Alcotest.(check bool) (kind ^ ": six lines, the four lowest shown") true
+            (String.starts_with ~prefix:"6 protected line(s)" f.Check.detail
+            && contains ~sub:(Printf.sprintf "(e.g. %s)" examples) f.Check.detail)
+      | None -> Alcotest.failf "no %s advisory" kind)
+    [ "early-release"; "unannotated-ok" ]
+
 let test_capacity_lint_counts_overflow () =
   (* On LLB-8 the same transaction capacity-aborts at the 9th line; the
      recorded footprint is 8, so the lint must still know the attempt
@@ -395,6 +510,67 @@ let test_capacity_lint_counts_overflow () =
   Alcotest.(check bool) "serial-only advisory in findings" true
     (List.exists (fun f -> f.Check.kind = "serial-only") (Check.advisories chk))
 
+(* ------------------------------------------------------------------ *)
+(* Trails and checker reuse                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_trail_keeps_newest () =
+  (* Eleven accesses to one line: a speculative store, nine speculative
+     loads, then the plain load that is the colocation hazard. *)
+  let e, m, a = setup () in
+  let chk = Check.create ~parts:[ Check.Isolation ] () in
+  Check.attach chk ~asf:a m;
+  run_threads e
+    [
+      (fun () ->
+        Asf.speculate a ~core:0;
+        Asf.lock_store a ~core:0 900 2;
+        for _ = 1 to 9 do
+          ignore (Asf.lock_load a ~core:0 900)
+        done;
+        ignore (Asf.plain_load a ~core:0 900);
+        Asf.commit a ~core:0);
+    ];
+  Check.finalize chk;
+  match find_kind chk "colocation" with
+  | Some f ->
+      let trail = f.Check.trail in
+      Alcotest.(check int) "the 8 newest accesses" 8 (List.length trail);
+      List.iteri
+        (fun i s ->
+          Alcotest.(check bool)
+            (Printf.sprintf "access %d" i)
+            true
+            (contains ~sub:(if i < 7 then "spec load" else "plain load") s))
+        trail;
+      let cycle s = Scanf.sscanf s "cycle %d" Fun.id in
+      Alcotest.(check bool) "oldest first" true
+        (List.sort compare (List.map cycle trail) = List.map cycle trail)
+  | None -> Alcotest.failf "expected colocation, got %s" (String.concat "," (kinds chk))
+
+let test_reset_matches_fresh () =
+  (* A checker that spans two runs, is reset and is used again reports
+     what a fresh checker reports: the same findings (counts, T numbers
+     and trails included) and the same profiles. *)
+  let use chk =
+    let e, m, a = setup ~resolve:false () in
+    Check.attach chk ~asf:a ~variant:Variant.llb8 m;
+    run_threads e (cross_writes a);
+    Check.export chk
+  in
+  let chk = Check.create () in
+  ignore (use chk);
+  ignore (use chk);
+  Check.reset chk;
+  let reused = use chk and fresh_chk = Check.create () in
+  let fresh = use fresh_chk in
+  Alcotest.(check (list string)) "findings to compare"
+    [ "unresolved-conflict"; "conflict-cycle" ]
+    (List.map (fun f -> f.Check.kind) fresh);
+  Alcotest.(check bool) "same findings" true (reused = fresh);
+  Alcotest.(check bool) "same profiles" true
+    (Check.attempt_profiles chk = Check.attempt_profiles fresh_chk)
+
 let () =
   Alcotest.run "check"
     [
@@ -417,6 +593,9 @@ let () =
       ( "serial",
         [
           Alcotest.test_case "conflict cycle" `Quick test_conflict_cycle_detected;
+          Alcotest.test_case "released read dropped" `Quick test_release_drops_read;
+          Alcotest.test_case "cycle follows conflicts" `Quick test_cycle_follows_conflicts;
+          Alcotest.test_case "T numbers span runs" `Quick test_t_numbers_span_runs;
           Alcotest.test_case "serializable clean" `Quick test_serializable_history_clean;
           Alcotest.test_case "abort hygiene" `Quick test_abort_hygiene_detected;
           Alcotest.test_case "hygiene clean on stock" `Quick
@@ -426,5 +605,11 @@ let () =
         [
           Alcotest.test_case "capacity 8 vs 256" `Quick test_capacity_lint;
           Alcotest.test_case "overflow counted" `Quick test_capacity_lint_counts_overflow;
+          Alcotest.test_case "four lowest examples" `Quick test_lint_examples_lowest;
+        ] );
+      ( "trails",
+        [
+          Alcotest.test_case "8 newest accesses" `Quick test_trail_keeps_newest;
+          Alcotest.test_case "reset matches fresh" `Quick test_reset_matches_fresh;
         ] );
     ]
