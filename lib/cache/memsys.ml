@@ -93,9 +93,11 @@ let rec translate t ~core ~speculative addr =
   | Tlb.Tlb_miss_abort extra ->
       Engine.elapse (scale t extra);
       deliver_fault t ~core Tlb_miss;
-      (* The hook must raise; if the ablation is on without a hook we fall
-         back to normal translation semantics. *)
-      translate t ~core ~speculative addr
+      (* The hook must raise. If it returns (the ablation on without a
+         region to abort), the access falls back to normal translation
+         semantics: the retry is non-speculative, so a page walk fills the
+         TLB instead of missing, and aborting, again. *)
+      translate t ~core ~speculative:false addr
   | Tlb.Fault page ->
       deliver_fault t ~core (Unmapped page);
       service_fault t ~page;
@@ -133,7 +135,11 @@ let access_pre t ~core ~speculative ~write addr =
     end
   end;
   let extra = translate t ~core ~speculative addr in
-  t.probe_hook ~requester:core ~line:(Addr.line_of addr) ~write;
+  (* A speculative write is probed by the layer that issues it (ASF
+     resolves its conflicts before it backs the line up), and no other
+     core has run since, so a second probe here would find nothing. *)
+  if not (speculative && write) then
+    t.probe_hook ~requester:core ~line:(Addr.line_of addr) ~write;
   (* Observers (the checking layer) see the access after conflict
      resolution but before the data transfer, so they can snapshot the
      pre-access memory image; they must not elapse simulated time. *)

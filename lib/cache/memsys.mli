@@ -6,7 +6,8 @@
     + runs the registered {e probe hook} — the mechanism by which ASF's
       requester-wins contention management observes coherence traffic and
       dooms conflicting speculative regions {e before} the access takes
-      effect,
+      effect. A speculative store or write touch skips it: ASF probes
+      those itself, before it backs the line up,
     + updates the cache hierarchy and directory, reads or writes RAM,
     + charges the OOO-scaled latency to the calling core via
       {!Asf_engine.Engine.elapse}.

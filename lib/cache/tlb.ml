@@ -12,9 +12,13 @@ type t = {
   mutable page_table : Bytes.t;
   mutable mapped : int;
   mutable abort_on_tlb_miss : bool;
+  (* The two translations that cost cycles, built once: an L2-TLB hit and
+     a page walk. *)
+  l2_hit : outcome;
+  walk : outcome;
 }
 
-type outcome = Translated of int | Fault of int | Tlb_miss_abort of int
+and outcome = Translated of int | Fault of int | Tlb_miss_abort of int
 
 let create (params : Params.t) ~n_cores =
   {
@@ -30,6 +34,8 @@ let create (params : Params.t) ~n_cores =
     page_table = Bytes.make 4096 '\000';
     mapped = 0;
     abort_on_tlb_miss = false;
+    l2_hit = Translated params.tlb_l2_latency;
+    walk = Translated params.page_walk_latency;
   }
 
 let page_mapped t page =
@@ -90,7 +96,7 @@ let translate t ~core addr ~speculative =
       ignore (Cache.touch_evict_at l1 page (-1));
       if t.abort_on_tlb_miss && speculative then
         Tlb_miss_abort t.params.tlb_l2_latency
-      else Translated t.params.tlb_l2_latency
+      else t.l2_hit
     end
     else if not (page_mapped t page) then Fault page
     else if t.abort_on_tlb_miss && speculative then
@@ -98,7 +104,7 @@ let translate t ~core addr ~speculative =
     else begin
       ignore (Cache.touch_evict_at l2 page (-1));
       ignore (Cache.touch_evict_at l1 page (-1));
-      Translated t.params.page_walk_latency
+      t.walk
     end
 
 let mapped_pages t = t.mapped

@@ -27,7 +27,10 @@ type region = {
   llb : Llb.t;
   (* Hybrid variants: speculatively-read lines tracked via the L1. *)
   tracked : (int, unit) Hashtbl.t;
-  mutable start_time : int;
+  (* The first cycle of the timer quantum after the one the outermost
+     SPECULATE ran in: the region is interrupted once its core's clock
+     reaches it. *)
+  mutable tick_end : int;
   (* The cache line behind the most recent doom, when the hardware knows
      it (conflicting probe, capacity displacement). Survives the abort so
      the runtime can attribute it; cleared at the next outermost
@@ -215,13 +218,6 @@ let self_abort ?line t ~core reason =
   doom ?line t core reason;
   finish_abort t core
 
-(* Interrupts abort in-flight regions: a region whose lifetime crosses a
-   timer-tick boundary is rolled back when it next executes an ASF op. *)
-let interrupt_pending t core =
-  let now = Engine.core_time t.engine core in
-  let r = region t core in
-  now / t.quantum <> r.start_time / t.quantum
-
 let emit_inject t core kind =
   Trace.emit t.tracer ~core
     ~cycle:(Engine.core_time t.engine core)
@@ -231,7 +227,9 @@ let check t core =
   let r = region t core in
   if not r.active then invalid_arg "Asf: ASF operation outside a speculative region";
   if r.doomed <> None then finish_abort t core;
-  if interrupt_pending t core then begin
+  (* Interrupts abort in-flight regions: a region whose lifetime crosses a
+     timer-tick boundary is rolled back when it next executes an ASF op. *)
+  if Engine.core_time t.engine core >= r.tick_end then begin
     doom t core Abort.Interrupt;
     finish_abort t core
   end;
@@ -273,7 +271,7 @@ let create ?(requester_wins = true)
               doomed = None;
               llb = Llb.create ~capacity:variant.Variant.llb_entries;
               tracked = Hashtbl.create 64;
-              start_time = 0;
+              tick_end = 0;
               last_conflict = None;
             });
       rsig = Array.make n_cores 0;
@@ -343,7 +341,7 @@ let speculate ?(extra = 0) t ~core =
     r.nesting <- 1;
     r.doomed <- None;
     r.last_conflict <- None;
-    r.start_time <- Engine.core_time t.engine core;
+    r.tick_end <- (Engine.core_time t.engine core / t.quantum + 1) * t.quantum;
     (* Transient capacity reduction, drawn once per outermost region: ASF
        only guarantees a minimum protected-line capacity, so a region may
        find fewer entries usable than the nominal LLB size. *)
@@ -383,12 +381,17 @@ let abort_explicit t ~core ~code = self_abort t ~core (Abort.Explicit code)
 
 let track_read t core line =
   let r = region t core in
-  if not (Llb.written r.llb line) then begin
-    if t.variant.Variant.l1_read_set then Hashtbl.replace r.tracked line ()
-    else if not (Llb.protect_read r.llb line) then
-      self_abort ~line t ~core Abort.Capacity;
-    add_sig t t.rsig t.rhold core line
+  if t.variant.Variant.l1_read_set then begin
+    if not (Llb.written r.llb line) then begin
+      Hashtbl.replace r.tracked line ();
+      add_sig t t.rsig t.rhold core line
+    end
   end
+  else
+    match Llb.protect_read r.llb line with
+    | Llb.Protected -> add_sig t t.rsig t.rhold core line
+    | Llb.Written -> ()
+    | Llb.Full -> self_abort ~line t ~core Abort.Capacity
 
 (* Requester-loses ablation: a speculative access that would conflict
    with another region aborts itself before touching memory, leaving the

@@ -129,12 +129,18 @@ let written t line =
   let i = index t line in
   i >= 0 && Array.unsafe_get t.slots i land 1 = 1
 
+type read_outcome = Protected | Written | Full
+
+(* One index lookup, which also answers [written]: a speculative read
+   needs both. *)
 let protect_read t line =
-  if mem t line then true
-  else if t.count >= effective_capacity t then false
+  let i = index t line in
+  if i >= 0 then
+    if Array.unsafe_get t.slots i land 1 = 1 then Written else Protected
+  else if t.count >= effective_capacity t then Full
   else begin
     insert t line ~written:0 no_backup;
-    true
+    Protected
   end
 
 let protect_write t line ~backup =

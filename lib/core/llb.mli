@@ -33,9 +33,14 @@ val mem : t -> int -> bool
 
 val written : t -> int -> bool
 
-val protect_read : t -> int -> bool
-(** Adds a read-only entry for the line. Returns [false] (and adds
-    nothing) if the buffer is full. Idempotent for present lines. *)
+type read_outcome =
+  | Protected  (** the line is (now) held for reading *)
+  | Written  (** the line is already written; its write entry covers the read *)
+  | Full  (** the line was absent and the buffer is full; nothing added *)
+
+val protect_read : t -> int -> read_outcome
+(** Adds a read-only entry for the line unless it is present. Idempotent
+    for present lines. *)
 
 val protect_write : t -> int -> backup:int array -> bool
 (** Marks the line written, storing [backup] (its pre-transactional

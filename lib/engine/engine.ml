@@ -12,7 +12,7 @@ type t = {
   mutable current : int;
   mutable events : int;
   (* Ablation for the fusion-equivalence battery: [true] forces every
-     Elapse through the enqueue/pop round-trip (the reference
+     elapse through the enqueue/pop round-trip (the reference
      scheduler). *)
   always_schedule : bool;
   (* Lookahead window bound: a cached lower bound on the queue minimum
@@ -30,7 +30,11 @@ type t = {
   bank : int array;
 }
 
-type _ Effect.t += Elapse : int -> unit Effect.t
+(* The engine's one effect: a thread whose clock {!elapse} has already
+   advanced hands control back to the scheduler. A constant, so
+   performing it allocates nothing; a scheduled elapse allocates only
+   the runtime's continuation and the [Resume] that queues it. *)
+type _ Effect.t += Yield : unit Effect.t
 
 (* One-line reads of the {!Counters} bank, kept because the repository
    benchmark (bench/perf) calls them. *)
@@ -108,55 +112,61 @@ let spawn_at t ~core ~time f =
    bound: exact right after the scheduler pops, and only ever lowered by
    enqueues in between, so it never exceeds the true queue minimum and a
    fused elapse stays legal. A core's run of consecutive elapses batches
-   under one cached bound without touching the queue at all. *)
+   under one cached bound without touching the queue at all.
+
+   Either way the clock advances here, in the thread, so a scheduled
+   elapse only has to [Yield]: its handler finds the new time on the
+   clock. *)
 let elapse n =
   match !(Domain.DLS.get running_key) with
-  | Some t when not t.always_schedule ->
+  | None -> Effect.perform Yield
+  | Some t ->
       if n < 0 then invalid_arg "Engine.elapse: negative duration";
       let core = t.current in
       let ct = t.core_time.(core) in
       if ct > max_int - n then invalid_arg "Engine.elapse: core clock overflow";
       let nt = ct + n in
-      if nt < t.lookahead then begin
-        t.core_time.(core) <- nt;
-        Counters.add t.bank Counters.sim_cycles n;
+      t.core_time.(core) <- nt;
+      Counters.add t.bank Counters.sim_cycles n;
+      if nt < t.lookahead && not t.always_schedule then begin
         Counters.add t.bank Counters.fused_elapses 1;
         t.seq <- t.seq + 1;
         t.events <- t.events + 1;
         t.fused <- t.fused + 1;
         Trace.emit t.tracer ~core ~cycle:nt Trace.Thread_resume
       end
-      else Effect.perform (Elapse n)
-  | _ -> Effect.perform (Elapse n)
+      else Effect.perform Yield
 
-(* Runs thread [f] under the scheduling handler. The handler suspends the
-   thread at each [Elapse] and re-enqueues its continuation at the advanced
-   core-local time; control then returns to the [run] loop. *)
-let exec t core f =
-  Effect.Deep.match_with f ()
-    {
-      retc =
-        (fun () -> Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Elapse n ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  if n < 0 then invalid_arg "Engine.elapse: negative duration";
-                  if t.core_time.(core) > max_int - n then
-                    invalid_arg "Engine.elapse: core clock overflow";
-                  t.core_time.(core) <- t.core_time.(core) + n;
-                  Counters.add t.bank Counters.sim_cycles n;
-                  enqueue t ~time:t.core_time.(core) (Resume (core, k)))
-          | _ -> None);
-    }
+(* The scheduling handler, built once per [run] and shared by every thread
+   it starts, so a yield builds no closure and no option. The thread it
+   serves is always the task the scheduler popped last, so [t.current]
+   names its core. A [Yield] re-enqueues the continuation at that core's
+   (already advanced) clock; control then returns to the [run] loop. *)
+let handler t : (unit, unit) Effect.Deep.handler =
+  let resume =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let core = t.current in
+        enqueue t ~time:t.core_time.(core) (Resume (core, k)))
+  in
+  {
+    retc =
+      (fun () ->
+        let core = t.current in
+        Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish);
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield -> (resume : ((a, unit) Effect.Deep.continuation -> unit) option)
+        | _ -> None);
+  }
 
 let run t =
   let slot = Domain.DLS.get running_key in
   let saved = !slot in
   slot := Some t;
+  let h = handler t in
   Fun.protect
     ~finally:(fun () -> slot := saved)
     (fun () ->
@@ -171,7 +181,7 @@ let run t =
         | Start (core, f) ->
             t.current <- core;
             if time > t.core_time.(core) then t.core_time.(core) <- time;
-            exec t core f
+            Effect.Deep.match_with f () h
         | Resume (core, k) ->
             t.current <- core;
             t.scheduled <- t.scheduled + 1;

@@ -75,7 +75,7 @@ let filter_table =
 
 let filter_names = List.map fst filter_table
 
-(* Everything except the per-Elapse scheduler resumptions, which would
+(* Everything except the per-elapse scheduler resumptions, which would
    drown the transaction-level signal. *)
 let default_filter () =
   let f = Array.make n_kinds true in

@@ -41,7 +41,7 @@ type payload =
   | Thread_spawn
   | Thread_finish
   | Thread_resume
-      (** scheduler resumes a core after an [Elapse]; very hot, excluded
+      (** scheduler resumes a core after an elapse; very hot, excluded
           from the default filter *)
   | Check_violation of { check : string; line_addr : int option }
       (** the {!Asf_check} subsystem flagged an invariant violation

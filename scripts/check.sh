@@ -4,7 +4,9 @@
 # - `dune runtest`: the unit tests plus every asf_bench gate group of
 #   test/gate.ml (@check, @analyze, @soak, @serve-smoke, @lin-smoke,
 #   @scale-smoke and @fixtures, each row with its exact exit code);
-# - the two benchmark-harness smokes of the root dune file.
+# - the two benchmark-harness smokes of the root dune file;
+# - a dev-profile build whose simulated output must match the default
+#   (release) build's byte for byte.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,4 +24,20 @@ dune build @bench-smoke
 # budget (see scripts/allocprof.sh for the per-experiment breakdown).
 dune build @perf-smoke
 
-echo "check.sh: build, tests, asf_bench gates and benchmark smokes OK"
+# The build profile may change host time only. Build asf_bench under the
+# dev profile too and diff a figure and a checked serve run against the
+# default build, dropping the "[... host time]" line.
+dune build --profile dev --build-dir _build_dev ./bin/asf_bench.exe
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for args in "repro -e fig7 --quick --seed 7" \
+  "serve --service kv-e -t 4 -n 800 --load 2.5 --queue-cap 8 --deadline-us 2 --seed 5 --check=lin"; do
+  for build in _build _build_dev; do
+    # shellcheck disable=SC2086
+    "$build/default/bin/asf_bench.exe" $args > "$tmp/raw"
+    grep -v 'host time\]$' "$tmp/raw" > "$tmp/$build.out"
+  done
+  cmp "$tmp/_build.out" "$tmp/_build_dev.out"
+done
+
+echo "check.sh: build, tests, asf_bench gates, benchmark smokes and profile diff OK"

@@ -35,11 +35,14 @@ let run_threads e fns =
 
 let test_llb_capacity () =
   let b = Llb.create ~capacity:2 in
-  Alcotest.(check bool) "first" true (Llb.protect_read b 1);
-  Alcotest.(check bool) "second" true (Llb.protect_read b 2);
-  Alcotest.(check bool) "idempotent" true (Llb.protect_read b 1);
-  Alcotest.(check bool) "third rejected" false (Llb.protect_read b 3);
-  Alcotest.(check int) "two entries" 2 (Llb.entries b)
+  Alcotest.(check bool) "first" true (Llb.protect_read b 1 = Llb.Protected);
+  Alcotest.(check bool) "second" true (Llb.protect_read b 2 = Llb.Protected);
+  Alcotest.(check bool) "idempotent" true (Llb.protect_read b 1 = Llb.Protected);
+  Alcotest.(check bool) "third rejected" true (Llb.protect_read b 3 = Llb.Full);
+  Alcotest.(check int) "two entries" 2 (Llb.entries b);
+  ignore (Llb.protect_write b 2 ~backup:(Array.make 8 0));
+  Alcotest.(check bool) "written line reads as written" true
+    (Llb.protect_read b 2 = Llb.Written)
 
 let test_llb_write_upgrade () =
   let b = Llb.create ~capacity:2 in
@@ -118,13 +121,17 @@ let llb_matches_model ~capacity ops =
         match op with
         | Read l ->
             let want =
-              if List.mem_assoc l !model then true
-              else if fits () then (
-                model := (l, None) :: !model;
-                true)
-              else false
+              match List.assoc_opt l !model with
+              | Some (Some _) -> Llb.Written
+              | Some None -> Llb.Protected
+              | None when fits () ->
+                  model := (l, None) :: !model;
+                  Llb.Protected
+              | None -> Llb.Full
             in
-            (Llb.protect_read b l, want)
+            if Llb.protect_read b l <> want then
+              fail step "%s: outcome differs from the model" (show_llb_op op);
+            (true, true)
         | Write l ->
             let backup = [| l; step |] in
             let want =
@@ -366,6 +373,36 @@ let test_hybrid_l1_displacement () =
         Asf.commit a2 ~core:0);
     ];
   Alcotest.(check int) "LLB-256 immune to associativity" 1 (Asf.commits a2)
+
+(* The timer interrupt: a region that speculated at cycle [start] is
+   interrupted by its first ASF operation at or past the start of the
+   next quantum, and by none a cycle earlier. A region may start on a
+   boundary. *)
+let test_interrupt_at_quantum_boundary () =
+  let q = 1000 in
+  let params = { Params.barcelona with Params.interrupt_quantum = q } in
+  let commits ~start ~at =
+    let e = Engine.create ~n_cores:1 () in
+    let a = Asf.create (Memsys.create params e) Variant.llb8 in
+    let committed = ref false in
+    run_threads e
+      [
+        (fun () ->
+          Engine.elapse start;
+          Asf.speculate a ~core:0;
+          Engine.elapse (at - Engine.core_time e 0);
+          match Asf.commit a ~core:0 with
+          | () -> committed := true
+          | exception Asf.Aborted Abort.Interrupt -> ());
+      ];
+    !committed
+  in
+  List.iter
+    (fun (start, at, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "speculate at %d, commit at %d" start at)
+        want (commits ~start ~at))
+    [ (1500, 1999, true); (1500, 2000, false); (2000, 2999, true); (2000, 3000, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* Conflicts: requester-wins                                           *)
@@ -1067,6 +1104,8 @@ let () =
           Alcotest.test_case "abort rolls back" `Quick test_explicit_abort_rolls_back;
           Alcotest.test_case "flat nesting" `Quick test_flat_nesting;
           Alcotest.test_case "nested abort" `Quick test_nested_abort_kills_outermost;
+          Alcotest.test_case "interrupt at quantum boundary" `Quick
+            test_interrupt_at_quantum_boundary;
         ] );
       ( "capacity",
         [

@@ -858,6 +858,35 @@ let test_memsys_fault_hook_raises () =
   in
   ()
 
+(* Rock-style TLB ablation with a fault hook that returns: the access
+   falls back to normal translation, so the hook hears of the miss once.
+   A speculative retry would miss on the page walk again, forever; the
+   hook raises on a second delivery so that shows as a failure, not a
+   hang. An L2-TLB hit is the one miss a speculative retry escaped,
+   because it fills the L1 TLB before aborting. *)
+let test_memsys_tlb_miss_hook_returns () =
+  let exception Delivered_twice in
+  let (), _ =
+    with_thread (fun e ->
+        let m = Memsys.create Params.barcelona e in
+        Tlb.set_abort_on_tlb_miss (Memsys.tlb m) true;
+        let deliveries = ref 0 in
+        Memsys.set_fault_hook m (fun ~core:_ fault ->
+            match fault with
+            | Memsys.Tlb_miss ->
+                incr deliveries;
+                if !deliveries > 1 then raise Delivered_twice
+            | Memsys.Unmapped _ -> Alcotest.fail "page is mapped");
+        Memsys.poke m 4096 7;
+        Alcotest.(check int) "page-walk miss: value" 7
+          (Memsys.load m ~core:0 ~speculative:true 4096);
+        Alcotest.(check int) "page-walk miss: one delivery" 1 !deliveries;
+        Alcotest.(check int) "then an L1-TLB hit: no delivery" 7
+          (Memsys.load m ~core:0 ~speculative:true 4096);
+        Alcotest.(check int) "still one delivery" 1 !deliveries)
+  in
+  ()
+
 let test_memsys_cas () =
   let (), _ =
     with_thread (fun e ->
@@ -963,6 +992,8 @@ let () =
           Alcotest.test_case "load/store" `Quick test_memsys_load_store;
           Alcotest.test_case "fault service" `Quick test_memsys_fault_serviced_outside_region;
           Alcotest.test_case "fault hook" `Quick test_memsys_fault_hook_raises;
+          Alcotest.test_case "tlb-miss hook returns" `Quick
+            test_memsys_tlb_miss_hook_returns;
           Alcotest.test_case "cas" `Quick test_memsys_cas;
           Alcotest.test_case "faa" `Quick test_memsys_faa;
           Alcotest.test_case "probe order" `Quick test_memsys_probe_hook_order;

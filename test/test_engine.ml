@@ -496,6 +496,43 @@ let test_engine_lookahead_window () =
     (Printf.sprintf "long elapse run fuses (fused=%d)" fused)
     true (fused >= 9_990)
 
+(* The scheduled elapse's allocation: two cores ping-pong unit elapses,
+   so every elapse loses the race to the other core's queued task and
+   goes through the queue, with and without [always_schedule]. The
+   words one elapse costs are the run's minor words less those of the
+   same two threads elapsing never, over the number of elapses: the
+   runtime's continuation (2 words) and the queued [Resume] (3 words).
+   An effect value, a handler closure or an option built per yield
+   shows up here. *)
+let test_engine_scheduled_elapse_words () =
+  let per_core = 5_000 in
+  let run always_schedule n =
+    let e = Engine.create ~always_schedule ~n_cores:2 () in
+    let body () =
+      for _ = 1 to n do
+        Engine.elapse 1
+      done
+    in
+    Engine.spawn e ~core:0 body;
+    Engine.spawn e ~core:1 body;
+    let w0 = Gc.minor_words () in
+    Engine.run e;
+    let w = Gc.minor_words () -. w0 in
+    (w, Engine.scheduled_elapses e)
+  in
+  List.iter
+    (fun always_schedule ->
+      let base, none = run always_schedule 0 in
+      let words, scheduled = run always_schedule per_core in
+      Alcotest.(check int) "no elapse without one" 0 none;
+      Alcotest.(check int) "every elapse scheduled" (2 * per_core) scheduled;
+      let per = (words -. base) /. float_of_int scheduled in
+      Alcotest.(check bool)
+        (Printf.sprintf "always_schedule=%b: %.2f minor words per scheduled elapse"
+           always_schedule per)
+        true (per <= 5.0))
+    [ false; true ]
+
 (* Fusion equivalence (QCheck): random spawn/elapse programs run
    bit-identically on the fused engine and the always-schedule reference
    — same execution log, per-core clocks, scheduling-event counts, and
@@ -738,6 +775,8 @@ let () =
           Alcotest.test_case "heap high water" `Quick test_engine_heap_high_water;
           Alcotest.test_case "lookahead window" `Quick
             test_engine_lookahead_window;
+          Alcotest.test_case "scheduled elapse words" `Quick
+            test_engine_scheduled_elapse_words;
           q prop_fusion_equivalent;
         ] );
       ("addr", [ Alcotest.test_case "arithmetic" `Quick test_addr_arithmetic ]);
