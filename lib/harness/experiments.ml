@@ -6,10 +6,12 @@ module Tm = Asf_tm_rt.Tm
 module Intset = Asf_intset.Intset
 module Stamp = Asf_stamp.Stamp
 module C = Asf_stamp.Stamp_common
+module Labyrinth = Asf_stamp.Labyrinth
+module Counters = Asf_engine.Counters
+module Faults = Asf_faults.Faults
 module Parallel = Asf_parallel.Parallel
 module Serve = Asf_serve.Serve
 module Txlin = Asf_txlin.Txlin
-module Hierarchy = Asf_cache.Hierarchy
 
 type t = {
   id : string;
@@ -31,78 +33,133 @@ let asf_modes =
 let stm_mode = { mname = "TinySTM"; mode = Tm.Stm_mode }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel cells                                                       *)
+(* Cells                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Every simulator run below goes through {!Parallel.cell_map}: each
-   experiment enumerates its independent (workload x mode x threads)
-   combinations as a list of cells, runs them across the pool, and
-   assembles rows from the results — which come back in submission order
-   whatever the degree of parallelism, so [--jobs n] output is
-   bit-identical to [--jobs 1]. Cells must be self-contained: they never
-   touch [stamp_cache] (main-domain state) and any formatting they do is
-   pure. *)
+(* A cell is one simulator call: a job, the TM configuration it runs
+   under and its thread count. Cells are plain data, compared and hashed
+   structurally, so two experiments that need the same run list the same
+   cell and it is simulated once. *)
+type job =
+  | Intset of Intset.cfg
+  | Stamp of Stamp.app * float  (** input scale *)
+  | Labyrinth of Labyrinth.cfg
+  | Sweep of Serve.cfg * float list
+      (** {!Serve.sweep}: one capacity probe, then one Poisson run per
+          load multiple *)
+  | Serve of Serve.cfg
 
-(* Split [xs] into consecutive chunks of [n] (length must divide). *)
-let chunk n xs =
-  let rec take k acc xs =
-    if k = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> invalid_arg "chunk: ragged input"
-      | x :: tl -> take (k - 1) (x :: acc) tl
+type cell = { job : job; tm : Tm.config; threads : int }
+
+let cell job tm = { job; tm; threads = tm.Tm.n_cores }
+
+type value =
+  | Intset_r of Intset.result
+  | Stamp_r of C.result
+  | Sweep_r of (float * Serve.result * Txlin.verdict) list
+  | Serve_r of Serve.result
+
+(* A cell's result and its own {!Counters} window. *)
+type result = { value : value; window : int array }
+
+let simulate c =
+  let w = Counters.open_window () in
+  let value =
+    match c.job with
+    | Intset i -> Intset_r (Intset.run c.tm ~threads:c.threads i)
+    | Stamp (app, scale) ->
+        Stamp_r (Stamp.run_scaled app ~scale c.tm ~threads:c.threads)
+    | Labyrinth l -> Stamp_r (Labyrinth.run c.tm ~threads:c.threads l)
+    | Sweep (s, mults) ->
+        let runs, _knee = Serve.sweep c.tm ~threads:c.threads s ~mults in
+        Sweep_r (List.map (fun (m, r) -> (m, r, Txlin.check_result s r)) runs)
+    | Serve s -> Serve_r (Serve.run c.tm ~threads:c.threads s)
   in
-  let rec go xs = if xs = [] then [] else
-    let c, rest = take n [] xs in
-    c :: go rest
+  { value; window = Counters.close_window w }
+
+let intset_of r = match r.value with Intset_r x -> x | _ -> invalid_arg "intset_of"
+
+let stamp_of r = match r.value with Stamp_r x -> x | _ -> invalid_arg "stamp_of"
+
+(* The one memo: every cell simulated in this process, keyed by the cell
+   and the installed fault plan and seed. A checker or tracer never
+   changes a result, so neither is part of the key. Main-domain state:
+   only [run] touches it, never a cell. *)
+let memo : (cell * (Faults.plan * int) option, result) Hashtbl.t = Hashtbl.create 512
+
+(* Simulate every cell of [cells] not yet memoised, once each and in
+   first-occurrence order, through {!Parallel.cell_map} (whose results
+   come back in submission order whatever the pool width, so [--jobs n]
+   is bit-identical to [--jobs 1]); return the lookup. *)
+let run cells =
+  let fl = Faults.installed () in
+  let faults =
+    if Faults.enabled fl then Some (Faults.plan fl, Faults.seed fl) else None
   in
-  go xs
+  let missing =
+    List.fold_left
+      (fun acc c ->
+        if Hashtbl.mem memo (c, faults) || List.mem c acc then acc else c :: acc)
+      [] cells
+    |> List.rev
+  in
+  List.iter2
+    (fun c r -> Hashtbl.replace memo (c, faults) r)
+    missing (Parallel.cell_map simulate missing);
+  fun c -> Hashtbl.find memo (c, faults)
 
-(* ------------------------------------------------------------------ *)
-(* Memoised runs (Fig. 4 and Fig. 6 share one sweep)                    *)
-(* ------------------------------------------------------------------ *)
+let stamp ~quick app = Stamp (app, if quick then 0.25 else 1.0)
 
-let stamp_cache : (string, C.result) Hashtbl.t = Hashtbl.create 128
-
-let stamp_key ~quick ~seed app spec ~threads =
-  Printf.sprintf "%s/%s/%d/%b/%d" (Stamp.name app) spec.mname threads quick seed
+let stamp_grid specs =
+  List.concat_map
+    (fun app ->
+      List.concat_map
+        (fun spec ->
+          List.map (fun threads -> (app, spec, threads)) threads_all)
+        specs)
+    Stamp.all
 
 let stamp_cell ~quick ~seed (app, spec, threads) =
-  let scale = if quick then 0.25 else 1.0 in
-  Stamp.run_scaled app ~scale (cfg spec.mode ~threads ~seed) ~threads
+  cell (stamp ~quick app) (cfg spec.mode ~threads ~seed)
 
-let stamp_run ~quick ~seed app spec ~threads =
-  let key = stamp_key ~quick ~seed app spec ~threads in
-  match Hashtbl.find_opt stamp_cache key with
-  | Some r -> r
-  | None ->
-      let r = stamp_cell ~quick ~seed (app, spec, threads) in
-      Hashtbl.add stamp_cache key r;
-      r
+let intset_cfg ?(early_release = false) ~quick structure ~range ~update_pct =
+  {
+    (Intset.default_cfg structure) with
+    Intset.range;
+    update_pct;
+    early_release;
+    txns_per_thread = (if quick then 300 else 1500);
+  }
 
-(* Fill [stamp_cache] for every combination in one parallel pass, so the
-   assembly loops below hit the cache. The cache is the one piece of
-   state shared across experiments; it is only ever read and written
-   here, on the calling (main) domain. *)
-let stamp_prefetch ~quick ~seed combos =
-  let missing =
-    List.filter
-      (fun (app, spec, threads) ->
-        not (Hashtbl.mem stamp_cache (stamp_key ~quick ~seed app spec ~threads)))
-      combos
-  in
-  let results = Parallel.cell_map (stamp_cell ~quick ~seed) missing in
-  List.iter2
-    (fun (app, spec, threads) r ->
-      Hashtbl.replace stamp_cache (stamp_key ~quick ~seed app spec ~threads) r)
-    missing results
+let panel_name (s, range, upd) =
+  Printf.sprintf "%s r=%d %d%%upd" (Intset.structure_name s) range upd
+
+(* One run of an IntegerSet panel (structure, key range, update %):
+   abl-cache's and abl-tlb's runs on fig5's panels are fig5's cells. *)
+let panel_cell ~quick (structure, range, upd) tm =
+  cell (Intset (intset_cfg ~quick structure ~range ~update_pct:upd)) tm
+
+let tput r = (intset_of r).Intset.throughput_tx_per_us
 
 (* ------------------------------------------------------------------ *)
 (* fig3                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper validates PTLsim-ASF by running the STAMP applications
+   single-threaded without TM both natively and simulated. No x86
+   silicon exists here, so the "native" side is the analytical
+   native-reference machine profile (DESIGN.md, substitution table): the
+   same workloads and execution path on a different machine model. The
+   Barcelona cells are fig4's sequential baseline. *)
 let fig3 ~quick ~seed =
-  let entries = Calibration.measure ~quick ~seed in
+  let on params app =
+    cell (stamp ~quick app) { (cfg Tm.Seq_mode ~threads:1 ~seed) with Tm.params }
+  in
+  let profiles = [ Params.barcelona; Params.native_reference ] in
+  let get =
+    run (List.concat_map (fun app -> List.map (fun p -> on p app) profiles) Stamp.all)
+  in
+  let cycles params app = (stamp_of (get (on params app))).C.cycles in
   [
     Report.make ~id:"fig3"
       ~title:
@@ -116,59 +173,45 @@ let fig3 ~quick ~seed =
         ]
       [ "app"; "detailed (cycles)"; "reference (cycles)"; "deviation" ]
       (List.map
-         (fun e ->
+         (fun app ->
+           let detailed = cycles Params.barcelona app in
+           let reference = cycles Params.native_reference app in
            [
-             e.Calibration.app;
-             string_of_int e.Calibration.detailed_cycles;
-             string_of_int e.Calibration.reference_cycles;
-             Report.pct e.Calibration.deviation_pct;
+             Stamp.name app;
+             string_of_int detailed;
+             string_of_int reference;
+             Report.pct
+               (100.0 *. (float_of_int detailed -. float_of_int reference)
+               /. float_of_int reference);
            ])
-         entries);
+         Stamp.all);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* fig4                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fig4_combos =
-  List.concat_map
-    (fun app ->
-      List.concat_map
-        (fun spec -> List.map (fun threads -> (app, spec, threads)) threads_all)
-        (asf_modes @ [ stm_mode ]))
-    Stamp.all
-
 let fig4 ~quick ~seed =
-  let scale = if quick then 0.25 else 1.0 in
-  stamp_prefetch ~quick ~seed fig4_combos;
-  let seqs =
-    Parallel.cell_map
-      (fun app ->
-        Stamp.run_scaled app ~scale (cfg Tm.Seq_mode ~threads:1 ~seed) ~threads:1)
-      Stamp.all
+  let specs = asf_modes @ [ stm_mode ] in
+  let c = stamp_cell ~quick ~seed in
+  let seq app = cell (stamp ~quick app) (cfg Tm.Seq_mode ~threads:1 ~seed) in
+  let get = run (List.map c (stamp_grid specs) @ List.map seq Stamp.all) in
+  let time c =
+    let r = stamp_of (get c) in
+    Report.f3 (ms r.C.cycles) ^ if C.ok r then "" else "!"
   in
   let rows =
-    List.concat
-      (List.map2
-         (fun app seq ->
-           let tm_rows =
-             List.map
-               (fun spec ->
-                 let times =
-                   List.map
-                     (fun threads ->
-                       let r = stamp_run ~quick ~seed app spec ~threads in
-                       Report.f3 (ms r.C.cycles) ^ if C.ok r then "" else "!")
-                     threads_all
-                 in
-                 (Stamp.name app :: spec.mname :: times)
-                 @ [])
-               (asf_modes @ [ stm_mode ])
-           in
-           let seq_ms = Report.f3 (ms seq.C.cycles) in
-           tm_rows
-           @ [ [ Stamp.name app; "Sequential"; seq_ms; seq_ms; seq_ms; seq_ms ] ])
-         Stamp.all seqs)
+    List.concat_map
+      (fun app ->
+        List.map
+          (fun spec ->
+            Stamp.name app :: spec.mname
+            :: List.map (fun threads -> time (c (app, spec, threads))) threads_all)
+          specs
+        @
+        let seq_ms = Report.f3 (ms (stamp_of (get (seq app))).C.cycles) in
+        [ [ Stamp.name app; "Sequential"; seq_ms; seq_ms; seq_ms; seq_ms ] ])
+      Stamp.all
   in
   [
     Report.make ~id:"fig4"
@@ -199,41 +242,25 @@ let fig5_panels =
     (Intset.Hash_set, 128000, 100);
   ]
 
-let intset_cfg ~quick structure ~range ~update_pct ~early_release =
-  {
-    (Intset.default_cfg structure) with
-    Intset.range;
-    update_pct;
-    early_release;
-    txns_per_thread = (if quick then 300 else 1500);
-  }
-
-let panel_name (s, range, upd) =
-  Printf.sprintf "%s r=%d %d%%upd" (Intset.structure_name s) range upd
-
 let fig5 ~quick ~seed =
   let grid =
     List.concat_map
-      (fun panel ->
-        List.map (fun spec -> (panel, spec)) asf_modes)
+      (fun panel -> List.map (fun spec -> (panel, spec)) asf_modes)
       fig5_panels
   in
-  let results =
-    Parallel.cell_map
-      (fun (((structure, range, upd), spec), threads) ->
-        let c = intset_cfg ~quick structure ~range ~update_pct:upd ~early_release:false in
-        let r = Intset.run (cfg spec.mode ~threads ~seed) ~threads c in
-        Report.f2 r.Intset.throughput_tx_per_us
-        ^ (if r.Intset.size_ok then "" else "!"))
-      (List.concat_map
-         (fun cell -> List.map (fun threads -> (cell, threads)) threads_all)
-         grid)
-  in
+  let c (panel, spec) threads = panel_cell ~quick panel (cfg spec.mode ~threads ~seed) in
+  let get = run (List.concat_map (fun row -> List.map (c row) threads_all) grid) in
   let rows =
-    List.map2
-      (fun (panel, spec) cells -> panel_name panel :: spec.mname :: cells)
+    List.map
+      (fun ((panel, spec) as row) ->
+        panel_name panel :: spec.mname
+        :: List.map
+             (fun threads ->
+               let r = intset_of (get (c row threads)) in
+               Report.f2 r.Intset.throughput_tx_per_us
+               ^ if r.Intset.size_ok then "" else "!")
+             threads_all)
       grid
-      (chunk (List.length threads_all) results)
   in
   [
     Report.make ~id:"fig5"
@@ -264,28 +291,18 @@ let abort_classes stats =
   ]
 
 let fig6 ~quick ~seed =
-  stamp_prefetch ~quick ~seed
-    (List.concat_map
-       (fun app ->
-         List.concat_map
-           (fun spec -> List.map (fun threads -> (app, spec, threads)) threads_all)
-           asf_modes)
-       Stamp.all);
+  let grid = stamp_grid asf_modes in
+  let c = stamp_cell ~quick ~seed in
+  let get = run (List.map c grid) in
   let rows =
-    List.concat_map
-      (fun app ->
-        List.concat_map
-          (fun spec ->
-            List.map
-              (fun threads ->
-                let r = stamp_run ~quick ~seed app spec ~threads in
-                let classes = abort_classes r.C.stats in
-                let total = List.fold_left ( +. ) 0.0 classes in
-                [ Stamp.name app; spec.mname; string_of_int threads; Report.pct total ]
-                @ List.map Report.pct classes)
-              threads_all)
-          asf_modes)
-      Stamp.all
+    List.map
+      (fun ((app, spec, threads) as point) ->
+        let r = stamp_of (get (c point)) in
+        let classes = abort_classes r.C.stats in
+        let total = List.fold_left ( +. ) 0.0 classes in
+        [ Stamp.name app; spec.mname; string_of_int threads; Report.pct total ]
+        @ List.map Report.pct classes)
+      grid
   in
   [
     Report.make ~id:"fig6"
@@ -298,92 +315,76 @@ let fig6 ~quick ~seed =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* fig7                                                                 *)
+(* fig7 / fig8                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let list_sizes ~quick =
+  if quick then [ 6; 30; 126; 510 ] else [ 6; 14; 30; 62; 126; 254; 510 ]
+
+(* One 8-thread run of a structure pre-filled to [size] over twice that
+   key range: fig8's runs without early release are fig7's list cells. *)
+let capacity_cell ?early_release ~quick ~seed structure size mode =
+  cell
+    (Intset
+       {
+         (intset_cfg ?early_release ~quick structure ~range:(2 * size) ~update_pct:20)
+         with
+         Intset.init_size = Some size;
+         txns_per_thread = (if quick then 150 else 600);
+       })
+    (cfg mode ~threads:8 ~seed)
+
 let fig7 ~quick ~seed =
-  let list_sizes =
-    if quick then [ 6; 30; 126; 510 ] else [ 6; 14; 30; 62; 126; 254; 510 ]
-  in
   let tree_sizes =
     if quick then [ 8; 64; 512; 4096 ]
     else [ 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ]
   in
-  let sweep structure sizes =
-    let results =
-      Parallel.cell_map
-        (fun (size, spec) ->
-          let c =
-            {
-              (intset_cfg ~quick structure ~range:(2 * size) ~update_pct:20
-                 ~early_release:false)
-              with
-              Intset.init_size = Some size;
-              txns_per_thread = (if quick then 150 else 600);
-            }
-          in
-          let r = Intset.run (cfg spec.mode ~threads:8 ~seed) ~threads:8 c in
-          Report.f2 r.Intset.throughput_tx_per_us)
-        (List.concat_map
-           (fun size -> List.map (fun spec -> (size, spec)) asf_modes)
-           sizes)
-    in
-    List.map2
-      (fun size cells ->
-        Intset.structure_name structure :: string_of_int size :: cells)
-      sizes
-      (chunk (List.length asf_modes) results)
+  let grid =
+    List.map (fun size -> (Intset.Linked_list, size)) (list_sizes ~quick)
+    @ List.map (fun size -> (Intset.Rb_tree, size)) tree_sizes
   in
+  let c (structure, size) spec =
+    capacity_cell ~quick ~seed structure size spec.mode
+  in
+  let get = run (List.concat_map (fun row -> List.map (c row) asf_modes) grid) in
   [
     Report.make ~id:"fig7"
       ~title:
         "ASF capacity vs throughput (8 threads, 20% updates; tx/us by initial size)"
       ([ "structure"; "initial size" ] @ List.map (fun s -> s.mname) asf_modes)
-      (sweep Intset.Linked_list list_sizes @ sweep Intset.Rb_tree tree_sizes);
+      (List.map
+         (fun ((structure, size) as row) ->
+           Intset.structure_name structure :: string_of_int size
+           :: List.map (fun spec -> Report.f2 (tput (get (c row spec)))) asf_modes)
+         grid);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* fig8                                                                 *)
-(* ------------------------------------------------------------------ *)
-
 let fig8 ~quick ~seed =
-  let sizes = if quick then [ 6; 30; 126; 510 ] else [ 6; 14; 30; 62; 126; 254; 510 ] in
-  let variants = [ Variant.llb8; Variant.llb256 ] in
-  let rows =
-    Parallel.cell_map
-      (fun (variant, size) ->
-        let run er =
-          let c =
-            {
-              (intset_cfg ~quick Intset.Linked_list ~range:(2 * size)
-                 ~update_pct:20 ~early_release:er)
-              with
-              Intset.init_size = Some size;
-              txns_per_thread = (if quick then 150 else 600);
-            }
-          in
-          Intset.run (cfg (Tm.Asf_mode variant) ~threads:8 ~seed) ~threads:8 c
-        in
-        let without = run false in
-        let with_er = run true in
-        [
-          variant.Variant.name;
-          string_of_int size;
-          Report.f2 without.Intset.throughput_tx_per_us;
-          Report.f2 with_er.Intset.throughput_tx_per_us;
-          Report.f2
-            (with_er.Intset.throughput_tx_per_us
-            /. max 0.001 without.Intset.throughput_tx_per_us);
-        ])
-      (List.concat_map
-         (fun variant -> List.map (fun size -> (variant, size)) sizes)
-         variants)
+  let grid =
+    List.concat_map
+      (fun variant -> List.map (fun size -> (variant, size)) (list_sizes ~quick))
+      [ Variant.llb8; Variant.llb256 ]
   in
+  let c (variant, size) early_release =
+    capacity_cell ~early_release ~quick ~seed Intset.Linked_list size
+      (Tm.Asf_mode variant)
+  in
+  let get = run (List.concat_map (fun row -> [ c row false; c row true ]) grid) in
   [
     Report.make ~id:"fig8"
       ~title:"Early-release impact on the linked list (8 threads, 20% updates)"
       [ "variant"; "initial size"; "without ER (tx/us)"; "with ER (tx/us)"; "speedup" ]
-      rows;
+      (List.map
+         (fun ((variant, size) as row) ->
+           let without = tput (get (c row false)) and with_er = tput (get (c row true)) in
+           [
+             variant.Variant.name;
+             string_of_int size;
+             Report.f2 without;
+             Report.f2 with_er;
+             Report.f2 (with_er /. max 0.001 without);
+           ])
+         grid);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -398,21 +399,25 @@ let tab1_structures =
     (Intset.Hash_set, 100);
   ]
 
+(* tab1 and fig9 read the same single-thread runs: per structure, its
+   LLB-256 and its TinySTM result. *)
 let breakdown_runs ~quick ~seed =
-  Parallel.cell_map
-    (fun (structure, upd) ->
-      let c =
-        {
-          (intset_cfg ~quick structure ~range:256 ~update_pct:upd ~early_release:false)
-          with
-          Intset.txns_per_thread = (if quick then 500 else 3000);
-        }
-      in
-      let asf =
-        Intset.run (cfg (Tm.Asf_mode Variant.llb256) ~threads:1 ~seed) ~threads:1 c
-      in
-      let stm = Intset.run (cfg Tm.Stm_mode ~threads:1 ~seed) ~threads:1 c in
-      (structure, asf, stm))
+  let c (structure, upd) mode =
+    cell
+      (Intset
+         {
+           (intset_cfg ~quick structure ~range:256 ~update_pct:upd) with
+           Intset.txns_per_thread = (if quick then 500 else 3000);
+         })
+      (cfg mode ~threads:1 ~seed)
+  in
+  let asf = Tm.Asf_mode Variant.llb256 in
+  let get =
+    run (List.concat_map (fun s -> [ c s asf; c s Tm.Stm_mode ]) tab1_structures)
+  in
+  List.map
+    (fun ((structure, _) as s) ->
+      (structure, intset_of (get (c s asf)), intset_of (get (c s Tm.Stm_mode))))
     tab1_structures
 
 let tab1_categories =
@@ -487,24 +492,16 @@ let fig9 ~quick ~seed =
 (* Ablations                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let llb256 ~threads ~seed = cfg (Tm.Asf_mode Variant.llb256) ~threads ~seed
+
 let abl_wins ~quick ~seed =
-  let run requester_wins =
-    let c =
-      {
-        (intset_cfg ~quick Intset.Rb_tree ~range:128 ~update_pct:50 ~early_release:false)
-        with
-        Intset.txns_per_thread = (if quick then 300 else 1500);
-      }
-    in
-    let tm = { (cfg (Tm.Asf_mode Variant.llb256) ~threads:8 ~seed) with Tm.requester_wins } in
-    Intset.run tm ~threads:8 c
+  let c requester_wins =
+    panel_cell ~quick (Intset.Rb_tree, 128, 50)
+      { (llb256 ~threads:8 ~seed) with Tm.requester_wins }
   in
-  let wins, loses =
-    match Parallel.cell_map run [ true; false ] with
-    | [ w; l ] -> (w, l)
-    | _ -> assert false
-  in
-  let row name (r : Intset.result) =
+  let get = run [ c true; c false ] in
+  let row name requester_wins =
+    let r = intset_of (get (c requester_wins)) in
     [
       name;
       Report.f2 r.Intset.throughput_tx_per_us;
@@ -518,21 +515,17 @@ let abl_wins ~quick ~seed =
         "Ablation: requester-wins vs requester-loses contention management \
          (rb-tree, range 128, 50% updates, 8 threads)"
       [ "policy"; "tx/us"; "aborts"; "serial commits" ]
-      [ row "requester-wins (ASF)" wins; row "requester-loses" loses ];
+      [ row "requester-wins (ASF)" true; row "requester-loses" false ];
   ]
 
 let abl_tlb ~quick ~seed =
-  let run abort_on_tlb_miss =
-    let c = intset_cfg ~quick Intset.Hash_set ~range:128000 ~update_pct:100 ~early_release:false in
-    let tm = { (cfg (Tm.Asf_mode Variant.llb256) ~threads:8 ~seed) with Tm.abort_on_tlb_miss } in
-    Intset.run tm ~threads:8 c
+  let c abort_on_tlb_miss =
+    panel_cell ~quick (Intset.Hash_set, 128000, 100)
+      { (llb256 ~threads:8 ~seed) with Tm.abort_on_tlb_miss }
   in
-  let asf_sem, rock_sem =
-    match Parallel.cell_map run [ false; true ] with
-    | [ a; r ] -> (a, r)
-    | _ -> assert false
-  in
-  let row name (r : Intset.result) =
+  let get = run [ c false; c true ] in
+  let row name abort_on_tlb_miss =
+    let r = intset_of (get (c abort_on_tlb_miss)) in
     let a = Stats.aborts r.Intset.stats in
     [
       name;
@@ -548,28 +541,29 @@ let abl_tlb ~quick ~seed =
         "Ablation: ASF semantics (TLB misses survive) vs Rock-style TLB-miss \
          aborts (hash set, range 128000, 8 threads)"
       [ "semantics"; "tx/us"; "tlb-miss aborts"; "page-fault aborts"; "total aborts" ]
-      [ row "ASF (no abort on TLB miss)" asf_sem; row "Rock-style" rock_sem ];
+      [ row "ASF (no abort on TLB miss)" false; row "Rock-style" true ];
   ]
 
 let abl_annot ~quick ~seed =
-  let module Labyrinth = Asf_stamp.Labyrinth in
-  let run privatized_snapshot =
-    let tm = cfg (Tm.Asf_mode Variant.llb256) ~threads:4 ~seed in
-    Labyrinth.run tm ~threads:4
-      {
-        Labyrinth.default with
-        Labyrinth.privatized_snapshot;
-        paths =
-          (if quick then Labyrinth.default.Labyrinth.paths / 4
-           else Labyrinth.default.Labyrinth.paths);
-      }
+  let tm = llb256 ~threads:4 ~seed in
+  (* The compiler default is fig4's LLB-256 4-thread labyrinth cell: the
+     STAMP registry scales the same default input by the same factor. *)
+  let compiler_default = cell (stamp ~quick Stamp.Labyrinth) tm in
+  let privatized =
+    cell
+      (Labyrinth
+         {
+           Labyrinth.default with
+           Labyrinth.privatized_snapshot = true;
+           paths =
+             (if quick then Labyrinth.default.Labyrinth.paths / 4
+              else Labyrinth.default.Labyrinth.paths);
+         })
+      tm
   in
-  let compiler_default, privatized =
-    match Parallel.cell_map run [ false; true ] with
-    | [ d; p ] -> (d, p)
-    | _ -> assert false
-  in
-  let row name (r : C.result) =
+  let get = run [ compiler_default; privatized ] in
+  let row name c =
+    let r = stamp_of (get c) in
     [
       name;
       Report.f3 (ms r.C.cycles);
@@ -593,16 +587,12 @@ let abl_annot ~quick ~seed =
   ]
 
 let abl_backoff ~quick ~seed =
-  let run backoff =
-    let tm = { (cfg (Tm.Asf_mode Variant.llb256) ~threads:8 ~seed) with Tm.backoff } in
-    Stamp.run_scaled Stamp.Intruder ~scale:(if quick then 0.25 else 1.0) tm ~threads:8
+  let c backoff =
+    cell (stamp ~quick Stamp.Intruder) { (llb256 ~threads:8 ~seed) with Tm.backoff }
   in
-  let on, off =
-    match Parallel.cell_map run [ true; false ] with
-    | [ on; off ] -> (on, off)
-    | _ -> assert false
-  in
-  let row name (r : C.result) =
+  let get = run [ c true; c false ] in
+  let row name backoff =
+    let r = stamp_of (get (c backoff)) in
     [
       name;
       Report.f3 (ms r.C.cycles);
@@ -614,7 +604,7 @@ let abl_backoff ~quick ~seed =
     Report.make ~id:"abl-backoff"
       ~title:"Ablation: exponential back-off on/off (intruder, 8 threads)"
       [ "back-off"; "time (ms)"; "aborts"; "valid" ]
-      [ row "exponential (ASF-TM)" on; row "none" off ];
+      [ row "exponential (ASF-TM)" true; row "none" false ];
   ]
 
 let abl_cache ~quick ~seed =
@@ -629,23 +619,11 @@ let abl_cache ~quick ~seed =
       (Intset.Hash_set, 4096, 100);
     ]
   in
-  let rows =
-    Parallel.cell_map
-      (fun ((structure, range, upd) as panel, v) ->
-        let c = intset_cfg ~quick structure ~range ~update_pct:upd ~early_release:false in
-        let r = Intset.run (cfg (Tm.Asf_mode v) ~threads:8 ~seed) ~threads:8 c in
-        let a = Stats.aborts r.Intset.stats in
-        [
-          panel_name panel;
-          v.Variant.name;
-          Report.f2 r.Intset.throughput_tx_per_us;
-          string_of_int a.(Abort.index Abort.Capacity);
-          string_of_int (Stats.serial_commits r.Intset.stats);
-        ])
-      (List.concat_map
-         (fun panel -> List.map (fun v -> (panel, v)) variants)
-         panels)
+  let grid =
+    List.concat_map (fun panel -> List.map (fun v -> (panel, v)) variants) panels
   in
+  let c (panel, v) = panel_cell ~quick panel (cfg (Tm.Asf_mode v) ~threads:8 ~seed) in
+  let get = run (List.map c grid) in
   [
     Report.make ~id:"abl-cache"
       ~title:
@@ -657,44 +635,47 @@ let abl_cache ~quick ~seed =
            associativity for reads AND writes.";
         ]
       [ "panel"; "variant"; "tx/us"; "capacity aborts"; "serial commits" ]
-      rows;
+      (List.map
+         (fun ((panel, v) as row) ->
+           let r = intset_of (get (c row)) in
+           [
+             panel_name panel;
+             v.Variant.name;
+             Report.f2 r.Intset.throughput_tx_per_us;
+             string_of_int (Stats.aborts r.Intset.stats).(Abort.index Abort.Capacity);
+             string_of_int (Stats.serial_commits r.Intset.stats);
+           ])
+         grid);
   ]
 
 let abl_phased ~quick ~seed =
   (* Section 3.2's "more elaborate fallback": switch to an STM phase on
      capacity overflow instead of serialising (PhasedTM-style). *)
-  let mk structure range =
-    {
-      (intset_cfg ~quick structure ~range ~update_pct:20 ~early_release:false) with
-      Intset.txns_per_thread = (if quick then 200 else 800);
-    }
+  let grid =
+    List.concat_map
+      (fun workload ->
+        List.map
+          (fun fallback -> (workload, fallback))
+          [
+            ("serial fallback (paper)", Tm.Asf_mode Variant.llb8);
+            ("phased STM fallback", Tm.Phased_mode Variant.llb8);
+            ("pure TinySTM", Tm.Stm_mode);
+          ])
+      [
+        ("rb-tree r=16384", Intset.Rb_tree, 16384);
+        ("linked-list r=1020", Intset.Linked_list, 1020);
+      ]
   in
-  let rows =
-    Parallel.cell_map
-      (fun ((label, structure, range), (mname, mode)) ->
-        let c = mk structure range in
-        let tm = cfg mode ~threads:8 ~seed in
-        let r = Intset.run tm ~threads:8 c in
-        [
-          label;
-          mname;
-          Report.f2 r.Intset.throughput_tx_per_us;
-          string_of_int (Stats.serial_commits r.Intset.stats);
-        ])
-      (List.concat_map
-         (fun workload ->
-           List.map
-             (fun fallback -> (workload, fallback))
-             [
-               ("serial fallback (paper)", Tm.Asf_mode Variant.llb8);
-               ("phased STM fallback", Tm.Phased_mode Variant.llb8);
-               ("pure TinySTM", Tm.Stm_mode);
-             ])
-         [
-           ("rb-tree r=16384", Intset.Rb_tree, 16384);
-           ("linked-list r=1020", Intset.Linked_list, 1020);
-         ])
+  let c ((_, structure, range), (_, mode)) =
+    cell
+      (Intset
+         {
+           (intset_cfg ~quick structure ~range ~update_pct:20) with
+           Intset.txns_per_thread = (if quick then 200 else 800);
+         })
+      (cfg mode ~threads:8 ~seed)
   in
+  let get = run (List.map c grid) in
   [
     Report.make ~id:"abl-phased"
       ~title:
@@ -707,7 +688,16 @@ let abl_phased ~quick ~seed =
            workload-dependent.";
         ]
       [ "workload"; "fallback"; "tx/us"; "serial commits" ]
-      rows;
+      (List.map
+         (fun (((label, _, _), (mname, _)) as row) ->
+           let r = intset_of (get (c row)) in
+           [
+             label;
+             mname;
+             Report.f2 r.Intset.throughput_tx_per_us;
+             string_of_int (Stats.serial_commits r.Intset.stats);
+           ])
+         grid);
   ]
 
 let abl_wb ~quick ~seed =
@@ -723,32 +713,33 @@ let abl_wb ~quick ~seed =
   let panels =
     [ (Intset.Rb_tree, 1024, 20); (Intset.Hash_set, 4096, 100); (Intset.Linked_list, 128, 20) ]
   in
-  let rows =
-    Parallel.cell_map
-      (fun (((structure, range, upd) as panel), (sname, stm_strategy), threads) ->
-        let c = intset_cfg ~quick structure ~range ~update_pct:upd ~early_release:false in
-        let tm = { (cfg Tm.Stm_mode ~threads ~seed) with Tm.stm_strategy } in
-        let r = Intset.run tm ~threads c in
-        [
-          panel_name panel;
-          sname;
-          string_of_int threads;
-          Report.f2 r.Intset.throughput_tx_per_us;
-          string_of_int (Stats.total_aborts r.Intset.stats);
-        ])
-      (List.concat_map
-         (fun panel ->
-           List.concat_map
-             (fun strategy ->
-               List.map (fun threads -> (panel, strategy, threads)) [ 1; 8 ])
-             strategies)
-         panels)
+  let grid =
+    List.concat_map
+      (fun panel ->
+        List.concat_map
+          (fun strategy -> List.map (fun threads -> (panel, strategy, threads)) [ 1; 8 ])
+          strategies)
+      panels
   in
+  let c (panel, (_, stm_strategy), threads) =
+    panel_cell ~quick panel { (cfg Tm.Stm_mode ~threads ~seed) with Tm.stm_strategy }
+  in
+  let get = run (List.map c grid) in
   [
     Report.make ~id:"abl-wb"
       ~title:"Ablation: TinySTM write-through (the paper's choice) vs write-back"
       [ "panel"; "strategy"; "threads"; "tx/us"; "aborts" ]
-      rows;
+      (List.map
+         (fun ((panel, (sname, _), threads) as row) ->
+           let r = intset_of (get (c row)) in
+           [
+             panel_name panel;
+             sname;
+             string_of_int threads;
+             Report.f2 r.Intset.throughput_tx_per_us;
+             string_of_int (Stats.total_aborts r.Intset.stats);
+           ])
+         grid);
   ]
 
 let abl_socket ~quick ~seed =
@@ -756,98 +747,103 @@ let abl_socket ~quick ~seed =
      future processors with higher levels of core integration"); this
      extension splits them across two sockets with an interconnect hop
      and a per-socket L3, quantifying what that choice hides. *)
-  let run params structure threads =
-    let c =
-      {
-        (intset_cfg ~quick structure ~range:1024
-           ~update_pct:(match structure with Intset.Hash_set -> 100 | _ -> 20)
-           ~early_release:false)
-        with
-        Intset.txns_per_thread = (if quick then 200 else 1000);
-      }
-    in
-    let tm = { (cfg (Tm.Asf_mode Variant.llb256) ~threads ~seed) with Tm.params } in
-    (Intset.run tm ~threads c).Intset.throughput_tx_per_us
+  let grid =
+    List.concat_map
+      (fun s -> List.map (fun threads -> (s, threads)) [ 2; 4; 8 ])
+      [ ("rb-tree", Intset.Rb_tree); ("hash-set", Intset.Hash_set) ]
   in
-  let rows =
-    Parallel.cell_map
-      (fun ((sname, structure), threads) ->
-        let single = run Params.barcelona structure threads in
-        let dual = run Params.dual_socket structure threads in
-        [
-          sname;
-          string_of_int threads;
-          Report.f2 single;
-          Report.f2 dual;
-          Report.f2 (dual /. max 0.001 single);
-        ])
+  let c ((_, structure), threads) params =
+    cell
+      (Intset
+         {
+           (intset_cfg ~quick structure ~range:1024
+              ~update_pct:(match structure with Intset.Hash_set -> 100 | _ -> 20))
+           with
+           Intset.txns_per_thread = (if quick then 200 else 1000);
+         })
+      { (llb256 ~threads ~seed) with Tm.params }
+  in
+  let get =
+    run
       (List.concat_map
-         (fun s -> List.map (fun threads -> (s, threads)) [ 2; 4; 8 ])
-         [ ("rb-tree", Intset.Rb_tree); ("hash-set", Intset.Hash_set) ])
+         (fun row -> [ c row Params.barcelona; c row Params.dual_socket ])
+         grid)
   in
   [
     Report.make ~id:"abl-socket"
       ~title:
         "Extension: single-socket (paper) vs dual-socket topology with an interconnect hop (LLB-256; throughput tx/us)"
       [ "structure"; "threads"; "1 socket"; "2 sockets"; "ratio" ]
-      rows;
+      (List.map
+         (fun (((sname, _), threads) as row) ->
+           let single = tput (get (c row Params.barcelona)) in
+           let dual = tput (get (c row Params.dual_socket)) in
+           [
+             sname;
+             string_of_int threads;
+             Report.f2 single;
+             Report.f2 dual;
+             Report.f2 (dual /. max 0.001 single);
+           ])
+         grid);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension: open-system serving under overload                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Each cell measures the closed-loop capacity of one service, then
-   offers a Poisson load at a multiple of it — below the knee (0.8x) and
+(* One sweep per service: measure its closed-loop capacity once, then
+   offer a Poisson load at a multiple of it — below the knee (0.8x) and
    in sustained overload (2x) — with per-request deadlines and the
    overload governor on. The overload rows are the robustness exhibit:
    explicit shed/timeout censuses and a bounded queue instead of a
    collapse. *)
 let serve_exp ~quick ~seed =
-  let threads = 4 in
-  let requests = if quick then 400 else 1500 in
+  let tm = llb256 ~threads:4 ~seed in
+  let c service =
+    cell
+      (Sweep
+         ( {
+             (Serve.default_cfg service) with
+             Serve.requests = (if quick then 400 else 1500);
+             queue_cap = 16;
+             deadline = Some (Params.us_to_cycles tm.Tm.params 4);
+             record = true;
+           },
+           [ 0.8; 2.0 ] ))
+      tm
+  in
+  let services =
+    [ ("kv-a", Serve.Kv Serve.A); ("kv-e", Serve.Kv Serve.E); ("ledger", Serve.Ledger) ]
+  in
+  let get = run (List.map (fun (_, service) -> c service) services) in
   let rows =
-    Parallel.cell_map
-      (fun (sname, service, mult) ->
-        let tm = cfg (Tm.Asf_mode Variant.llb256) ~threads ~seed in
-        let base =
-          {
-            (Serve.default_cfg service) with
-            Serve.requests;
-            queue_cap = 16;
-            deadline = Some (Params.us_to_cycles tm.Tm.params 4);
-            record = true;
-          }
-        in
-        let mean_gap = Serve.load_gap tm ~threads base mult in
-        let cell_cfg = { base with Serve.arrival = Serve.Poisson { mean_gap } } in
-        let r = Serve.run tm ~threads cell_cfg in
-        let v = Txlin.check_result cell_cfg r in
-        [
-          sname;
-          Report.f2 mult;
-          Report.f2 r.Serve.r_offered;
-          Report.f2 r.Serve.r_achieved;
-          string_of_int r.Serve.r_p50;
-          string_of_int r.Serve.r_p99;
-          string_of_int r.Serve.r_shed;
-          string_of_int r.Serve.r_timeout;
-          string_of_int r.Serve.r_max_depth;
-          r.Serve.r_final_gov;
-          (if r.Serve.r_invariant_ok && r.Serve.r_partition_ok then "ok"
-           else "FAIL");
-          (if v.Txlin.v_ok then "ok"
-           else if v.Txlin.v_inconclusive then "inconcl"
-           else "FAIL");
-        ])
-      (List.concat_map
-         (fun (sname, service) ->
-           List.map (fun mult -> (sname, service, mult)) [ 0.8; 2.0 ])
-         [
-           ("kv-a", Serve.Kv Serve.A);
-           ("kv-e", Serve.Kv Serve.E);
-           ("ledger", Serve.Ledger);
-         ])
+    List.concat_map
+      (fun (sname, service) ->
+        match (get (c service)).value with
+        | Sweep_r runs ->
+            List.map
+              (fun (mult, r, v) ->
+                [
+                  sname;
+                  Report.f2 mult;
+                  Report.f2 r.Serve.r_offered;
+                  Report.f2 r.Serve.r_achieved;
+                  string_of_int r.Serve.r_p50;
+                  string_of_int r.Serve.r_p99;
+                  string_of_int r.Serve.r_shed;
+                  string_of_int r.Serve.r_timeout;
+                  string_of_int r.Serve.r_max_depth;
+                  r.Serve.r_final_gov;
+                  (if r.Serve.r_invariant_ok && r.Serve.r_partition_ok then "ok"
+                   else "FAIL");
+                  (if v.Txlin.v_ok then "ok"
+                   else if v.Txlin.v_inconclusive then "inconcl"
+                   else "FAIL");
+                ])
+              runs
+        | _ -> invalid_arg "serve: not a sweep cell")
+      services
   in
   [
     Report.make ~id:"serve"
@@ -875,92 +871,70 @@ let serve_exp ~quick ~seed =
    8x the paper's core count, spread over four sockets. Above 62 cores
    the directory runs on the limited-pointer/coarse-vector sharer
    backend, so these rows also exercise the representation the bitmask
-   cannot reach. Each cell reports its own coherence traffic, read as a
-   delta of the executing domain's counters around the run (cells are
-   synchronous on their domain, so the delta is exactly the cell's). *)
+   cannot reach. Each row reports its own coherence traffic, read from
+   its cell's counter window. *)
 let scale ~quick ~seed =
   let topo = Params.topo_64c4s in
   let threads = topo.Params.topo_cores in
   let cfg64 mode = { (cfg mode ~threads ~seed) with Tm.params = topo.Params.topo_params } in
-  let coh_delta f =
-    let c0 = Hierarchy.domain_coherence () in
-    let v = f () in
-    let c1 = Hierarchy.domain_coherence () in
-    (v, [ c1.(0) - c0.(0); c1.(1) - c0.(1); c1.(2) - c0.(2) ])
+  let specs = [ List.nth asf_modes 0; List.nth asf_modes 1 ] in
+  let jobs =
+    List.map
+      (fun app -> (Stamp.name app, Stamp (app, if quick then 0.1 else 0.3)))
+      [ Stamp.Kmeans_low; Stamp.Ssca2 ]
+    @ List.map
+        (fun ((structure, range, upd) as panel) ->
+          ( panel_name panel,
+            Intset
+              {
+                (intset_cfg ~quick structure ~range ~update_pct:upd) with
+                Intset.txns_per_thread = (if quick then 40 else 150);
+              } ))
+        [ (Intset.Rb_tree, 8192, 20); (Intset.Hash_set, 128000, 100) ]
   in
-  let coh_cols d = List.map string_of_int d in
-  let stamp_rows =
-    Parallel.cell_map
-      (fun (app, spec) ->
-        let scale_f = if quick then 0.1 else 0.3 in
-        let r, d =
-          coh_delta (fun () ->
-              Stamp.run_scaled app ~scale:scale_f (cfg64 spec.mode) ~threads)
-        in
-        [
-          Stamp.name app; spec.mname;
-          Report.f3 (ms r.C.cycles) ^ " ms" ^ (if C.ok r then "" else "!");
-        ]
-        @ coh_cols d)
-      (List.concat_map
-         (fun app -> List.map (fun spec -> (app, spec)) [ List.nth asf_modes 0; List.nth asf_modes 1 ])
-         [ Stamp.Kmeans_low; Stamp.Ssca2 ])
+  let serve_tm = cfg64 (Tm.Asf_mode Variant.llb256) in
+  let serve_cell =
+    cell
+      (Serve
+         {
+           (Serve.default_cfg (Serve.Kv Serve.A)) with
+           Serve.requests = (if quick then 400 else 1500);
+           queue_cap = 16;
+           deadline = Some (Params.us_to_cycles serve_tm.Tm.params 8);
+           (* Fixed-gap underload: no capacity probe at 64 cores. *)
+           arrival = Serve.Poisson { mean_gap = 2000 };
+         })
+      serve_tm
   in
-  let intset_rows =
-    Parallel.cell_map
-      (fun ((sname, structure, range, upd), spec) ->
-        let c =
-          {
-            (intset_cfg ~quick structure ~range ~update_pct:upd
-               ~early_release:false)
-            with
-            Intset.txns_per_thread = (if quick then 40 else 150);
-          }
-        in
-        let r, d =
-          coh_delta (fun () -> Intset.run (cfg64 spec.mode) ~threads c)
-        in
-        [
-          Printf.sprintf "%s r=%d %d%%upd" sname range upd;
-          spec.mname;
-          Report.f2 r.Intset.throughput_tx_per_us
-          ^ " tx/us"
-          ^ (if r.Intset.size_ok then "" else "!");
-        ]
-        @ coh_cols d)
-      (List.concat_map
-         (fun s ->
-           List.map (fun spec -> (s, spec)) [ List.nth asf_modes 0; List.nth asf_modes 1 ])
-         [
-           ("rb-tree", Intset.Rb_tree, 8192, 20);
-           ("hash-set", Intset.Hash_set, 128000, 100);
-         ])
+  let grid =
+    List.concat_map
+      (fun (name, job) ->
+        List.map (fun spec -> (name, spec.mname, cell job (cfg64 spec.mode))) specs)
+      jobs
+    @ [ ("serve kv-a", "LLB-256", serve_cell) ]
   in
-  let serve_rows =
-    Parallel.cell_map
-      (fun () ->
-        let tm = cfg64 (Tm.Asf_mode Variant.llb256) in
-        let scfg =
-          {
-            (Serve.default_cfg (Serve.Kv Serve.A)) with
-            Serve.requests = (if quick then 400 else 1500);
-            queue_cap = 16;
-            deadline = Some (Params.us_to_cycles tm.Tm.params 8);
-            (* Fixed-gap underload: no capacity probe at 64 cores. *)
-            arrival = Serve.Poisson { mean_gap = 2000 };
-          }
+  let get = run (List.map (fun (_, _, c) -> c) grid) in
+  let rows =
+    List.map
+      (fun (name, mname, c) ->
+        let r = get c in
+        let result =
+          match r.value with
+          | Stamp_r s -> Report.f3 (ms s.C.cycles) ^ " ms" ^ if C.ok s then "" else "!"
+          | Intset_r i ->
+              Report.f2 i.Intset.throughput_tx_per_us ^ " tx/us"
+              ^ if i.Intset.size_ok then "" else "!"
+          | Serve_r s ->
+              Printf.sprintf "%s req/ms p99=%d%s" (Report.f2 s.Serve.r_achieved)
+                s.Serve.r_p99
+                (if s.Serve.r_invariant_ok && s.Serve.r_partition_ok then "" else "!")
+          | Sweep_r _ -> invalid_arg "scale: sweep cell"
         in
-        let r, d = coh_delta (fun () -> Serve.run tm ~threads scfg) in
-        [
-          "serve kv-a"; "LLB-256";
-          Printf.sprintf "%s req/ms p99=%d%s"
-            (Report.f2 r.Serve.r_achieved)
-            r.Serve.r_p99
-            (if r.Serve.r_invariant_ok && r.Serve.r_partition_ok then ""
-             else "!");
-        ]
-        @ coh_cols d)
-      [ () ]
+        name :: mname :: result
+        :: List.map
+             (fun slot -> string_of_int r.window.(slot))
+             Counters.[ invalidations; forwards; cross_socket_probes ])
+      grid
   in
   [
     Report.make ~id:"scale"
@@ -976,7 +950,7 @@ let scale ~quick ~seed =
           "A trailing '!' marks a failed self-check.";
         ]
       [ "workload"; "config"; "result"; "inval"; "fwd"; "xsock" ]
-      (stamp_rows @ intset_rows @ serve_rows);
+      rows;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1009,4 +983,4 @@ let find id = List.find_opt (fun e -> e.id = id) all
 
 let ids () = List.map (fun e -> e.id) all
 
-let clear_cache () = Hashtbl.reset stamp_cache
+let clear_cache () = Hashtbl.reset memo

@@ -4,9 +4,15 @@
     Every experiment is deterministic in [(quick, seed)]. [quick] runs a
     scaled-down configuration (used by the benchmark harness and smoke
     tests); the default full configuration is the one recorded in
-    EXPERIMENTS.md. Identical (application, mode, threads) runs are
-    memoised within a process, so regenerating Fig. 4 and Fig. 6 together
-    costs one sweep. *)
+    EXPERIMENTS.md.
+
+    Each experiment lists its simulator runs as cells (a workload, a TM
+    configuration and a thread count) and formats its tables from their
+    results. A process memoises every cell by that configuration plus the
+    installed fault plan and seed, so a run that several experiments need
+    is simulated once: Fig. 6 reads Fig. 4's runs, tab1 reads fig9's, and
+    fig8's runs without early release are Fig. 7's. Under [--check] such a
+    shared run is checked once, by the experiment that simulated it. *)
 
 type t = {
   id : string;
@@ -24,4 +30,5 @@ val find : string -> t option
 val ids : unit -> string list
 
 val clear_cache : unit -> unit
-(** Drop memoised runs (so a timing harness measures real work). *)
+(** Drop every memoised cell, so the next experiment simulates all of its
+    runs (a timing harness measures real work). *)

@@ -4,7 +4,8 @@
 # - `dune runtest`: the unit tests plus every asf_bench gate group of
 #   test/gate.ml (@check, @analyze, @soak, @serve-smoke, @lin-smoke,
 #   @scale-smoke and @fixtures, each row with its exact exit code);
-# - the two benchmark-harness smokes of the root dune file;
+# - the two benchmark-harness smokes of the root dune file, and the
+#   quick reproduction's CSVs against the committed results/;
 # - a dev-profile build whose simulated output must match the default
 #   (release) build's byte for byte.
 set -eu
@@ -15,8 +16,16 @@ dune runtest
 
 # Benchmark-harness smoke: the quick reproduction at --jobs 2, with the
 # harness asserting that the parallel pass is bit-identical to the
-# sequential one and that the emitted benchmark JSON validates.
-dune build @bench-smoke
+# sequential one and that the emitted benchmark JSON validates. --force
+# re-runs it even when dune has it cached: its CSVs are not a declared
+# target, so the next build removes them and the diff below needs them.
+dune build @bench-smoke --force
+
+# The committed results/ is a checked golden: every CSV the quick
+# reproduction above wrote must match it byte for byte. A change meant to
+# move simulated output regenerates results/ (`bench/main.exe --quick
+# --jobs 2` writes it) and says so in CHANGES.md.
+diff -r _build/default/results-smoke results
 
 # Scheduler-throughput smoke: quick bench over the single-thread-heavy
 # experiments; prints seq cycles/sec + fusion ratio, asserts the

@@ -2,7 +2,6 @@
    registry) and for the lock-elision runtime extension. *)
 
 module Report = Asf_harness.Report
-module Calibration = Asf_harness.Calibration
 module Experiments = Asf_harness.Experiments
 module Tm = Asf_tm_rt.Tm
 module Elision = Asf_tm_rt.Elision
@@ -111,22 +110,33 @@ let test_report_csv_file_round_trip () =
 (* Calibration / experiments                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* fig3 is the calibration methodology: one row per STAMP app with its
+   detailed (Barcelona) and native-reference cycles and their deviation. *)
 let test_calibration_entries () =
-  let entries = Calibration.measure ~quick:true ~seed:1 in
-  Alcotest.(check int) "8 stamp apps" 8 (List.length entries);
+  let fig3 =
+    match Experiments.find "fig3" with
+    | Some e -> List.hd (e.Experiments.run ~quick:true ~seed:1)
+    | None -> Alcotest.fail "fig3 missing"
+  in
+  Alcotest.(check int) "8 stamp apps" 8 (List.length fig3.Report.rows);
   List.iter
-    (fun e ->
-      Alcotest.(check bool)
-        (e.Calibration.app ^ " cycles positive")
-        true
-        (e.Calibration.detailed_cycles > 0 && e.Calibration.reference_cycles > 0);
-      (* The detailed model has larger latencies, so it should not be
-         dramatically faster than the reference. *)
-      Alcotest.(check bool)
-        (e.Calibration.app ^ " deviation sane")
-        true
-        (e.Calibration.deviation_pct > -50.0 && e.Calibration.deviation_pct < 200.0))
-    entries
+    (function
+      | [ app; detailed; reference; deviation ] ->
+          Alcotest.(check bool)
+            (app ^ " cycles positive")
+            true
+            (int_of_string detailed > 0 && int_of_string reference > 0);
+          (* The detailed model has larger latencies, so it should not be
+             dramatically faster than the reference. *)
+          let pct =
+            float_of_string (String.sub deviation 0 (String.length deviation - 1))
+          in
+          Alcotest.(check bool)
+            (app ^ " deviation sane")
+            true
+            (pct > -50.0 && pct < 200.0)
+      | row -> Alcotest.failf "fig3 row has %d cells" (List.length row))
+    fig3.Report.rows
 
 let test_registry_ids_unique () =
   let ids = Experiments.ids () in

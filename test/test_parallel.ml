@@ -26,6 +26,9 @@ module Intset = Asf_intset.Intset
 let with_pool f =
   Fun.protect ~finally:(fun () -> Parallel.set_jobs 1) f
 
+let tm_cfg mode ~threads ~seed =
+  { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
+
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -232,6 +235,8 @@ let get_exp id =
   | Some e -> e
   | None -> Alcotest.failf "unknown experiment %s" id
 
+let csv_of reports = String.concat "\n" (List.map Report.to_csv reports)
+
 (* One cold (memoisation dropped) quick run at the given pool width,
    rendered to CSV — the same bytes the harness would write to disk —
    with the run's whole counter bank. *)
@@ -239,8 +244,7 @@ let run_exp e ~seed ~jobs =
   Experiments.clear_cache ();
   Parallel.set_jobs jobs;
   Parallel.reset_counters ();
-  let reports = e.Experiments.run ~quick:true ~seed in
-  let csv = String.concat "\n" (List.map Report.to_csv reports) in
+  let csv = csv_of (e.Experiments.run ~quick:true ~seed) in
   (csv, Parallel.counters ())
 
 let battery_ids = [ "abl-wins"; "abl-socket"; "abl-backoff"; "fig3"; "tab1" ]
@@ -280,7 +284,8 @@ let test_determinism_battery () =
         battery_ids)
 
 let test_determinism_fig6 () =
-  (* fig6 exercises the STAMP path and the calibration-stamp prefetch. *)
+  (* fig6 exercises the STAMP path: its grid is fig4's four ASF columns,
+     128 cells of one job kind in one fan-out. *)
   with_pool (fun () ->
       let e = get_exp "fig6" in
       let base_csv, base_counters = run_exp e ~seed:1 ~jobs:1 in
@@ -332,13 +337,87 @@ let test_determinism_under_check_faults () =
         [ 2; 5 ])
 
 (* ------------------------------------------------------------------ *)
+(* The cell memo                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* tab1 and fig9 read the same eight single-thread runs: after fig9,
+   tab1 simulates nothing and still prints a cold tab1's bytes. *)
+let test_shared_cells_once () =
+  with_pool (fun () ->
+      let tab1 = get_exp "tab1" in
+      let cold_csv, _ = run_exp tab1 ~seed:1 ~jobs:1 in
+      Experiments.clear_cache ();
+      ignore ((get_exp "fig9").Experiments.run ~quick:true ~seed:1);
+      Parallel.reset_counters ();
+      let csv = csv_of (tab1.Experiments.run ~quick:true ~seed:1) in
+      Alcotest.(check int) "tab1 after fig9 simulates no cycle" 0
+        (Parallel.counters ()).(Counters.sim_cycles);
+      Alcotest.(check string) "tab1 after fig9 = cold tab1" cold_csv csv)
+
+let storm =
+  match Faults.plan_of_spec "storm" with
+  | Ok p -> p
+  | Error m -> Alcotest.failf "faults plan: %s" m
+
+let with_storm f =
+  Parallel.with_observers
+    { (Parallel.observers ()) with injector = Faults.create ~seed:7 storm }
+    f
+
+(* Under a fault plan every cell starts from a fresh injector, so a
+   number depends only on its own run: a value in fig8's with-ER column
+   must equal the same run made alone under a fresh injector. *)
+let test_faulted_cell_alone () =
+  with_pool (fun () ->
+      Experiments.clear_cache ();
+      let fig8 =
+        with_storm (fun () -> (get_exp "fig8").Experiments.run ~quick:true ~seed:1)
+      in
+      let cell =
+        match
+          List.find_opt
+            (fun row -> List.nth row 0 = "LLB-8" && List.nth row 1 = "6")
+            (List.hd fig8).Report.rows
+        with
+        | Some row -> List.nth row 3
+        | None -> Alcotest.fail "fig8 has no LLB-8 size-6 row"
+      in
+      let alone =
+        with_storm (fun () ->
+            Intset.run
+              (tm_cfg (Tm.Asf_mode Variant.llb8) ~threads:8 ~seed:1)
+              ~threads:8
+              { (Intset.default_cfg Intset.Linked_list) with
+                Intset.range = 12;
+                init_size = Some 6;
+                update_pct = 20;
+                early_release = true;
+                txns_per_thread = 150;
+              })
+      in
+      Alcotest.(check string) "LLB-8 size 6 with ER = the run alone"
+        (Report.f2 alone.Intset.throughput_tx_per_us) cell)
+
+(* The installed fault plan is part of the memo key: a clean tab1 must
+   not answer for a faulted one. *)
+let test_fault_plan_in_key () =
+  with_pool (fun () ->
+      let tab1 = get_exp "tab1" in
+      let run () = csv_of (tab1.Experiments.run ~quick:true ~seed:1) in
+      Experiments.clear_cache ();
+      let cold = with_storm run in
+      Experiments.clear_cache ();
+      let clean = run () in
+      let warm = with_storm run in
+      Alcotest.(check bool) "storm changes tab1" true (clean <> cold);
+      Alcotest.(check string) "storm tab1 after a clean one = cold storm tab1"
+        cold warm)
+
+(* ------------------------------------------------------------------ *)
 (* Seed-sweep sanity                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let sweep_seeds = [ 1; 2; 3; 4; 5 ]
-
-let tm_cfg mode ~threads ~seed =
-  { (Tm.default_config mode ~n_cores:threads) with Tm.seed }
 
 let spec_rate (r : Intset.result) =
   let c = Stats.commits r.Intset.stats
@@ -455,10 +534,18 @@ let () =
         [
           Alcotest.test_case "battery: experiments x seeds x jobs" `Slow
             test_determinism_battery;
-          Alcotest.test_case "fig6 (stamp prefetch)" `Slow
-            test_determinism_fig6;
+          Alcotest.test_case "fig6 (STAMP grid)" `Slow test_determinism_fig6;
           Alcotest.test_case "under checker and fault injection" `Slow
             test_determinism_under_check_faults;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "shared cells are simulated once" `Slow
+            test_shared_cells_once;
+          Alcotest.test_case "a faulted run depends only on its cell" `Slow
+            test_faulted_cell_alone;
+          Alcotest.test_case "fault plan is part of the key" `Slow
+            test_fault_plan_in_key;
         ] );
       ( "seed-sweep",
         [
