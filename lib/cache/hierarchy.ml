@@ -11,10 +11,12 @@ module Counters = Asf_engine.Counters
 let domain_coherence () =
   Array.sub (Counters.bank ()) Counters.invalidations (Counters.n - Counters.invalidations)
 
-(* Directory shard geometry: 8 Ki lines per shard. Growth allocates one
-   64 KiB shard at a time (plus an occasional doubling of the small
-   outer pointer array) instead of copying one giant pair of arrays. *)
-let shard_bits = 13
+(* Directory shard geometry: 512 lines per shard, the span of one
+   4096-word transactional-allocator chunk. Growth allocates two 4 KiB
+   shard arrays at a time (plus an occasional doubling of the small
+   outer pointer arrays), so the directory's host footprint follows
+   the lines a run touches rather than the address range around them. *)
+let shard_bits = 9
 let shard_size = 1 lsl shard_bits
 let shard_mask = shard_size - 1
 
@@ -127,8 +129,7 @@ let set_evict_hook t ~core f = t.evict_hooks.(core) <- f
 
 (* Make the shard covering [line] exist (fresh slots: no owners, clean).
    The outer pointer arrays grow by doubling; that copy moves a few
-   hundred words at most, the 64 KiB shards themselves are never
-   copied. *)
+   thousand words at most, the shards themselves are never copied. *)
 let ensure_dir t line =
   let si = line lsr shard_bits in
   (if si >= Array.length t.dir_owners then begin

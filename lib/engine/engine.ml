@@ -1,8 +1,12 @@
 module Trace = Asf_trace.Trace
 
+(* A queued task, or what a thread hands the run loop when it stops:
+   [Finished] when it returned (never queued), its [Resume] when it
+   yielded. *)
 type task =
   | Start of int * (unit -> unit)
-  | Resume of int * (unit, unit) Effect.Deep.continuation
+  | Resume of int * (unit, task) Effect.Deep.continuation
+  | Finished
 
 type t = {
   n_cores : int;
@@ -11,14 +15,15 @@ type t = {
   mutable seq : int;
   mutable current : int;
   mutable events : int;
-  (* Ablation for the fusion-equivalence battery: [true] forces every
-     elapse through the enqueue/pop round-trip (the reference
-     scheduler). *)
+  (* Ablation for the fusion-equivalence battery: [true] makes every
+     elapse yield to the run loop (the reference scheduler). *)
   always_schedule : bool;
-  (* Lookahead window bound: a cached lower bound on the queue minimum
-     (exact right after a pop, only lowered by enqueues), so a run of
-     consecutive elapses fuses against one cached int — the queue itself
-     is never consulted between scheduling events. *)
+  (* Lookahead window bound: the queue minimum, cached. It is read from
+     the queue when a task is dispatched and lowered by every enqueue
+     until the next dispatch, which is exactly how the minimum moves
+     while a thread runs. A run of consecutive elapses thus fuses against
+     one cached int, and the queue is never consulted between scheduling
+     events. *)
   mutable lookahead : int;
   mutable fused : int;
   mutable scheduled : int;
@@ -33,7 +38,7 @@ type t = {
 (* The engine's one effect: a thread whose clock {!elapse} has already
    advanced hands control back to the scheduler. A constant, so
    performing it allocates nothing; a scheduled elapse allocates only
-   the runtime's continuation and the [Resume] that queues it. *)
+   the runtime's continuation and the [Resume] that carries it. *)
 type _ Effect.t += Yield : unit Effect.t
 
 (* One-line reads of the {!Counters} bank, kept because the repository
@@ -97,7 +102,7 @@ let spawn_at t ~core ~time f =
 
 (* Fusion fast path (the classic discrete-event "lazy reschedule"): the
    thread performing [elapse] is by construction the task the scheduler
-   popped last, so its resumption would carry the largest sequence number
+   dispatched last, so its resumption would carry the largest sequence number
    in the system. If its advanced time is strictly earlier than the queue
    minimum (or the queue is empty), the scheduler round-trip would pop
    that resumption straight back — enqueue, sift, capture and continue
@@ -109,13 +114,12 @@ let spawn_at t ~core ~time f =
    strict [<] is exactly the fusion-legality condition.
 
    The comparison is against [t.lookahead], the cached lookahead-window
-   bound: exact right after the scheduler pops, and only ever lowered by
-   enqueues in between, so it never exceeds the true queue minimum and a
-   fused elapse stays legal. A core's run of consecutive elapses batches
-   under one cached bound without touching the queue at all.
+   bound, which always equals the queue minimum, so a fused elapse is
+   legal. A core's run of consecutive elapses batches under one cached
+   bound without touching the queue at all.
 
    Either way the clock advances here, in the thread, so a scheduled
-   elapse only has to [Yield]: its handler finds the new time on the
+   elapse only has to [Yield]: the run loop finds the new time on the
    clock. *)
 let elapse n =
   match !(Domain.DLS.get running_key) with
@@ -139,56 +143,83 @@ let elapse n =
 
 (* The scheduling handler, built once per [run] and shared by every thread
    it starts, so a yield builds no closure and no option. The thread it
-   serves is always the task the scheduler popped last, so [t.current]
-   names its core. A [Yield] re-enqueues the continuation at that core's
-   (already advanced) clock; control then returns to the [run] loop. *)
-let handler t : (unit, unit) Effect.Deep.handler =
+   serves is always the task the run loop dispatched last, so
+   [t.current] names its core. The handler queues nothing: it hands the
+   loop [Finished] or the yielded [Resume] as the value of the
+   [match_with] or [continue] that ran the thread. *)
+let handler t : (unit, task) Effect.Deep.handler =
   let resume =
-    Some
-      (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        let core = t.current in
-        enqueue t ~time:t.core_time.(core) (Resume (core, k)))
+    Some (fun (k : (unit, task) Effect.Deep.continuation) -> Resume (t.current, k))
   in
   {
     retc =
       (fun () ->
         let core = t.current in
-        Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish);
+        Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish;
+        Finished);
     exnc = raise;
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Yield -> (resume : ((a, unit) Effect.Deep.continuation -> unit) option)
+        | Yield -> (resume : ((a, task) Effect.Deep.continuation -> task) option)
         | _ -> None);
   }
+
+(* Run [task], the queue's minimum at [time] or a yield resumed at once,
+   until its thread stops; return what the thread hands back. *)
+let dispatch t h ~time task =
+  (* Open the next lookahead window: the task is about to run, so the
+     fusion bound becomes the queue minimum. *)
+  t.lookahead <- Pqueue.min_time t.heap;
+  t.events <- t.events + 1;
+  match task with
+  | Start (core, f) ->
+      t.current <- core;
+      if time > t.core_time.(core) then t.core_time.(core) <- time;
+      Effect.Deep.match_with f () h
+  | Resume (core, k) ->
+      t.current <- core;
+      t.scheduled <- t.scheduled + 1;
+      Counters.add t.bank Counters.scheduled_elapses 1;
+      Trace.emit t.tracer ~core ~cycle:time Trace.Thread_resume;
+      Effect.Deep.continue k ()
+  | Finished -> assert false (* never queued, and [loop] never runs it *)
+
+(* The scheduler. After a thread finishes, the loop pops the queue
+   minimum. After a yield, the yielded task takes the next seq at its
+   core's clock, and an enqueue and a pop would sift the queue twice.
+   One [Pqueue.swap_min] does the same in a single sift, because the
+   yielded task is never the new minimum while the queue holds one: it
+   did not fuse, so its time is at least [t.lookahead], the queue
+   minimum, and on a tie its newest seq loses. Only under
+   [always_schedule], or with nothing queued, can it come first; then it
+   runs at once, as the pop would have returned it. *)
+let rec loop t h = function
+  | Finished ->
+      if not (Pqueue.is_empty t.heap) then begin
+        let time = Pqueue.min_time t.heap in
+        loop t h (dispatch t h ~time (Pqueue.drop_min t.heap))
+      end
+  | Resume (core, _) as yielded ->
+      let time = t.core_time.(core) in
+      t.seq <- t.seq + 1;
+      let pending = Pqueue.length t.heap + 1 in
+      if pending > t.heap_hwm then t.heap_hwm <- pending;
+      let min = Pqueue.min_time t.heap in
+      if time < min || Pqueue.is_empty t.heap then
+        loop t h (dispatch t h ~time yielded)
+      else
+        loop t h
+          (dispatch t h ~time:min
+             (Pqueue.swap_min t.heap ~time ~seq:t.seq yielded))
+  | Start _ -> assert false (* the handler hands back no [Start] *)
 
 let run t =
   let slot = Domain.DLS.get running_key in
   let saved = !slot in
   slot := Some t;
   let h = handler t in
-  Fun.protect
-    ~finally:(fun () -> slot := saved)
-    (fun () ->
-      while not (Pqueue.is_empty t.heap) do
-        let time = Pqueue.min_time t.heap in
-        let task = Pqueue.drop_min t.heap in
-        (* Open the next lookahead window: the popped task is about to
-           run, so the fusion bound becomes the new queue minimum. *)
-        t.lookahead <- Pqueue.min_time t.heap;
-        t.events <- t.events + 1;
-        match task with
-        | Start (core, f) ->
-            t.current <- core;
-            if time > t.core_time.(core) then t.core_time.(core) <- time;
-            Effect.Deep.match_with f () h
-        | Resume (core, k) ->
-            t.current <- core;
-            t.scheduled <- t.scheduled + 1;
-            Counters.add t.bank Counters.scheduled_elapses 1;
-            Trace.emit t.tracer ~core ~cycle:time Trace.Thread_resume;
-            Effect.Deep.continue k ()
-      done)
+  Fun.protect ~finally:(fun () -> slot := saved) (fun () -> loop t h Finished)
 
 let core_time t core = t.core_time.(core)
 

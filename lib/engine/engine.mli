@@ -26,8 +26,8 @@ type t
 val create : ?always_schedule:bool -> n_cores:int -> unit -> t
 (** A fresh engine with [n_cores] cores, all clocks at cycle 0.
     [always_schedule] (default [false]) disables the fusion fast path so
-    every [elapse] takes the enqueue/pop round-trip — the reference
-    scheduler the equivalence battery compares against. *)
+    every [elapse] yields to the scheduler — the reference the
+    equivalence battery compares against. *)
 
 val n_cores : t -> int
 
@@ -76,10 +76,11 @@ val fused_elapses : t -> int
 (** Elapses this engine handled on the fusion fast path. *)
 
 val scheduled_elapses : t -> int
-(** Elapses this engine sent through the heap round-trip. *)
+(** Elapses this engine yielded to the scheduler. *)
 
 val heap_high_water : t -> int
-(** Largest number of tasks ever queued at once in this engine's heap. *)
+(** Largest number of tasks ever pending at once in this engine: queued,
+    or yielded and about to be swapped into the queue. *)
 
 val cycles_retired : unit -> int
 (** The calling domain's {!Counters.sim_cycles}: total cycles simulated by

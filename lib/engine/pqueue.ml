@@ -3,6 +3,8 @@
    value array, so a push/pop cycle allocates nothing and key comparisons
    never chase a pointer. Sifting moves a hole instead of swapping: each
    level costs three array writes rather than a full element exchange.
+   [swap_min] replaces the minimum in one sift down, where a push and a
+   pop take two: the scheduler's yield uses it.
 
    Vacated slots: popping an element clears the array slot the sift's
    displaced copy left behind, by storing a dummy payload captured from
@@ -66,41 +68,54 @@ let push q ~time ~seq v =
 
 let min_time q = if q.len = 0 then max_int else q.times.(0)
 
+(* Place (time, seq, v) by sifting a hole down from the root of the
+   first [n] slots; the root's old occupant must already be taken. *)
+let sift_down q n ~time ~seq v =
+  let ts = q.times and ss = q.seqs and vs = q.vals in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n && (ts.(r) < ts.(l) || (ts.(r) = ts.(l) && ss.(r) < ss.(l)))
+        then r
+        else l
+      in
+      if ts.(c) < time || (ts.(c) = time && ss.(c) < seq) then begin
+        ts.(!i) <- ts.(c);
+        ss.(!i) <- ss.(c);
+        vs.(!i) <- vs.(c);
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  ts.(!i) <- time;
+  ss.(!i) <- seq;
+  vs.(!i) <- v
+
 let drop_min q =
   if q.len = 0 then invalid_arg "Pqueue.drop_min: empty";
   let top = q.vals.(0) in
   let n = q.len - 1 in
   q.len <- n;
-  let ts = q.times and ss = q.seqs and vs = q.vals in
-  if n > 0 then begin
-    (* The displaced last element sifts down as a hole from the root. *)
-    let time = ts.(n) and seq = ss.(n) and v = vs.(n) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < n && (ts.(r) < ts.(l) || (ts.(r) = ts.(l) && ss.(r) < ss.(l)))
-          then r
-          else l
-        in
-        if ts.(c) < time || (ts.(c) = time && ss.(c) < seq) then begin
-          ts.(!i) <- ts.(c);
-          ss.(!i) <- ss.(c);
-          vs.(!i) <- vs.(c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    ts.(!i) <- time;
-    ss.(!i) <- seq;
-    vs.(!i) <- v
-  end;
+  (* The displaced last element sifts down as a hole from the root. *)
+  if n > 0 then sift_down q n ~time:q.times.(n) ~seq:q.seqs.(n) q.vals.(n);
   (* Vacate the slot the displaced last element left: its only remaining
      live copy is inside the heap proper. *)
-  vs.(n) <- q.dummy.(0);
+  q.vals.(n) <- q.dummy.(0);
+  top
+
+(* A push followed by a pop would sift twice; when the new element is not
+   the minimum, taking the root and sifting the new element down from it
+   is the same exchange in one pass. The length does not change, so no
+   slot is vacated. *)
+let swap_min q ~time ~seq v =
+  if q.len = 0 then invalid_arg "Pqueue.swap_min: empty";
+  if time < 0 then invalid_arg "Pqueue.swap_min: negative time";
+  let top = q.vals.(0) in
+  sift_down q q.len ~time ~seq v;
   top

@@ -31,3 +31,13 @@ val drop_min : 'a t -> 'a
 (** Removes the minimum element and returns its payload (read its time
     beforehand with {!min_time} if needed).
     @raise Invalid_argument if the queue is empty. *)
+
+val swap_min : 'a t -> time:int -> seq:int -> 'a -> 'a
+(** [swap_min q ~time ~seq v] removes the minimum element, returns its
+    payload and inserts [v] under [(time, seq)], in one sift down from the
+    root rather than a pop's and a push's two. Read the removed element's
+    time beforehand with {!min_time} if needed. [v] is inserted after the
+    minimum is taken, so the result is the old minimum even when [v]'s key
+    is smaller: to get a push-then-pop, call it only when [(time, seq)] is
+    not below the minimum's key.
+    @raise Invalid_argument if the queue is empty or [time] is negative. *)

@@ -1,42 +1,50 @@
-(* Chunked backing store: 64 Ki-word (512 KB) chunks materialised on first
-   write so that sparse address spaces stay cheap. *)
+(* Paged backing store: one-page (512-word, 4 KB) chunks materialised on
+   first write, so a run pays host memory for the pages it touches, not
+   for the span of the address space around them. An untouched page is
+   the shared zero-length [untouched] array rather than an [option]: a
+   read tells the two apart by length, with no box to follow. *)
 
-let chunk_shift = 16
-
-let chunk_words = 1 lsl chunk_shift
+let chunk_words = Addr.words_per_page
 
 let chunk_mask = chunk_words - 1
 
-type t = { mutable chunks : int array option array }
+let untouched : int array = [||]
 
-let create () = { chunks = Array.make 64 None }
+type t = { mutable chunks : int array array; mutable resident : int }
+
+let create () = { chunks = Array.make 64 untouched; resident = 0 }
 
 let ensure_index t i =
   let n = Array.length t.chunks in
   if i >= n then begin
     let n' = max (i + 1) (n * 2) in
-    let a = Array.make n' None in
+    let a = Array.make n' untouched in
     Array.blit t.chunks 0 a 0 n;
     t.chunks <- a
   end
 
 let chunk_for t a =
-  let i = a lsr chunk_shift in
+  let i = Addr.page_of a in
   ensure_index t i;
-  match t.chunks.(i) with
-  | Some c -> c
-  | None ->
-      let c = Array.make chunk_words 0 in
-      t.chunks.(i) <- Some c;
-      c
+  let c = Array.unsafe_get t.chunks i in
+  if Array.length c > 0 then c
+  else begin
+    let c = Array.make chunk_words 0 in
+    t.chunks.(i) <- c;
+    t.resident <- t.resident + 1;
+    c
+  end
 
 let read t a =
-  let i = a lsr chunk_shift in
+  let i = Addr.page_of a in
   if i < Array.length t.chunks then
-    match t.chunks.(i) with Some c -> c.(a land chunk_mask) | None -> 0
+    let c = Array.unsafe_get t.chunks i in
+    if Array.length c > 0 then Array.unsafe_get c (a land chunk_mask) else 0
   else 0
 
-let write t a v = (chunk_for t a).(a land chunk_mask) <- v
+let write t a v = Array.unsafe_set (chunk_for t a) (a land chunk_mask) v
+
+let resident_pages t = t.resident
 
 let read_line t line =
   let base = Addr.line_base line in

@@ -573,8 +573,9 @@ let prop_hierarchy_vs_hashtbl_directory =
       let agree =
         List.for_all
           (fun (core, sel, write) ->
-            (* Map the top of the range far past the directory's initial
-               65536 slots so growth-by-doubling is exercised too. *)
+            (* Map the top of the range far past the directory's
+               initial shard table so growth-by-doubling is exercised
+               too. *)
             let line = if sel >= 60 then 70_000 + ((sel - 60) * 513) else sel in
             Hierarchy.access h ~core ~line ~write
             = Ref_hier.access r ~core ~line ~write)
@@ -673,19 +674,44 @@ let prop_sharers_vs_reference =
              = Sharers.add lim Sharers.empty (List.hd adds))
       && go Sharers.empty s_bm0 [] adds)
 
-(* The same reference-model comparison as above, at a topology the old
-   one-int-bitmask directory could not represent ([1 lsl 63] overflows):
-   64 cores over 4 sockets on the auto-selected limited backend. The
-   coarse vector's spurious probes only hit cores that hold nothing, so
-   latencies, evictions and every counter still match the exact-set
-   reference. *)
+(* The same reference-model comparison as above, at 8, 64 and 256 cores
+   (2, 4 and 8 sockets). The latter two run on the auto-selected limited
+   backend, at topologies the old one-int-bitmask directory could not
+   represent ([1 lsl 63] overflows): the coarse vector's spurious probes
+   only hit cores that hold nothing, so latencies, evictions and every
+   counter still match the exact-set reference. Lines fall on both sides
+   of 512-line directory shard boundaries, and in two far shards (258
+   and 20481) that grow the outer shard table and that a shard index cut
+   to 256 to 4096 slots would alias with shards 2 and 1. The caches
+   shrink to 4, 16 and 64 KiB, so a 256-core pair stays cheap to build
+   and evictions are common. Directory occupancy must equal the
+   reference's line count: two lines aliasing one slot would show
+   there. *)
+let reference_topologies = [| (8, 2); (64, 4); (256, 8) |]
+
+let shard_line sel =
+  let offsets = [| 0; 1; 2; 255; 256; 509; 510; 511 |] in
+  let shard = sel / 8 in
+  let base = if shard = 7 then 20_481 else if shard = 6 then 258 else shard in
+  (base * 512) + offsets.(sel mod 8)
+
 let prop_hierarchy64_vs_reference =
   QCheck.Test.make
-    ~name:"64-core hierarchy (limited directory) matches reference" ~count:60
-    QCheck.(list (triple (int_range 0 63) (int_range 0 63) bool))
-    (fun ops ->
-      let p = Params.with_sockets Params.barcelona ~sockets:4 in
-      let n_cores = 64 in
+    ~name:
+      "64-core hierarchy (limited directory) matches reference, as do 8 and \
+       256 cores"
+    ~count:180
+    QCheck.(pair (int_range 0 2) (list (triple (int_range 0 255) (int_range 0 63) bool)))
+    (fun (ti, ops) ->
+      let n_cores, sockets = reference_topologies.(ti) in
+      let p =
+        {
+          (Params.with_sockets Params.barcelona ~sockets) with
+          l1_bytes = 4096;
+          l2_bytes = 16384;
+          l3_bytes = 65536;
+        }
+      in
       let h = Hierarchy.create p ~n_cores in
       let r = Ref_hier.create p ~n_cores in
       let h_evicts = ref [] and r_evicts = ref [] in
@@ -697,20 +723,62 @@ let prop_hierarchy64_vs_reference =
       done;
       let agree =
         List.for_all
-          (fun (core, sel, write) ->
-            (* Stripe part of the range past the first directory shard
-               (8192 lines) so shard allocation is exercised too. *)
-            let line = if sel >= 56 then 70_000 + ((sel - 56) * 1031) else sel in
+          (fun (c, sel, write) ->
+            let core = c mod n_cores and line = shard_line sel in
             Hierarchy.access h ~core ~line ~write
             = Ref_hier.access r ~core ~line ~write)
           ops
       in
-      Hierarchy.backend h = Sharers.Limited
+      Hierarchy.backend h
+      = (if n_cores > Sharers.max_bitmask_cores then Sharers.Limited
+         else Sharers.Bitmask)
       && agree
       && !h_evicts = !r_evicts
       && Hierarchy.forwards h = r.Ref_hier.forwards
       && Hierarchy.invalidations h = r.Ref_hier.invalidations
-      && Hierarchy.cross_socket_probes h = r.Ref_hier.cross_socket_probes)
+      && Hierarchy.cross_socket_probes h = r.Ref_hier.cross_socket_probes
+      && Hierarchy.dir_high_water h = Hashtbl.length r.Ref_hier.dir)
+
+(* Directory shards hold 512 lines, so lines 511 and 512, and 1023 and
+   1024, sit in different shards. Each keeps its own dirty owner and
+   sharer set: a write or a downgrade on one side of a boundary leaves
+   the other side as it was. *)
+let test_hierarchy_shard_boundary () =
+  let p = Params.barcelona in
+  let h = Hierarchy.create p ~n_cores:8 in
+  let forward = p.l3_latency + p.coherence_probe_latency in
+  ignore (Hierarchy.access h ~core:0 ~line:511 ~write:true);
+  Alcotest.(check int) "the clean neighbour pays RAM" p.mem_latency
+    (Hierarchy.access h ~core:1 ~line:512 ~write:true);
+  Alcotest.(check bool) "core 0 keeps its dirty line" true
+    (Hierarchy.line_in_l1 h ~core:0 ~line:511);
+  Alcotest.(check int) "511 forwarded from core 0" forward
+    (Hierarchy.access h ~core:2 ~line:511 ~write:false);
+  Alcotest.(check int) "512 still dirty at core 1" forward
+    (Hierarchy.access h ~core:3 ~line:512 ~write:false);
+  Alcotest.(check int) "511 clean after its downgrade" p.l3_latency
+    (Hierarchy.access h ~core:4 ~line:511 ~write:false);
+  Alcotest.(check int) "no invalidation yet" 0 (Hierarchy.invalidations h);
+  List.iter
+    (fun core ->
+      ignore (Hierarchy.access h ~core ~line:1023 ~write:false);
+      ignore (Hierarchy.access h ~core ~line:1024 ~write:false))
+    [ 4; 5; 6 ];
+  ignore (Hierarchy.access h ~core:7 ~line:1024 ~write:true);
+  Alcotest.(check int) "one invalidation for 1024" 1 (Hierarchy.invalidations h);
+  List.iter
+    (fun core ->
+      Alcotest.(check (pair bool bool))
+        (Printf.sprintf "core %d keeps 1023, loses 1024" core)
+        (true, false)
+        ( Hierarchy.line_in_l1 h ~core ~line:1023,
+          Hierarchy.line_in_l1 h ~core ~line:1024 ))
+    [ 4; 5; 6 ];
+  ignore (Hierarchy.access h ~core:7 ~line:1023 ~write:true);
+  Alcotest.(check int) "then one for 1023" 2 (Hierarchy.invalidations h);
+  Alcotest.(check bool) "core 4 loses 1023" false
+    (Hierarchy.line_in_l1 h ~core:4 ~line:1023);
+  Alcotest.(check int) "four directory lines" 4 (Hierarchy.dir_high_water h)
 
 (* Whole-hierarchy backend equivalence on fig4-shaped traffic: mostly
    per-core private working sets, plus widely-shared read-hot lines
@@ -978,6 +1046,7 @@ let () =
           Alcotest.test_case "evict hook" `Quick test_hierarchy_evict_hook;
           q prop_hierarchy_vs_hashtbl_directory;
           q prop_hierarchy64_vs_reference;
+          Alcotest.test_case "shard boundary" `Quick test_hierarchy_shard_boundary;
           q prop_backends_equivalent_on_fig4_traffic;
           Alcotest.test_case "64-core topology" `Quick test_hierarchy_64core;
           Alcotest.test_case "backend capacity limits" `Quick

@@ -67,23 +67,35 @@ let test_pqueue_negative_time_rejected () =
     (Invalid_argument "Pqueue.push: negative time") (fun () ->
       Pqueue.push q ~time:(-1) ~seq:0 ())
 
-(* Model battery: a random push/pop sequence must pop the identical
+(* Model battery: a random push/pop/swap sequence must pop the identical
    (time, seq, payload) sequence as a sorted-list reference model, with
    [min_time] agreeing with every popped element, across four event-time
    distributions: dense (many equal times), sparse (huge gaps), clustered
    (every event at one time, so seq alone orders them) and a
-   near-monotone ramp (the scheduler's own shape). *)
+   near-monotone ramp (the scheduler's own shape). A swap takes the
+   minimum, then inserts its new element with the next seq, whatever
+   that element's key: the model pops, then pushes. *)
 let pqueue_ops_gen =
   QCheck.Gen.(
     int_range 0 3 >>= fun dist ->
     list_size (int_range 1 600)
-      (frequency [ (3, int_range 0 1000 >|= fun t -> `Push t); (1, return `Pop) ])
+      (frequency
+         [
+           (3, int_range 0 1000 >|= fun t -> `Push t);
+           (1, return `Pop);
+           (2, int_range 0 1000 >|= fun t -> `Swap t);
+         ])
     >|= fun ops -> (dist, ops))
 
 let print_pqueue_ops (dist, ops) =
   Printf.sprintf "dist=%d ops=[%s]" dist
     (String.concat ";"
-       (List.map (function `Push t -> string_of_int t | `Pop -> "pop") ops))
+       (List.map
+          (function
+            | `Push t -> string_of_int t
+            | `Pop -> "pop"
+            | `Swap t -> "swap " ^ string_of_int t)
+          ops))
 
 let pqueue_dist_time dist prev t =
   match dist with
@@ -111,7 +123,16 @@ let run_pqueue_ops (dist, ops) =
           let time = pqueue_dist_time dist !prev t in
           prev := time;
           Pqueue.push q ~time ~seq:!seq !seq
-      | `Pop -> if not (Pqueue.is_empty q) then pop ())
+      | `Pop -> if not (Pqueue.is_empty q) then pop ()
+      | `Swap t ->
+          if not (Pqueue.is_empty q) then begin
+            incr seq;
+            let time = pqueue_dist_time dist !prev t in
+            prev := time;
+            let m = Pqueue.min_time q in
+            let s = Pqueue.swap_min q ~time ~seq:!seq !seq in
+            out := (m, s, s) :: !out
+          end)
     ops;
   while not (Pqueue.is_empty q) do
     pop ()
@@ -123,19 +144,25 @@ let run_pqueue_model (dist, ops) =
   let out = ref [] in
   let seq = ref 0 in
   let prev = ref 0 in
+  let push t =
+    incr seq;
+    let time = pqueue_dist_time dist !prev t in
+    prev := time;
+    live := (time, !seq, !seq) :: !live
+  in
+  let pop () =
+    match List.sort compare !live with
+    | [] -> false
+    | m :: rest ->
+        live := rest;
+        out := m :: !out;
+        true
+  in
   List.iter
     (function
-      | `Push t ->
-          incr seq;
-          let time = pqueue_dist_time dist !prev t in
-          prev := time;
-          live := (time, !seq, !seq) :: !live
-      | `Pop -> (
-          match List.sort compare !live with
-          | [] -> ()
-          | m :: rest ->
-              live := rest;
-              out := m :: !out))
+      | `Push t -> push t
+      | `Pop -> ignore (pop ())
+      | `Swap t -> if pop () then push t)
     ops;
   List.rev !out @ List.sort compare !live
 
@@ -145,13 +172,14 @@ let prop_pqueue_matches_model =
     (QCheck.make ~print:print_pqueue_ops pqueue_ops_gen)
     (fun ops -> run_pqueue_ops ops = run_pqueue_model ops)
 
-(* Liveness regression for the vacated-slot fix: after popping every
-   element, the queue may pin at most one payload (the dummy captured
-   from the first push) — popped continuations must not stay reachable
-   from the internal arrays. *)
+(* Liveness regression for the vacated-slot fix: after swapping out half
+   of the elements and popping every element, the queue may pin at most
+   one payload (the dummy captured from the first push) — swapped-out
+   and popped continuations must not stay reachable from the internal
+   arrays. *)
 let test_pqueue_vacate_liveness () =
   let n = 300 in
-  let w = Weak.create n in
+  let w = Weak.create (n + (n / 2)) in
   let q = Pqueue.create () in
   for i = 0 to n - 1 do
     let v = ref i in
@@ -159,17 +187,33 @@ let test_pqueue_vacate_liveness () =
     Pqueue.push q ~time:(i * 3) ~seq:i v
   done;
   let sink = ref (ref (-1)) in
+  for j = 0 to (n / 2) - 1 do
+    let v = ref (n + j) in
+    Weak.set w (n + j) (Some v);
+    sink := Pqueue.swap_min q ~time:((j * 5) + 1) ~seq:(n + j) v
+  done;
+  Alcotest.(check int) "a swap keeps the length" n (Pqueue.length q);
   for _ = 1 to n do
     sink := Pqueue.drop_min q
   done;
   sink := ref (-1);
   Gc.full_major ();
   let live = ref 0 in
-  for i = 0 to n - 1 do
+  for i = 0 to Weak.length w - 1 do
     if Weak.check w i then incr live
   done;
   if !live > 1 then
     Alcotest.failf "%d popped payloads still reachable (allowed: 1)" !live
+
+let test_pqueue_swap_min_errors () =
+  let q = Pqueue.create () in
+  Alcotest.check_raises "swap_min on empty"
+    (Invalid_argument "Pqueue.swap_min: empty") (fun () ->
+      ignore (Pqueue.swap_min q ~time:0 ~seq:0 ()));
+  Pqueue.push q ~time:1 ~seq:0 ();
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Pqueue.swap_min: negative time") (fun () ->
+      ignore (Pqueue.swap_min q ~time:(-1) ~seq:1 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
@@ -407,7 +451,8 @@ let test_engine_elapse_overflow () =
   Alcotest.check_raises "fused overflow"
     (Invalid_argument "Engine.elapse: core clock overflow") (fun () ->
       Engine.run e);
-  (* Scheduled path: same program through the enqueue/pop round-trip. *)
+  (* Scheduled path: the same program, every elapse yielding to the run
+     loop. *)
   let r = Engine.create ~always_schedule:true ~n_cores:1 () in
   Engine.spawn r ~core:0 (fun () ->
       Engine.elapse (max_int - 5);
@@ -534,14 +579,18 @@ let test_engine_scheduled_elapse_words () =
     [ false; true ]
 
 (* Fusion equivalence (QCheck): random spawn/elapse programs run
-   bit-identically on the fused engine and the always-schedule reference
-   — same execution log, per-core clocks, scheduling-event counts, and
-   emitted trace stream (resume/spawn/finish kinds included, which the
-   default filter would hide). Besides elapses, a thread's steps include
-   [spawn_at] calls at [now + d] followed by more elapses: a spawn from a
-   running thread can land before that thread's next elapse, so its
-   enqueue must lower the cached lookahead bound, or the next elapse
-   would fuse past it. *)
+   bit-identically on the fused engine, the always-schedule engine and a
+   (time, seq) reference model — same execution log, per-core clocks,
+   scheduling-event counts, and emitted trace stream (resume/spawn/finish
+   kinds included, which the default filter would hide). Both engines
+   hand a yield to the queue by [Pqueue.swap_min], so the model, which
+   shares no code with either, is what pins the order. Besides elapses, a
+   thread's steps include [spawn_at] calls at [now + d] followed by more
+   elapses: a spawn from a running thread can land before that thread's
+   next elapse, so its enqueue must lower the cached lookahead bound, or
+   the next elapse would fuse past it. A quarter of the programs run
+   16-48 threads, so the queue holds enough tasks for a sift to cross
+   several heap levels. *)
 
 let run_program ~always_schedule (n_cores, threads) =
   let tracer = Trace.create ~filter:[ "resume"; "spawn"; "finish" ] () in
@@ -578,11 +627,81 @@ let run_program ~always_schedule (n_cores, threads) =
       ( List.rev !log,
         List.init n_cores (Engine.core_time e),
         Engine.events e,
-        Trace.events tracer ))
+        List.map
+          (fun (ev : Trace.event) -> (ev.core, ev.cycle, Trace.kind_name ev.payload))
+          (Trace.events tracer) ))
+
+(* The reference model replays a program as data: a thread is the list
+   of its remaining actions, a pending task one entry of a plain list,
+   and the next task the least (time, seq) found by a linear scan. Like
+   the always-schedule engine it queues every elapse's resumption; a
+   fused elapse must be indistinguishable from that. *)
+type model_action =
+  | M_elapse of int * (int * int) * int (* delay, thread id, step *)
+  | M_spawn of int * int * model_action list (* core, delay, body *)
+
+type model_task =
+  | M_start of int * model_action list
+  | M_resume of int * (int * int) * int * model_action list
+
+let run_model (n_cores, threads) =
+  let clock = Array.make n_cores 0 in
+  let pending = ref [] and seq = ref 0 and events = ref 0 in
+  let log = ref [] and trace = ref [] in
+  let emit core cycle kind = trace := (core, cycle, kind) :: !trace in
+  let enqueue time task =
+    incr seq;
+    pending := (time, !seq, task) :: !pending
+  in
+  let rec run core = function
+    | [] -> emit core clock.(core) "Thread_finish"
+    | M_elapse (d, who, i) :: rest ->
+        clock.(core) <- clock.(core) + d;
+        enqueue clock.(core) (M_resume (core, who, i, rest))
+    | M_spawn (c, d, body) :: rest ->
+        let time = clock.(core) + d in
+        emit c time "Thread_spawn";
+        enqueue time (M_start (c, body));
+        run core rest
+  in
+  List.iteri
+    (fun id (core, steps) ->
+      let actions =
+        List.mapi
+          (fun i -> function
+            | `Elapse d -> M_elapse (d, (id, -1), i)
+            | `Spawn (c, d, ds) ->
+                M_spawn (c, d, List.mapi (fun j d -> M_elapse (d, (id, i), j)) ds))
+          steps
+      in
+      emit core 0 "Thread_spawn";
+      enqueue 0 (M_start (core, actions)))
+    threads;
+  let earlier ((t, s, _) as a) ((t', s', _) as b) =
+    if t < t' || (t = t' && s < s') then a else b
+  in
+  while !pending <> [] do
+    let ((time, _, task) as m) =
+      List.fold_left earlier (List.hd !pending) (List.tl !pending)
+    in
+    pending := List.filter (fun p -> p != m) !pending;
+    incr events;
+    match task with
+    | M_start (core, body) ->
+        if time > clock.(core) then clock.(core) <- time;
+        run core body
+    | M_resume (core, who, i, rest) ->
+        emit core time "Thread_resume";
+        log := (who, i, clock.(core)) :: !log;
+        run core rest
+  done;
+  (List.rev !log, Array.to_list clock, !events, List.rev !trace)
 
 let program_gen =
   QCheck.Gen.(
-    int_range 1 3 >>= fun n_cores ->
+    frequency
+      [ (3, pair (int_range 1 3) (int_range 1 5)); (1, pair (int_range 1 48) (int_range 16 48)) ]
+    >>= fun (n_cores, n_threads) ->
     let core = int_range 0 (n_cores - 1) and delay = int_range 0 25 in
     let step =
       frequency
@@ -593,7 +712,7 @@ let program_gen =
             >|= fun (c, d, ds) -> `Spawn (c, d, ds) );
         ]
     in
-    list_size (int_range 1 5) (pair core (list_size (int_range 0 8) step))
+    list_repeat n_threads (pair core (list_size (int_range 0 8) step))
     >|= fun threads -> (n_cores, threads))
 
 let print_program (n_cores, threads) =
@@ -614,20 +733,20 @@ let prop_fusion_equivalent =
     ~count:300
     (QCheck.make ~print:print_program program_gen)
     (fun p ->
-      let log_f, times_f, events_f, trace_f =
-        run_program ~always_schedule:false p
-      in
-      let log_r, times_r, events_r, trace_r =
-        run_program ~always_schedule:true p
-      in
-      if log_f <> log_r then QCheck.Test.fail_report "execution order differs"
-      else if times_f <> times_r then
-        QCheck.Test.fail_report "per-core clocks differ"
-      else if events_f <> events_r then
-        QCheck.Test.fail_report "event counts differ"
-      else if trace_f <> trace_r then
-        QCheck.Test.fail_report "trace streams differ"
-      else true)
+      let log_m, times_m, events_m, trace_m = run_model p in
+      List.iter
+        (fun always_schedule ->
+          let log, times, events, trace = run_program ~always_schedule p in
+          let fail what =
+            QCheck.Test.fail_reportf "always_schedule=%b: %s differ from the model"
+              always_schedule what
+          in
+          if log <> log_m then fail "execution order"
+          else if times <> times_m then fail "per-core clocks"
+          else if events <> events_m then fail "event counts"
+          else if trace <> trace_m then fail "trace streams")
+        [ false; true ];
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Addr                                                                *)
@@ -666,6 +785,40 @@ let test_ram_line_ops () =
   Ram.write r 83 777;
   Ram.write_line r 10 snapshot;
   Alcotest.(check int) "restored" 30 (Ram.read r 83)
+
+(* Ram materialises one 512-word page per chunk: the words either side
+   of a page boundary live in different chunks, an untouched page between
+   two written ones reads as zeros, and only a write into a new page
+   materialises one. *)
+let test_ram_pages () =
+  let r = Ram.create () in
+  let p = Addr.words_per_page in
+  Alcotest.(check int) "nothing resident" 0 (Ram.resident_pages r);
+  Ram.write r ((2 * p) - 1) 11;
+  Ram.write r (2 * p) 22;
+  Alcotest.(check int) "last word of page 1" 11 (Ram.read r ((2 * p) - 1));
+  Alcotest.(check int) "first word of page 2" 22 (Ram.read r (2 * p));
+  Alcotest.(check int) "their neighbours" 0
+    (Ram.read r ((2 * p) - 2) + Ram.read r ((2 * p) + 1));
+  Alcotest.(check int) "two pages resident" 2 (Ram.resident_pages r);
+  Ram.write r ((4 * p) + 5) 44;
+  Alcotest.(check int) "untouched page between written ones" 0
+    (Ram.read r ((3 * p) + 5));
+  Alcotest.(check (array int)) "untouched line" (Array.make Addr.words_per_line 0)
+    (Ram.read_line r (Addr.line_of (3 * p)));
+  Alcotest.(check int) "reads materialise nothing" 3 (Ram.resident_pages r);
+  Ram.write r (2 * p) 23;
+  Ram.write_line r (Addr.line_of (2 * p)) (Array.make Addr.words_per_line 7);
+  Alcotest.(check int) "rewrites materialise nothing" 3 (Ram.resident_pages r);
+  Ram.write_line r (Addr.line_of (5 * p)) (Array.init Addr.words_per_line Fun.id);
+  Alcotest.(check int) "a line write into a new page" 4 (Ram.resident_pages r);
+  Alcotest.(check int) "line written" 6 (Ram.read r ((5 * p) + 6));
+  (* Far beyond the pages so far: the chunk table grows. *)
+  Ram.write r (1_000 * p) 9;
+  Alcotest.(check int) "far page" 9 (Ram.read r (1_000 * p));
+  Alcotest.(check int) "one page per new page" 5 (Ram.resident_pages r);
+  Alcotest.(check (list int)) "earlier pages kept" [ 11; 7; 44 ]
+    [ Ram.read r ((2 * p) - 1); Ram.read r (2 * p); Ram.read r ((4 * p) + 5) ]
 
 let prop_ram_last_write_wins =
   QCheck.Test.make ~name:"ram read sees last write" ~count:200
@@ -739,6 +892,7 @@ let () =
           Alcotest.test_case "negative time" `Quick
             test_pqueue_negative_time_rejected;
           Alcotest.test_case "vacated slots" `Quick test_pqueue_vacate_liveness;
+          Alcotest.test_case "swap_min errors" `Quick test_pqueue_swap_min_errors;
           q prop_pqueue_sorted;
           q prop_pqueue_matches_model;
         ] );
@@ -784,6 +938,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_ram_read_write;
           Alcotest.test_case "line ops" `Quick test_ram_line_ops;
+          Alcotest.test_case "pages" `Quick test_ram_pages;
           q prop_ram_last_write_wins;
         ] );
       ( "alloc",
