@@ -464,10 +464,10 @@ let run_serve obs tm service requests arrival gap load queue_cap deadline_us no_
 (* analyze                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Txstatic: run the static analyzer over workload models, print the
-   per-class access summaries with a capacity verdict per hardware
-   variant, cross-validate the verdicts against the runtime abort census
-   of the workloads that have a real twin, and write the whole result as
+(* Txstatic: run the static analyzer over the workloads' own code,
+   print the per-class access summaries with a capacity verdict per
+   hardware variant, cross-validate the verdicts against each stock
+   workload's runtime twin, and write the whole result as
    ANALYZE_asf.json. Exit 1 on any violation: an unsafe annotation, a
    restart hazard, release misuse, or a static-fits/runtime-abort
    contradiction (the latter is an analyzer bug by construction). *)
@@ -516,7 +516,8 @@ let analyze json_path seed txns no_xcheck workloads fixtures =
     (Report.make ~id:"analyze"
        ~title:
          (Printf.sprintf
-            "Txstatic access summaries and capacity verdicts (seeds %s, %d txns/seed)"
+            "Txstatic access summaries and capacity verdicts (seeds %s, %d scheduled \
+             txns/seed)"
             (String.concat "," (List.map string_of_int seeds))
             txns)
        ~notes:
@@ -1009,15 +1010,17 @@ let analyze_cmd =
     Arg.(value & opt (int_in 0) 240
          & info [ "txns" ] ~docv:"N"
              ~doc:
-               "Abstract transactions to explore per workload and seed (0 \
-                executes each transaction class once).")
+               "Abstract transactions per seed in the class schedule of the \
+                intset family, bank and the fixtures (0 executes each \
+                transaction class once). A STAMP application runs its own \
+                program at scale 0.2 instead and ignores $(docv).")
   in
   let no_xcheck =
     Arg.(value & flag
          & info [ "no-xcheck" ]
              ~doc:
                "Skip the runtime cross-validation (static verdicts against the \
-                capacity-abort census of the workloads with a real twin).")
+                capacity-abort census of each stock workload's runtime twin).")
   in
   let workloads =
     Arg.(value

@@ -3,18 +3,15 @@
    large read-only ones. The audit reads every account, so it exercises
    ASF capacity: on LLB-8 audits fall back to serial-irrevocable mode,
    on LLB-256 they run in hardware; all modes preserve the invariant that
-   the total balance never changes. *)
+   the total balance never changes. The program is [Asf_stamp.Bank], the
+   same code the static analyzer checks. *)
 
 module Tm = Asf_tm_rt.Tm
 module Stats = Asf_tm_rt.Stats
-module Prng = Asf_engine.Prng
 module Variant = Asf_core.Variant
 module Params = Asf_machine.Params
-module Addr = Asf_mem.Addr
-
-let n_accounts = 64
-
-let initial_balance = 1000
+module Bank = Asf_stamp.Bank
+module C = Asf_stamp.Stamp_common
 
 let txns_per_thread = 400
 
@@ -22,53 +19,18 @@ let n_threads = 4
 
 let run_mode name mode =
   let cfg = Tm.default_config mode ~n_cores:n_threads in
-  let sys = Tm.create cfg in
-  let accounts = Array.init n_accounts (fun _ -> Tm.setup_alloc sys 1) in
-  Array.iter (fun a -> Tm.setup_poke sys a initial_balance) accounts;
-  let audit_failures = ref 0 in
-  let ctxs =
-    List.init n_threads (fun core ->
-        Tm.spawn sys ~core (fun ctx ->
-            let rng = Tm.prng ctx in
-            for i = 1 to txns_per_thread do
-              if i mod 50 = 0 then begin
-                (* Audit: a large read-only transaction over every
-                   account. *)
-                let total =
-                  Tm.atomic ctx (fun () ->
-                      Array.fold_left (fun acc a -> acc + Tm.load ctx a) 0 accounts)
-                in
-                if total <> n_accounts * initial_balance then incr audit_failures
-              end
-              else begin
-                let src = accounts.(Prng.int rng n_accounts) in
-                let dst = accounts.(Prng.int rng n_accounts) in
-                let amount = Prng.int rng 20 in
-                Tm.atomic ctx (fun () ->
-                    if src <> dst then begin
-                      Tm.store ctx src (Tm.load ctx src - amount);
-                      Tm.store ctx dst (Tm.load ctx dst + amount)
-                    end)
-              end
-            done))
-  in
-  Tm.run sys;
-  let agg = Stats.create () in
-  List.iter (fun c -> Stats.add (Tm.stats c) ~into:agg) ctxs;
-  let total = Array.fold_left (fun acc a -> acc + Tm.setup_peek sys a) 0 accounts in
-  Printf.printf
-    "%-14s total=%d audits-consistent=%b time=%.1f us, serial=%d, aborts=%d\n" name
-    total
-    (!audit_failures = 0)
-    (Params.cycles_to_us cfg.Tm.params (Tm.makespan sys))
-    (Stats.serial_commits agg) (Stats.total_aborts agg);
-  assert (total = n_accounts * initial_balance);
-  assert (!audit_failures = 0)
+  let r = C.run ~name:"bank" cfg ~threads:n_threads (Bank.program ~txns:txns_per_thread) in
+  Printf.printf "%-14s %s time=%.1f us, serial=%d, aborts=%d\n" name
+    (String.concat " "
+       (List.map (fun (check, ok) -> Printf.sprintf "%s=%b" check ok) r.C.checks))
+    (Params.cycles_to_us cfg.Tm.params r.C.cycles)
+    (Stats.serial_commits r.C.stats) (Stats.total_aborts r.C.stats);
+  assert (C.ok r)
 
 let () =
   Printf.printf
     "Bank: %d threads, %d accounts, transfers + full audits every 50 txns\n\n"
-    n_threads n_accounts;
+    n_threads Bank.accounts;
   run_mode "ASF LLB-8" (Tm.Asf_mode Variant.llb8);
   run_mode "ASF LLB-256" (Tm.Asf_mode Variant.llb256);
   run_mode "ASF LLB-8+L1" (Tm.Asf_mode Variant.llb8_l1);

@@ -1,6 +1,7 @@
 module Addr = Asf_mem.Addr
 module Prng = Asf_engine.Prng
 module Ops = Asf_dstruct.Ops
+module Cap = Asf_stamp.Cap
 
 type t = {
   mem : (Addr.t, int) Hashtbl.t;
@@ -30,14 +31,6 @@ let setup_ops t =
     ~rand_bits:(fun () -> Prng.int rng (1 lsl 30))
     ()
 
-type actx = {
-  o : Ops.t;
-  nld : Addr.t -> int;
-  nst : Addr.t -> int -> unit;
-  rand : int -> int;
-  work : int -> unit;
-}
-
 type exec = {
   x_rd : int list;
   x_wr : int list;
@@ -47,9 +40,6 @@ type exec = {
   x_releases : int;
   x_rereads : int;
   x_allocs : int;
-  x_alloc_lines : int;
-  x_frees : int;
-  x_ops : int;
   x_diverged : bool;
 }
 
@@ -66,145 +56,172 @@ type op =
   | O_free of Addr.t * int
   | O_rand of int * int
 
+(* One execution of an atomic block's body. *)
 type pass = {
-  p_trace : op list;  (* reverse order *)
-  p_overlay : (Addr.t, int) Hashtbl.t;
-  p_rd : (int, unit) Hashtbl.t;
-  p_wr : (int, unit) Hashtbl.t;
-  p_ard : (int, unit) Hashtbl.t;
-  p_awr : (int, unit) Hashtbl.t;
-  p_peak : int;
-  p_releases : int;
-  p_rereads : int;
-  p_allocs : int;
-  p_alloc_lines : int;
-  p_frees : int;
+  rng : Prng.t;
+  mutable trace : op list;  (* reverse order *)
+  overlay : (Addr.t, int) Hashtbl.t;  (* speculative stores *)
+  prot : (int, bool) Hashtbl.t;  (* live protected set: line -> written *)
+  released : (int, unit) Hashtbl.t;
+  rereads : (int, unit) Hashtbl.t;
+  rd : (int, unit) Hashtbl.t;
+  wr : (int, unit) Hashtbl.t;
+  ard : (int, unit) Hashtbl.t;
+  awr : (int, unit) Hashtbl.t;
+  mutable peak : int;
+  mutable releases : int;
+  mutable allocs : int;
 }
 
-let exec_pass t ~early_release rng body =
-  let trace = ref [] in
-  let overlay = Hashtbl.create 64 in
-  (* live protected set: line -> true when written *)
-  let prot : (int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let released = Hashtbl.create 8 in
-  let rereads = Hashtbl.create 8 in
-  let rd = Hashtbl.create 64 and wr = Hashtbl.create 64 in
-  let ard = Hashtbl.create 8 and awr = Hashtbl.create 8 in
-  let peak = ref 0 in
-  let releases = ref 0 in
-  let allocs = ref 0 and alloc_lines = ref 0 and frees = ref 0 in
-  let protect line ~write =
-    match Hashtbl.find_opt prot line with
-    | None ->
-        Hashtbl.replace prot line write;
-        let n = Hashtbl.length prot in
-        if n > !peak then peak := n;
-        if Hashtbl.mem released line then Hashtbl.replace rereads line ()
-    | Some false when write -> Hashtbl.replace prot line true
-    | Some _ -> ()
-  in
-  let ld a =
-    let line = Addr.line_of a in
-    Hashtbl.replace rd line ();
-    protect line ~write:false;
-    let v = match Hashtbl.find_opt overlay a with Some v -> v | None -> peek t a in
-    trace := O_ld (a, v) :: !trace;
-    v
-  in
-  let st a v =
-    let line = Addr.line_of a in
-    Hashtbl.replace wr line ();
-    protect line ~write:true;
-    Hashtbl.replace overlay a v;
-    trace := O_st (a, v) :: !trace
-  in
-  let release a =
-    if early_release then begin
-      let line = Addr.line_of a in
-      (match Hashtbl.find_opt prot line with
-      | Some false ->
-          (* Only read-only entries can be dropped, as in Llb.release. *)
-          Hashtbl.remove prot line;
-          Hashtbl.replace released line ();
-          incr releases
-      | _ -> ());
-      trace := O_rel a :: !trace
-    end
-  in
-  let alloc n =
-    let a = alloc_words t n in
-    incr allocs;
-    alloc_lines := !alloc_lines + Addr.lines_of_words (max n 1);
-    trace := O_alloc (n, a) :: !trace;
-    a
-  in
-  let free a n =
-    incr frees;
-    trace := O_free (a, n) :: !trace
-  in
-  let rand n =
-    let v = Prng.int rng n in
-    trace := O_rand (n, v) :: !trace;
-    v
-  in
-  let nld a =
-    Hashtbl.replace ard (Addr.line_of a) ();
-    (* An annotated load bypasses the speculative write buffer: it sees
-       committed memory, never the transaction's own pending stores. *)
-    let v = peek t a in
-    trace := O_nld (a, v) :: !trace;
-    v
-  in
-  let nst a v =
-    Hashtbl.replace awr (Addr.line_of a) ();
-    (* Applied immediately and never rolled back — hardware semantics. *)
-    poke t a v;
-    trace := O_nst (a, v) :: !trace
-  in
-  let o =
-    Ops.dry ~ld ~st ~alloc ~free ~release
-      ~rand_bits:(fun () -> rand (1 lsl 30))
-      ()
-  in
-  body { o; nld; nst; rand; work = (fun _ -> ()) };
+let fresh_pass rng =
   {
-    p_trace = !trace;
-    p_overlay = overlay;
-    p_rd = rd;
-    p_wr = wr;
-    p_ard = ard;
-    p_awr = awr;
-    p_peak = !peak;
-    p_releases = !releases;
-    p_rereads = Hashtbl.length rereads;
-    p_allocs = !allocs;
-    p_alloc_lines = !alloc_lines;
-    p_frees = !frees;
+    rng;
+    trace = [];
+    overlay = Hashtbl.create 64;
+    prot = Hashtbl.create 64;
+    released = Hashtbl.create 8;
+    rereads = Hashtbl.create 8;
+    rd = Hashtbl.create 64;
+    wr = Hashtbl.create 64;
+    ard = Hashtbl.create 8;
+    awr = Hashtbl.create 8;
+    peak = 0;
+    releases = 0;
+    allocs = 0;
   }
+
+let record p op = p.trace <- op :: p.trace
+
+let protect p line ~write =
+  match Hashtbl.find_opt p.prot line with
+  | None ->
+      Hashtbl.replace p.prot line write;
+      p.peak <- max p.peak (Hashtbl.length p.prot);
+      if Hashtbl.mem p.released line then Hashtbl.replace p.rereads line ()
+  | Some false when write -> Hashtbl.replace p.prot line true
+  | Some _ -> ()
 
 let sorted_lines h = Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare
 
-let run_tx ?(early_release = false) t rng body =
-  (* Pass 1 consumes a copy of the stream, so pass 2 replays the same
-     draws — the analyzer's setjmp. Pass 1's speculative effects are
-     discarded: the allocator is rewound and the overlay dropped. *)
-  let rng1 = Prng.copy rng in
-  let bump0 = t.bump in
-  let p1 = exec_pass t ~early_release rng1 body in
-  t.bump <- bump0;
-  let p2 = exec_pass t ~early_release rng body in
-  Hashtbl.iter (fun a v -> Hashtbl.replace t.mem a v) p2.p_overlay;
+let cap ~early_release t rng on_exec =
+  (* The pass being recorded; [None] outside every atomic block, where
+     each access is a plain, unrecorded one. *)
+  let cur = ref None in
+  let ld a =
+    match !cur with
+    | None -> peek t a
+    | Some p ->
+        let line = Addr.line_of a in
+        Hashtbl.replace p.rd line ();
+        protect p line ~write:false;
+        let v = match Hashtbl.find_opt p.overlay a with Some v -> v | None -> peek t a in
+        record p (O_ld (a, v));
+        v
+  in
+  let st a v =
+    match !cur with
+    | None -> poke t a v
+    | Some p ->
+        let line = Addr.line_of a in
+        Hashtbl.replace p.wr line ();
+        protect p line ~write:true;
+        Hashtbl.replace p.overlay a v;
+        record p (O_st (a, v))
+  in
+  let release a =
+    match !cur with
+    | Some p when early_release ->
+        let line = Addr.line_of a in
+        (match Hashtbl.find_opt p.prot line with
+        | Some false ->
+            (* Only read-only entries can be dropped, as in Llb.release. *)
+            Hashtbl.remove p.prot line;
+            Hashtbl.replace p.released line ();
+            p.releases <- p.releases + 1
+        | _ -> ());
+        record p (O_rel a)
+    | _ -> ()
+  in
+  let alloc n =
+    let a = alloc_words t n in
+    Option.iter
+      (fun p ->
+        p.allocs <- p.allocs + 1;
+        record p (O_alloc (n, a)))
+      !cur;
+    a
+  in
+  let free a n = Option.iter (fun p -> record p (O_free (a, n))) !cur in
+  let rand n =
+    match !cur with
+    | None -> Prng.int rng n
+    | Some p ->
+        let v = Prng.int p.rng n in
+        record p (O_rand (n, v));
+        v
+  in
+  let nld a =
+    match !cur with
+    | None -> peek t a
+    | Some p ->
+        Hashtbl.replace p.ard (Addr.line_of a) ();
+        (* An annotated load bypasses the speculative write buffer: it
+           sees committed memory, never the transaction's own pending
+           stores. *)
+        let v = peek t a in
+        record p (O_nld (a, v));
+        v
+  in
+  let nst a v =
+    (* Applied immediately and never rolled back — hardware semantics. *)
+    poke t a v;
+    Option.iter
+      (fun p ->
+        Hashtbl.replace p.awr (Addr.line_of a) ();
+        record p (O_nst (a, v)))
+      !cur
+  in
+  let in_pass p body =
+    cur := Some p;
+    Fun.protect ~finally:(fun () -> cur := None) body
+  in
+  let atomic name body =
+    match !cur with
+    | Some _ -> body () (* flat nesting, as in Tm.atomic *)
+    | None ->
+        (* Pass 1 consumes a copy of the stream, so pass 2 replays the
+           same draws — the analyzer's setjmp. Pass 1's speculative
+           effects are discarded: the allocator is rewound and the
+           overlay dropped. *)
+        let bump0 = t.bump in
+        let p1 = fresh_pass (Prng.copy rng) in
+        ignore (in_pass p1 body);
+        t.bump <- bump0;
+        let p2 = fresh_pass rng in
+        let result = in_pass p2 body in
+        Hashtbl.iter (fun a v -> Hashtbl.replace t.mem a v) p2.overlay;
+        on_exec name
+          {
+            x_rd = sorted_lines p2.rd;
+            x_wr = sorted_lines p2.wr;
+            x_ard = sorted_lines p2.ard;
+            x_awr = sorted_lines p2.awr;
+            x_peak = p2.peak;
+            x_releases = p2.releases;
+            x_rereads = Hashtbl.length p2.rereads;
+            x_allocs = p2.allocs;
+            x_diverged = p1.trace <> p2.trace;
+          };
+        result
+  in
   {
-    x_rd = sorted_lines p2.p_rd;
-    x_wr = sorted_lines p2.p_wr;
-    x_ard = sorted_lines p2.p_ard;
-    x_awr = sorted_lines p2.p_awr;
-    x_peak = p2.p_peak;
-    x_releases = p2.p_releases;
-    x_rereads = p2.p_rereads;
-    x_allocs = p2.p_allocs;
-    x_alloc_lines = p2.p_alloc_lines;
-    x_frees = p2.p_frees;
-    x_ops = List.length p2.p_trace;
-    x_diverged = p1.p_trace <> p2.p_trace;
+    Cap.o = Ops.dry ~ld ~st ~alloc ~free ~release ~rand_bits:(fun () -> rand (1 lsl 30)) ();
+    nld;
+    nst;
+    rand;
+    work = ignore;
+    atomic;
+    retry =
+      (fun () ->
+        invalid_arg "Amem: a retry in a single-threaded run would repeat forever");
   }

@@ -3,11 +3,12 @@
     A word-addressed shadow store with a bump allocator, mirroring the
     simulated machine's address arithmetic ({!Asf_mem.Addr}: 8-word
     lines, line-padded allocation) but with {e no} caches, no timing and
-    no scheduler. Transaction bodies execute against it through an
-    {!Asf_dstruct.Ops.t} capability record ({!Ops.dry}), so the real
-    data-structure code runs unchanged while every access is recorded.
+    no scheduler. A program runs against it single-threaded through a
+    {!Asf_stamp.Cap.t} capability record ({!cap}), so the real
+    application and data-structure code runs unchanged while every access
+    inside an atomic block is recorded.
 
-    {!run_tx} executes a body {e twice} against the same pre-state with
+    Each atomic block executes {e twice} against the same pre-state with
     identical random draws — the abstract form of ASF-TM's closure
     restart. A body whose two executions perform different operation
     sequences depends on host-side mutable state that an abort would not
@@ -35,17 +36,6 @@ val setup_ops : t -> Asf_dstruct.Ops.t
 
 (** {1 Recorded transactional execution} *)
 
-type actx = {
-  o : Asf_dstruct.Ops.t;  (** recorded transactional operations *)
-  nld : Asf_mem.Addr.t -> int;  (** annotated (selective) load *)
-  nst : Asf_mem.Addr.t -> int -> unit;  (** annotated store *)
-  rand : int -> int;  (** replayed-on-restart input randomness *)
-  work : int -> unit;  (** application compute; ignored here *)
-}
-(** The shadow of {!Asf_tm_rt.Tm.ctx}: what a transaction body may do.
-    Workload models close over [actx] exactly as benchmark bodies close
-    over a [ctx]. *)
-
 type exec = {
   x_rd : int list;  (** distinct transactionally-read lines, ascending *)
   x_wr : int list;  (** distinct transactionally-written lines *)
@@ -57,19 +47,23 @@ type exec = {
   x_releases : int;  (** early releases that dropped a read-only line *)
   x_rereads : int;  (** released lines later re-protected (misuse) *)
   x_allocs : int;  (** transactional allocations *)
-  x_alloc_lines : int;  (** lines they span *)
-  x_frees : int;
-  x_ops : int;  (** recorded operations *)
   x_diverged : bool;  (** the two executions disagreed: restart hazard *)
 }
+(** The summary of one atomic block. *)
 
-val run_tx : ?early_release:bool -> t -> Asf_engine.Prng.t -> (actx -> unit) -> exec
-(** Execute [body] twice from the same pre-state (the PRNG is copied for
-    the first pass, so both passes draw identical [rand] values), compare
-    the operation traces, commit the second pass, and summarize it.
-    [early_release] (default [false]) wires the capability record's
-    [release] to a recorded RELEASE; when off it is a no-op, as in
-    {!Asf_dstruct.Ops.tx}.
+val cap :
+  early_release:bool -> t -> Asf_engine.Prng.t -> (string -> exec -> unit) -> Asf_stamp.Cap.t
+(** [cap ~early_release t rng on_exec] is the shadow of a simulated
+    thread. Outside [atomic], every access is a plain, unrecorded
+    peek/poke and [rand] draws from [rng]. [atomic name body] executes
+    [body] twice from the same pre-state (the first pass draws from a
+    copy of [rng], so both passes see identical [rand] values), compares
+    the operation traces, commits the second pass, hands its summary to
+    [on_exec name], and returns the second pass's result. Nested blocks
+    are flattened. [early_release] wires [o.release] to a recorded
+    RELEASE; when off it is a no-op, as in {!Asf_dstruct.Ops.tx}. [work]
+    is ignored, and [retry] raises [Invalid_argument]: with no other
+    thread, the re-execution would fail its validation again.
 
     Annotated stores write memory immediately and are {e not} undone
     between the passes — exactly the hardware semantics (an [nstore] is

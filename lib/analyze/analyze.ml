@@ -152,52 +152,31 @@ let explore_workload ~seeds ~txns ~params (wl : Workloads.t) =
   (* Workload-level alias sets, across every execution and seed. *)
   let txrd = Hashtbl.create 64 and txwr = Hashtbl.create 64 in
   let ard = Hashtbl.create 16 and awr = Hashtbl.create 16 in
+  let record name (x : Amem.exec) =
+    let a = acc_of name in
+    a.k_execs <- a.k_execs + 1;
+    a.k_rd_max <- max a.k_rd_max (List.length x.x_rd);
+    a.k_wr_max <- max a.k_wr_max (List.length x.x_wr);
+    a.k_peak_max <- max a.k_peak_max x.x_peak;
+    a.k_peak_min <- min a.k_peak_min x.x_peak;
+    a.k_rd_set_occ <- max a.k_rd_set_occ (set_occupancy params (diff x.x_rd x.x_wr));
+    let touched = union_all [ x.x_rd; x.x_wr; x.x_ard; x.x_awr ] in
+    a.k_all_set_occ <- max a.k_all_set_occ (set_occupancy params touched);
+    a.k_releases <- a.k_releases + x.x_releases;
+    a.k_rereads <- a.k_rereads + x.x_rereads;
+    a.k_allocs <- a.k_allocs + x.x_allocs;
+    if x.x_diverged then a.k_diverged <- a.k_diverged + 1;
+    List.iter (fun l -> Hashtbl.replace txrd l ()) x.x_rd;
+    List.iter (fun l -> Hashtbl.replace txwr l ()) x.x_wr;
+    List.iter (fun l -> Hashtbl.replace ard l ()) x.x_ard;
+    List.iter (fun l -> Hashtbl.replace awr l ()) x.x_awr
+  in
   List.iter
     (fun seed ->
       let am = Amem.create () in
-      let classes = wl.Workloads.w_make am ~seed in
-      let wrng = Prng.create ((seed * 0x9e3779b9) + 17) in
-      let srng = Prng.create (seed lxor 0x5bd1e995) in
-      let total_weight =
-        List.fold_left (fun s c -> s + c.Workloads.c_weight) 0 classes
-      in
-      let run_class (c : Workloads.txclass) =
-        let x = Amem.run_tx ~early_release:wl.Workloads.w_er am wrng c.c_body in
-        let a = acc_of c.c_name in
-        a.k_execs <- a.k_execs + 1;
-        a.k_rd_max <- max a.k_rd_max (List.length x.Amem.x_rd);
-        a.k_wr_max <- max a.k_wr_max (List.length x.Amem.x_wr);
-        a.k_peak_max <- max a.k_peak_max x.Amem.x_peak;
-        a.k_peak_min <- min a.k_peak_min x.Amem.x_peak;
-        let rd_only = diff x.Amem.x_rd x.Amem.x_wr in
-        a.k_rd_set_occ <- max a.k_rd_set_occ (set_occupancy params rd_only);
-        let touched =
-          union_all [ x.Amem.x_rd; x.Amem.x_wr; x.Amem.x_ard; x.Amem.x_awr ]
-        in
-        a.k_all_set_occ <- max a.k_all_set_occ (set_occupancy params touched);
-        a.k_releases <- a.k_releases + x.Amem.x_releases;
-        a.k_rereads <- a.k_rereads + x.Amem.x_rereads;
-        a.k_allocs <- a.k_allocs + x.Amem.x_allocs;
-        if x.Amem.x_diverged then a.k_diverged <- a.k_diverged + 1;
-        List.iter (fun l -> Hashtbl.replace txrd l ()) x.Amem.x_rd;
-        List.iter (fun l -> Hashtbl.replace txwr l ()) x.Amem.x_wr;
-        List.iter (fun l -> Hashtbl.replace ard l ()) x.Amem.x_ard;
-        List.iter (fun l -> Hashtbl.replace awr l ()) x.Amem.x_awr
-      in
-      (* Every class at least once, then the weighted schedule. *)
-      List.iter run_class classes;
-      let n_rest = max 0 (txns - List.length classes) in
-      for _ = 1 to n_rest do
-        let roll = Prng.int srng (max 1 total_weight) in
-        let rec pick acc = function
-          | [] -> ()
-          | [ c ] -> run_class c
-          | c :: rest ->
-              if roll < acc + c.Workloads.c_weight then run_class c
-              else pick (acc + c.Workloads.c_weight) rest
-        in
-        pick 0 classes
-      done)
+      let program = wl.Workloads.w_program ~seed ~txns (Amem.setup_ops am) in
+      let rng = Prng.create ((seed * 0x9e3779b9) + 17) in
+      program (Amem.cap ~early_release:wl.Workloads.w_er am rng record))
     seeds;
   let classes =
     List.rev_map

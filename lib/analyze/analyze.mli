@@ -1,9 +1,8 @@
 (** Txstatic: the engine-free static transaction analyzer.
 
-    Executes every transaction class of a workload model against
-    {!Amem}'s abstract memory over a bounded set of seeded inputs — no
-    timing, no scheduler, no caches — and distils per-class {e access
-    summaries} (lines read/written, peak protected-set size, worst L1
+    Runs every workload's program ({!Workloads}) against {!Amem}'s
+    abstract memory at a few seeds — no timing, no scheduler, no caches —
+    and distils per-class {e access summaries} (lines read/written, peak protected-set size, worst L1
     set occupancy under {!Asf_machine.Params}, annotated/transactional
     alias sets, allocation and early-release events). A pure lint layer
     then issues the verdicts the DTMC compiler side of the paper's stack
@@ -91,10 +90,10 @@ val run :
   params:Asf_machine.Params.t ->
   Workloads.t list ->
   t
-(** Analyze each workload: for every seed, build the model's state,
-    execute each class once and then a weighted schedule of [txns]
-    transactions (default 240, seeds [1;2;3]), and fold the executions
-    into summaries. *)
+(** Analyze each workload: for every seed, build its state and run its
+    program ([txns] sizes the class schedule; default 240, seeds
+    [1;2;3]), and fold the atomic blocks it executed into per-class
+    summaries. *)
 
 val findings : t -> Findings.t list
 (** The lint verdicts as shared findings: annotation races, restart

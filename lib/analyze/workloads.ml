@@ -5,37 +5,48 @@ module Tlist = Asf_dstruct.Tlist
 module Tskiplist = Asf_dstruct.Tskiplist
 module Trbtree = Asf_dstruct.Trbtree
 module Thashset = Asf_dstruct.Thashset
-module Thashmap = Asf_dstruct.Thashmap
-module Tqueue = Asf_dstruct.Tqueue
-
-type txclass = {
-  c_name : string;
-  c_weight : int;
-  c_body : Amem.actx -> unit;
-}
+module Cap = Asf_stamp.Cap
+module Bank = Asf_stamp.Bank
+module Stamp = Asf_stamp.Stamp
 
 type t = {
   w_name : string;
   w_er : bool;
-  w_make : Amem.t -> seed:int -> txclass list;
+  w_program : seed:int -> txns:int -> Ops.t -> Cap.t -> unit;
 }
 
-(* Shorthands over the capability record. *)
-let ops (a : Amem.actx) = a.Amem.o
+(* ------------------------------------------------------------------ *)
+(* The weighted class schedule                                           *)
+(* ------------------------------------------------------------------ *)
 
-let ld a x = (ops a).Ops.ld x
+(* A transaction class: the body of one kind of atomic block. It draws
+   its inputs through [rand] inside the block, so the analyzer's second
+   pass replays them. *)
+type txclass = { c_name : string; c_weight : int; c_body : Cap.t -> unit }
 
-let st a x v = (ops a).Ops.st x v
+(* Every class once, then a weighted random pick for the rest of [txns]
+   transactions. *)
+let schedule ~seed ~txns classes (cap : Cap.t) =
+  let srng = Prng.create (seed lxor 0x5bd1e995) in
+  let run c = cap.atomic c.c_name (fun () -> c.c_body cap) in
+  List.iter run classes;
+  let total_weight = List.fold_left (fun s c -> s + c.c_weight) 0 classes in
+  for _ = 1 to max 0 (txns - List.length classes) do
+    let roll = Prng.int srng (max 1 total_weight) in
+    let rec pick acc = function
+      | [] -> ()
+      | [ c ] -> run c
+      | c :: rest -> if roll < acc + c.c_weight then run c else pick (acc + c.c_weight) rest
+    in
+    pick 0 classes
+  done
 
-let alloc a n = (ops a).Ops.alloc n
-
-let free a x n = (ops a).Ops.free x n
-
-let rand (a : Amem.actx) n = a.Amem.rand n
-
-let nld (a : Amem.actx) x = a.Amem.nld x
-
-let nst (a : Amem.actx) x v = a.Amem.nst x v
+let scheduled w_name ~er classes =
+  {
+    w_name;
+    w_er = er;
+    w_program = (fun ~seed ~txns so -> schedule ~seed ~txns (classes so ~seed));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* IntegerSet family                                                     *)
@@ -57,8 +68,7 @@ type iface = {
   i_contains : Ops.t -> int -> bool;
 }
 
-let intset_classes make_iface am ~seed =
-  let so = Amem.setup_ops am in
+let intset_classes make_iface so ~seed =
   let s = make_iface so in
   (* Populate exactly like Intset.populate: same derived seed, same draw
      per attempted insertion. *)
@@ -68,527 +78,91 @@ let intset_classes make_iface am ~seed =
     if s.i_add so (Prng.int rng intset_range) then incr n
   done;
   let u = intset_update_pct in
+  let cls c_name c_weight op =
+    { c_name; c_weight; c_body = (fun cap -> ignore (op cap.Cap.o (cap.rand intset_range))) }
+  in
   List.filter
     (fun c -> c.c_weight > 0)
     [
-      {
-        c_name = "add";
-        c_weight = u;
-        c_body = (fun a -> ignore (s.i_add (ops a) (rand a intset_range)));
-      };
-      {
-        c_name = "remove";
-        c_weight = u;
-        c_body = (fun a -> ignore (s.i_remove (ops a) (rand a intset_range)));
-      };
-      {
-        c_name = "contains";
-        c_weight = 200 - (2 * u);
-        c_body = (fun a -> ignore (s.i_contains (ops a) (rand a intset_range)));
-      };
+      cls "add" u s.i_add;
+      cls "remove" u s.i_remove;
+      cls "contains" (200 - (2 * u)) s.i_contains;
     ]
 
 let w_linked_list ~er name =
-  {
-    w_name = name;
-    w_er = er;
-    w_make =
-      intset_classes (fun so ->
-          let t = Tlist.create so in
-          {
-            i_add = (fun o k -> Tlist.add o t k);
-            i_remove = (fun o k -> Tlist.remove o t k);
-            i_contains = (fun o k -> Tlist.contains o t k);
-          });
-  }
+  scheduled name ~er
+    (intset_classes (fun so ->
+         let t = Tlist.create so in
+         {
+           i_add = (fun o k -> Tlist.add o t k);
+           i_remove = (fun o k -> Tlist.remove o t k);
+           i_contains = (fun o k -> Tlist.contains o t k);
+         }))
 
 let w_skip_list =
-  {
-    w_name = "intset-skip-list";
-    w_er = false;
-    w_make =
-      intset_classes (fun so ->
-          let max_level =
-            max 4 (int_of_float (Float.log2 (float_of_int intset_range)))
-          in
-          let t = Tskiplist.create so ~max_level () in
-          {
-            i_add = (fun o k -> Tskiplist.add o t k);
-            i_remove = (fun o k -> Tskiplist.remove o t k);
-            i_contains = (fun o k -> Tskiplist.contains o t k);
-          });
-  }
+  scheduled "intset-skip-list" ~er:false
+    (intset_classes (fun so ->
+         let max_level = max 4 (int_of_float (Float.log2 (float_of_int intset_range))) in
+         let t = Tskiplist.create so ~max_level () in
+         {
+           i_add = (fun o k -> Tskiplist.add o t k);
+           i_remove = (fun o k -> Tskiplist.remove o t k);
+           i_contains = (fun o k -> Tskiplist.contains o t k);
+         }))
 
 let w_rb_tree =
-  {
-    w_name = "intset-rb-tree";
-    w_er = false;
-    w_make =
-      intset_classes (fun so ->
-          let t = Trbtree.create so in
-          {
-            i_add = (fun o k -> Trbtree.insert o t k k);
-            i_remove = (fun o k -> Trbtree.remove o t k);
-            i_contains = (fun o k -> Trbtree.mem o t k);
-          });
-  }
+  scheduled "intset-rb-tree" ~er:false
+    (intset_classes (fun so ->
+         let t = Trbtree.create so in
+         {
+           i_add = (fun o k -> Trbtree.insert o t k k);
+           i_remove = (fun o k -> Trbtree.remove o t k);
+           i_contains = (fun o k -> Trbtree.mem o t k);
+         }))
 
 let w_hash_set =
-  {
-    w_name = "intset-hash-set";
-    w_er = false;
-    w_make =
-      intset_classes (fun so ->
-          let t = Thashset.create so ~buckets:intset_buckets in
-          {
-            i_add = (fun o k -> Thashset.add o t k);
-            i_remove = (fun o k -> Thashset.remove o t k);
-            i_contains = (fun o k -> Thashset.contains o t k);
-          });
-  }
+  scheduled "intset-hash-set" ~er:false
+    (intset_classes (fun so ->
+         let t = Thashset.create so ~buckets:intset_buckets in
+         {
+           i_add = (fun o k -> Thashset.add o t k);
+           i_remove = (fun o k -> Thashset.remove o t k);
+           i_contains = (fun o k -> Thashset.contains o t k);
+         }))
 
 (* ------------------------------------------------------------------ *)
-(* Bank (examples/bank.ml)                                               *)
+(* Bank and the STAMP applications                                       *)
 (* ------------------------------------------------------------------ *)
-
-let bank_accounts = 64
 
 let w_bank =
+  scheduled "bank" ~er:false (fun so ~seed:_ ->
+      let acct = Bank.create so in
+      [
+        {
+          c_name = "transfer";
+          c_weight = 49;
+          c_body =
+            (fun cap ->
+              let src = acct.(cap.rand Bank.accounts) in
+              let dst = acct.(cap.rand Bank.accounts) in
+              let amount = cap.rand 20 in
+              Bank.transfer cap ~src ~dst ~amount);
+        };
+        { c_name = "audit"; c_weight = 1; c_body = (fun cap -> ignore (Bank.audit cap acct)) };
+      ])
+
+let stamp_scale = 0.2
+
+(* The application's own program, single-threaded: its atomic blocks
+   are the classes, in the order the program first runs them. *)
+let w_stamp app =
   {
-    w_name = "bank";
+    w_name = Stamp.name app;
     w_er = false;
-    w_make =
-      (fun am ~seed:_ ->
-        let accounts = Array.init bank_accounts (fun _ -> Amem.alloc_words am 1) in
-        Array.iter (fun a -> Amem.poke am a 1000) accounts;
-        [
-          {
-            c_name = "transfer";
-            c_weight = 49;
-            c_body =
-              (fun a ->
-                let src = accounts.(rand a bank_accounts) in
-                let dst = accounts.(rand a bank_accounts) in
-                let amount = rand a 20 in
-                if src <> dst then begin
-                  st a src (ld a src - amount);
-                  st a dst (ld a dst + amount)
-                end);
-          };
-          {
-            c_name = "audit";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                ignore (Array.fold_left (fun acc x -> acc + ld a x) 0 accounts));
-          };
-        ]);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* STAMP models                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Each model reproduces the application's atomic blocks — same shared
-   structures, record layouts and access shapes as lib/stamp — without
-   the phase machinery around them. Inputs are drawn through the
-   recorded [rand] so restarts replay identically. *)
-
-(* genome: dedup inserts into a hash map (6-word records), phase-2
-   publishes prefixes and links chain ends, plus the barrier word. *)
-let w_genome =
-  {
-    w_name = "genome";
-    w_er = false;
-    w_make =
-      (fun am ~seed ->
-        let so = Amem.setup_ops am in
-        let rng = Prng.create (seed + 606) in
-        let record_words = 6 in
-        let f_content = 0 and f_next = 1 and f_overlap = 2 in
-        let f_claimed = 3 and f_head = 4 and f_tail = 5 in
-        let dedup = Thashmap.create so ~buckets:2048 in
-        let content_space = 1 lsl 16 in
-        (* Pre-seeded unique records: the state phase 2 starts from. *)
-        let records =
-          Array.init 96 (fun _ ->
-              let content = 1 + Prng.int rng content_space in
-              match Thashmap.get so dedup content with
-              | Some r -> r
-              | None ->
-                  let r = so.Ops.alloc record_words in
-                  so.Ops.st (r + f_content) content;
-                  so.Ops.st (r + f_next) 0;
-                  so.Ops.st (r + f_claimed) 0;
-                  so.Ops.st (r + f_head) r;
-                  so.Ops.st (r + f_tail) r;
-                  Thashmap.put so dedup content r;
-                  r)
-        in
-        let round_map = Thashmap.create so ~buckets:2048 in
-        let barrier = Amem.alloc_words am 2 in
-        [
-          {
-            c_name = "dedup";
-            c_weight = 8;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                let content = 1 + rand a content_space in
-                if Thashmap.get o dedup content = None then begin
-                  let r = alloc a record_words in
-                  st a (r + f_content) content;
-                  st a (r + f_next) 0;
-                  st a (r + f_overlap) 0;
-                  st a (r + f_claimed) 0;
-                  st a (r + f_head) r;
-                  st a (r + f_tail) r;
-                  Thashmap.put o dedup content r
-                end);
-          };
-          {
-            c_name = "publish-prefix";
-            c_weight = 4;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                let r = records.(rand a (Array.length records)) in
-                if ld a (r + f_claimed) = 0 then begin
-                  let content = ld a (r + f_content) in
-                  Thashmap.put o round_map (1 + (content lsr 2)) r
-                end);
-          };
-          {
-            c_name = "link";
-            c_weight = 4;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                let r = records.(rand a (Array.length records)) in
-                if ld a (r + f_next) = 0 then begin
-                  let content = ld a (r + f_content) in
-                  match Thashmap.get o round_map (1 + (content land 0x3fff)) with
-                  | Some succ when succ <> r && ld a (succ + f_claimed) = 0 ->
-                      let head = ld a (r + f_head) in
-                      if head <> succ then begin
-                        let tail = ld a (succ + f_tail) in
-                        st a (r + f_next) succ;
-                        st a (succ + f_claimed) 1;
-                        st a (head + f_tail) tail;
-                        st a (tail + f_head) head
-                      end
-                  | Some _ | None -> ()
-                end);
-          };
-          {
-            c_name = "barrier";
-            c_weight = 1;
-            c_body = (fun a -> st a barrier (ld a barrier + 1));
-          };
-        ]);
-  }
-
-(* kmeans: the accumulator transaction — transactional read-modify-write
-   of one cluster's accumulator block, annotated reads of the point's
-   coordinates (centers are read outside the atomic block). *)
-let w_kmeans name clusters =
-  {
-    w_name = name;
-    w_er = false;
-    w_make =
-      (fun am ~seed ->
-        let dims = 8 and points = 1024 in
-        let rng = Prng.create (seed + 77) in
-        let pts = Amem.alloc_words am (points * dims) in
-        for i = 0 to (points * dims) - 1 do
-          Amem.poke am (pts + i) (Prng.int rng 1000)
-        done;
-        let accum = Array.init clusters (fun _ -> Amem.alloc_words am (1 + dims)) in
-        let barrier = Amem.alloc_words am 2 in
-        [
-          {
-            c_name = "accumulate";
-            c_weight = 16;
-            c_body =
-              (fun a ->
-                let p = rand a points in
-                let acc = accum.(rand a clusters) in
-                st a acc (ld a acc + 1);
-                for d = 0 to dims - 1 do
-                  let slot = acc + 1 + d in
-                  st a slot (ld a slot + nld a (pts + (p * dims) + d))
-                done);
-          };
-          {
-            c_name = "barrier";
-            c_weight = 1;
-            c_body = (fun a -> st a barrier (ld a barrier + 1));
-          };
-        ]);
-  }
-
-(* ssca2: one-line adjacency-block insertion. *)
-let w_ssca2 =
-  {
-    w_name = "ssca2";
-    w_er = false;
-    w_make =
-      (fun am ~seed:_ ->
-        let vertices = 2048 and max_degree = 8 in
-        let block_words = 1 + max_degree in
-        let stride = Addr.lines_of_words block_words * Addr.words_per_line in
-        let adj = Amem.alloc_words am (vertices * stride) in
-        [
-          {
-            c_name = "insert-edge";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                let block = adj + (rand a vertices * stride) in
-                let dst = rand a vertices in
-                let deg = ld a block in
-                if deg < max_degree then begin
-                  st a (block + 1 + deg) dst;
-                  st a block (deg + 1)
-                end);
-          };
-        ]);
-  }
-
-(* labyrinth (stock configuration: transactional snapshot): dequeue a
-   routing job, snapshot the whole grid transactionally, then revalidate
-   and claim a path. The snapshot puts every grid line in the read set —
-   the transaction that cannot fit any LLB and runs serial, unless the
-   privatisation ablation demotes the snapshot to annotated loads. *)
-let w_labyrinth ?(privatized = false) name =
-  {
-    w_name = name;
-    w_er = false;
-    w_make =
-      (fun am ~seed ->
-        let x = 32 and y = 32 and z = 3 in
-        let cells = x * y * z in
-        let grid = Amem.alloc_words am cells in
-        let rng = Prng.create (seed + 42421) in
-        let work = Tqueue.create (Amem.setup_ops am) in
-        for _ = 1 to 8 do
-          Tqueue.enqueue (Amem.setup_ops am) work (Prng.int rng (cells * cells))
-        done;
-        [
-          {
-            c_name = "dequeue";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                (match Tqueue.dequeue o work with Some _ -> () | None -> ());
-                Tqueue.enqueue o work (rand a (cells * cells)));
-          };
-          {
-            c_name = "route";
-            c_weight = 4;
-            c_body =
-              (fun a ->
-                let read c = if privatized then nld a (grid + c) else ld a (grid + c) in
-                for c = 0 to cells - 1 do
-                  ignore (read c)
-                done;
-                (* Claim a path of plausible length: revalidate + write. *)
-                let len = 4 + rand a 56 in
-                let start = rand a (cells - len) in
-                let id = 1 + rand a 10000 in
-                for i = 0 to len - 1 do
-                  ignore (ld a (grid + start + i));
-                  st a (grid + start + i) id
-                done);
-          };
-        ]);
-  }
-
-(* vacation: browse + book, customer deletion, table update — the real
-   red-black-tree code over resource/customer records. *)
-let w_vacation name ~queries ~user_pct =
-  {
-    w_name = name;
-    w_er = false;
-    w_make =
-      (fun am ~seed ->
-        let relations = 256 in
-        let so = Amem.setup_ops am in
-        let rng = Prng.create (seed + 9090) in
-        let r_total = 0 and r_avail = 1 and r_price = 2 in
-        let c_spent = 0 and c_bookings = 1 and c_reservations = 2 in
-        let res_words = 3 and n_tables = 3 in
-        let tables = Array.init n_tables (fun _ -> Trbtree.create so) in
-        let customers = Trbtree.create so in
-        for id = 0 to relations - 1 do
-          Array.iter
-            (fun t ->
-              let rcd = so.Ops.alloc 3 in
-              let capacity = 1 + Prng.int rng 5 in
-              so.Ops.st (rcd + r_total) capacity;
-              so.Ops.st (rcd + r_avail) capacity;
-              so.Ops.st (rcd + r_price) (100 + Prng.int rng 900);
-              ignore (Trbtree.insert so t id rcd))
-            tables;
-          let cust = so.Ops.alloc 3 in
-          so.Ops.st (cust + c_spent) 0;
-          so.Ops.st (cust + c_bookings) 0;
-          so.Ops.st (cust + c_reservations) 0;
-          ignore (Trbtree.insert so customers id cust)
-        done;
-        let other = (100 - user_pct) / 2 in
-        [
-          {
-            c_name = "user";
-            c_weight = user_pct;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                let cust_id = rand a relations in
-                let chosen = ref 0 in
-                for _ = 1 to queries do
-                  let t = rand a n_tables and id = rand a relations in
-                  match Trbtree.find o tables.(t) id with
-                  | Some rcd -> if ld a (rcd + r_avail) > 0 then chosen := rcd
-                  | None -> ()
-                done;
-                if !chosen <> 0 then begin
-                  let rcd = !chosen in
-                  match Trbtree.find o customers cust_id with
-                  | Some cust ->
-                      let price = ld a (rcd + r_price) in
-                      st a (rcd + r_avail) (ld a (rcd + r_avail) - 1);
-                      st a (cust + c_spent) (ld a (cust + c_spent) + price);
-                      st a (cust + c_bookings) (ld a (cust + c_bookings) + 1);
-                      let node = alloc a res_words in
-                      st a node rcd;
-                      st a (node + 1) price;
-                      st a (node + 2) (ld a (cust + c_reservations));
-                      st a (cust + c_reservations) node
-                  | None -> ()
-                end);
-          };
-          {
-            c_name = "delete-customer";
-            c_weight = other;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                match Trbtree.find o customers (rand a relations) with
-                | Some cust ->
-                    let rec release node =
-                      if node <> 0 then begin
-                        let rcd = ld a node in
-                        st a (rcd + r_avail) (ld a (rcd + r_avail) + 1);
-                        let next = ld a (node + 2) in
-                        free a node res_words;
-                        release next
-                      end
-                    in
-                    release (ld a (cust + c_reservations));
-                    st a (cust + c_reservations) 0;
-                    st a (cust + c_spent) 0;
-                    st a (cust + c_bookings) 0
-                | None -> ());
-          };
-          {
-            c_name = "update-tables";
-            c_weight = other;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                let t = rand a n_tables in
-                let id = rand a (2 * relations) in
-                match Trbtree.find o tables.(t) id with
-                | Some rcd ->
-                    if ld a (rcd + r_avail) = ld a (rcd + r_total) then begin
-                      ignore (Trbtree.remove o tables.(t) id);
-                      free a rcd 3
-                    end
-                    else st a (rcd + r_price) (100 + (id mod 900))
-                | None ->
-                    let rcd = alloc a 3 in
-                    let capacity = 1 + (id mod 5) in
-                    st a (rcd + r_total) capacity;
-                    st a (rcd + r_avail) capacity;
-                    st a (rcd + r_price) (100 + (id mod 900));
-                    ignore (Trbtree.insert o tables.(t) id rcd));
-          };
-        ]);
-  }
-
-(* intruder: capture-queue dequeue, fragment reassembly into per-flow
-   buffers through the shared hash map, buffer free after detection. *)
-let w_intruder =
-  {
-    w_name = "intruder";
-    w_er = false;
-    w_make =
-      (fun am ~seed ->
-        let flows = 64 and frags_per_flow = 4 in
-        let frag_words = 4 in
-        let flow_words = frags_per_flow * frag_words in
-        let so = Amem.setup_ops am in
-        let rng = Prng.create (seed + 31337) in
-        let pool = Amem.alloc_words am (flows * frags_per_flow * frag_words) in
-        for w = 0 to (flows * frags_per_flow * frag_words) - 1 do
-          Amem.poke am (pool + w) (Prng.int rng (1 lsl 24))
-        done;
-        let capture = Tqueue.create so in
-        for f = 0 to (flows * frags_per_flow) - 1 do
-          Tqueue.enqueue so capture ((f / frags_per_flow * 64) + (f mod frags_per_flow))
-        done;
-        let reassembly = Thashmap.create so ~buckets:1024 in
-        let freed = ref [] in
-        [
-          {
-            c_name = "dequeue";
-            c_weight = 3;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                match Tqueue.dequeue o capture with Some _ -> () | None -> ());
-          };
-          {
-            c_name = "reassemble";
-            c_weight = 6;
-            c_body =
-              (fun a ->
-                let o = ops a in
-                let flow = rand a flows and idx = rand a frags_per_flow in
-                let src = pool + (((flow * frags_per_flow) + idx) * frag_words) in
-                let block =
-                  match Thashmap.get o reassembly flow with
-                  | Some b -> b
-                  | None ->
-                      let b = alloc a (1 + flow_words) in
-                      st a b 0;
-                      Thashmap.put o reassembly flow b;
-                      b
-                in
-                for w = 0 to frag_words - 1 do
-                  st a (block + 1 + (idx * frag_words) + w) (ld a (src + w))
-                done;
-                let got = ld a block + 1 in
-                st a block got;
-                if got >= frags_per_flow then begin
-                  ignore (Thashmap.remove o reassembly flow);
-                  freed := block :: !freed
-                end);
-          };
-          {
-            c_name = "free-buffer";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                match !freed with
-                | b :: rest ->
-                    freed := rest;
-                    free a b (1 + flow_words)
-                | [] -> ());
-          };
-        ]);
+    w_program =
+      (fun ~seed ~txns:_ so ->
+        let p = Stamp.program app ~scale:stamp_scale ~seed ~threads:1 so in
+        fun cap -> p.worker cap 0);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -603,105 +177,52 @@ let stock =
     w_rb_tree;
     w_hash_set;
     w_bank;
-    w_genome;
-    w_intruder;
-    w_kmeans "kmeans-low" 40;
-    w_kmeans "kmeans-high" 15;
-    w_labyrinth "labyrinth";
-    w_ssca2;
-    w_vacation "vacation-low" ~queries:2 ~user_pct:98;
-    w_vacation "vacation-high" ~queries:4 ~user_pct:90;
   ]
+  @ List.map w_stamp Stamp.all
 
 (* Negative fixtures. *)
 
+let fixture name ~er c_name c_body =
+  scheduled name ~er (fun so ~seed:_ -> [ { c_name; c_weight = 1; c_body = c_body so } ])
+
 let fx_unsafe_annotation =
-  {
-    w_name = "fixture-unsafe-annotation";
-    w_er = false;
-    w_make =
-      (fun am ~seed:_ ->
-        let shared = Amem.alloc_words am 8 in
-        [
-          {
-            c_name = "racy";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                (* Transactionally write the line, then touch it with
-                   annotated accesses: both directions of the static
-                   race. *)
-                st a shared (ld a shared + 1);
-                ignore (nld a (shared + 1));
-                nst a (shared + 2) 7);
-          };
-        ]);
-  }
+  fixture "fixture-unsafe-annotation" ~er:false "racy" (fun so ->
+      let shared = so.Ops.alloc 8 in
+      fun cap ->
+        (* Transactionally write the line, then touch it with annotated
+           accesses: both directions of the static race. *)
+        cap.o.st shared (cap.o.ld shared + 1);
+        ignore (cap.nld (shared + 1));
+        cap.nst (shared + 2) 7)
 
 let fx_over_capacity =
-  {
-    w_name = "fixture-over-capacity";
-    w_er = false;
-    w_make =
-      (fun am ~seed:_ ->
-        let lines = 300 in
-        let block = Amem.alloc_words am (lines * Addr.words_per_line) in
-        [
-          {
-            c_name = "huge-read";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                for l = 0 to lines - 1 do
-                  ignore (ld a (block + (l * Addr.words_per_line)))
-                done);
-          };
-        ]);
-  }
+  fixture "fixture-over-capacity" ~er:false "huge-read" (fun so ->
+      let lines = 300 in
+      let block = so.Ops.alloc (lines * Addr.words_per_line) in
+      fun cap ->
+        for l = 0 to lines - 1 do
+          ignore (cap.o.ld (block + (l * Addr.words_per_line)))
+        done)
 
 let fx_restart_hazard =
-  {
-    w_name = "fixture-restart-hazard";
-    w_er = false;
-    w_make =
-      (fun am ~seed:_ ->
-        let cell = Amem.alloc_words am 1 in
-        (* Host-side mutable state captured by the closure: a restart
-           (the analyzer's second execution) observes the increment the
-           first execution left behind. *)
-        let host_counter = ref 0 in
-        [
-          {
-            c_name = "leaky";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                incr host_counter;
-                st a cell !host_counter);
-          };
-        ]);
-  }
+  fixture "fixture-restart-hazard" ~er:false "leaky" (fun so ->
+      let cell = so.Ops.alloc 1 in
+      (* Host-side mutable state captured by the closure: a restart (the
+         analyzer's second execution) observes the increment the first
+         execution left behind. *)
+      let host_counter = ref 0 in
+      fun cap ->
+        incr host_counter;
+        cap.o.st cell !host_counter)
 
 let fx_reread_after_release =
-  {
-    w_name = "fixture-reread-after-release";
-    w_er = true;
-    w_make =
-      (fun am ~seed:_ ->
-        let block = Amem.alloc_words am (2 * Addr.words_per_line) in
-        [
-          {
-            c_name = "reread";
-            c_weight = 1;
-            c_body =
-              (fun a ->
-                ignore (ld a block);
-                (ops a).Ops.release block;
-                ignore (ld a (block + Addr.words_per_line));
-                ignore (ld a block));
-          };
-        ]);
-  }
+  fixture "fixture-reread-after-release" ~er:true "reread" (fun so ->
+      let block = so.Ops.alloc (2 * Addr.words_per_line) in
+      fun cap ->
+        ignore (cap.o.ld block);
+        cap.o.release block;
+        ignore (cap.o.ld (block + Addr.words_per_line));
+        ignore (cap.o.ld block))
 
 let fixtures =
   [ fx_unsafe_annotation; fx_over_capacity; fx_restart_hazard; fx_reread_after_release ]

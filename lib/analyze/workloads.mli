@@ -1,32 +1,30 @@
-(** Stock-workload models for the static analyzer.
+(** The workloads the static analyzer explores.
 
-    A workload is a set of {e transaction classes}: named closures over
-    shared abstract state, each the body of one kind of atomic block the
-    benchmark executes. The intset family and the transactional cores of
-    bank run the {e real} data-structure code (via {!Asf_dstruct.Ops.dry});
-    the STAMP entries model each application's atomic blocks — the same
-    structures, record sizes and access shapes as the timed benchmarks,
-    without the surrounding phase machinery.
-
-    Class bodies draw all inputs through {!Amem.actx.rand} so a restart
-    (the analyzer's double execution) replays them identically. *)
-
-type txclass = {
-  c_name : string;
-  c_weight : int;  (** relative frequency in the exploration schedule *)
-  c_body : Amem.actx -> unit;
-}
+    A workload is a single-threaded program over a
+    {!Asf_stamp.Cap.t} capability record; every atomic block it runs is
+    one analyzed transaction, filed under the block's class name. Each
+    STAMP application runs its own program ({!Asf_stamp.Stamp.program},
+    single-threaded at {!stamp_scale}): the same worker code the
+    simulator times, so its footprints include everything that depends
+    on the program's phases. The intset family, bank and the fixtures are
+    driven by a weighted class schedule instead: their class bodies are
+    the real data-structure code ({!Asf_dstruct.Ops}) and bank's own
+    transfer and audit bodies ({!Asf_stamp.Bank}), with inputs drawn
+    through [rand] inside the block so a restart (the analyzer's double
+    execution) replays them identically. *)
 
 type t = {
   w_name : string;
   w_er : bool;  (** early release wired into the capability record *)
-  w_make : Amem.t -> seed:int -> txclass list;
-      (** Build the workload's shared state in the abstract memory
-          (unrecorded setup, seeded like the runtime benchmark) and
-          return its classes. *)
+  w_program : seed:int -> txns:int -> Asf_dstruct.Ops.t -> Asf_stamp.Cap.t -> unit;
+      (** [w_program ~seed ~txns so] builds the workload's shared state
+          through the setup operations [so] (unrecorded, seeded like the
+          runtime benchmark) and returns the program to run. [txns] sizes
+          the class schedule (every class once, then a weighted pick up
+          to [txns] transactions); a STAMP program ignores it. *)
 }
 
-(** {1 Shared intset parameters}
+(** {1 Shared parameters}
 
     Used verbatim by the runtime cross-validation runs, so static and
     dynamic sides analyze the same configuration. *)
@@ -38,6 +36,9 @@ val intset_update_pct : int
 val intset_init : int
 
 val intset_buckets : int
+
+val stamp_scale : float
+(** 0.2: the input scale of every STAMP application, on both sides. *)
 
 val stock : t list
 (** Every stock workload: the intset family (plus the early-release

@@ -69,7 +69,8 @@ let simulate c =
     | Intset i -> Intset_r (Intset.run c.tm ~threads:c.threads i)
     | Stamp (app, scale) ->
         Stamp_r (Stamp.run_scaled app ~scale c.tm ~threads:c.threads)
-    | Labyrinth l -> Stamp_r (Labyrinth.run c.tm ~threads:c.threads l)
+    | Labyrinth l ->
+        Stamp_r (C.run ~name:"labyrinth" c.tm ~threads:c.threads (Labyrinth.program l))
     | Sweep (s, mults) ->
         let runs, _knee = Serve.sweep c.tm ~threads:c.threads s ~mults in
         Sweep_r (List.map (fun (m, r) -> (m, r, Txlin.check_result s r)) runs)

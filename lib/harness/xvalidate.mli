@@ -1,8 +1,12 @@
 (** Cross-validation of Txstatic against the runtime abort census.
 
-    Runs small real workloads (the intset family and the bank example)
-    under a Txcheck lint observer, gathers per-attempt access profiles,
-    and checks the static capacity verdicts against what the hardware
+    Every stock workload has one runtime twin: its real program on a
+    simulated 4-core machine in the analyzer's configuration (the intset
+    family with {!Asf_analyze.Workloads.intset_range} and friends, bank's
+    {!Asf_stamp.Bank.program}, and each STAMP application at
+    {!Asf_analyze.Workloads.stamp_scale}). A twin runs under a Txcheck
+    lint observer that gathers per-attempt access profiles, and the
+    static capacity verdicts are checked against what the hardware
     actually did: a workload statically judged to {e fit} an LLB variant
     must not produce a single runtime capacity abort at that LLB size —
     if it does, the analyzer under-approximated a footprint and the
@@ -19,14 +23,12 @@ type census = {
 }
 
 val workload_names : string list
-(** The workloads with a runtime twin: the four intset structures, the
-    early-release linked list, and bank. *)
+(** The workloads with a runtime twin, in {!Asf_analyze.Workloads.stock}
+    order: every stock workload. *)
 
 val census : seed:int -> variant:Asf_core.Variant.t -> string -> census option
 (** Run one workload's runtime twin on [variant] with a lint checker
-    attached; [None] for a name without a twin. The intset runs use
-    {!Asf_analyze.Workloads.intset_range}/[update_pct]/[init]/[buckets],
-    so both sides analyze the same configuration. *)
+    attached; [None] for a name without a twin. *)
 
 val cross_validate :
   seed:int -> Asf_analyze.Analyze.t -> census list * Asf_analyze.Findings.t list * string list

@@ -46,11 +46,15 @@ let write t a v = Array.unsafe_set (chunk_for t a) (a land chunk_mask) v
 
 let resident_pages t = t.resident
 
+(* A line never straddles a page, so a line is one slice of one chunk. *)
 let read_line t line =
   let base = Addr.line_base line in
-  Array.init Addr.words_per_line (fun i -> read t (base + i))
+  let i = Addr.page_of base in
+  let c = if i < Array.length t.chunks then Array.unsafe_get t.chunks i else untouched in
+  if Array.length c > 0 then Array.sub c (base land chunk_mask) Addr.words_per_line
+  else Array.make Addr.words_per_line 0
 
 let write_line t line words =
   assert (Array.length words = Addr.words_per_line);
   let base = Addr.line_base line in
-  Array.iteri (fun i v -> write t (base + i) v) words
+  Array.blit words 0 (chunk_for t base) (base land chunk_mask) Addr.words_per_line

@@ -19,7 +19,8 @@ val resident_pages : t -> int
     never materialise a page. *)
 
 val read_line : t -> int -> int array
-(** [read_line t line] copies the 8 words of a cache line. *)
+(** [read_line t line] copies the 8 words of a cache line into a fresh
+    array; mutating it leaves the memory unchanged. *)
 
 val write_line : t -> int -> int array -> unit
 (** [write_line t line words] restores the 8 words of a line (used for ASF

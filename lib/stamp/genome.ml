@@ -1,5 +1,4 @@
 module Prng = Asf_engine.Prng
-module Tm = Asf_tm_rt.Tm
 module Ops = Asf_dstruct.Ops
 module Thashmap = Asf_dstruct.Thashmap
 
@@ -29,11 +28,9 @@ let f_tail = 5
 
 let record_words = 6
 
-let run tm_cfg ~threads cfg =
+let program cfg ~seed ~threads (so : Ops.t) =
   assert (cfg.seg_len >= 2 && cfg.seg_len <= 31);
-  let sys = Tm.create tm_cfg in
-  let so = Ops.setup sys in
-  let rng = Prng.create (tm_cfg.Tm.seed + 616) in
+  let rng = Prng.create (seed + 616) in
   (* The gene: 2 bits per base (host copy; the timed phases work on the
      packed segments in simulated memory). *)
   let gene = Array.init cfg.gene_length (fun _ -> Prng.int rng 4) in
@@ -49,10 +46,8 @@ let run tm_cfg ~threads cfg =
   let starts =
     Array.init cfg.n_segs (fun _ -> Prng.int rng (cfg.gene_length - cfg.seg_len + 1))
   in
-  let instances = Tm.setup_alloc sys cfg.n_segs in
-  Array.iteri
-    (fun i s -> Tm.setup_poke sys (instances + i) (1 + pack s cfg.seg_len))
-    starts;
+  let instances = so.alloc cfg.n_segs in
+  Array.iteri (fun i s -> so.st (instances + i) (1 + pack s cfg.seg_len)) starts;
   let unique_expected =
     List.length
       (List.sort_uniq compare (Array.to_list (Array.map (fun s -> pack s cfg.seg_len) starts)))
@@ -65,40 +60,40 @@ let run tm_cfg ~threads cfg =
   let round_maps =
     Array.init cfg.seg_len (fun _ -> Thashmap.create so ~buckets:2048)
   in
-  let barrier = Stamp_common.Barrier.create sys ~n:threads in
+  let barrier = Stamp_common.Barrier.create so ~n:threads in
   (* Unique records, collected by thread 0 between phases 1 and 2. *)
   let records = ref [||] in
   let chains = ref 0 in
   let chained_segments = ref 0 in
   let assembled_bases = ref 0 in
-  let worker ctx tid =
-    let o = Ops.tx ctx in
+  let worker (cap : Cap.t) tid =
+    let o = cap.o in
     (* Phase 1: deduplication. *)
     let start, stop = Stamp_common.chunk cfg.n_segs ~threads ~tid in
     for i = start to stop - 1 do
-      Tm.work ctx cfg.work_per_segment;
-      let content = Tm.nload ctx (instances + i) in
-      Tm.atomic ctx (fun () ->
+      cap.work cfg.work_per_segment;
+      let content = cap.nld (instances + i) in
+      cap.atomic "dedup" (fun () ->
           if Thashmap.get o dedup content = None then begin
-            let r = Tm.malloc ctx record_words in
-            Tm.store ctx (r + f_content) content;
-            Tm.store ctx (r + f_next) 0;
-            Tm.store ctx (r + f_overlap) 0;
-            Tm.store ctx (r + f_claimed) 0;
-            Tm.store ctx (r + f_head) r;
-            Tm.store ctx (r + f_tail) r;
+            let r = o.alloc record_words in
+            o.st (r + f_content) content;
+            o.st (r + f_next) 0;
+            o.st (r + f_overlap) 0;
+            o.st (r + f_claimed) 0;
+            o.st (r + f_head) r;
+            o.st (r + f_tail) r;
             Thashmap.put o dedup content r
           end)
     done;
-    Stamp_common.Barrier.wait ctx barrier;
+    Stamp_common.Barrier.wait cap barrier;
     (* Phase boundary: thread 0 gathers the unique records (timed plain
        scan, as STAMP's inter-phase processing is). *)
     if tid = 0 then begin
       let acc = ref [] in
-      Thashmap.iter (Ops.tx ctx) dedup (fun _ r -> acc := r :: !acc);
+      Thashmap.iter o dedup (fun _ r -> acc := r :: !acc);
       records := Array.of_list !acc
     end;
-    Stamp_common.Barrier.wait ctx barrier;
+    Stamp_common.Barrier.wait cap barrier;
     let records = !records in
     let n_unique = Array.length records in
     (* Phase 2: overlap matching, longest overlaps first. *)
@@ -109,44 +104,44 @@ let run tm_cfg ~threads cfg =
          predecessor. *)
       for i = ustart to ustop - 1 do
         let r = records.(i) in
-        Tm.atomic ctx (fun () ->
-            if Tm.load ctx (r + f_claimed) = 0 then begin
-              let content = Tm.load ctx (r + f_content) in
+        cap.atomic "publish-prefix" (fun () ->
+            if o.ld (r + f_claimed) = 0 then begin
+              let content = o.ld (r + f_content) in
               Thashmap.put o map (prefix content ov) r
             end)
       done;
-      Stamp_common.Barrier.wait ctx barrier;
+      Stamp_common.Barrier.wait cap barrier;
       (* 2b: try to extend chain ends by their suffix. *)
       for i = ustart to ustop - 1 do
         let r = records.(i) in
-        Tm.work ctx (cfg.work_per_segment / 2);
-        Tm.atomic ctx (fun () ->
-            if Tm.load ctx (r + f_next) = 0 then begin
-              let content = Tm.load ctx (r + f_content) in
+        cap.work (cfg.work_per_segment / 2);
+        cap.atomic "link" (fun () ->
+            if o.ld (r + f_next) = 0 then begin
+              let content = o.ld (r + f_content) in
               match Thashmap.get o map (suffix content ov) with
-              | Some succ when succ <> r && Tm.load ctx (succ + f_claimed) = 0 ->
+              | Some succ when succ <> r && o.ld (succ + f_claimed) = 0 ->
                   (* Refuse links that would close a cycle: [succ] must
                      not be the head of [r]'s own chain. *)
-                  let head = Tm.load ctx (r + f_head) in
+                  let head = o.ld (r + f_head) in
                   if head <> succ then begin
-                    let tail = Tm.load ctx (succ + f_tail) in
-                    Tm.store ctx (r + f_next) succ;
-                    Tm.store ctx (r + f_overlap) ov;
-                    Tm.store ctx (succ + f_claimed) 1;
-                    Tm.store ctx (head + f_tail) tail;
-                    Tm.store ctx (tail + f_head) head
+                    let tail = o.ld (succ + f_tail) in
+                    o.st (r + f_next) succ;
+                    o.st (r + f_overlap) ov;
+                    o.st (succ + f_claimed) 1;
+                    o.st (head + f_tail) tail;
+                    o.st (tail + f_head) head
                   end
               | Some _ | None -> ()
             end)
       done;
-      Stamp_common.Barrier.wait ctx barrier
+      Stamp_common.Barrier.wait cap barrier
     done;
     (* Phase 3: sequential rebuild by thread 0: walk every chain. *)
     if tid = 0 then begin
       let visited = Hashtbl.create n_unique in
       Array.iter
         (fun r ->
-          if Tm.load ctx (r + f_claimed) = 0 then begin
+          if o.ld (r + f_claimed) = 0 then begin
             (* Chain head. *)
             incr chains;
             let cur = ref r in
@@ -156,9 +151,9 @@ let run tm_cfg ~threads cfg =
               else begin
                 Hashtbl.add visited !cur ();
                 incr chained_segments;
-                Tm.work ctx 20;
-                let next = Tm.load ctx (!cur + f_next) in
-                let ov = Tm.load ctx (!cur + f_overlap) in
+                cap.work 20;
+                let next = o.ld (!cur + f_next) in
+                let ov = o.ld (!cur + f_overlap) in
                 assembled_bases :=
                   !assembled_bases + if next = 0 then cfg.seg_len else cfg.seg_len - ov;
                 if next = 0 then continue_ := false else cur := next
@@ -168,18 +163,13 @@ let run tm_cfg ~threads cfg =
         records
     end
   in
-  let stats = Stamp_common.run_workers sys ~threads worker in
-  let n_unique = Array.length !records in
-  {
-    Stamp_common.name = "genome";
-    threads;
-    cycles = Tm.makespan sys;
-    stats;
-    checks =
-      [
-        ("deduplicated to distinct segments", n_unique = unique_expected);
-        ("chains partition the segments", !chained_segments = n_unique);
-        ("assembly is compressive", !assembled_bases <= n_unique * cfg.seg_len);
-        ("some overlaps were found", !chains < n_unique || n_unique <= 1);
-      ];
-  }
+  let checks () =
+    let n_unique = Array.length !records in
+    [
+      ("deduplicated to distinct segments", n_unique = unique_expected);
+      ("chains partition the segments", !chained_segments = n_unique);
+      ("assembly is compressive", !assembled_bases <= n_unique * cfg.seg_len);
+      ("some overlaps were found", !chains < n_unique || n_unique <= 1);
+    ]
+  in
+  { Stamp_common.worker; checks }

@@ -1,5 +1,4 @@
 module Prng = Asf_engine.Prng
-module Tm = Asf_tm_rt.Tm
 module Ops = Asf_dstruct.Ops
 module Tqueue = Asf_dstruct.Tqueue
 module Thashmap = Asf_dstruct.Thashmap
@@ -18,15 +17,13 @@ let frag_words = 4
 
 let signature = 0x5eC0DE
 
-let run tm_cfg ~threads cfg =
+let program cfg ~seed ~threads (so : Ops.t) =
   assert (cfg.frags_per_flow < 64);
-  let sys = Tm.create tm_cfg in
-  let so = Ops.setup sys in
-  let rng = Prng.create (tm_cfg.Tm.seed + 31337) in
+  let rng = Prng.create (seed + 31337) in
   let is_attack flow = flow * 100 / cfg.flows < cfg.attack_pct in
   (* Capture pool: payload words for every fragment, indexed by
      (flow * frags + idx) * frag_words. *)
-  let pool = Tm.setup_alloc sys (cfg.flows * cfg.frags_per_flow * frag_words) in
+  let pool = so.alloc (cfg.flows * cfg.frags_per_flow * frag_words) in
   for flow = 0 to cfg.flows - 1 do
     for w = 0 to (cfg.frags_per_flow * frag_words) - 1 do
       (* Random payload, never colliding with the signature. *)
@@ -34,11 +31,11 @@ let run tm_cfg ~threads cfg =
         let r = Prng.int rng (1 lsl 24) in
         if r = signature then r + 1 else r
       in
-      Tm.setup_poke sys (pool + (flow * cfg.frags_per_flow * frag_words) + w) v
+      so.st (pool + (flow * cfg.frags_per_flow * frag_words) + w) v
     done;
     if is_attack flow then begin
       let pos = Prng.int rng (cfg.frags_per_flow * frag_words) in
-      Tm.setup_poke sys (pool + (flow * cfg.frags_per_flow * frag_words) + pos) signature
+      so.st (pool + (flow * cfg.frags_per_flow * frag_words) + pos) signature
     end
   done;
   let capture = Tqueue.create so in
@@ -53,33 +50,33 @@ let run tm_cfg ~threads cfg =
   let completed = Array.make threads 0 in
   let attacks = Array.make threads 0 in
   let flow_words = cfg.frags_per_flow * frag_words in
-  let worker ctx tid =
-    let o = Ops.tx ctx in
+  let worker (cap : Cap.t) tid =
+    let o = cap.o in
     let running = ref true in
     while !running do
-      match Tm.atomic ctx (fun () -> Tqueue.dequeue o capture) with
+      match cap.atomic "dequeue" (fun () -> Tqueue.dequeue o capture) with
       | None -> running := false
       | Some frag ->
           let flow = frag / 64 and idx = frag mod 64 in
           let src = pool + (((flow * cfg.frags_per_flow) + idx) * frag_words) in
           let complete =
-            Tm.atomic ctx (fun () ->
+            cap.atomic "reassemble" (fun () ->
                 let block =
                   match Thashmap.get o reassembly flow with
                   | Some b -> b
                   | None ->
-                      let b = Tm.malloc ctx (1 + flow_words) in
-                      Tm.store ctx b 0;
+                      let b = o.alloc (1 + flow_words) in
+                      o.st b 0;
                       Thashmap.put o reassembly flow b;
                       b
                 in
                 (* Copy the fragment payload into place: the capture pool
                    is shared, so the compiler instruments its reads too. *)
                 for w = 0 to frag_words - 1 do
-                  Tm.store ctx (block + 1 + (idx * frag_words) + w) (Tm.load ctx (src + w))
+                  o.st (block + 1 + (idx * frag_words) + w) (o.ld (src + w))
                 done;
-                let got = Tm.load ctx block + 1 in
-                Tm.store ctx block got;
+                let got = o.ld block + 1 in
+                o.st block got;
                 if got = cfg.frags_per_flow then begin
                   ignore (Thashmap.remove o reassembly flow);
                   Some block
@@ -93,34 +90,29 @@ let run tm_cfg ~threads cfg =
                  non-transactional. *)
               let found = ref false in
               for w = 1 to flow_words do
-                Tm.work ctx cfg.detect_work;
-                if Tm.nload ctx (block + w) = signature then found := true
+                cap.work cfg.detect_work;
+                if cap.nld (block + w) = signature then found := true
               done;
               completed.(tid) <- completed.(tid) + 1;
               if !found then attacks.(tid) <- attacks.(tid) + 1;
-              Tm.atomic ctx (fun () -> Tm.free ctx block (1 + flow_words))
+              cap.atomic "free-buffer" (fun () -> o.free block (1 + flow_words))
           | None -> ())
     done
   in
-  let stats = Stamp_common.run_workers sys ~threads worker in
-  let total_completed = Array.fold_left ( + ) 0 completed in
-  let total_attacks = Array.fold_left ( + ) 0 attacks in
-  let expected_attacks =
-    let n = ref 0 in
-    for f = 0 to cfg.flows - 1 do
-      if is_attack f then incr n
-    done;
-    !n
+  let checks () =
+    let total_completed = Array.fold_left ( + ) 0 completed in
+    let total_attacks = Array.fold_left ( + ) 0 attacks in
+    let expected_attacks =
+      let n = ref 0 in
+      for f = 0 to cfg.flows - 1 do
+        if is_attack f then incr n
+      done;
+      !n
+    in
+    [
+      ("all flows reassembled", total_completed = cfg.flows);
+      ("all attacks detected, no false positives", total_attacks = expected_attacks);
+      ("reassembly map drained", Thashmap.size so reassembly = 0);
+    ]
   in
-  {
-    Stamp_common.name = "intruder";
-    threads;
-    cycles = Tm.makespan sys;
-    stats;
-    checks =
-      [
-        ("all flows reassembled", total_completed = cfg.flows);
-        ("all attacks detected, no false positives", total_attacks = expected_attacks);
-        ("reassembly map drained", Thashmap.size so reassembly = 0);
-      ];
-  }
+  { Stamp_common.worker; checks }

@@ -14,4 +14,4 @@ type cfg = {
 
 val default : cfg
 
-val run : Asf_tm_rt.Tm.config -> threads:int -> cfg -> Stamp_common.result
+val program : cfg -> Stamp_common.program

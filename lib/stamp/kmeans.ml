@@ -1,6 +1,6 @@
 module Prng = Asf_engine.Prng
 module Addr = Asf_mem.Addr
-module Tm = Asf_tm_rt.Tm
+module Ops = Asf_dstruct.Ops
 
 type cfg = {
   points : int;
@@ -22,33 +22,29 @@ let high = { base with clusters = 15 }
    - one accumulator block per cluster: [0] count, [1..dims] sums
      (line-padded, so clusters never false-share). *)
 
-let run tm_cfg ~threads cfg =
-  let sys = Tm.create tm_cfg in
-  let rng = Prng.create (tm_cfg.Tm.seed + 77) in
-  let pts = Tm.setup_alloc sys (cfg.points * cfg.dims) in
+let program cfg ~seed ~threads (so : Ops.t) =
+  let rng = Prng.create (seed + 77) in
+  let pts = so.alloc (cfg.points * cfg.dims) in
   for i = 0 to (cfg.points * cfg.dims) - 1 do
-    Tm.setup_poke sys (pts + i) (Prng.int rng 1000)
+    so.st (pts + i) (Prng.int rng 1000)
   done;
-  let centers = Tm.setup_alloc sys (cfg.clusters * cfg.dims) in
+  let centers = so.alloc (cfg.clusters * cfg.dims) in
   for c = 0 to cfg.clusters - 1 do
     (* Initial centers: the first points. *)
     for d = 0 to cfg.dims - 1 do
-      Tm.setup_poke sys (centers + (c * cfg.dims) + d)
-        (Tm.setup_peek sys (pts + (c * cfg.dims) + d))
+      so.st (centers + (c * cfg.dims) + d) (so.ld (pts + (c * cfg.dims) + d))
     done
   done;
-  let accum =
-    Array.init cfg.clusters (fun _ -> Tm.setup_alloc sys (1 + cfg.dims))
-  in
+  let accum = Array.init cfg.clusters (fun _ -> so.alloc (1 + cfg.dims)) in
   Array.iter
     (fun a ->
       for i = 0 to cfg.dims do
-        Tm.setup_poke sys (a + i) 0
+        so.st (a + i) 0
       done)
     accum;
-  let barrier = Stamp_common.Barrier.create sys ~n:threads in
+  let barrier = Stamp_common.Barrier.create so ~n:threads in
   let membership_ok = ref true in
-  let worker ctx tid =
+  let worker (cap : Cap.t) tid =
     let start, stop = Stamp_common.chunk cfg.points ~threads ~tid in
     for _iter = 1 to cfg.iterations do
       for p = start to stop - 1 do
@@ -58,51 +54,44 @@ let run tm_cfg ~threads cfg =
         for c = 0 to cfg.clusters - 1 do
           let dist = ref 0 in
           for d = 0 to cfg.dims - 1 do
-            let pv = Tm.nload ctx (pts + (p * cfg.dims) + d) in
-            let cv = Tm.nload ctx (centers + (c * cfg.dims) + d) in
+            let pv = cap.nld (pts + (p * cfg.dims) + d) in
+            let cv = cap.nld (centers + (c * cfg.dims) + d) in
             dist := !dist + ((pv - cv) * (pv - cv))
           done;
-          Tm.work ctx cfg.work_per_distance;
+          cap.work cfg.work_per_distance;
           if !dist < !best_d then begin
             best_d := !dist;
             best := c
           end
         done;
         let acc = accum.(!best) in
-        Tm.atomic ctx (fun () ->
-            Tm.store ctx acc (Tm.load ctx acc + 1);
+        cap.atomic "accumulate" (fun () ->
+            cap.o.st acc (cap.o.ld acc + 1);
             for d = 0 to cfg.dims - 1 do
               let slot = acc + 1 + d in
-              Tm.store ctx slot
-                (Tm.load ctx slot + Tm.nload ctx (pts + (p * cfg.dims) + d))
+              cap.o.st slot (cap.o.ld slot + cap.nld (pts + (p * cfg.dims) + d))
             done)
       done;
-      Stamp_common.Barrier.wait ctx barrier;
+      Stamp_common.Barrier.wait cap barrier;
       if tid = 0 then begin
         (* Sequential center recomputation (timed, uninstrumented). *)
         let total = ref 0 in
         Array.iteri
           (fun c a ->
-            let count = Tm.load ctx a in
+            let count = cap.o.ld a in
             total := !total + count;
             if count > 0 then
               for d = 0 to cfg.dims - 1 do
-                Tm.store ctx (centers + (c * cfg.dims) + d) (Tm.load ctx (a + 1 + d) / count)
+                cap.o.st (centers + (c * cfg.dims) + d) (cap.o.ld (a + 1 + d) / count)
               done;
             for i = 0 to cfg.dims do
-              Tm.store ctx (a + i) 0
+              cap.o.st (a + i) 0
             done)
           accum;
         if !total <> cfg.points then membership_ok := false
       end;
-      Stamp_common.Barrier.wait ctx barrier
+      Stamp_common.Barrier.wait cap barrier
     done
   in
-  let stats = Stamp_common.run_workers sys ~threads worker in
-  {
-    Stamp_common.name = (if cfg.clusters = low.clusters then "kmeans-low" else "kmeans-high");
-    threads;
-    cycles = Tm.makespan sys;
-    stats;
-    checks = [ ("every point assigned each iteration", !membership_ok) ];
-  }
+  let checks () = [ ("every point assigned each iteration", !membership_ok) ] in
+  { Stamp_common.worker; checks }

@@ -1,5 +1,4 @@
 module Prng = Asf_engine.Prng
-module Tm = Asf_tm_rt.Tm
 module Ops = Asf_dstruct.Ops
 module Tqueue = Asf_dstruct.Tqueue
 
@@ -15,14 +14,12 @@ type cfg = {
 let default =
   { x = 32; y = 32; z = 3; paths = 64; work_per_cell = 4; privatized_snapshot = false }
 
-let run tm_cfg ~threads cfg =
-  let sys = Tm.create tm_cfg in
-  let so = Ops.setup sys in
-  let rng = Prng.create (tm_cfg.Tm.seed + 4242_1) in
+let program cfg ~seed ~threads (so : Ops.t) =
+  let rng = Prng.create (seed + 4242_1) in
   let cells = cfg.x * cfg.y * cfg.z in
-  let grid = Tm.setup_alloc sys cells in
+  let grid = so.alloc cells in
   for c = 0 to cells - 1 do
-    Tm.setup_poke sys (grid + c) 0
+    so.st (grid + c) 0
   done;
   let work = Tqueue.create so in
   let endpoints = Array.make (cfg.paths + 1) (0, 0) in
@@ -43,8 +40,8 @@ let run tm_cfg ~threads cfg =
     endpoints.(p) <- (src, dst);
     (* Endpoints are terminals: reserved in the grid so no other path may
        route through them. *)
-    Tm.setup_poke sys (grid + src) (-1);
-    Tm.setup_poke sys (grid + dst) (-1);
+    so.st (grid + src) (-1);
+    so.st (grid + dst) (-1);
     Tqueue.enqueue so work ((src * cells) + dst)
   done;
   let neighbours c =
@@ -89,28 +86,28 @@ let run tm_cfg ~threads cfg =
   let path_ids = Array.make threads [] in
   let failed = Array.make threads 0 in
   let next_id = ref 0 in
-  let worker ctx tid =
-    let o = Ops.tx ctx in
+  let worker (cap : Cap.t) tid =
+    let o = cap.o in
     let running = ref true in
     while !running do
-      match Tm.atomic ctx (fun () -> Tqueue.dequeue o work) with
+      match cap.atomic "dequeue" (fun () -> Tqueue.dequeue o work) with
       | None -> running := false
       | Some enc ->
           let src = enc / cells and dst = enc mod cells in
           incr next_id;
           let id = !next_id in
           let routed =
-            Tm.atomic ctx (fun () ->
+            cap.atomic "route" (fun () ->
                 (* The grid snapshot: transactional by default (what the
                    compiler generates for shared data — the whole grid
                    joins the read set), plain under the privatisation
                    ablation. *)
-                let read = if cfg.privatized_snapshot then Tm.nload else Tm.load in
-                let snapshot = Array.init cells (fun c -> read ctx (grid + c)) in
+                let read = if cfg.privatized_snapshot then cap.nld else o.ld in
+                let snapshot = Array.init cells (fun c -> read (grid + c)) in
                 snapshot.(src) <- 0;
                 snapshot.(dst) <- 0;
                 let path, expanded = bfs snapshot src dst in
-                Tm.work ctx (cfg.work_per_cell * expanded);
+                cap.work (cfg.work_per_cell * expanded);
                 match path with
                 | None -> None
                 | Some cells_on_path ->
@@ -119,10 +116,10 @@ let run tm_cfg ~threads cfg =
                        endpoints legitimately hold the reservation mark. *)
                     List.iter
                       (fun c ->
-                        let v = Tm.load ctx (grid + c) in
+                        let v = o.ld (grid + c) in
                         let expected = if c = src || c = dst then -1 else 0 in
-                        if v <> expected then Tm.retry ctx;
-                        Tm.store ctx (grid + c) id)
+                        if v <> expected then cap.retry ();
+                        o.st (grid + c) id)
                       cells_on_path;
                     Some (List.length cells_on_path))
           in
@@ -131,32 +128,25 @@ let run tm_cfg ~threads cfg =
           | None -> failed.(tid) <- failed.(tid) + 1)
     done
   in
-  let stats = Stamp_common.run_workers sys ~threads worker in
   (* Validation: each routed id claims exactly its recorded number of
      cells, and no cell holds an unknown id. *)
-  let counts = Hashtbl.create 64 in
-  for c = 0 to cells - 1 do
-    let v = Tm.setup_peek sys (grid + c) in
-    (* -1 marks reserved endpoints of unrouted paths. *)
-    if v > 0 then
-      Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
-  done;
-  let all_paths = List.concat (Array.to_list path_ids) in
-  let lengths_ok =
-    List.for_all
-      (fun (id, len) -> Hashtbl.find_opt counts id = Some len)
-      all_paths
-    && Hashtbl.length counts = List.length all_paths
+  let checks () =
+    let counts = Hashtbl.create 64 in
+    for c = 0 to cells - 1 do
+      let v = so.ld (grid + c) in
+      (* -1 marks reserved endpoints of unrouted paths. *)
+      if v > 0 then
+        Hashtbl.replace counts v (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+    done;
+    let all_paths = List.concat (Array.to_list path_ids) in
+    let lengths_ok =
+      List.for_all (fun (id, len) -> Hashtbl.find_opt counts id = Some len) all_paths
+      && Hashtbl.length counts = List.length all_paths
+    in
+    let total_failed = Array.fold_left ( + ) 0 failed in
+    [
+      ("paths disjoint and complete", lengths_ok);
+      ("all work items processed", List.length all_paths + total_failed = cfg.paths);
+    ]
   in
-  let total_failed = Array.fold_left ( + ) 0 failed in
-  {
-    Stamp_common.name = "labyrinth";
-    threads;
-    cycles = Tm.makespan sys;
-    stats;
-    checks =
-      [
-        ("paths disjoint and complete", lengths_ok);
-        ("all work items processed", List.length all_paths + total_failed = cfg.paths);
-      ];
-  }
+  { Stamp_common.worker; checks }

@@ -27,4 +27,4 @@ type cfg = {
 val default : cfg
 (** 32 x 32 x 3 grid (the STAMP simulator input), 64 paths, transactional snapshot. *)
 
-val run : Asf_tm_rt.Tm.config -> threads:int -> cfg -> Stamp_common.result
+val program : cfg -> Stamp_common.program

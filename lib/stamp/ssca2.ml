@@ -1,6 +1,6 @@
 module Prng = Asf_engine.Prng
 module Addr = Asf_mem.Addr
-module Tm = Asf_tm_rt.Tm
+module Ops = Asf_dstruct.Ops
 
 type cfg = { vertices : int; edges : int; max_degree : int; work_per_edge : int }
 
@@ -8,29 +8,28 @@ let default = { vertices = 2048; edges = 6144; max_degree = 8; work_per_edge = 6
 
 (* Adjacency block per vertex (line-padded): [0] degree, [1..max] slots. *)
 
-let run tm_cfg ~threads cfg =
-  let sys = Tm.create tm_cfg in
-  let rng = Prng.create (tm_cfg.Tm.seed + 1311) in
+let program cfg ~seed ~threads (so : Ops.t) =
+  let rng = Prng.create (seed + 1311) in
   let block_words = 1 + cfg.max_degree in
   let stride = Addr.lines_of_words block_words * Addr.words_per_line in
-  let adj = Tm.setup_alloc sys (cfg.vertices * stride) in
+  let adj = so.alloc (cfg.vertices * stride) in
   for v = 0 to cfg.vertices - 1 do
-    Tm.setup_poke sys (adj + (v * stride)) 0
+    so.st (adj + (v * stride)) 0
   done;
   let src = Array.init cfg.edges (fun _ -> Prng.int rng cfg.vertices) in
   let dst = Array.init cfg.edges (fun _ -> Prng.int rng cfg.vertices) in
   let dropped = Array.make threads 0 in
-  let worker ctx tid =
+  let worker (cap : Cap.t) tid =
     let start, stop = Stamp_common.chunk cfg.edges ~threads ~tid in
     for e = start to stop - 1 do
-      Tm.work ctx cfg.work_per_edge;
+      cap.work cfg.work_per_edge;
       let block = adj + (src.(e) * stride) in
       let added =
-        Tm.atomic ctx (fun () ->
-            let deg = Tm.load ctx block in
+        cap.atomic "insert-edge" (fun () ->
+            let deg = cap.o.ld block in
             if deg < cfg.max_degree then begin
-              Tm.store ctx (block + 1 + deg) dst.(e);
-              Tm.store ctx block (deg + 1);
+              cap.o.st (block + 1 + deg) dst.(e);
+              cap.o.st block (deg + 1);
               true
             end
             else false)
@@ -38,16 +37,12 @@ let run tm_cfg ~threads cfg =
       if not added then dropped.(tid) <- dropped.(tid) + 1
     done
   in
-  let stats = Stamp_common.run_workers sys ~threads worker in
-  let total_degree = ref 0 in
-  for v = 0 to cfg.vertices - 1 do
-    total_degree := !total_degree + Tm.setup_peek sys (adj + (v * stride))
-  done;
-  let total_dropped = Array.fold_left ( + ) 0 dropped in
-  {
-    Stamp_common.name = "ssca2";
-    threads;
-    cycles = Tm.makespan sys;
-    stats;
-    checks = [ ("all edges accounted", !total_degree + total_dropped = cfg.edges) ];
-  }
+  let checks () =
+    let total_degree = ref 0 in
+    for v = 0 to cfg.vertices - 1 do
+      total_degree := !total_degree + so.ld (adj + (v * stride))
+    done;
+    let total_dropped = Array.fold_left ( + ) 0 dropped in
+    [ ("all edges accounted", !total_degree + total_dropped = cfg.edges) ]
+  in
+  { Stamp_common.worker; checks }

@@ -15,4 +15,4 @@ type cfg = {
 val default : cfg
 (** 2048 vertices, 3 edges per vertex on average. *)
 
-val run : Asf_tm_rt.Tm.config -> threads:int -> cfg -> Stamp_common.result
+val program : cfg -> Stamp_common.program

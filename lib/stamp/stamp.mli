@@ -18,6 +18,10 @@ val name : app -> string
 
 val of_name : string -> app option
 
+val program : app -> scale:float -> Stamp_common.program
+(** The application's program with its main size parameter multiplied by
+    [scale]: what {!run_scaled} simulates and what Txstatic analyzes. *)
+
 val run : app -> Asf_tm_rt.Tm.config -> threads:int -> Stamp_common.result
 (** Runs the application at its default (simulator-scale) configuration. *)
 

@@ -1,6 +1,6 @@
-(** Shared infrastructure for the STAMP-like applications: the result
-    record every benchmark returns, a transactional sense-reversing
-    barrier, and worker management. *)
+(** Shared infrastructure for the applications: the result record every
+    benchmark returns, a transactional sense-reversing barrier, and the
+    one way a program runs on the simulated machine. *)
 
 type result = {
   name : string;
@@ -18,21 +18,33 @@ val ms : Asf_machine.Params.t -> result -> float
 
 module Barrier : sig
   (** Transactional sense-reversing barrier (counter + generation in
-      simulated memory): arrival is a small transaction, the wait is a
-      plain-load spin. *)
+      simulated memory): arrival is a small transaction (class
+      ["barrier"]), the wait is a plain-load spin. *)
 
   type t
 
-  val create : Asf_tm_rt.Tm.system -> n:int -> t
+  val create : Asf_dstruct.Ops.t -> n:int -> t
+  (** Allocated and zeroed through the setup operations. *)
 
-  val wait : Asf_tm_rt.Tm.ctx -> t -> unit
+  val wait : Cap.t -> t -> unit
 end
 
-val run_workers :
-  Asf_tm_rt.Tm.system -> threads:int -> (Asf_tm_rt.Tm.ctx -> int -> unit) -> Asf_tm_rt.Stats.t
-(** [run_workers sys ~threads body] spawns [body ctx tid] on cores
-    [0 .. threads-1], runs the engine to completion, and returns the
-    aggregated statistics. *)
+type instance = {
+  worker : Cap.t -> int -> unit;  (** the body of thread [tid] *)
+  checks : unit -> (string * bool) list;
+      (** validation, once every worker has returned *)
+}
+
+type program = seed:int -> threads:int -> Asf_dstruct.Ops.t -> instance
+(** An application: build its shared state through the given setup
+    operations (seeded by [seed], sized for [threads] workers) and
+    return its workers. The simulated run passes {!Asf_dstruct.Ops.setup};
+    Txstatic passes its abstract memory's and runs one worker. *)
+
+val run : name:string -> Asf_tm_rt.Tm.config -> threads:int -> program -> result
+(** Build the program on a fresh system, spawn worker [tid] on core
+    [tid] for [tid] in [0 .. threads-1] over {!Cap.of_ctx}, run the
+    engine to completion, and validate. *)
 
 val chunk : int -> threads:int -> tid:int -> int * int
 (** [chunk n ~threads ~tid] is the [(start, stop)] half-open range of the

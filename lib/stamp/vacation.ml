@@ -1,5 +1,4 @@
 module Prng = Asf_engine.Prng
-module Tm = Asf_tm_rt.Tm
 module Ops = Asf_dstruct.Ops
 module Trbtree = Asf_dstruct.Trbtree
 
@@ -36,144 +35,132 @@ let res_words = 3
 
 let n_tables = 3
 
-let run tm_cfg ~threads cfg =
-  let sys = Tm.create tm_cfg in
-  let so = Ops.setup sys in
-  let rng = Prng.create (tm_cfg.Tm.seed + 9090) in
+let program cfg ~seed ~threads (so : Ops.t) =
+  let rng = Prng.create (seed + 9090) in
   let tables = Array.init n_tables (fun _ -> Trbtree.create so) in
   let customers = Trbtree.create so in
   for id = 0 to cfg.relations - 1 do
     Array.iter
       (fun t ->
-        let rcd = so.Ops.alloc 3 in
+        let rcd = so.alloc 3 in
         let capacity = 1 + Prng.int rng 5 in
-        so.Ops.st (rcd + r_total) capacity;
-        so.Ops.st (rcd + r_avail) capacity;
-        so.Ops.st (rcd + r_price) (100 + Prng.int rng 900);
+        so.st (rcd + r_total) capacity;
+        so.st (rcd + r_avail) capacity;
+        so.st (rcd + r_price) (100 + Prng.int rng 900);
         ignore (Trbtree.insert so t id rcd))
       tables;
-    let cust = so.Ops.alloc 3 in
-    so.Ops.st (cust + c_spent) 0;
-    so.Ops.st (cust + c_bookings) 0;
-    so.Ops.st (cust + c_reservations) 0;
+    let cust = so.alloc 3 in
+    so.st (cust + c_spent) 0;
+    so.st (cust + c_bookings) 0;
+    so.st (cust + c_reservations) 0;
     ignore (Trbtree.insert so customers id cust)
   done;
-  let worker ctx tid =
-    let o = Ops.tx ctx in
-    let rng = Tm.prng ctx in
+  let worker (cap : Cap.t) tid =
+    let o = cap.o in
     let start, stop = Stamp_common.chunk cfg.txns ~threads ~tid in
     for _ = start + 1 to stop do
-      let roll = Prng.int rng 100 in
+      let roll = cap.rand 100 in
       if roll < cfg.user_pct then begin
         (* User transaction: browse queries_per_txn random resources,
            book the last available one for a random customer. *)
-        let cust_id = Prng.int rng cfg.relations in
+        let cust_id = cap.rand cfg.relations in
         let picks =
           Array.init cfg.queries_per_txn (fun _ ->
-              (Prng.int rng n_tables, Prng.int rng cfg.relations))
+              (cap.rand n_tables, cap.rand cfg.relations))
         in
-        Tm.atomic ctx (fun () ->
+        cap.atomic "user" (fun () ->
             let chosen = ref 0 in
             Array.iter
               (fun (t, id) ->
                 match Trbtree.find o tables.(t) id with
                 | Some rcd ->
-                    Tm.work ctx 40;
-                    if Tm.load ctx (rcd + r_avail) > 0 then chosen := rcd
+                    cap.work 40;
+                    if o.ld (rcd + r_avail) > 0 then chosen := rcd
                 | None -> ())
               picks;
             if !chosen <> 0 then begin
               let rcd = !chosen in
               match Trbtree.find o customers cust_id with
               | Some cust ->
-                  let price = Tm.load ctx (rcd + r_price) in
-                  Tm.store ctx (rcd + r_avail) (Tm.load ctx (rcd + r_avail) - 1);
-                  Tm.store ctx (cust + c_spent) (Tm.load ctx (cust + c_spent) + price);
-                  Tm.store ctx (cust + c_bookings) (Tm.load ctx (cust + c_bookings) + 1);
-                  let node = Tm.malloc ctx res_words in
-                  Tm.store ctx node rcd;
-                  Tm.store ctx (node + 1) price;
-                  Tm.store ctx (node + 2) (Tm.load ctx (cust + c_reservations));
-                  Tm.store ctx (cust + c_reservations) node
+                  let price = o.ld (rcd + r_price) in
+                  o.st (rcd + r_avail) (o.ld (rcd + r_avail) - 1);
+                  o.st (cust + c_spent) (o.ld (cust + c_spent) + price);
+                  o.st (cust + c_bookings) (o.ld (cust + c_bookings) + 1);
+                  let node = o.alloc res_words in
+                  o.st node rcd;
+                  o.st (node + 1) price;
+                  o.st (node + 2) (o.ld (cust + c_reservations));
+                  o.st (cust + c_reservations) node
               | None -> ()
             end)
       end
       else if roll < cfg.user_pct + ((100 - cfg.user_pct) / 2) then begin
         (* Delete customer: release every reservation back to its
            resource and reset the account (STAMP's customer deletion). *)
-        let cust_id = Prng.int rng cfg.relations in
-        Tm.atomic ctx (fun () ->
+        let cust_id = cap.rand cfg.relations in
+        cap.atomic "delete-customer" (fun () ->
             match Trbtree.find o customers cust_id with
             | Some cust ->
                 let rec release node =
                   if node <> 0 then begin
-                    let rcd = Tm.load ctx node in
-                    Tm.store ctx (rcd + r_avail) (Tm.load ctx (rcd + r_avail) + 1);
-                    let next = Tm.load ctx (node + 2) in
-                    Tm.free ctx node res_words;
+                    let rcd = o.ld node in
+                    o.st (rcd + r_avail) (o.ld (rcd + r_avail) + 1);
+                    let next = o.ld (node + 2) in
+                    o.free node res_words;
                     release next
                   end
                 in
-                release (Tm.load ctx (cust + c_reservations));
-                Tm.store ctx (cust + c_reservations) 0;
-                Tm.store ctx (cust + c_spent) 0;
-                Tm.store ctx (cust + c_bookings) 0
+                release (o.ld (cust + c_reservations));
+                o.st (cust + c_reservations) 0;
+                o.st (cust + c_spent) 0;
+                o.st (cust + c_bookings) 0
             | None -> ())
       end
       else begin
         (* Table update: insert a fresh resource, or retire an unbooked
            one (structural tree updates). *)
-        let t = Prng.int rng n_tables in
-        let id = Prng.int rng (2 * cfg.relations) in
-        Tm.atomic ctx (fun () ->
+        let t = cap.rand n_tables in
+        let id = cap.rand (2 * cfg.relations) in
+        cap.atomic "update-tables" (fun () ->
             match Trbtree.find o tables.(t) id with
             | Some rcd ->
-                if Tm.load ctx (rcd + r_avail) = Tm.load ctx (rcd + r_total) then begin
+                if o.ld (rcd + r_avail) = o.ld (rcd + r_total) then begin
                   ignore (Trbtree.remove o tables.(t) id);
-                  Tm.free ctx rcd 3
+                  o.free rcd 3
                 end
                 else
                   (* Booked: just reprice it. *)
-                  Tm.store ctx (rcd + r_price) (100 + (id mod 900))
+                  o.st (rcd + r_price) (100 + (id mod 900))
             | None ->
-                let rcd = Tm.malloc ctx 3 in
+                let rcd = o.alloc 3 in
                 let capacity = 1 + (id mod 5) in
-                Tm.store ctx (rcd + r_total) capacity;
-                Tm.store ctx (rcd + r_avail) capacity;
-                Tm.store ctx (rcd + r_price) (100 + (id mod 900));
+                o.st (rcd + r_total) capacity;
+                o.st (rcd + r_avail) capacity;
+                o.st (rcd + r_price) (100 + (id mod 900));
                 ignore (Trbtree.insert o tables.(t) id rcd))
       end
     done
   in
-  let stats = Stamp_common.run_workers sys ~threads worker in
   (* Conservation: total booked across resources == total customer
      bookings; tree invariants hold. *)
-  let booked = ref 0 in
-  Array.iter
-    (fun t ->
-      List.iter
-        (fun (_, rcd) ->
-          booked := !booked + (so.Ops.ld (rcd + r_total) - so.Ops.ld (rcd + r_avail)))
-        (Trbtree.to_list so t))
-    tables;
-  let customer_bookings =
-    List.fold_left
-      (fun acc (_, cust) -> acc + so.Ops.ld (cust + c_bookings))
-      0
-      (Trbtree.to_list so customers)
+  let checks () =
+    let booked = ref 0 in
+    Array.iter
+      (fun t ->
+        List.iter
+          (fun (_, rcd) -> booked := !booked + (so.ld (rcd + r_total) - so.ld (rcd + r_avail)))
+          (Trbtree.to_list so t))
+      tables;
+    let customer_bookings =
+      List.fold_left
+        (fun acc (_, cust) -> acc + so.ld (cust + c_bookings))
+        0
+        (Trbtree.to_list so customers)
+    in
+    let invariants =
+      Array.for_all (fun t -> Trbtree.check_invariants so t = Ok ()) tables
+      && Trbtree.check_invariants so customers = Ok ()
+    in
+    [ ("bookings conserved", !booked = customer_bookings); ("tree invariants", invariants) ]
   in
-  let invariants =
-    Array.for_all (fun t -> Trbtree.check_invariants so t = Ok ()) tables
-    && Trbtree.check_invariants so customers = Ok ()
-  in
-  {
-    Stamp_common.name = (if cfg.user_pct = low.user_pct then "vacation-low" else "vacation-high");
-    threads;
-    cycles = Tm.makespan sys;
-    stats;
-    checks =
-      [
-        ("bookings conserved", !booked = customer_bookings);
-        ("tree invariants", invariants);
-      ];
-  }
+  { Stamp_common.worker; checks }

@@ -22,4 +22,4 @@ val low : cfg
 
 val high : cfg
 
-val run : Asf_tm_rt.Tm.config -> threads:int -> cfg -> Stamp_common.result
+val program : cfg -> Stamp_common.program

@@ -4,6 +4,7 @@
 # - `dune runtest`: the unit tests plus every asf_bench gate group of
 #   test/gate.ml (@check, @analyze, @soak, @serve-smoke, @lin-smoke,
 #   @scale-smoke and @fixtures, each row with its exact exit code);
+# - Txstatic's artifact against the committed ANALYZE_asf.json;
 # - the two benchmark-harness smokes of the root dune file, and the
 #   quick reproduction's CSVs against the committed results/;
 # - a dev-profile build whose simulated output must match the default
@@ -13,6 +14,17 @@ cd "$(dirname "$0")/.."
 
 dune build @all
 dune runtest
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# The committed ANALYZE_asf.json is a checked golden too: Txstatic's
+# verdicts over every stock workload, with the runtime cross-validation,
+# must match it byte for byte. A change meant to move a verdict
+# regenerates it (`asf_bench analyze` writes it) and says so in
+# CHANGES.md.
+_build/default/bin/asf_bench.exe analyze --json "$tmp/analyze.json" > /dev/null
+cmp "$tmp/analyze.json" ANALYZE_asf.json
 
 # Benchmark-harness smoke: the quick reproduction at --jobs 2, with the
 # harness asserting that the parallel pass is bit-identical to the
@@ -38,8 +50,6 @@ dune build @perf-smoke
 # 256-core run (eight sockets, the limited directory, a deep scheduler
 # queue) against the default build, dropping the "[... host time]" line.
 dune build --profile dev --build-dir _build_dev ./bin/asf_bench.exe
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 for args in "repro -e fig7 --quick --seed 7" \
   "serve --service kv-e -t 4 -n 800 --load 2.5 --queue-cap 8 --deadline-us 2 --seed 5 --check=lin" \
   "intset -s rb-tree -r 8192 -u 20 -t 256 --sockets 8 --txns 4 -m llb256 --check"; do

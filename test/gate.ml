@@ -64,7 +64,7 @@ let table =
       row "check" ~twin:"repro -e tab1 -e fig9 --quick --check --jobs 2"
         "repro -e tab1 -e fig9 --quick --check --jobs 1";
     ]
-  (* analyze: Txstatic over every stock workload model with the runtime
+  (* analyze: Txstatic over every stock workload with the runtime
      cross-validation on. Exit 1 on any unsafe-annotation,
      restart-hazard or release-misuse verdict, and on any capacity
      contradiction (a workload statically judged to fit an LLB size

@@ -2,10 +2,10 @@
    geometry published by Llb against the cache model, the abstract
    memory's recording semantics (allocation padding, release/reread
    accounting, restart-hazard detection by double execution), the
-   deliberately broken fixtures, and a QCheck battery asserting that the
-   analyzer's footprints agree exactly with the runtime checker's
-   per-attempt profiles on random programs over the deterministic
-   transactional structures. *)
+   deliberately broken fixtures, the STAMP programs against their runtime
+   twins, and a QCheck battery asserting that the analyzer's footprints
+   agree exactly with the runtime checker's per-attempt profiles on
+   random programs over the deterministic transactional structures. *)
 
 module Params = Asf_machine.Params
 module Addr = Asf_mem.Addr
@@ -19,10 +19,13 @@ module Ops = Asf_dstruct.Ops
 module Tlist = Asf_dstruct.Tlist
 module Trbtree = Asf_dstruct.Trbtree
 module Thashset = Asf_dstruct.Thashset
+module Cap = Asf_stamp.Cap
+module Stamp = Asf_stamp.Stamp
 module Amem = Asf_analyze.Amem
 module Workloads = Asf_analyze.Workloads
 module Analyze = Asf_analyze.Analyze
 module Findings = Asf_analyze.Findings
+module Xvalidate = Asf_harness.Xvalidate
 
 let p = Params.barcelona
 
@@ -85,6 +88,13 @@ let test_llb_accessors () =
 (* Abstract memory                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* One atomic block over a fresh capability record: its summary. *)
+let run_tx ?(early_release = false) m rng body =
+  let x = ref None in
+  let cap = Amem.cap ~early_release m rng (fun _ e -> x := Some e) in
+  cap.Cap.atomic "tx" (fun () -> body cap);
+  Option.get !x
+
 let test_amem_alloc () =
   let m = Amem.create () in
   let a = Amem.alloc_words m 1 in
@@ -104,10 +114,10 @@ let test_amem_record () =
   let a = Amem.alloc_words m 1 in
   let b = Amem.alloc_words m 1 in
   let x =
-    Amem.run_tx m (Prng.create 3) (fun c ->
-        ignore (c.Amem.o.Ops.ld a);
-        ignore (c.Amem.o.Ops.ld b);
-        c.Amem.o.Ops.st b 7)
+    run_tx m (Prng.create 3) (fun c ->
+        ignore (c.Cap.o.Ops.ld a);
+        ignore (c.Cap.o.Ops.ld b);
+        c.Cap.o.Ops.st b 7)
   in
   Alcotest.(check int) "read lines" 2 (List.length x.Amem.x_rd);
   Alcotest.(check (list int)) "written lines" [ Addr.line_of b ] x.Amem.x_wr;
@@ -120,11 +130,11 @@ let test_amem_release_reread () =
   let a = Amem.alloc_words m 1 in
   let b = Amem.alloc_words m 1 in
   let x =
-    Amem.run_tx ~early_release:true m (Prng.create 3) (fun c ->
-        ignore (c.Amem.o.Ops.ld a);
-        c.Amem.o.Ops.release a;
-        ignore (c.Amem.o.Ops.ld b);
-        ignore (c.Amem.o.Ops.ld a))
+    run_tx ~early_release:true m (Prng.create 3) (fun c ->
+        ignore (c.Cap.o.Ops.ld a);
+        c.Cap.o.Ops.release a;
+        ignore (c.Cap.o.Ops.ld b);
+        ignore (c.Cap.o.Ops.ld a))
   in
   Alcotest.(check int) "one release" 1 x.Amem.x_releases;
   Alcotest.(check int) "reread after release" 1 x.Amem.x_rereads;
@@ -135,9 +145,9 @@ let test_amem_divergence () =
   let a = Amem.alloc_words m 1 in
   let host = ref 0 in
   let x =
-    Amem.run_tx m (Prng.create 3) (fun c ->
+    run_tx m (Prng.create 3) (fun c ->
         incr host;
-        if !host mod 2 = 0 then ignore (c.Amem.o.Ops.ld a))
+        if !host mod 2 = 0 then ignore (c.Cap.o.Ops.ld a))
   in
   Alcotest.(check bool) "host state leaks into the trace" true
     x.Amem.x_diverged
@@ -148,9 +158,9 @@ let test_amem_rand_replay () =
   let b = Amem.alloc_words m 1 in
   for seed = 1 to 20 do
     let x =
-      Amem.run_tx m (Prng.create seed) (fun c ->
-          if c.Amem.rand 100 land 1 = 0 then ignore (c.Amem.o.Ops.ld a)
-          else ignore (c.Amem.o.Ops.ld b))
+      run_tx m (Prng.create seed) (fun c ->
+          if c.Cap.rand 100 land 1 = 0 then ignore (c.Cap.o.Ops.ld a)
+          else ignore (c.Cap.o.Ops.ld b))
     in
     Alcotest.(check bool) "rand draws replay identically" false
       x.Amem.x_diverged
@@ -211,6 +221,62 @@ let test_artifact_json () =
   | Error m -> Alcotest.failf "artifact JSON invalid: %s" m
 
 (* ------------------------------------------------------------------ *)
+(* The STAMP programs and their runtime twins                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every STAMP application is analyzed once, from its own program, and
+   cross-validated against exactly one runtime twin. *)
+let test_stamp_coverage () =
+  let count name names = List.length (List.filter (( = ) name) names) in
+  List.iter
+    (fun app ->
+      let n = Stamp.name app in
+      Alcotest.(check int) (n ^ ": stock workloads") 1
+        (count n (List.map (fun w -> w.Workloads.w_name) Workloads.stock));
+      Alcotest.(check int) (n ^ ": runtime twins") 1 (count n Xvalidate.workload_names))
+    Stamp.all
+
+(* The abstract run is the real program: each application's own
+   validation holds after its single-threaded run over Amem. *)
+let test_stamp_programs_valid () =
+  List.iter
+    (fun app ->
+      let m = Amem.create () in
+      let prog =
+        Stamp.program app ~scale:Workloads.stamp_scale ~seed:1 ~threads:1 (Amem.setup_ops m)
+      in
+      let blocks = ref 0 in
+      prog.worker (Amem.cap ~early_release:false m (Prng.create 1) (fun _ _ -> incr blocks)) 0;
+      Alcotest.(check bool) (Stamp.name app ^ " ran atomic blocks") true (!blocks > 0);
+      List.iter
+        (fun (check, ok) -> Alcotest.(check bool) (Stamp.name app ^ ": " ^ check) true ok)
+        (prog.checks ()))
+    Stamp.all
+
+(* An under-reported footprint fails the cross-validation: labyrinth's
+   classes made to "fit" LLB-8 meet the twin's 12 capacity aborts there. *)
+let test_hidden_footprint () =
+  let t = Analyze.run ~seeds:[ 1 ] ~params:p [ Option.get (Workloads.find "labyrinth") ] in
+  let hide (wr : Analyze.wreport) =
+    {
+      wr with
+      wr_classes = List.map (fun cs -> { cs with Analyze.cs_peak_max = 1 }) wr.wr_classes;
+    }
+  in
+  let t = { t with Analyze.a_reports = List.map hide t.Analyze.a_reports } in
+  let _, contradictions, _ = Xvalidate.cross_validate ~seed:1 t in
+  match
+    List.find_opt
+      (fun f -> f.Findings.f_variant = Variant.llb8.Variant.name)
+      contradictions
+  with
+  | None -> Alcotest.fail "no contradiction at LLB-8"
+  | Some f ->
+      Alcotest.(check string) "kind" "capacity-contradiction" f.Findings.f_kind;
+      Alcotest.(check bool) "a violation" true (Findings.is_violation f);
+      Alcotest.(check int) "the twin's capacity aborts" 12 f.Findings.f_count
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: static footprints vs runtime per-attempt profiles            *)
 (* ------------------------------------------------------------------ *)
 
@@ -265,7 +331,7 @@ let static_execs structure (init, ops) =
   List.iter (fun k -> apply_ops so structure s (Add k)) init;
   let rng = Prng.create 1 in
   let execs =
-    List.map (fun op -> Amem.run_tx m rng (fun c -> apply_ops c.Amem.o structure s op)) ops
+    List.map (fun op -> run_tx m rng (fun c -> apply_ops c.Cap.o structure s op)) ops
   in
   (execs, final_elements so structure s)
 
@@ -406,5 +472,11 @@ let () =
           tc "stock workloads clean" `Quick test_stock_clean;
           tc "artifact JSON valid" `Quick test_artifact_json;
         ] );
+      ( "stamp",
+          [
+            tc "one workload and one twin per app" `Quick test_stamp_coverage;
+            tc "programs valid over Amem" `Quick test_stamp_programs_valid;
+            tc "hidden footprint contradicts twin" `Quick test_hidden_footprint;
+          ] );
       ("footprints-vs-runtime", qcheck_tests);
     ]

@@ -818,7 +818,25 @@ let test_ram_pages () =
   Alcotest.(check int) "far page" 9 (Ram.read r (1_000 * p));
   Alcotest.(check int) "one page per new page" 5 (Ram.resident_pages r);
   Alcotest.(check (list int)) "earlier pages kept" [ 11; 7; 44 ]
-    [ Ram.read r ((2 * p) - 1); Ram.read r (2 * p); Ram.read r ((4 * p) + 5) ]
+    [ Ram.read r ((2 * p) - 1); Ram.read r (2 * p); Ram.read r ((4 * p) + 5) ];
+  (* Round trips on the lines either side of a page boundary: the last
+     line of page 6 and the first of page 7. *)
+  let last = Addr.line_of ((7 * p) - 1) and first = Addr.line_of (7 * p) in
+  let w = Addr.words_per_line in
+  Ram.write_line r last (Array.init w (fun i -> 100 + i));
+  Ram.write_line r first (Array.init w (fun i -> 200 + i));
+  Alcotest.(check (array int)) "last line of a page" (Array.init w (fun i -> 100 + i))
+    (Ram.read_line r last);
+  Alcotest.(check (array int)) "first line of the next" (Array.init w (fun i -> 200 + i))
+    (Ram.read_line r first);
+  Alcotest.(check (list int)) "words at the boundary" [ 107; 200 ]
+    [ Ram.read r ((7 * p) - 1); Ram.read r (7 * p) ];
+  (* A returned line is a copy. *)
+  (Ram.read_line r last).(0) <- -1;
+  (Ram.read_line r (Addr.line_of (3 * p))).(0) <- -1;
+  Alcotest.(check int) "mutating a read line leaves RAM unchanged" 100 (Ram.read r (last * w));
+  Alcotest.(check (array int)) "an untouched line still reads zero" (Array.make w 0)
+    (Ram.read_line r (Addr.line_of (3 * p)))
 
 let prop_ram_last_write_wins =
   QCheck.Test.make ~name:"ram read sees last write" ~count:200

@@ -1,5 +1,6 @@
 (* Tests for the STAMP-like applications: every app must pass its own
-   validation checks in every execution mode, deterministically. *)
+   validation checks in every execution mode, deterministically, and
+   reproduce its pinned simulated digest. *)
 
 module Tm = Asf_tm_rt.Tm
 module Stats = Asf_tm_rt.Stats
@@ -31,6 +32,46 @@ let test_app_valid app (mname, mode, threads) () =
     r.C.checks;
   Alcotest.(check bool) "made progress" true (r.C.cycles > 0);
   Alcotest.(check bool) "ran transactions" true (Stats.commits r.C.stats > 0)
+
+(* Each app's simulated digest at scale 0.25 on 4 threads: makespan,
+   commits, serial commits and aborts by {!Asf_core.Abort.index}. A
+   change that moves one simulated access (a refactor of an app's worker,
+   a different setup order) moves a digest. *)
+let digests =
+  [
+    ("genome", "llb8", (435370, 7194, 5), [| 60; 5; 27; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("genome", "llb256", (438100, 7194, 0), [| 60; 0; 27; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("genome", "stm", (832470, 7194, 0), [| 53; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("intruder", "llb8", (90591, 580, 2), [| 273; 0; 3; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("intruder", "llb256", (90591, 580, 2), [| 273; 0; 3; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("intruder", "stm", (190556, 580, 0), [| 297; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-low", "llb8", (522190, 792, 0), [| 18; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-low", "llb256", (522190, 792, 0), [| 18; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-low", "stm", (674277, 792, 0), [| 42; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-high", "llb8", (240086, 792, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-high", "llb256", (240086, 792, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-high", "stm", (405309, 792, 0), [| 217; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("labyrinth", "llb8", (275195, 36, 16), [| 9; 16; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("labyrinth", "llb256", (317613, 36, 16), [| 25; 16; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("labyrinth", "stm", (1846568, 36, 0), [| 63; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("ssca2", "llb8", (101112, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("ssca2", "llb256", (101112, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("ssca2", "stm", (206446, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-low", "llb8", (934100, 512, 512), [| 43; 510; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-low", "llb256", (239908, 512, 0), [| 33; 0; 11; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-low", "stm", (686296, 512, 0), [| 7; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-high", "llb8", (1229929, 512, 512), [| 27; 511; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-high", "llb256", (323783, 512, 0), [| 101; 0; 9; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-high", "stm", (1030297, 512, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+  ]
+
+let test_digest (app, mname, counts, aborts) () =
+  let _, mode, threads = List.find (fun (m, _, _) -> m = mname) modes in
+  let r = run_app (Option.get (Stamp.of_name app)) mode threads in
+  let s = r.C.stats in
+  Alcotest.(check (triple int int int)) "cycles, commits, serial commits" counts
+    (r.C.cycles, Stats.commits s, Stats.serial_commits s);
+  Alcotest.(check (array int)) "aborts by reason" aborts (Stats.aborts s)
 
 let test_deterministic () =
   (* Same config + seed => bit-identical makespan and stats. *)
@@ -111,6 +152,11 @@ let () =
   Alcotest.run "stamp"
     (per_app
     @ [
+        ( "digests",
+          List.map
+            (fun ((app, mname, _, _) as d) ->
+              Alcotest.test_case (app ^ "/" ^ mname) `Quick (test_digest d))
+            digests );
         ( "properties",
           [
             Alcotest.test_case "deterministic" `Quick test_deterministic;
