@@ -23,21 +23,19 @@ let sets t = t.n_sets
 
 let assoc t = t.assoc
 
-let set_of t key = key land (t.n_sets - 1)
+let[@inline] set_of t key = key land (t.n_sets - 1)
 
 (* Index of the way holding [key], or -1. The allocation-free primitive
-   the per-access hot path uses; [mem]/[touch] are wrappers. The scan
-   runs from the most-recent way and stops at the first invalid one,
-   since no valid way follows it. Written as a while loop over hoisted
-   fields: a local [let rec] would close over [base]/[key] and cost a
-   closure allocation per probe — the dominant allocation of the whole
-   access path, since each access probes up to six caches.
-   [unsafe_get] is bounded by [set_of]'s mask and the fixed
-   associativity. *)
-let find_way_idx t key =
-  let tags = t.tags in
-  let i = ref (set_of t key * t.assoc) in
-  let stop = !i + t.assoc in
+   the per-access hot path uses; [mem]/[touch] are wrappers. Nearly
+   every hit is in the most-recent way (a set's scan averages about one
+   way), so that compare is inlined into every caller and the rest of
+   the set is scanned out of line, from way 1. The scan stops at the
+   first invalid way, since no valid way follows it. Written as a while
+   loop over hoisted fields: a local [let rec] would close over
+   [base]/[key] and cost a closure allocation per probe. [unsafe_get]
+   is bounded by [set_of]'s mask and the fixed associativity. *)
+let find_way_rest tags key base stop =
+  let i = ref (base + 1) in
   while
     !i < stop
     &&
@@ -48,16 +46,24 @@ let find_way_idx t key =
   done;
   if !i < stop && Array.unsafe_get tags !i = key then !i else -1
 
+let[@inline] find_way_idx t key =
+  let tags = t.tags in
+  let base = set_of t key * t.assoc in
+  let tag = Array.unsafe_get tags base in
+  if tag = key then base
+  else if tag = -1 then -1
+  else find_way_rest tags key base (base + t.assoc)
+
 let mem t key = find_way_idx t key >= 0
 
 (* Move the ways in front of the hit way [idx] (or, on a miss, the whole
    set) back by one and put [key] at the front. The shift carries each
    way into the next slot and stops once it has carried an invalid way
-   into place: a miss in a set with room evicts nothing. *)
-let touch_evict_at t key idx =
-  let tags = t.tags in
-  let i = ref (set_of t key * t.assoc) in
-  let stop = if idx >= 0 then idx + 1 else !i + t.assoc in
+   into place: a miss in a set with room evicts nothing. A hit in the
+   most-recent way changes nothing, so it returns before the loop; the
+   loop itself runs out of line. *)
+let touch_shift tags key base stop =
+  let i = ref base in
   let carry = ref key in
   while !i < stop && !carry <> -1 do
     let tag = Array.unsafe_get tags !i in
@@ -65,7 +71,16 @@ let touch_evict_at t key idx =
     carry := tag;
     incr i
   done;
-  if idx >= 0 then -1 else !carry
+  !carry
+
+let[@inline] touch_evict_at t key idx =
+  let base = set_of t key * t.assoc in
+  if idx = base then -1
+  else if idx >= 0 then begin
+    ignore (touch_shift t.tags key base (idx + 1));
+    -1
+  end
+  else touch_shift t.tags key base (base + t.assoc)
 
 let touch_evict t key = touch_evict_at t key (find_way_idx t key)
 

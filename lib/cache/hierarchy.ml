@@ -130,7 +130,7 @@ let set_evict_hook t ~core f = t.evict_hooks.(core) <- f
 (* Make the shard covering [line] exist (fresh slots: no owners, clean).
    The outer pointer arrays grow by doubling; that copy moves a few
    thousand words at most, the shards themselves are never copied. *)
-let ensure_dir t line =
+let[@inline] ensure_dir t line =
   let si = line lsr shard_bits in
   (if si >= Array.length t.dir_owners then begin
      let n = Array.length t.dir_owners in
@@ -151,14 +151,12 @@ let ensure_dir t line =
 
 let line_in_l1 t ~core ~line = Cache.mem t.l1.(core) line
 
-let socket_of t core = core * t.params.Params.n_sockets / t.n_cores
-
-let bump_occupancy t =
+let[@inline] bump_occupancy t =
   t.dir_occ <- t.dir_occ + 1;
   if t.dir_occ > t.bank.(Counters.dir_high_water) then
     t.bank.(Counters.dir_high_water) <- t.dir_occ
 
-let access t ~core ~line ~write =
+let[@inline] access t ~core ~line ~write =
   let p = t.params in
   ensure_dir t line;
   let si = line lsr shard_bits in
@@ -173,23 +171,14 @@ let access t ~core ~line ~write =
      indices found here feed the fills at the end. They stay valid
      because in between only *other* cores' L1 and L2 are invalidated
      ([iter_others ~except:core]), and the evict hooks touch no cache. *)
-  let socket = socket_of t core in
+  let ctx = t.sharers in
+  let socket = Sharers.socket ctx core in
   let l1 = t.l1.(core) and l2 = t.l2.(core) and l3 = t.l3.(socket) in
   let i1 = Cache.find_way_idx l1 line in
   let i2 = Cache.find_way_idx l2 line in
   let i3 = Cache.find_way_idx l3 line in
   let in_l1 = i1 >= 0 and in_l2 = i2 >= 0 and in_l3 = i3 >= 0 in
   let remote_dirty = dirty0 <> -1 && dirty0 <> core in
-  (* Probes and forwards that cross a socket boundary pay the
-     interconnect hop. *)
-  let cross_penalty other_core =
-    if socket_of t other_core <> socket then begin
-      t.cross_socket_probes <- t.cross_socket_probes + 1;
-      Counters.add t.bank Counters.cross_socket_probes 1;
-      p.cross_socket_latency
-    end
-    else 0
-  in
   let base_latency =
     if in_l1 then begin
       t.l1s.(core).hits <- t.l1s.(core).hits + 1;
@@ -220,7 +209,6 @@ let access t ~core ~line ~write =
     end
   in
   let extra = ref 0 in
-  let ctx = t.sharers in
   if write then begin
     (* Socket-granular snoop filtering: only recorded sharers (or, in
        coarse mode, cores of flagged sockets) are probed — never a
@@ -244,7 +232,13 @@ let access t ~core ~line ~write =
   end
   else begin
     if remote_dirty then begin
-      extra := !extra + p.coherence_probe_latency + cross_penalty dirty0;
+      extra := !extra + p.coherence_probe_latency;
+      (* A forward across a socket boundary pays the interconnect hop. *)
+      if Sharers.socket ctx dirty0 <> socket then begin
+        t.cross_socket_probes <- t.cross_socket_probes + 1;
+        Counters.add t.bank Counters.cross_socket_probes 1;
+        extra := !extra + p.cross_socket_latency
+      end;
       Array.unsafe_set sh_dirty idx (-1)
       (* downgrade to shared; memory is already current *)
     end;

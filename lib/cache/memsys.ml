@@ -68,7 +68,7 @@ let set_fault_hook t f = t.fault_hook <- Some f
 
 let set_evict_hook t ~core f = Hierarchy.set_evict_hook t.hier ~core f
 
-let scale t latency =
+let[@inline] scale t latency =
   if latency < scale_tab_size then t.scale_tab.(latency)
   else scale_raw t.params latency
 
@@ -86,9 +86,10 @@ let service_fault t ~page =
 
 (* Translate, retrying after OS-serviced minor faults. Returns the extra
    translation latency. A registered fault hook that raises (ASF abort)
-   interrupts the access before any state change. *)
-let rec translate t ~core ~speculative addr =
-  match Tlb.translate t.tlb ~core addr ~speculative with
+   interrupts the access before any state change. The first translation
+   is inlined into every access; an outcome that aborts or faults, and
+   the retries after it, run out of line in [translate_retry]. *)
+let rec translate_retry t ~core ~speculative addr = function
   | Tlb.Translated extra -> extra
   | Tlb.Tlb_miss_abort extra ->
       Engine.elapse (scale t extra);
@@ -97,11 +98,18 @@ let rec translate t ~core ~speculative addr =
          region to abort), the access falls back to normal translation
          semantics: the retry is non-speculative, so a page walk fills the
          TLB instead of missing, and aborting, again. *)
-      translate t ~core ~speculative:false addr
+      translate_retry t ~core ~speculative:false addr
+        ((Tlb.translate [@inlined never]) t.tlb ~core addr ~speculative:false)
   | Tlb.Fault page ->
       deliver_fault t ~core (Unmapped page);
       service_fault t ~page;
-      translate t ~core ~speculative addr
+      translate_retry t ~core ~speculative addr
+        ((Tlb.translate [@inlined never]) t.tlb ~core addr ~speculative)
+
+let[@inline] translate t ~core ~speculative addr =
+  match Tlb.translate t.tlb ~core addr ~speculative with
+  | Tlb.Translated extra -> extra
+  | outcome -> translate_retry t ~core ~speculative addr outcome
 
 (* Every access runs [access_pre], its own data transfer inline, then
    [access_post] — the transfer must take effect at the access's commit
@@ -112,7 +120,7 @@ let rec translate t ~core ~speculative addr =
    keeps the sequence closure-free: each caller inlines its transfer
    between the two halves instead of boxing it into an [apply] thunk,
    and both halves return/take plain ints. *)
-let access_pre t ~core ~speculative ~write addr =
+let[@inline] access_pre t ~core ~speculative ~write addr =
   (* Fault injection, drawn per access before translation. [page_unmap]
      models the OS paging the target out (page-table removal + shootdown):
      translation then takes the real minor-fault path — aborting an
@@ -148,10 +156,16 @@ let access_pre t ~core ~speculative ~write addr =
   | None -> ());
   extra
 
-let access_post t ~core ~write ~extra addr =
+let[@inline] access_post t ~core ~write ~extra addr =
   let lat = Hierarchy.access t.hier ~core ~line:(Addr.line_of addr) ~write in
   Engine.elapse (scale t (lat + extra))
 
+(* [load] and [store] stay out of line, each with the whole access
+   compiled into it (translation, the three cache levels, the
+   directory), so a caller pays one call per access. Inlined into their
+   forty-odd callers as well, they grew the benchmark binary's text 3.6
+   times as much and its resident size twice as much, and ran no
+   faster. *)
 let load t ~core ?(speculative = false) addr =
   let extra = access_pre t ~core ~speculative ~write:false addr in
   let v = Ram.read t.ram addr in
@@ -163,24 +177,30 @@ let store t ~core ?(speculative = false) addr v =
   Ram.write t.ram addr v;
   access_post t ~core ~write:true ~extra addr
 
+(* The rarer accesses call the out-of-line copies of the two halves, so
+   the chain is compiled into [load] and [store] only. *)
 let cas t ~core addr ~expect ~value =
-  let extra = access_pre t ~core ~speculative:false ~write:true addr in
+  let extra =
+    (access_pre [@inlined never]) t ~core ~speculative:false ~write:true addr
+  in
   let cur = Ram.read t.ram addr in
   let ok = cur = expect in
   if ok then Ram.write t.ram addr value;
-  access_post t ~core ~write:true ~extra addr;
+  (access_post [@inlined never]) t ~core ~write:true ~extra addr;
   ok
 
 let faa t ~core addr delta =
-  let extra = access_pre t ~core ~speculative:false ~write:true addr in
+  let extra =
+    (access_pre [@inlined never]) t ~core ~speculative:false ~write:true addr
+  in
   let cur = Ram.read t.ram addr in
   Ram.write t.ram addr (cur + delta);
-  access_post t ~core ~write:true ~extra addr;
+  (access_post [@inlined never]) t ~core ~write:true ~extra addr;
   cur
 
 let touch_line t ~core ?(speculative = true) ~write addr =
-  let extra = access_pre t ~core ~speculative ~write addr in
-  access_post t ~core ~write ~extra addr
+  let extra = (access_pre [@inlined never]) t ~core ~speculative ~write addr in
+  (access_post [@inlined never]) t ~core ~write ~extra addr
 
 let peek t addr = Ram.read t.ram addr
 

@@ -27,7 +27,7 @@ type ctx = {
   kind : kind;
   n_cores : int;
   n_sockets : int;
-  sock : int array;  (* core -> socket (same formula as Hierarchy) *)
+  sock : int array;  (* core -> socket: [core * n_sockets / n_cores] *)
   socket_masks : int array;  (* Bitmask only: per-socket core-bit mask *)
   socket_lo : int array;  (* Limited only: first core of each socket *)
   socket_hi : int array;  (* Limited only: last core (inclusive) *)
@@ -83,19 +83,21 @@ let make_ctx ~kind ~n_cores ~n_sockets =
   done;
   { kind; n_cores; n_sockets; sock; socket_masks; socket_lo; socket_hi }
 
+let[@inline] socket ctx core = ctx.sock.(core)
+
 let empty = 0
-let is_empty s = s = 0
+let[@inline] is_empty s = s = 0
 
 (* --- limited-layout helpers --- *)
 
-let lim_count s = (s lsr count_shift) land 7
-let lim_ptr s i = (s lsr (i * ptr_bits)) land ptr_mask
-let is_coarse s = s land coarse_flag <> 0
+let[@inline] lim_count s = (s lsr count_shift) land 7
+let[@inline] lim_ptr s i = (s lsr (i * ptr_bits)) land ptr_mask
+let[@inline] is_coarse s = s land coarse_flag <> 0
 
 let coarse ctx s = ctx.kind = Limited && is_coarse s
 let exact ctx s = not (coarse ctx s)
 
-let singleton ctx core =
+let[@inline] singleton ctx core =
   match ctx.kind with
   | Bitmask -> 1 lsl core
   | Limited -> (1 lsl count_shift) lor core
@@ -108,7 +110,7 @@ let lim_to_coarse ctx s extra_core =
   done;
   coarse_flag lor !m
 
-let add ctx s core =
+let[@inline] add ctx s core =
   match ctx.kind with
   | Bitmask -> s lor (1 lsl core)
   | Limited ->
@@ -150,7 +152,7 @@ let mem ctx s core =
         !found
       end
 
-let others ctx s ~except =
+let[@inline] others ctx s ~except =
   match ctx.kind with
   | Bitmask -> s land lnot (1 lsl except) <> 0
   | Limited ->
@@ -163,7 +165,7 @@ let others ctx s ~except =
         n >= 2 || (n = 1 && lim_ptr s 0 <> except)
       end
 
-let crossed ctx s ~socket ~except =
+let[@inline] crossed ctx s ~socket ~except =
   match ctx.kind with
   | Bitmask ->
       s land lnot (1 lsl except) land lnot ctx.socket_masks.(socket) <> 0

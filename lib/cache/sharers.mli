@@ -48,6 +48,11 @@ val make_ctx : kind:kind -> n_cores:int -> n_sockets:int -> ctx
 
 val kind : ctx -> kind
 
+val socket : ctx -> int -> int
+(** [socket ctx core] is the socket that holds [core]:
+    [core * n_sockets / n_cores], read from a table built once, so the
+    sockets are contiguous ascending core ranges. *)
+
 val empty : t
 
 val is_empty : t -> bool

@@ -38,7 +38,7 @@ let create (params : Params.t) ~n_cores =
     walk = Translated params.page_walk_latency;
   }
 
-let page_mapped t page =
+let[@inline] page_mapped t page =
   page < Bytes.length t.page_table
   && Bytes.unsafe_get t.page_table page <> '\000'
 
@@ -79,7 +79,7 @@ let unmap_page t page =
   end;
   flush_page t page
 
-let translate t ~core addr ~speculative =
+let[@inline] translate t ~core addr ~speculative =
   let page = Addr.page_of addr in
   let l1 = t.l1.(core) and l2 = t.l2.(core) in
   (* One scan per level: a miss index is [-1], which is all

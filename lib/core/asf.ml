@@ -85,20 +85,20 @@ let variant t = t.variant
 
 let memsys t = t.mem
 
-let region t core = t.regions.(core)
+let[@inline] region t core = t.regions.(core)
 
 let set_observer t f = t.observer <- f
 
-let notify t ~core ev =
+let[@inline] notify t ~core ev =
   match t.observer with Some f -> f ~core ev | None -> ()
 
 (* A line's signature bit index, one of 0..61: multiply-shift hashing
    of [line] into 30 bits, then [h * 62 / 2^30] maps those onto 0..61. *)
-let sig_bit line = (((line * 0x4F1BBCDCBFA53E0B) lsr 33) * 62) lsr 30
+let[@inline] sig_bit line = (((line * 0x4F1BBCDCBFA53E0B) lsr 33) * 62) lsr 30
 
 (* Set [line]'s bit in [core]'s [row] word and, if it was clear, [core]'s
    bit in the matching [hold] column word. *)
-let add_sig t row hold core line =
+let[@inline] add_sig t row hold core line =
   let b = sig_bit line in
   let word = row.(core) in
   if word land (1 lsl b) = 0 then begin
@@ -119,7 +119,7 @@ let clear_row t row hold core =
   done;
   row.(core) <- 0
 
-let clear_sigs t core =
+let[@inline] clear_sigs t core =
   clear_row t t.rsig t.rhold core;
   clear_row t t.wsig t.whold core
 
@@ -145,7 +145,7 @@ let doom ?line t core reason =
 
 (* A write probe conflicts with read and write sets; a read probe
    conflicts with write sets only. *)
-let region_conflicts t r ~line ~write =
+let[@inline] region_conflicts t r ~line ~write =
   Llb.written r.llb line
   || (write
      && (Llb.mem r.llb line
@@ -164,7 +164,7 @@ let region_conflicts t r ~line ~write =
    lower core of the loaded word has already been visited, so working on
    the loaded snapshot skips nobody. Plain loops over locals: a local
    closure would allocate on every access. *)
-let probe t ~requester ~line ~write ~doom:dooms =
+let[@inline] probe t ~requester ~line ~write ~doom:dooms =
   let n = t.sig_words in
   let col = sig_bit line * n in
   let found = ref false in
@@ -194,7 +194,7 @@ let probe t ~requester ~line ~write ~doom:dooms =
   done;
   !found
 
-let resolve t ~requester ~line ~write =
+let[@inline] resolve t ~requester ~line ~write =
   if t.resolve_conflicts then ignore (probe t ~requester ~line ~write ~doom:true)
 
 let any_remote_conflict t ~requester ~line ~write =
@@ -223,7 +223,7 @@ let emit_inject t core kind =
     ~cycle:(Engine.core_time t.engine core)
     (Trace.Fault_inject { kind })
 
-let check t core =
+let[@inline] check t core =
   let r = region t core in
   if not r.active then invalid_arg "Asf: ASF operation outside a speculative region";
   if r.doomed <> None then finish_abort t core;
@@ -379,7 +379,7 @@ let commit ?(extra = 0) t ~core =
 
 let abort_explicit t ~core ~code = self_abort t ~core (Abort.Explicit code)
 
-let track_read t core line =
+let[@inline] track_read t core line =
   let r = region t core in
   if t.variant.Variant.l1_read_set then begin
     if not (Llb.written r.llb line) then begin
@@ -403,7 +403,7 @@ let loses_check t ~core ~line ~write =
 (* Protection must be established at issue time, before the access's
    latency is charged: a remote store arriving while this load is in
    flight must observe the conflict. *)
-let lock_load t ~core addr =
+let[@inline] lock_load t ~core addr =
   check t core;
   loses_check t ~core ~line:(Addr.line_of addr) ~write:false;
   track_read t core (Addr.line_of addr);
@@ -432,7 +432,7 @@ let prepare_store t ~core addr =
     if t.variant.Variant.l1_read_set then Hashtbl.remove r.tracked line
   end
 
-let lock_store t ~core addr v =
+let[@inline] lock_store t ~core addr v =
   prepare_store t ~core addr;
   Memsys.store t.mem ~core ~speculative:true addr v
 

@@ -9,7 +9,9 @@
    slot. The table has a power-of-two size and doubles when it is more
    than half full; it starts at [2 * min capacity 32] slots, rounded up
    to a power of two, so an LLB-8 never grows and a larger buffer grows
-   only as far as its transactions' footprints. *)
+   only as far as its transactions' footprints. The table keeps that
+   size, so [clear] zeroes only the slots [placed] names rather than
+   filling the whole table on every commit and doom. *)
 
 type t = {
   capacity : int;
@@ -21,6 +23,13 @@ type t = {
   mutable shift : int;
   mutable count : int;
   mutable n_written : int;
+  (* The slots [place] filled since the table was last cleared or
+     allocated, [n_placed] of them: a superset of the occupied slots,
+     since a release only moves entries into slots already held. Past
+     [Array.length placed] the log has overflowed (lines released and
+     taken again) and [clear] fills the whole table. *)
+  mutable placed : int array;
+  mutable n_placed : int;
 }
 
 let no_backup : int array = [||]
@@ -28,12 +37,14 @@ let no_backup : int array = [||]
 let slot_line s = (s lsr 1) - 1
 
 (* Fibonacci hashing: the top bits of [line * 2^63/phi]. *)
-let home shift line = (line * 0x4F1BBCDCBFA53E0B) lsr shift
+let[@inline] home shift line = (line * 0x4F1BBCDCBFA53E0B) lsr shift
 
 (* [size] is a power of two. *)
 let alloc t size =
   t.slots <- Array.make size 0;
   t.backups <- Array.make size no_backup;
+  t.placed <- Array.make size 0;
+  t.n_placed <- 0;
   t.mask <- size - 1;
   let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   t.shift <- Sys.int_size - log2 size
@@ -50,6 +61,8 @@ let create ~capacity =
       shift = 0;
       count = 0;
       n_written = 0;
+      placed = [||];
+      n_placed = 0;
     }
   in
   let rec pow2 n = if n >= 2 * min capacity 32 then n else pow2 (2 * n) in
@@ -57,14 +70,22 @@ let create ~capacity =
   t
 
 (* The slot holding [line], or -1. Top-level and tail-recursive on its
-   arguments, so the probe loop allocates nothing. *)
-let rec find slots mask key i =
+   arguments, so the probe loop allocates nothing. The home slot is
+   compared inline, in every caller; a collision walks the rest of the
+   chain out of line. *)
+let rec find_rest slots mask key i =
   let s = Array.unsafe_get slots i in
   if s = 0 then -1
   else if s lsr 1 = key then i
-  else find slots mask key ((i + 1) land mask)
+  else find_rest slots mask key ((i + 1) land mask)
 
-let index t line = find t.slots t.mask (line + 1) (home t.shift line)
+let[@inline] find slots mask key i =
+  let s = Array.unsafe_get slots i in
+  if s = 0 then -1
+  else if s lsr 1 = key then i
+  else find_rest slots mask key ((i + 1) land mask)
+
+let[@inline] index t line = find t.slots t.mask (line + 1) (home t.shift line)
 
 (* The first empty slot of [line]'s probe chain; [line] must be absent. *)
 let rec free_slot slots mask i =
@@ -74,7 +95,9 @@ let rec free_slot slots mask i =
 let place t line ~written backup =
   let i = free_slot t.slots t.mask (home t.shift line) in
   t.slots.(i) <- ((line + 1) lsl 1) lor written;
-  t.backups.(i) <- backup
+  t.backups.(i) <- backup;
+  if t.n_placed < Array.length t.placed then t.placed.(t.n_placed) <- i;
+  t.n_placed <- t.n_placed + 1
 
 let grow t =
   let slots = t.slots and backups = t.backups in
@@ -84,7 +107,7 @@ let grow t =
     if s <> 0 then place t (slot_line s) ~written:(s land 1) backups.(i)
   done
 
-let insert t line ~written backup =
+let[@inline] insert t line ~written backup =
   if 2 * (t.count + 1) > Array.length t.slots then grow t;
   place t line ~written backup;
   t.count <- t.count + 1;
@@ -118,14 +141,14 @@ let set_limit t limit =
   | _ -> ());
   t.limit <- limit
 
-let effective_capacity t =
+let[@inline] effective_capacity t =
   match t.limit with Some n -> min n t.capacity | None -> t.capacity
 
 let entries t = t.count
 
-let mem t line = index t line >= 0
+let[@inline] mem t line = index t line >= 0
 
-let written t line =
+let[@inline] written t line =
   let i = index t line in
   i >= 0 && Array.unsafe_get t.slots i land 1 = 1
 
@@ -133,7 +156,7 @@ type read_outcome = Protected | Written | Full
 
 (* One index lookup, which also answers [written]: a speculative read
    needs both. *)
-let protect_read t line =
+let[@inline] protect_read t line =
   let i = index t line in
   if i >= 0 then
     if Array.unsafe_get t.slots i land 1 = 1 then Written else Protected
@@ -196,8 +219,17 @@ let written_count t = t.n_written
 
 let clear t =
   if t.count > 0 then begin
-    Array.fill t.slots 0 (Array.length t.slots) 0;
-    if t.n_written > 0 then Array.fill t.backups 0 (Array.length t.backups) no_backup;
+    if t.n_placed <= Array.length t.placed then
+      for k = 0 to t.n_placed - 1 do
+        let i = Array.unsafe_get t.placed k in
+        t.slots.(i) <- 0;
+        t.backups.(i) <- no_backup
+      done
+    else begin
+      Array.fill t.slots 0 (Array.length t.slots) 0;
+      Array.fill t.backups 0 (Array.length t.backups) no_backup
+    end;
     t.count <- 0;
     t.n_written <- 0
-  end
+  end;
+  t.n_placed <- 0

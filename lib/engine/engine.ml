@@ -121,7 +121,7 @@ let spawn_at t ~core ~time f =
    Either way the clock advances here, in the thread, so a scheduled
    elapse only has to [Yield]: the run loop finds the new time on the
    clock. *)
-let elapse n =
+let[@inline] elapse n =
   match !(Domain.DLS.get running_key) with
   | None -> Effect.perform Yield
   | Some t ->

@@ -24,9 +24,9 @@ type 'a t = {
 
 let create () = { times = [||]; seqs = [||]; vals = [||]; len = 0; dummy = [||] }
 
-let is_empty q = q.len = 0
+let[@inline] is_empty q = q.len = 0
 
-let length q = q.len
+let[@inline] length q = q.len
 
 let grow q =
   let cap = Array.length q.times in
@@ -66,7 +66,7 @@ let push q ~time ~seq v =
   ss.(!i) <- seq;
   vs.(!i) <- v
 
-let min_time q = if q.len = 0 then max_int else q.times.(0)
+let[@inline] min_time q = if q.len = 0 then max_int else q.times.(0)
 
 (* Place (time, seq, v) by sifting a hole down from the root of the
    first [n] slots; the root's old occupant must already be taken. *)
@@ -97,7 +97,7 @@ let sift_down q n ~time ~seq v =
   ss.(!i) <- seq;
   vs.(!i) <- v
 
-let drop_min q =
+let[@inline] drop_min q =
   if q.len = 0 then invalid_arg "Pqueue.drop_min: empty";
   let top = q.vals.(0) in
   let n = q.len - 1 in
@@ -113,7 +113,7 @@ let drop_min q =
    the minimum, taking the root and sifting the new element down from it
    is the same exchange in one pass. The length does not change, so no
    slot is vacated. *)
-let swap_min q ~time ~seq v =
+let[@inline] swap_min q ~time ~seq v =
   if q.len = 0 then invalid_arg "Pqueue.swap_min: empty";
   if time < 0 then invalid_arg "Pqueue.swap_min: negative time";
   let top = q.vals.(0) in

@@ -1,9 +1,12 @@
 (** Simulated-memory allocator.
 
-    Hands out word addresses from a growing arena with exact-size free
-    lists. A one-word header precedes each block, recording its size so
-    {!free} needs only the address. Address 0 is never allocated and serves
-    as the null pointer of simulated data structures.
+    Hands out word addresses from a growing arena with exact-shape free
+    lists: a freed block is reused only by an allocation of the same size
+    and alignment, most recently freed first. Each block's size lives in
+    the allocator's host-side table, not in simulated memory, so {!free}
+    needs only the address and simulated memory holds no allocator
+    headers. Address 0 is never allocated and serves as the null pointer
+    of simulated data structures.
 
     {!alloc_lines} is the allocation mode used for shared data-structure
     nodes: it line-aligns the block and rounds its size up to whole cache
@@ -32,4 +35,4 @@ val size_of : t -> Addr.t -> int
 (** Usable size in words of an allocated block. *)
 
 val live_words : t -> int
-(** Words currently allocated (excluding headers). *)
+(** Words currently allocated. *)

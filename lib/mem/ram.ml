@@ -35,7 +35,7 @@ let chunk_for t a =
     c
   end
 
-let read t a =
+let[@inline] read t a =
   let i = Addr.page_of a in
   if i < Array.length t.chunks then
     let c = Array.unsafe_get t.chunks i in

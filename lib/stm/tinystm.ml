@@ -104,7 +104,7 @@ let strategy t = t.strategy
 
 let set_observer t f = t.observer <- f
 
-let notify tx ev =
+let[@inline] notify tx ev =
   match tx.stm.observer with Some f -> f ~core:tx.core ev | None -> ()
 
 let make_tx t ~core =
@@ -126,23 +126,23 @@ let make_tx t ~core =
   }
 
 (* Fibonacci-hash a line index into the orec table. *)
-let orec_of tx addr =
+let[@inline] orec_of tx addr =
   let line = Addr.line_of addr in
   tx.stm.orec_base + (line * 0x9E3779B1 lsr 8 land (n_orecs - 1))
 
-let locked word = word land 1 = 1
+let[@inline] locked word = word land 1 = 1
 
-let owner word = word lsr 1
+let[@inline] owner word = word lsr 1
 
-let version word = word lsr 1
+let[@inline] version word = word lsr 1
 
-let locked_word core = (core lsl 1) lor 1
+let[@inline] locked_word core = (core lsl 1) lor 1
 
 let version_word v = v lsl 1
 
-let mem_load tx a = Memsys.load tx.stm.mem ~core:tx.core a
+let[@inline] mem_load tx a = Memsys.load tx.stm.mem ~core:tx.core a
 
-let mem_store tx a v = Memsys.store tx.stm.mem ~core:tx.core a v
+let[@inline] mem_store tx a v = Memsys.store tx.stm.mem ~core:tx.core a v
 
 let start tx =
   assert (not tx.running);

@@ -48,7 +48,7 @@ let create () =
     depth = 0;
   }
 
-let flush t ~now =
+let[@inline] flush t ~now =
   let dt = now - t.last_mark in
   if dt > 0 then begin
     let target = if t.in_attempt then t.attempt_cycles else t.cycles in
@@ -56,7 +56,7 @@ let flush t ~now =
   end;
   t.last_mark <- now
 
-let enter t ~now cat =
+let[@inline] enter t ~now cat =
   flush t ~now;
   if t.depth = Array.length t.stack then begin
     let s = Array.make (2 * t.depth) 0 in
@@ -67,7 +67,7 @@ let enter t ~now cat =
   t.depth <- t.depth + 1;
   t.cur <- cat
 
-let exit_ t ~now =
+let[@inline] exit_ t ~now =
   flush t ~now;
   t.depth <- t.depth - 1;
   t.cur <- t.stack.(t.depth)
@@ -80,7 +80,9 @@ let begin_attempt t ~now =
   flush t ~now;
   t.in_attempt <- true;
   t.attempts <- t.attempts + 1;
-  Array.fill t.attempt_cycles 0 n_categories 0
+  for c = 0 to n_categories - 1 do
+    t.attempt_cycles.(c) <- 0
+  done
 
 let close_attempt t ~now =
   flush t ~now;

@@ -279,7 +279,7 @@ let prng ctx = ctx.prng
 
 let stats ctx = ctx.stats
 
-let now ctx = Engine.core_time ctx.sys.engine ctx.core
+let[@inline] now ctx = Engine.core_time ctx.sys.engine ctx.core
 
 let emit ctx payload = Trace.emit ctx.sys.tracer ~core:ctx.core ~cycle:(now ctx) payload
 
@@ -287,7 +287,7 @@ let emit ctx payload = Trace.emit ctx.sys.tracer ~core:ctx.core ~cycle:(now ctx)
    exceptions that cross them (ASF and STM aborts, deadlines, the
    watchdog's diagnosis) are control flow, so a plain re-raise is
    enough. *)
-let exit_cat ctx = Stats.exit_ ctx.stats ~now:(now ctx)
+let[@inline] exit_cat ctx = Stats.exit_ ctx.stats ~now:(now ctx)
 
 let with_cat ctx cat f =
   Stats.enter ctx.stats ~now:(now ctx) cat;
@@ -407,10 +407,10 @@ let check_deadline ctx =
 
 let note_wait ctx n = if deadline_active ctx then ctx.dl_wait <- ctx.dl_wait + n
 
-let the_asf ctx =
+let[@inline] the_asf ctx =
   match ctx.sys.asf with Some a -> a | None -> invalid_arg "Tm: no ASF in this mode"
 
-let the_tx ctx =
+let[@inline] the_tx ctx =
   match ctx.tx with Some tx -> tx | None -> invalid_arg "Tm: no STM in this mode"
 
 (* ------------------------------------------------------------------ *)
@@ -466,9 +466,9 @@ let abandon_attempt ctx e =
 (* [load]/[store] run once per transactional access, so they write the
    category bracket inline instead of allocating [with_cat]'s closure. *)
 
-let enter_ld_st ctx = Stats.enter ctx.stats ~now:(now ctx) Stats.cat_ld_st
+let[@inline] enter_ld_st ctx = Stats.enter ctx.stats ~now:(now ctx) Stats.cat_ld_st
 
-let load ctx addr =
+let[@inline] load ctx addr =
   match ctx.path with
   | Serial | Direct -> Memsys.load ctx.sys.mem ~core:ctx.core addr
   | (Hw | Stm_path) as path -> (
@@ -485,7 +485,7 @@ let load ctx addr =
           exit_cat ctx;
           raise e)
 
-let store ctx addr v =
+let[@inline] store ctx addr v =
   let fl = ctx.sys.faults in
   if
     ctx.depth > 0 && Faults.enabled fl

@@ -201,32 +201,35 @@ let run_start t =
     Array.fill t.attempt_of_core 0 (Array.length t.attempt_of_core) 0
   end
 
-let emit t ~core ~cycle payload =
-  if t.enabled then begin
-    (* Attempt ids advance even when Tx_begin itself is filtered out, so
-       every retained event carries the right attempt. *)
-    (match payload with
-    | Tx_begin ->
-        if core >= Array.length t.attempt_of_core then ignore (ensure_core t core);
-        t.next_attempt <- t.next_attempt + 1;
-        t.attempt_of_core.(core) <- t.next_attempt
-    | _ -> ());
-    let k = kind_index payload in
-    if t.filter.(k) then begin
-      let r = ensure_core t core in
-      t.counts.(k) <- t.counts.(k) + 1;
-      t.seq <- t.seq + 1;
-      ring_push r
-        {
-          run = t.run;
-          core;
-          cycle;
-          attempt = t.attempt_of_core.(core);
-          seq = t.seq;
-          payload;
-        }
-    end
+let record t ~core ~cycle payload =
+  (* Attempt ids advance even when Tx_begin itself is filtered out, so
+     every retained event carries the right attempt. *)
+  (match payload with
+  | Tx_begin ->
+      if core >= Array.length t.attempt_of_core then ignore (ensure_core t core);
+      t.next_attempt <- t.next_attempt + 1;
+      t.attempt_of_core.(core) <- t.next_attempt
+  | _ -> ());
+  let k = kind_index payload in
+  if t.filter.(k) then begin
+    let r = ensure_core t core in
+    t.counts.(k) <- t.counts.(k) + 1;
+    t.seq <- t.seq + 1;
+    ring_push r
+      {
+        run = t.run;
+        core;
+        cycle;
+        attempt = t.attempt_of_core.(core);
+        seq = t.seq;
+        payload;
+      }
   end
+
+(* The disabled test is inlined into every emitting site; the recording
+   runs out of line. *)
+let[@inline] emit t ~core ~cycle payload =
+  if t.enabled then record t ~core ~cycle payload
 
 let core_events t ~core =
   if core < Array.length t.rings then

@@ -46,13 +46,16 @@ diff -r _build/default/results-smoke results
 dune build @perf-smoke
 
 # The build profile may change host time only. Build asf_bench under the
-# dev profile too and diff a figure, a checked serve run and a checked
+# dev profile too and diff a figure, a checked serve run, a checked
 # 256-core run (eight sockets, the limited directory, a deep scheduler
-# queue) against the default build, dropping the "[... host time]" line.
+# queue), a TinySTM run and a one-core run (every elapse fused) against
+# the default build, dropping the "[... host time]" line.
 dune build --profile dev --build-dir _build_dev ./bin/asf_bench.exe
 for args in "repro -e fig7 --quick --seed 7" \
   "serve --service kv-e -t 4 -n 800 --load 2.5 --queue-cap 8 --deadline-us 2 --seed 5 --check=lin" \
-  "intset -s rb-tree -r 8192 -u 20 -t 256 --sockets 8 --txns 4 -m llb256 --check"; do
+  "intset -s rb-tree -r 8192 -u 20 -t 256 --sockets 8 --txns 4 -m llb256 --check" \
+  "intset -s rb-tree -u 20 -t 8 --txns 300 -m stm" \
+  "intset -s hash-set -r 128000 -u 20 -t 1 --txns 20000 -m llb256"; do
   for build in _build _build_dev; do
     # shellcheck disable=SC2086
     "$build/default/bin/asf_bench.exe" $args > "$tmp/raw"

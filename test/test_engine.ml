@@ -899,6 +899,98 @@ let prop_alloc_no_overlap =
       in
       pairwise blocks)
 
+(* The allocator as it was first written, on polymorphic hash tables:
+   exact-shape LIFO free lists keyed by (size, align), every block ever
+   returned kept with its size and state. *)
+module Alloc_model = struct
+  type t = {
+    mutable cursor : int;
+    blocks : (int, int * int * bool ref) Hashtbl.t;  (* size, align, freed *)
+    free_lists : (int * int, int list) Hashtbl.t;
+    mutable live : int;
+  }
+
+  let create () =
+    { cursor = Addr.words_per_page; blocks = Hashtbl.create 16; free_lists = Hashtbl.create 16; live = 0 }
+
+  let alloc t ~align n =
+    let key = (n, align) in
+    let a =
+      match Hashtbl.find_opt t.free_lists key with
+      | Some (a :: rest) ->
+          Hashtbl.replace t.free_lists key rest;
+          let _, _, freed = Hashtbl.find t.blocks a in
+          freed := false;
+          a
+      | _ ->
+          let a = (t.cursor + align - 1) land lnot (align - 1) in
+          t.cursor <- a + n;
+          Hashtbl.replace t.blocks a (n, align, ref false);
+          a
+    in
+    t.live <- t.live + n;
+    a
+
+  let free t a =
+    match Hashtbl.find_opt t.blocks a with
+    | None -> invalid_arg "Alloc.free: unknown address"
+    | Some (_, _, freed) when !freed -> invalid_arg "Alloc.free: double free"
+    | Some (n, align, freed) ->
+        freed := true;
+        t.live <- t.live - n;
+        let l = Option.value ~default:[] (Hashtbl.find_opt t.free_lists (n, align)) in
+        Hashtbl.replace t.free_lists (n, align) (a :: l)
+
+  let size_of t a =
+    match Hashtbl.find_opt t.blocks a with
+    | Some (n, _, _) -> n
+    | None -> invalid_arg "Alloc.size_of: unknown address"
+end
+
+(* Random allocs and frees against the model: 24 sizes by 4 alignments,
+   so the shape table grows past its first 64 slots; about 3000 fresh
+   blocks a case, so the block table grows past its first 4096. Frees
+   pick any address ever returned, live or already freed (a double
+   free), or one just past it (usually unknown). Every returned address,
+   every exception message, [size_of] and [live_words] must agree. *)
+let prop_alloc_matches_model =
+  QCheck.Test.make ~name:"alloc/free match the reference allocator" ~count:20
+    QCheck.(
+      list_of_size (Gen.int_range 4000 6000)
+        (triple (int_bound 9) (int_bound 1_000_000) (int_bound 1_000_000)))
+    (fun ops ->
+      let al = Alloc.create () and m = Alloc_model.create () in
+      let addrs = ref [||] and n = ref 0 in
+      let remember a =
+        if !n = Array.length !addrs then begin
+          let b = Array.make (max 64 (2 * !n)) 0 in
+          Array.blit !addrs 0 b 0 !n;
+          addrs := b
+        end;
+        !addrs.(!n) <- a;
+        incr n
+      in
+      let res f = match f () with v -> Ok v | exception Invalid_argument e -> Error e in
+      List.for_all
+        (fun (kind, a, b) ->
+          let pick () = if !n = 0 then 0 else !addrs.(a mod !n) in
+          let same =
+            if kind <= 6 || !n = 0 then begin
+              let size = 1 + (a mod 24) and align = [| 1; 2; 8; 64 |].(b mod 4) in
+              let got = Alloc.alloc al ~align size in
+              remember got;
+              got = Alloc_model.alloc m ~align size
+            end
+            else
+              let addr = if kind = 9 then pick () + 1 + (b mod 3) else pick () in
+              res (fun () -> Alloc.free al addr) = res (fun () -> Alloc_model.free m addr)
+          in
+          let probe = pick () + (if b mod 5 = 0 then 1 else 0) in
+          same
+          && res (fun () -> Alloc.size_of al probe) = res (fun () -> Alloc_model.size_of m probe)
+          && Alloc.live_words al = m.Alloc_model.live)
+        ops)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine+mem"
@@ -966,5 +1058,6 @@ let () =
           Alcotest.test_case "double free" `Quick test_alloc_double_free_rejected;
           Alcotest.test_case "line align" `Quick test_alloc_lines_alignment;
           q prop_alloc_no_overlap;
+          q prop_alloc_matches_model;
         ] );
     ]
