@@ -471,14 +471,14 @@ let run_serve obs tm service requests arrival gap load queue_cap deadline_us no_
    ANALYZE_asf.json. Exit 1 on any violation: an unsafe annotation, a
    restart hazard, release misuse, or a static-fits/runtime-abort
    contradiction (the latter is an analyzer bug by construction). *)
-let analyze json_path seed txns no_xcheck workloads fixtures =
+let analyze json_path seed no_xcheck workloads fixtures =
   let params = Asf_machine.Params.barcelona in
   let workloads =
     if workloads <> [] then workloads
     else Workloads.stock @ if fixtures then Workloads.fixtures else []
   in
   let seeds = [ seed; seed + 1; seed + 2 ] in
-  let t = Analyze.run ~seeds ~txns ~params workloads in
+  let t = Analyze.run ~seeds ~params workloads in
   let vnames = List.map (fun v -> v.Variant.name) Analyze.variants in
   let class_row wr cs =
     let verdicts =
@@ -515,11 +515,8 @@ let analyze json_path seed txns no_xcheck workloads fixtures =
   Report.print
     (Report.make ~id:"analyze"
        ~title:
-         (Printf.sprintf
-            "Txstatic access summaries and capacity verdicts (seeds %s, %d scheduled \
-             txns/seed)"
-            (String.concat "," (List.map string_of_int seeds))
-            txns)
+         (Printf.sprintf "Txstatic access summaries and capacity verdicts (seeds %s)"
+            (String.concat "," (List.map string_of_int seeds)))
        ~notes:
          [
            "peak counts protected lines at their worst moment; every hw attempt \
@@ -611,9 +608,9 @@ let analyze json_path seed txns no_xcheck workloads fixtures =
     wrc
   end
 
-let run_analyze json_path seed txns no_xcheck workloads fixtures =
+let run_analyze json_path seed no_xcheck workloads fixtures =
   observed unobserved
-    [ (fun () -> (analyze json_path seed txns no_xcheck workloads fixtures, [])) ]
+    [ (fun () -> (analyze json_path seed no_xcheck workloads fixtures, [])) ]
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing                                                    *)
@@ -1006,15 +1003,6 @@ let analyze_cmd =
          & info [ "json" ] ~docv:"FILE"
              ~doc:"Write the analysis artifact (summaries, verdicts, findings) to $(docv).")
   in
-  let txns =
-    Arg.(value & opt (int_in 0) 240
-         & info [ "txns" ] ~docv:"N"
-             ~doc:
-               "Abstract transactions per seed in the class schedule of the \
-                intset family, bank and the fixtures (0 executes each \
-                transaction class once). A STAMP application runs its own \
-                program at scale 0.2 instead and ignores $(docv).")
-  in
   let no_xcheck =
     Arg.(value & flag
          & info [ "no-xcheck" ]
@@ -1041,7 +1029,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Statically analyze transaction footprints and annotations (Txstatic)")
-    Term.(const run_analyze $ json $ seed_arg $ txns $ no_xcheck $ workloads $ fixtures)
+    Term.(const run_analyze $ json $ seed_arg $ no_xcheck $ workloads $ fixtures)
 
 let main_cmd =
   let doc =

@@ -4,68 +4,49 @@
    lists of hundreds of nodes in hardware instead of falling back to the
    serial-irrevocable path.
 
-   This example runs the same sorted-list workload with and without early
-   release on LLB-8 and prints the difference in serial fallbacks,
-   protected-line pressure, and throughput. *)
+   This example runs the IntegerSet linked list with and without early
+   release on LLB-8 and prints the difference in serial fallbacks and
+   throughput. *)
 
 module Tm = Asf_tm_rt.Tm
 module Stats = Asf_tm_rt.Stats
 module Variant = Asf_core.Variant
-module Params = Asf_machine.Params
-module Prng = Asf_engine.Prng
-module Ops = Asf_dstruct.Ops
-module Tlist = Asf_dstruct.Tlist
+module Intset = Asf_intset.Intset
 
 let list_size = 100
-
-let txns_per_thread = 300
 
 let n_threads = 4
 
 let run ~early_release =
-  let cfg = Tm.default_config (Tm.Asf_mode Variant.llb8) ~n_cores:n_threads in
-  let sys = Tm.create cfg in
-  let so = Ops.setup sys in
-  let list = Tlist.create so in
-  let rng = Prng.create 99 in
-  let added = ref 0 in
-  while !added < list_size do
-    if Tlist.add so list (Prng.int rng (2 * list_size)) then incr added
-  done;
-  let ctxs =
-    List.init n_threads (fun core ->
-        Tm.spawn sys ~core (fun ctx ->
-            let o = if early_release then Ops.tx_er ctx else Ops.tx ctx in
-            let rng = Tm.prng ctx in
-            for _ = 1 to txns_per_thread do
-              let k = Prng.int rng (2 * list_size) in
-              match Prng.int rng 10 with
-              | 0 -> ignore (Tm.atomic ctx (fun () -> Tlist.add o list k))
-              | 1 -> ignore (Tm.atomic ctx (fun () -> Tlist.remove o list k))
-              | _ -> ignore (Tm.atomic ctx (fun () -> Tlist.contains o list k))
-            done))
+  let cfg =
+    {
+      (Intset.default_cfg Intset.Linked_list) with
+      Intset.range = 2 * list_size;
+      update_pct = 20;
+      init_size = Some list_size;
+      txns_per_thread = 300;
+      early_release;
+    }
   in
-  Tm.run sys;
-  let agg = Stats.create () in
-  List.iter (fun c -> Stats.add (Tm.stats c) ~into:agg) ctxs;
-  let txns = n_threads * txns_per_thread in
-  let us = Params.cycles_to_us cfg.Tm.params (Tm.makespan sys) in
+  let tm = Tm.default_config (Tm.Asf_mode Variant.llb8) ~n_cores:n_threads in
+  let r = Intset.run tm ~threads:n_threads cfg in
   Printf.printf
     "  %-18s throughput=%6.2f tx/us, hardware commits=%4d, serial fallbacks=%4d\n"
     (if early_release then "with RELEASE" else "without RELEASE")
-    (float_of_int txns /. us)
-    (Stats.commits agg - Stats.serial_commits agg)
-    (Stats.serial_commits agg)
+    r.Intset.throughput_tx_per_us
+    (Stats.commits r.Intset.stats - Stats.serial_commits r.Intset.stats)
+    (Stats.serial_commits r.Intset.stats);
+  r.Intset.size_ok
 
 let () =
   Printf.printf
     "Early release on LLB-8: %d-node sorted list, %d threads, 20%% updates\n\n"
     list_size n_threads;
-  run ~early_release:false;
-  run ~early_release:true;
+  let plain = run ~early_release:false in
+  let released = run ~early_release:true in
   print_newline ();
   print_endline
     "Without RELEASE every traversal protects ~50 lines and overflows the\n\
      8-entry LLB, forcing the serial-irrevocable fallback; hand-over-hand\n\
      release keeps the read set at two lines and stays in hardware.";
-  print_endline "OK"
+  if plain && released then print_endline "OK" else print_endline "FAILED: size check"

@@ -103,7 +103,7 @@ let protect p line ~write =
 
 let sorted_lines h = Hashtbl.fold (fun k () acc -> k :: acc) h [] |> List.sort compare
 
-let cap ~early_release t rng on_exec =
+let cap t rng on_exec =
   (* The pass being recorded; [None] outside every atomic block, where
      each access is a plain, unrecorded one. *)
   let cur = ref None in
@@ -130,7 +130,7 @@ let cap ~early_release t rng on_exec =
   in
   let release a =
     match !cur with
-    | Some p when early_release ->
+    | Some p ->
         let line = Addr.line_of a in
         (match Hashtbl.find_opt p.prot line with
         | Some false ->
@@ -140,7 +140,7 @@ let cap ~early_release t rng on_exec =
             p.releases <- p.releases + 1
         | _ -> ());
         record p (O_rel a)
-    | _ -> ()
+    | None -> ()
   in
   let alloc n =
     let a = alloc_words t n in
@@ -215,9 +215,10 @@ let cap ~early_release t rng on_exec =
         result
   in
   {
-    Cap.o = Ops.dry ~ld ~st ~alloc ~free ~release ~rand_bits:(fun () -> rand (1 lsl 30)) ();
+    Cap.o = Ops.dry ~ld ~st ~alloc ~free ~rand_bits:(fun () -> rand (1 lsl 30)) ();
     nld;
     nst;
+    release;
     rand;
     work = ignore;
     atomic;

@@ -3,10 +3,11 @@
     A word-addressed shadow store with a bump allocator, mirroring the
     simulated machine's address arithmetic ({!Asf_mem.Addr}: 8-word
     lines, line-padded allocation) but with {e no} caches, no timing and
-    no scheduler. A program runs against it single-threaded through a
-    {!Asf_stamp.Cap.t} capability record ({!cap}), so the real
-    application and data-structure code runs unchanged while every access
-    inside an atomic block is recorded.
+    no scheduler. A workload's program ({!Asf_stamp.Stamp_common.program})
+    is built over {!setup_ops} and its worker 0 runs single-threaded
+    through a {!Asf_stamp.Cap.t} capability record ({!cap}), so the code
+    the simulator runs runs unchanged while every access inside an
+    atomic block is recorded.
 
     Each atomic block executes {e twice} against the same pre-state with
     identical random draws — the abstract form of ASF-TM's closure
@@ -51,19 +52,19 @@ type exec = {
 }
 (** The summary of one atomic block. *)
 
-val cap :
-  early_release:bool -> t -> Asf_engine.Prng.t -> (string -> exec -> unit) -> Asf_stamp.Cap.t
-(** [cap ~early_release t rng on_exec] is the shadow of a simulated
-    thread. Outside [atomic], every access is a plain, unrecorded
-    peek/poke and [rand] draws from [rng]. [atomic name body] executes
-    [body] twice from the same pre-state (the first pass draws from a
-    copy of [rng], so both passes see identical [rand] values), compares
-    the operation traces, commits the second pass, hands its summary to
-    [on_exec name], and returns the second pass's result. Nested blocks
-    are flattened. [early_release] wires [o.release] to a recorded
-    RELEASE; when off it is a no-op, as in {!Asf_dstruct.Ops.tx}. [work]
-    is ignored, and [retry] raises [Invalid_argument]: with no other
-    thread, the re-execution would fail its validation again.
+val cap : t -> Asf_engine.Prng.t -> (string -> exec -> unit) -> Asf_stamp.Cap.t
+(** [cap t rng on_exec] is the shadow of a simulated thread. Outside
+    [atomic], every access is a plain, unrecorded peek/poke and [rand]
+    draws from [rng]. [atomic name body] executes [body] twice from the
+    same pre-state (the first pass draws from a copy of [rng], so both
+    passes see identical [rand] values), compares the operation traces,
+    commits the second pass, hands its summary to [on_exec name], and
+    returns the second pass's result. Nested blocks are flattened.
+    [release] records a RELEASE, like {!Asf_tm_rt.Tm.release}; [o.release]
+    is a no-op, as in {!Asf_dstruct.Ops.tx}, so only a program that hands
+    [release] to its structure releases. [work] is ignored, and [retry]
+    raises [Invalid_argument]: with no other thread, the re-execution
+    would fail its validation again.
 
     Annotated stores write memory immediately and are {e not} undone
     between the passes — exactly the hardware semantics (an [nstore] is

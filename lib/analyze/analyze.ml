@@ -42,7 +42,6 @@ type wreport = {
 type t = {
   a_params : Params.t;
   a_seeds : int list;
-  a_txns : int;
   a_reports : wreport list;
 }
 
@@ -137,7 +136,7 @@ let fresh_acc () =
     k_diverged = 0;
   }
 
-let explore_workload ~seeds ~txns ~params (wl : Workloads.t) =
+let explore_workload ~seeds ~params (wl : Workloads.t) =
   let accs : (string, acc) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
   let acc_of name =
@@ -174,9 +173,9 @@ let explore_workload ~seeds ~txns ~params (wl : Workloads.t) =
   List.iter
     (fun seed ->
       let am = Amem.create () in
-      let program = wl.Workloads.w_program ~seed ~txns (Amem.setup_ops am) in
+      let p = wl.Workloads.w_program ~seed ~threads:1 (Amem.setup_ops am) in
       let rng = Prng.create ((seed * 0x9e3779b9) + 17) in
-      program (Amem.cap ~early_release:wl.Workloads.w_er am rng record))
+      p.worker (Amem.cap am rng record) 0)
     seeds;
   let classes =
     List.rev_map
@@ -217,12 +216,11 @@ let explore_workload ~seeds ~txns ~params (wl : Workloads.t) =
       | [], [] -> None);
   }
 
-let run ?(seeds = [ 1; 2; 3 ]) ?(txns = 240) ~params workloads =
+let run ?(seeds = [ 1; 2; 3 ]) ~params workloads =
   {
     a_params = params;
     a_seeds = seeds;
-    a_txns = txns;
-    a_reports = List.map (explore_workload ~seeds ~txns ~params) workloads;
+    a_reports = List.map (explore_workload ~seeds ~params) workloads;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -338,7 +336,6 @@ let artifact_json t ~extra =
   Buffer.add_string b
     (Printf.sprintf "  \"seeds\": [%s],\n"
        (String.concat ", " (List.map string_of_int t.a_seeds)));
-  Buffer.add_string b (Printf.sprintf "  \"txns_per_seed\": %d,\n" t.a_txns);
   Buffer.add_string b (Printf.sprintf "  \"abi_lines\": %d,\n" abi_lines);
   Buffer.add_string b "  \"workloads\": [\n";
   List.iteri

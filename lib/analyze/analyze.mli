@@ -61,7 +61,6 @@ type wreport = {
 type t = {
   a_params : Asf_machine.Params.t;
   a_seeds : int list;
-  a_txns : int;
   a_reports : wreport list;
 }
 
@@ -84,16 +83,10 @@ val workload_verdict :
   params:Asf_machine.Params.t -> variant:Asf_core.Variant.t -> wreport -> cap_verdict
 (** Worst class verdict ([Overflows] > [Set_conflict] > [Fits]). *)
 
-val run :
-  ?seeds:int list ->
-  ?txns:int ->
-  params:Asf_machine.Params.t ->
-  Workloads.t list ->
-  t
-(** Analyze each workload: for every seed, build its state and run its
-    program ([txns] sizes the class schedule; default 240, seeds
-    [1;2;3]), and fold the atomic blocks it executed into per-class
-    summaries. *)
+val run : ?seeds:int list -> params:Asf_machine.Params.t -> Workloads.t list -> t
+(** Analyze each workload: for every seed (default [1;2;3]), build its
+    program single-threaded over a fresh {!Amem}, run worker 0, and fold
+    the atomic blocks it executed into per-class summaries. *)
 
 val findings : t -> Findings.t list
 (** The lint verdicts as shared findings: annotation races, restart

@@ -2,9 +2,6 @@ module Check = Asf_check.Check
 module Parallel = Asf_parallel.Parallel
 module Tm = Asf_tm_rt.Tm
 module Variant = Asf_core.Variant
-module Intset = Asf_intset.Intset
-module Stamp = Asf_stamp.Stamp
-module Bank = Asf_stamp.Bank
 module C = Asf_stamp.Stamp_common
 module W = Asf_analyze.Workloads
 module Analyze = Asf_analyze.Analyze
@@ -18,48 +15,19 @@ type census = {
   v_max_footprint : int;
 }
 
-(* The runtime twins: each stock workload's real program on a simulated
-   4-core machine, in the analyzer's configuration. *)
-let twins =
-  let intset name structure early_release =
-    let cfg =
-      {
-        (Intset.default_cfg structure) with
-        Intset.range = W.intset_range;
-        update_pct = W.intset_update_pct;
-        init_size = Some W.intset_init;
-        txns_per_thread = 200;
-        early_release;
-        buckets = W.intset_buckets;
-      }
-    in
-    (name, fun tm -> ignore (Intset.run tm ~threads:4 cfg))
-  in
-  [
-    intset "intset-linked-list" Intset.Linked_list false;
-    intset "intset-linked-list-er" Intset.Linked_list true;
-    intset "intset-skip-list" Intset.Skip_list false;
-    intset "intset-rb-tree" Intset.Rb_tree false;
-    intset "intset-hash-set" Intset.Hash_set false;
-    ("bank", fun tm -> ignore (C.run ~name:"bank" tm ~threads:4 (Bank.program ~txns:200)));
-  ]
-  @ List.map
-      (fun app ->
-        ( Stamp.name app,
-          fun tm -> ignore (Stamp.run_scaled app ~scale:W.stamp_scale tm ~threads:4) ))
-      Stamp.all
+let workload_names = List.map (fun w -> w.W.w_name) W.stock
 
-let workload_names = List.map fst twins
-
-(* The checker must be installed before Tm.create (systems attach at
-   creation), and removed before the next census. *)
+(* A workload's runtime twin is its program on a simulated 4-core
+   machine. The checker must be installed before Tm.create (systems
+   attach at creation), and removed before the next census. *)
 let census ~seed ~variant name =
   Option.map
-    (fun run ->
+    (fun w ->
       let chk = Check.create ~parts:[ Check.Lint ] () in
+      let tm = { (Tm.default_config (Tm.Asf_mode variant) ~n_cores:4) with Tm.seed } in
       Parallel.with_observers
         { (Parallel.observers ()) with checker = Some chk }
-        (fun () -> run { (Tm.default_config (Tm.Asf_mode variant) ~n_cores:4) with Tm.seed });
+        (fun () -> ignore (C.run ~name tm ~threads:4 w.W.w_program));
       Check.finalize chk;
       let profiles = Check.attempt_profiles chk in
       {
@@ -69,7 +37,7 @@ let census ~seed ~variant name =
         v_cap_aborts = List.length (List.filter (fun p -> p.Check.p_capacity_abort) profiles);
         v_max_footprint = List.fold_left (fun m p -> max m p.Check.p_footprint) 0 profiles;
       })
-    (List.assoc_opt name twins)
+    (List.find_opt (fun w -> w.W.w_name = name) W.stock)
 
 let cross_validate ~seed (a : Analyze.t) =
   let twins =

@@ -1,18 +1,18 @@
 (** Cross-validation of Txstatic against the runtime abort census.
 
-    Every stock workload has one runtime twin: its real program on a
-    simulated 4-core machine in the analyzer's configuration (the intset
-    family with {!Asf_analyze.Workloads.intset_range} and friends, bank's
-    {!Asf_stamp.Bank.program}, and each STAMP application at
-    {!Asf_analyze.Workloads.stamp_scale}). A twin runs under a Txcheck
-    lint observer that gathers per-attempt access profiles, and the
-    static capacity verdicts are checked against what the hardware
-    actually did: a workload statically judged to {e fit} an LLB variant
-    must not produce a single runtime capacity abort at that LLB size —
-    if it does, the analyzer under-approximated a footprint and the
-    build fails. The opposite direction (static overflow, no runtime
-    abort observed) is only a note: the explored inputs may simply not
-    have hit the worst case at runtime. *)
+    Every stock workload ({!Asf_analyze.Workloads.stock}) has one runtime
+    twin: its program, the value Txstatic analyzes, on a simulated
+    4-core machine through {!Asf_stamp.Stamp_common.run}. A twin runs
+    under a Txcheck lint observer that gathers per-attempt access
+    profiles, and the static capacity verdicts are checked against what
+    the hardware actually did: a workload statically judged to {e fit}
+    an LLB variant must not produce a single runtime capacity abort at
+    that LLB size — if it does, the analyzer under-approximated a
+    footprint and the build fails. The opposite direction (static
+    overflow, no runtime abort observed) is only a note: the explored
+    inputs may simply not have hit the worst case at runtime. Only LLB-8
+    and LLB-256 are censused, so no twin tests an L1-variant
+    [set-conflict] verdict. *)
 
 type census = {
   v_workload : string;  (** analyzer workload name *)
@@ -23,8 +23,8 @@ type census = {
 }
 
 val workload_names : string list
-(** The workloads with a runtime twin, in {!Asf_analyze.Workloads.stock}
-    order: every stock workload. *)
+(** The workloads with a runtime twin: every stock workload, in
+    {!Asf_analyze.Workloads.stock} order. *)
 
 val census : seed:int -> variant:Asf_core.Variant.t -> string -> census option
 (** Run one workload's runtime twin on [variant] with a lint checker

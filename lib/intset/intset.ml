@@ -7,6 +7,8 @@ module Tlist = Asf_dstruct.Tlist
 module Tskiplist = Asf_dstruct.Tskiplist
 module Trbtree = Asf_dstruct.Trbtree
 module Thashset = Asf_dstruct.Thashset
+module Cap = Asf_stamp.Cap
+module Stamp_common = Asf_stamp.Stamp_common
 
 type structure = Linked_list | Skip_list | Rb_tree | Hash_set
 
@@ -90,52 +92,56 @@ let make_structure cfg setup_o =
         size = (fun o -> Thashset.size o t);
       }
 
-let populate set setup_o rng ~range ~target =
-  let n = ref 0 in
-  while !n < target do
-    if set.add setup_o (Prng.int rng range) then incr n
-  done
-
-let run (tm_cfg : Tm.config) ~threads cfg =
-  let sys = Tm.create tm_cfg in
-  let setup_o = Ops.setup sys in
-  let set = make_structure cfg setup_o in
+(* The benchmark as a program: set-up builds and populates the set,
+   each worker runs [txns_per_thread] random operations, and the check
+   compares the final size with the net of successful operations.
+   [final_size] receives the size the check read. *)
+let instance cfg ~final_size ~seed so =
+  let set = make_structure cfg so in
   let init = match cfg.init_size with Some n -> n | None -> cfg.range / 2 in
-  let rng = Prng.create (tm_cfg.Tm.seed + 4242) in
-  populate set setup_o rng ~range:cfg.range ~target:init;
+  let rng = Prng.create (seed + 4242) in
+  let n = ref 0 in
+  while !n < init do
+    if set.add so (Prng.int rng cfg.range) then incr n
+  done;
   (* Per-key successful-operation balance, for the final size check. *)
   let net = Array.make cfg.range 0 in
-  let ctxs =
-    List.init threads (fun core ->
-        Tm.spawn sys ~core (fun ctx ->
-            let o = if cfg.early_release then Ops.tx_er ctx else Ops.tx ctx in
-            let rng = Tm.prng ctx in
-            for _ = 1 to cfg.txns_per_thread do
-              let k = Prng.int rng cfg.range in
-              let roll = Prng.int rng 200 in
-              if roll < cfg.update_pct then begin
-                (* Half the update budget inserts, half removes. *)
-                if Tm.atomic ctx (fun () -> set.add o k) then net.(k) <- net.(k) + 1
-              end
-              else if roll < 2 * cfg.update_pct then begin
-                if Tm.atomic ctx (fun () -> set.remove o k) then net.(k) <- net.(k) - 1
-              end
-              else ignore (Tm.atomic ctx (fun () -> set.contains o k))
-            done))
+  let worker (cap : Cap.t) _tid =
+    let o = if cfg.early_release then { cap.o with release = cap.release } else cap.o in
+    for _ = 1 to cfg.txns_per_thread do
+      let k = cap.rand cfg.range in
+      let roll = cap.rand 200 in
+      if roll < cfg.update_pct then begin
+        (* Half the update budget inserts, half removes. *)
+        if cap.atomic "add" (fun () -> set.add o k) then net.(k) <- net.(k) + 1
+      end
+      else if roll < 2 * cfg.update_pct then begin
+        if cap.atomic "remove" (fun () -> set.remove o k) then net.(k) <- net.(k) - 1
+      end
+      else ignore (cap.atomic "contains" (fun () -> set.contains o k))
+    done
   in
-  Tm.run sys;
-  let cycles = Tm.makespan sys in
-  let stats = Stats.create () in
-  List.iter (fun c -> Stats.add (Tm.stats c) ~into:stats) ctxs;
+  let checks () =
+    final_size := set.size so;
+    [ ("size", !final_size = init + Array.fold_left ( + ) 0 net) ]
+  in
+  { Stamp_common.worker; checks }
+
+let program cfg ~seed ~threads:_ so = instance cfg ~final_size:(ref 0) ~seed so
+
+let run (tm_cfg : Tm.config) ~threads cfg =
+  let final_size = ref 0 in
+  let r =
+    Stamp_common.run ~name:(structure_name cfg.structure) tm_cfg ~threads
+      (fun ~seed ~threads:_ so -> instance cfg ~final_size ~seed so)
+  in
   let txns = threads * cfg.txns_per_thread in
-  let final_size = set.size setup_o in
-  let expected_size = init + Array.fold_left ( + ) 0 net in
-  let us = Params.cycles_to_us tm_cfg.Tm.params cycles in
+  let us = Params.cycles_to_us tm_cfg.Tm.params r.cycles in
   {
     txns;
-    cycles;
+    cycles = r.cycles;
     throughput_tx_per_us = float_of_int txns /. us;
-    stats;
-    final_size;
-    size_ok = final_size = expected_size;
+    stats = r.stats;
+    final_size = !final_size;
+    size_ok = Stamp_common.ok r;
   }

@@ -35,7 +35,17 @@ type result = {
   size_ok : bool;  (** final size consistent with successful ops *)
 }
 
+val program : cfg -> Asf_stamp.Stamp_common.program
+(** The benchmark as a program. Set-up builds the structure and inserts
+    [init_size] distinct keys drawn from a stream seeded by [seed + 4242].
+    Each worker runs [txns_per_thread] operations: it draws a key and a
+    roll in [\[0, 200)], and runs an atomic ["add"], ["remove"] or
+    ["contains"] (early release handed to the structure only when
+    [early_release] is set). The one check, ["size"], compares the final
+    size with the initial size plus the net of successful updates. *)
+
 val run : Asf_tm_rt.Tm.config -> threads:int -> cfg -> result
-(** Builds the structure (untimed setup), runs [threads] worker threads,
+(** {!program} on the simulated machine ({!Asf_stamp.Stamp_common.run}):
+    builds the structure (untimed setup), runs [threads] worker threads,
     and reports simulated-time throughput. Deterministic for a given
     configuration and [config.seed]. *)

@@ -4,6 +4,7 @@ type t = {
   o : Asf_dstruct.Ops.t;
   nld : Asf_mem.Addr.t -> int;
   nst : Asf_mem.Addr.t -> int -> unit;
+  release : Asf_mem.Addr.t -> unit;
   rand : int -> int;
   work : int -> unit;
   atomic : 'a. string -> (unit -> 'a) -> 'a;
@@ -16,6 +17,7 @@ let of_ctx ctx =
     o = Asf_dstruct.Ops.tx ctx;
     nld = Tm.nload ctx;
     nst = Tm.nstore ctx;
+    release = Tm.release ctx;
     rand = Asf_engine.Prng.int rng;
     work = Tm.work ctx;
     atomic = (fun _ body -> Tm.atomic ctx body);

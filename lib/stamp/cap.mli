@@ -1,16 +1,20 @@
-(** The capability record an application thread is written against.
+(** The capability record a workload thread is written against.
 
-    Each application's worker is written once against {!t} and runs in
-    two worlds: {!of_ctx} forwards every field to the {!Asf_tm_rt.Tm}
-    call of a simulated thread, and Txstatic's abstract memory
+    Each workload's worker (a STAMP application, bank, the IntegerSet
+    benchmark) is written once against {!t} and runs in two worlds:
+    {!of_ctx} forwards every field to the {!Asf_tm_rt.Tm} call of a
+    simulated thread, and Txstatic's abstract memory
     ([Asf_analyze.Amem.cap]) records the same calls with no machine at
     all. Inside [atomic], [o]'s loads and stores are transactional;
     outside, they are plain accesses. *)
 
 type t = {
-  o : Asf_dstruct.Ops.t;  (** loads, stores, allocation, early release *)
+  o : Asf_dstruct.Ops.t;  (** loads, stores, allocation; [o.release] is a no-op *)
   nld : Asf_mem.Addr.t -> int;  (** annotated (selective) load *)
   nst : Asf_mem.Addr.t -> int -> unit;  (** annotated store *)
+  release : Asf_mem.Addr.t -> unit;
+      (** ASF early release of a read-only line. A worker that wants its
+          structure to release passes [{ o with release }] to it *)
   rand : int -> int;  (** [rand n]: a draw in [\[0, n)] from the thread's stream *)
   work : int -> unit;  (** application compute, in cycles *)
   atomic : 'a. string -> (unit -> 'a) -> 'a;

@@ -1,6 +1,7 @@
-(** Shared infrastructure for the applications: the result record every
-    benchmark returns, a transactional sense-reversing barrier, and the
-    one way a program runs on the simulated machine. *)
+(** Shared infrastructure for the workloads: the result record every
+    program run returns, a transactional sense-reversing barrier, and the
+    one way a program (a STAMP application, bank, the IntegerSet
+    benchmark) runs on the simulated machine. *)
 
 type result = {
   name : string;
@@ -36,10 +37,10 @@ type instance = {
 }
 
 type program = seed:int -> threads:int -> Asf_dstruct.Ops.t -> instance
-(** An application: build its shared state through the given setup
+(** A workload: build its shared state through the given setup
     operations (seeded by [seed], sized for [threads] workers) and
     return its workers. The simulated run passes {!Asf_dstruct.Ops.setup};
-    Txstatic passes its abstract memory's and runs one worker. *)
+    Txstatic passes its abstract memory's and runs worker 0 alone. *)
 
 val run : name:string -> Asf_tm_rt.Tm.config -> threads:int -> program -> result
 (** Build the program on a fresh system, spawn worker [tid] on core

@@ -21,7 +21,6 @@ type config = {
   params : Params.t;
   seed : int;
   backoff : bool;
-  selective_annotation : bool;
   abort_on_tlb_miss : bool;
   requester_wins : bool;
   resolve_conflicts : bool;
@@ -39,7 +38,6 @@ let default_config mode ~n_cores =
     params = Params.barcelona;
     seed = 1;
     backoff = true;
-    selective_annotation = true;
     abort_on_tlb_miss = false;
     requester_wins = true;
     resolve_conflicts = true;
@@ -511,18 +509,14 @@ let[@inline] store ctx addr v =
           raise e)
 
 let nload ctx addr =
-  if not ctx.sys.cfg.selective_annotation then load ctx addr
-  else
-    match ctx.path with
-    | Hw -> Asf.plain_load (the_asf ctx) ~core:ctx.core addr
-    | Stm_path | Serial | Direct -> Memsys.load ctx.sys.mem ~core:ctx.core addr
+  match ctx.path with
+  | Hw -> Asf.plain_load (the_asf ctx) ~core:ctx.core addr
+  | Stm_path | Serial | Direct -> Memsys.load ctx.sys.mem ~core:ctx.core addr
 
 let nstore ctx addr v =
-  if not ctx.sys.cfg.selective_annotation then store ctx addr v
-  else
-    match ctx.path with
-    | Hw -> Asf.plain_store (the_asf ctx) ~core:ctx.core addr v
-    | Stm_path | Serial | Direct -> Memsys.store ctx.sys.mem ~core:ctx.core addr v
+  match ctx.path with
+  | Hw -> Asf.plain_store (the_asf ctx) ~core:ctx.core addr v
+  | Stm_path | Serial | Direct -> Memsys.store ctx.sys.mem ~core:ctx.core addr v
 
 let release ctx addr =
   match ctx.path with

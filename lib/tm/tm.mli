@@ -40,8 +40,6 @@ type config = {
   params : Asf_machine.Params.t;
   seed : int;
   backoff : bool;  (** exponential back-off after contention aborts *)
-  selective_annotation : bool;  (** when off, {!nload}/{!nstore} are
-                                    treated as transactional (ablation) *)
   abort_on_tlb_miss : bool;  (** Rock-style ablation *)
   requester_wins : bool;  (** ASF's contention policy; [false] is the
                               requester-loses ablation *)

@@ -216,7 +216,7 @@ let table =
         "serve -m seq -t 4"; "intset --check foo"; "intset --check=lin";
         "serve --check foo"; "repro -e tab1 --check foo"; "intset --faults strom";
         "repro -e tab1 --faults nope"; "intset --trace /dev/null --trace-filter bogus";
-        "intset --trace-filter bogus"; "analyze --txns=-3"; "repro -e tab1 --quick --jobs=-3";
+        "intset --trace-filter bogus"; "repro -e tab1 --quick --jobs=-3";
       ]
 
 let bench, group =

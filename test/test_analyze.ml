@@ -2,10 +2,11 @@
    geometry published by Llb against the cache model, the abstract
    memory's recording semantics (allocation padding, release/reread
    accounting, restart-hazard detection by double execution), the
-   deliberately broken fixtures, the STAMP programs against their runtime
-   twins, and a QCheck battery asserting that the analyzer's footprints
-   agree exactly with the runtime checker's per-attempt profiles on
-   random programs over the deterministic transactional structures. *)
+   deliberately broken fixtures, every stock program over the abstract
+   memory and against its runtime twin, and a QCheck battery asserting
+   that the analyzer's footprints agree exactly with the runtime
+   checker's per-attempt profiles on random programs over the
+   deterministic transactional structures. *)
 
 module Params = Asf_machine.Params
 module Addr = Asf_mem.Addr
@@ -89,9 +90,9 @@ let test_llb_accessors () =
 (* ------------------------------------------------------------------ *)
 
 (* One atomic block over a fresh capability record: its summary. *)
-let run_tx ?(early_release = false) m rng body =
+let run_tx m rng body =
   let x = ref None in
-  let cap = Amem.cap ~early_release m rng (fun _ e -> x := Some e) in
+  let cap = Amem.cap m rng (fun _ e -> x := Some e) in
   cap.Cap.atomic "tx" (fun () -> body cap);
   Option.get !x
 
@@ -130,9 +131,9 @@ let test_amem_release_reread () =
   let a = Amem.alloc_words m 1 in
   let b = Amem.alloc_words m 1 in
   let x =
-    run_tx ~early_release:true m (Prng.create 3) (fun c ->
+    run_tx m (Prng.create 3) (fun c ->
         ignore (c.Cap.o.Ops.ld a);
-        c.Cap.o.Ops.release a;
+        c.Cap.release a;
         ignore (c.Cap.o.Ops.ld b);
         ignore (c.Cap.o.Ops.ld a))
   in
@@ -173,7 +174,7 @@ let test_amem_rand_replay () =
 let run_fixture name =
   match Workloads.find name with
   | None -> Alcotest.failf "missing fixture %s" name
-  | Some w -> Analyze.run ~seeds:[ 1 ] ~txns:60 ~params:p [ w ]
+  | Some w -> Analyze.run ~seeds:[ 1 ] ~params:p [ w ]
 
 let kinds t = List.map (fun f -> f.Findings.f_kind) (Analyze.findings t)
 
@@ -207,7 +208,7 @@ let test_fixture_reread_after_release () =
   Alcotest.(check bool) "violation" false (Analyze.ok t)
 
 let test_stock_clean () =
-  let t = Analyze.run ~seeds:[ 1 ] ~txns:60 ~params:p Workloads.stock in
+  let t = Analyze.run ~seeds:[ 1 ] ~params:p Workloads.stock in
   Alcotest.(check int) "every stock workload analyzed"
     (List.length Workloads.stock)
     (List.length t.Analyze.a_reports);
@@ -215,13 +216,13 @@ let test_stock_clean () =
 
 let test_artifact_json () =
   let w = Option.get (Workloads.find "bank") in
-  let t = Analyze.run ~seeds:[ 1 ] ~txns:40 ~params:p [ w ] in
+  let t = Analyze.run ~seeds:[ 1 ] ~params:p [ w ] in
   match Findings.validate_json (Analyze.artifact_json t ~extra:[]) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "artifact JSON invalid: %s" m
 
 (* ------------------------------------------------------------------ *)
-(* The STAMP programs and their runtime twins                           *)
+(* The analyzed programs and their runtime twins                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Every STAMP application is analyzed once, from its own program, and
@@ -236,22 +237,37 @@ let test_stamp_coverage () =
       Alcotest.(check int) (n ^ ": runtime twins") 1 (count n Xvalidate.workload_names))
     Stamp.all
 
-(* The abstract run is the real program: each application's own
-   validation holds after its single-threaded run over Amem. *)
-let test_stamp_programs_valid () =
+(* The abstract run is the real program: each stock workload's own
+   validation (intset's size, bank's conservation, each application's
+   checks) holds after its single-threaded run over Amem. Returns the
+   recorded blocks by class. *)
+let amem_run (w : Workloads.t) =
+  let m = Amem.create () in
+  let prog = w.w_program ~seed:1 ~threads:1 (Amem.setup_ops m) in
+  let blocks = ref [] in
+  prog.worker (Amem.cap m (Prng.create 1) (fun c x -> blocks := (c, x) :: !blocks)) 0;
+  (prog.checks (), !blocks)
+
+let test_programs_valid () =
   List.iter
-    (fun app ->
-      let m = Amem.create () in
-      let prog =
-        Stamp.program app ~scale:Workloads.stamp_scale ~seed:1 ~threads:1 (Amem.setup_ops m)
-      in
-      let blocks = ref 0 in
-      prog.worker (Amem.cap ~early_release:false m (Prng.create 1) (fun _ _ -> incr blocks)) 0;
-      Alcotest.(check bool) (Stamp.name app ^ " ran atomic blocks") true (!blocks > 0);
+    (fun (w : Workloads.t) ->
+      let checks, blocks = amem_run w in
+      Alcotest.(check bool) (w.w_name ^ " ran atomic blocks") true (blocks <> []);
       List.iter
-        (fun (check, ok) -> Alcotest.(check bool) (Stamp.name app ^ ": " ^ check) true ok)
-        (prog.checks ()))
-    Stamp.all
+        (fun (check, ok) -> Alcotest.(check bool) (w.w_name ^ ": " ^ check) true ok)
+        checks)
+    Workloads.stock
+
+(* Early release is wired only where a program asks for it: the plain
+   linked list records no RELEASE, its early-release twin does. *)
+let test_release_wiring () =
+  let releases name =
+    let _, blocks = amem_run (Option.get (Workloads.find name)) in
+    List.fold_left (fun n (_, (x : Amem.exec)) -> n + x.Amem.x_releases) 0 blocks
+  in
+  Alcotest.(check int) "intset-linked-list" 0 (releases "intset-linked-list");
+  let er = releases "intset-linked-list-er" in
+  Alcotest.(check bool) (Printf.sprintf "intset-linked-list-er (%d)" er) true (er > 0)
 
 (* An under-reported footprint fails the cross-validation: labyrinth's
    classes made to "fit" LLB-8 meet the twin's 12 capacity aborts there. *)
@@ -475,7 +491,8 @@ let () =
       ( "stamp",
           [
             tc "one workload and one twin per app" `Quick test_stamp_coverage;
-            tc "programs valid over Amem" `Quick test_stamp_programs_valid;
+            tc "programs valid over Amem" `Quick test_programs_valid;
+            tc "release only where asked" `Quick test_release_wiring;
             tc "hidden footprint contradicts twin" `Quick test_hidden_footprint;
           ] );
       ("footprints-vs-runtime", qcheck_tests);

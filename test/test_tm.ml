@@ -278,12 +278,10 @@ let test_syscall_goes_serial () =
 (* ------------------------------------------------------------------ *)
 
 let test_annotation_avoids_capacity () =
-  (* 30 scratch lines accessed non-transactionally fit fine in LLB-8;
-     with the ablation (everything transactional) the same body must fall
-     back to serial. *)
-  let run ~annot =
-    let tweak c = { c with Tm.selective_annotation = annot } in
-    let sys = mk ~n_cores:1 ~tweak (Tm.Asf_mode Variant.llb8) in
+  (* 30 scratch lines read with annotated loads fit fine in LLB-8; the
+     same body with transactional loads must fall back to serial. *)
+  let run load =
+    let sys = mk ~n_cores:1 (Tm.Asf_mode Variant.llb8) in
     let scratch = Tm.setup_alloc sys (30 * Addr.words_per_line) in
     let x = Tm.setup_alloc sys 1 in
     for i = 0 to 29 do
@@ -294,7 +292,7 @@ let test_annotation_avoids_capacity () =
           Tm.atomic ctx (fun () ->
               let acc = ref 0 in
               for i = 0 to 29 do
-                acc := !acc + Tm.nload ctx (scratch + (i * Addr.words_per_line))
+                acc := !acc + load ctx (scratch + (i * Addr.words_per_line))
               done;
               Tm.store ctx x !acc))
     in
@@ -302,12 +300,12 @@ let test_annotation_avoids_capacity () =
     (Tm.setup_peek sys x, Stats.serial_commits (Tm.stats ctx))
   in
   let expected = 30 * 29 / 2 in
-  let v1, serial1 = run ~annot:true in
+  let v1, serial1 = run Tm.nload in
   Alcotest.(check int) "annotated result" expected v1;
   Alcotest.(check int) "annotated stays hardware" 0 serial1;
-  let v2, serial2 = run ~annot:false in
-  Alcotest.(check int) "ablation result" expected v2;
-  Alcotest.(check int) "ablation forced serial" 1 serial2
+  let v2, serial2 = run Tm.load in
+  Alcotest.(check int) "transactional result" expected v2;
+  Alcotest.(check int) "transactional forced serial" 1 serial2
 
 (* ------------------------------------------------------------------ *)
 (* Cycle accounting                                                     *)
