@@ -81,7 +81,7 @@ let service_fault t ~page =
    Trace.emit t.tracer ~core
      ~cycle:(Engine.core_time t.engine core)
      (Trace.Fault_service { page }));
-  Engine.elapse t.params.page_fault_latency;
+  Engine.elapse_on t.engine t.params.page_fault_latency;
   Tlb.map_page t.tlb page
 
 (* Translate, retrying after OS-serviced minor faults. Returns the extra
@@ -92,7 +92,7 @@ let service_fault t ~page =
 let rec translate_retry t ~core ~speculative addr = function
   | Tlb.Translated extra -> extra
   | Tlb.Tlb_miss_abort extra ->
-      Engine.elapse (scale t extra);
+      Engine.elapse_on t.engine (scale t extra);
       deliver_fault t ~core Tlb_miss;
       (* The hook must raise. If it returns (the ablation on without a
          region to abort), the access falls back to normal translation
@@ -158,7 +158,7 @@ let[@inline] access_pre t ~core ~speculative ~write addr =
 
 let[@inline] access_post t ~core ~write ~extra addr =
   let lat = Hierarchy.access t.hier ~core ~line:(Addr.line_of addr) ~write in
-  Engine.elapse (scale t (lat + extra))
+  Engine.elapse_on t.engine (scale t (lat + extra))
 
 (* [load] and [store] stay out of line, each with the whole access
    compiled into it (translation, the three cache levels, the

@@ -209,7 +209,7 @@ let finish_abort t core =
   r.nesting <- 0;
   r.doomed <- None;
   t.aborts.(Abort.index reason) <- t.aborts.(Abort.index reason) + 1;
-  Engine.elapse abort_cycles;
+  Engine.elapse_on t.engine abort_cycles;
   raise (Aborted reason)
 
 let self_abort ?line t ~core reason =
@@ -334,7 +334,7 @@ let speculate ?(extra = 0) t ~core =
     check t core;
     if r.nesting >= max_nesting then self_abort t ~core Abort.Disallowed;
     r.nesting <- r.nesting + 1;
-    if extra > 0 then Engine.elapse extra
+    if extra > 0 then Engine.elapse_on t.engine extra
   end
   else begin
     r.active <- true;
@@ -354,7 +354,7 @@ let speculate ?(extra = 0) t ~core =
     end;
     t.speculates <- t.speculates + 1;
     notify t ~core Obs_speculate;
-    Engine.elapse (speculate_cycles + extra)
+    Engine.elapse_on t.engine (speculate_cycles + extra)
   end
 
 let commit ?(extra = 0) t ~core =
@@ -362,7 +362,7 @@ let commit ?(extra = 0) t ~core =
   let r = region t core in
   if r.nesting > 1 then begin
     r.nesting <- r.nesting - 1;
-    if extra > 0 then Engine.elapse extra
+    if extra > 0 then Engine.elapse_on t.engine extra
   end
   else begin
     (* Outermost commit: speculative values in RAM become authoritative;
@@ -374,7 +374,7 @@ let commit ?(extra = 0) t ~core =
     r.nesting <- 0;
     t.commits <- t.commits + 1;
     notify t ~core Obs_commit;
-    Engine.elapse (commit_cycles + extra)
+    Engine.elapse_on t.engine (commit_cycles + extra)
   end
 
 let abort_explicit t ~core ~code = self_abort t ~core (Abort.Explicit code)
@@ -455,7 +455,7 @@ let release t ~core addr =
   end
   else ignore (Llb.release r.llb line);
   notify t ~core (Obs_release line);
-  Engine.elapse release_cycles
+  Engine.elapse_on t.engine release_cycles
 
 let plain_load t ~core addr = Memsys.load t.mem ~core ~speculative:false addr
 

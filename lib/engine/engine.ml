@@ -23,7 +23,8 @@ type t = {
      until the next dispatch, which is exactly how the minimum moves
      while a thread runs. A run of consecutive elapses thus fuses against
      one cached int, and the queue is never consulted between scheduling
-     events. *)
+     events. Outside [run] it holds [outside_run], below every clock, so
+     no elapse fuses there. *)
   mutable lookahead : int;
   mutable fused : int;
   mutable scheduled : int;
@@ -50,11 +51,15 @@ let sched_counters () =
   (b.(Counters.fused_elapses), b.(Counters.scheduled_elapses))
 
 (* The engine currently executing a thread on this domain, consulted by
-   {!elapse} for the fusion fast path. [run] installs the engine and
+   the ambient {!elapse}. [run] installs the engine and
    restores the previous occupant on exit, so nested runs (an engine
    thread driving another engine) stay correctly routed. *)
 let running_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
+
+(* The lookahead of an engine that is not running: no clock is below it,
+   and a dispatch replaces it with the queue minimum. *)
+let outside_run = min_int
 
 let create ?(always_schedule = false) ~n_cores () =
   if n_cores <= 0 then invalid_arg "Engine.create: n_cores must be positive";
@@ -66,7 +71,7 @@ let create ?(always_schedule = false) ~n_cores () =
     current = 0;
     events = 0;
     always_schedule;
-    lookahead = max_int;
+    lookahead = outside_run;
     fused = 0;
     scheduled = 0;
     heap_hwm = 0;
@@ -101,7 +106,7 @@ let spawn_at t ~core ~time f =
   enqueue t ~time (Start (core, f))
 
 (* Fusion fast path (the classic discrete-event "lazy reschedule"): the
-   thread performing [elapse] is by construction the task the scheduler
+   thread performing [elapse_on] is by construction the task the scheduler
    dispatched last, so its resumption would carry the largest sequence number
    in the system. If its advanced time is strictly earlier than the queue
    minimum (or the queue is empty), the scheduler round-trip would pop
@@ -120,26 +125,37 @@ let spawn_at t ~core ~time f =
 
    Either way the clock advances here, in the thread, so a scheduled
    elapse only has to [Yield]: the run loop finds the new time on the
-   clock. *)
+   clock. Outside [run] nothing fuses (the lookahead is [outside_run]),
+   and the [Yield] raises [Effect.Unhandled] before any clock moves. *)
+let[@inline] elapse_on t n =
+  if n < 0 then invalid_arg "Engine.elapse: negative duration";
+  let core = t.current in
+  let ct = t.core_time.(core) in
+  if ct > max_int - n then invalid_arg "Engine.elapse: core clock overflow";
+  let nt = ct + n in
+  if nt < t.lookahead && not t.always_schedule then begin
+    t.core_time.(core) <- nt;
+    Counters.add t.bank Counters.sim_cycles n;
+    Counters.add t.bank Counters.fused_elapses 1;
+    t.seq <- t.seq + 1;
+    t.events <- t.events + 1;
+    t.fused <- t.fused + 1;
+    Trace.emit t.tracer ~core ~cycle:nt Trace.Thread_resume
+  end
+  else if t.lookahead = outside_run then Effect.perform Yield
+  else begin
+    t.core_time.(core) <- nt;
+    Counters.add t.bank Counters.sim_cycles n;
+    Effect.perform Yield
+  end
+
+(* The ambient form: the engine running on this domain, read from
+   [running_key]. Library code calls {!elapse_on} with the engine it
+   holds; this form is for callers that hold none. *)
 let[@inline] elapse n =
   match !(Domain.DLS.get running_key) with
   | None -> Effect.perform Yield
-  | Some t ->
-      if n < 0 then invalid_arg "Engine.elapse: negative duration";
-      let core = t.current in
-      let ct = t.core_time.(core) in
-      if ct > max_int - n then invalid_arg "Engine.elapse: core clock overflow";
-      let nt = ct + n in
-      t.core_time.(core) <- nt;
-      Counters.add t.bank Counters.sim_cycles n;
-      if nt < t.lookahead && not t.always_schedule then begin
-        Counters.add t.bank Counters.fused_elapses 1;
-        t.seq <- t.seq + 1;
-        t.events <- t.events + 1;
-        t.fused <- t.fused + 1;
-        Trace.emit t.tracer ~core ~cycle:nt Trace.Thread_resume
-      end
-      else Effect.perform Yield
+  | Some t -> elapse_on t n
 
 (* The scheduling handler, built once per [run] and shared by every thread
    it starts, so a yield builds no closure and no option. The thread it
@@ -219,7 +235,11 @@ let run t =
   let saved = !slot in
   slot := Some t;
   let h = handler t in
-  Fun.protect ~finally:(fun () -> slot := saved) (fun () -> loop t h Finished)
+  Fun.protect
+    ~finally:(fun () ->
+      slot := saved;
+      t.lookahead <- outside_run)
+    (fun () -> loop t h Finished)
 
 let core_time t core = t.core_time.(core)
 

@@ -2,7 +2,7 @@
 
     Each simulated hardware thread is an OCaml-5 effect-handled computation
     pinned to a core. A thread runs uninterrupted until it performs
-    {!elapse}, which advances its core-local cycle clock and yields to the
+    {!elapse_on}, which advances its core-local cycle clock and yields to the
     scheduler; the scheduler always resumes the runnable thread with the
     smallest (time, sequence-number) key, so interleavings are fully
     deterministic and everything that happens between two [elapse] calls is
@@ -11,7 +11,7 @@
 
     Scheduling fast path: when the elapsing thread would be popped right
     back (its advanced time is strictly earlier than every queued task),
-    {!elapse} advances the clock in place — no effect capture, no heap
+    {!elapse_on} advances the clock in place — no effect capture, no heap
     round-trip. Fusion is observationally equivalent to scheduling (same
     (time, seq) total order, same counters and trace stream); see
     DESIGN.md, "Engine scheduling and the fusion fast path".
@@ -50,10 +50,18 @@ val run : t -> unit
 (** Runs until every spawned thread has terminated. Exceptions escaping a
     thread propagate out of [run]. *)
 
+val elapse_on : t -> int -> unit
+(** [elapse_on t n] advances the calling thread's core clock by [n >= 0]
+    cycles and yields. The thread must run on [t]: library code passes
+    the engine it holds (its {!Asf_cache.Memsys}'s, its system's).
+    Calling it outside [run t] raises [Effect.Unhandled], leaving every
+    clock and counter as it was. *)
+
 val elapse : int -> unit
-(** Advance the calling thread's core clock by [n >= 0] cycles and yield.
-    Must be called from within a thread spawned on some engine; calling it
-    outside raises [Effect.Unhandled]. *)
+(** The ambient form of {!elapse_on}: the engine is the one running on
+    the calling domain, looked up on every call. For callers that hold
+    no engine (the repository benchmark's replay, tests). Calling it
+    outside any engine's thread raises [Effect.Unhandled]. *)
 
 val core_time : t -> int -> int
 (** Current cycle count of a core's local clock. *)

@@ -16,7 +16,20 @@
       releases orecs at the new version; aborts undo in reverse order.
 
     Aborts are delivered as {!Stm_abort}; the caller (the TM runtime's
-    retry loop) handles back-off and re-execution. *)
+    retry loop) handles back-off and re-execution.
+
+    Host-side bookkeeping: a descriptor keeps its read log (orec,
+    observed word), undo log (address, old word) and owned orecs in flat
+    int arrays that every transaction it runs reuses, plus an
+    open-addressing int set of the owned orecs, so a write-through load
+    or store allocates nothing on the host and calls no polymorphic hash.
+    The logs are walked newest first. Commit and rollback store the owned
+    orecs in the order [Hashtbl.iter] visits a [Hashtbl.create 64] fed
+    the same acquisitions: buckets in ascending order of
+    [Hashtbl.hash orec land (b - 1)], where [b] starts at 64 and doubles
+    while the count exceeds [2b], newest first within a bucket. That was
+    the order of the table the owned log replaced, so every simulated
+    access, and every cycle count after it, stays where it was. *)
 
 exception Stm_abort of { orec : Asf_mem.Addr.t option }
 (** [orec] is the conflicting ownership record when the STM knows it —

@@ -14,7 +14,7 @@ let spin_acquire ctx word =
   let core = Tm.core ctx in
   let rec go () =
     if not (Memsys.cas mem ~core word ~expect:0 ~value:(core + 1)) then begin
-      Engine.elapse 150;
+      Engine.elapse_on (Memsys.engine mem) 150;
       go ()
     end
   in

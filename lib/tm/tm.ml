@@ -422,7 +422,7 @@ let[@inline] the_tx ctx =
 let stall ctx kind n =
   if n > 0 then begin
     emit ctx (Trace.Fault_inject { kind });
-    Engine.elapse n
+    Engine.elapse_on ctx.sys.engine n
   end
 
 (* Per-core preemption stall, drawn once per transaction attempt. *)
@@ -523,7 +523,7 @@ let release ctx addr =
   | Hw -> Asf.release (the_asf ctx) ~core:ctx.core addr
   | Stm_path | Serial | Direct -> ()
 
-let work _ctx n = Engine.elapse n
+let work ctx n = Engine.elapse_on ctx.sys.engine n
 
 let serial_mode ctx = ctx.path = Serial
 
@@ -532,7 +532,7 @@ let serial_mode ctx = ctx.path = Serial
 (* ------------------------------------------------------------------ *)
 
 let malloc ctx words =
-  Engine.elapse malloc_cycles;
+  Engine.elapse_on ctx.sys.engine malloc_cycles;
   match ctx.path with
   | Hw -> (
       match Txmalloc.alloc_tx ctx.pool words with
@@ -541,7 +541,7 @@ let malloc ctx words =
   | Serial | Direct | Stm_path -> Txmalloc.alloc_direct ctx.pool words
 
 let free ctx addr words =
-  Engine.elapse (malloc_cycles / 2);
+  Engine.elapse_on ctx.sys.engine (malloc_cycles / 2);
   match ctx.path with
   | Hw | Stm_path -> Txmalloc.free_tx ctx.pool addr words
   | Serial | Direct -> Txmalloc.free_direct ctx.pool addr words
@@ -567,7 +567,7 @@ let spin_until ctx ready =
       check_deadline ctx;
       let w = serial_spin_window attempt in
       note_wait ctx w;
-      Engine.elapse w;
+      Engine.elapse_on ctx.sys.engine w;
       loop (attempt + 1)
     end
   in
@@ -609,7 +609,7 @@ let inject_serial_hold ctx =
       emit ctx (Trace.Fault_inject { kind = "serial-hang" });
       let rec hang () =
         watchdog_check ctx;
-        Engine.elapse 10_000;
+        Engine.elapse_on ctx.sys.engine 10_000;
         hang ()
       in
       hang ()
@@ -673,7 +673,7 @@ let do_backoff ctx retries =
       in
       emit ctx (Trace.Backoff { cycles = delay });
       note_wait ctx delay;
-      Engine.elapse delay)
+      Engine.elapse_on ctx.sys.engine delay)
 
 let service_pending_fault ctx =
   match ctx.pending_fault with
@@ -820,7 +820,7 @@ and switch_to_hw ctx =
       let rec drain () =
         if ps.active_stm > 0 then begin
           watchdog_check ctx;
-          Engine.elapse 200;
+          Engine.elapse_on ctx.sys.engine 200;
           drain ()
         end
       in
@@ -835,7 +835,7 @@ and stm_phased ctx f =
   if ps.transitioning then begin
     watchdog_check ctx;
     check_deadline ctx;
-    Engine.elapse 200;
+    Engine.elapse_on ctx.sys.engine 200;
     stm_phased ctx f
   end
   else if ps.current_phase <> `Sw then phased_dispatch ctx f
@@ -884,7 +884,7 @@ let atomic ctx f =
   else begin
     (* Housekeeping outside any region: keep the speculative allocation
        pool topped up (chunk refills are unsafe inside transactions). *)
-    if Txmalloc.refill ctx.pool then Engine.elapse 200;
+    if Txmalloc.refill ctx.pool then Engine.elapse_on ctx.sys.engine 200;
     match ctx.sys.cfg.mode with
     | Seq_mode ->
         (* Uninstrumented baseline; still counted as a committed

@@ -1,5 +1,6 @@
 #!/bin/sh
 # The full verification gate. Run from the repo root:
+# - a grep: library code charges the engine it holds;
 # - every build target (libraries, executables, examples, benches);
 # - `dune runtest`: the unit tests plus every asf_bench gate group of
 #   test/gate.ml (@check, @analyze, @soak, @serve-smoke, @lin-smoke,
@@ -11,6 +12,15 @@
 #   (release) build's byte for byte.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Library code outside lib/engine/ holds its engine (its Memsys's, its
+# Asf.t's, its system's) and charges it with Engine.elapse_on. The
+# ambient Engine.elapse looks the running engine up in Domain.DLS on
+# every call; it is for the benchmark's replay and the tests.
+if grep -rnE 'Engine\.elapse([^_]|$)' lib --include='*.ml' | grep -v '^lib/engine/'; then
+  echo "check.sh: lib/ calls the ambient Engine.elapse above; charge the engine the caller holds with Engine.elapse_on" >&2
+  exit 1
+fi
 
 dune build @all
 dune runtest

@@ -469,6 +469,46 @@ let test_engine_elapse_overflow () =
   Alcotest.(check int) "clock may reach exactly max_int" max_int
     (Engine.core_time m 0)
 
+(* [elapse_on] outside [run] raises [Effect.Unhandled] like the ambient
+   form, before the engine first runs and after its run, on the fused and
+   the always-schedule engine: no clock, counter or event moves, and
+   nothing fuses silently. *)
+let test_engine_elapse_on_outside_run () =
+  let unhandled f =
+    match f () with () -> false | exception Effect.Unhandled _ -> true
+  in
+  List.iter
+    (fun always_schedule ->
+      let e = Engine.create ~always_schedule ~n_cores:1 () in
+      let retired = Engine.cycles_retired () in
+      let fused, scheduled = Engine.sched_counters () in
+      let outside when_ =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s run: elapse_on unhandled" when_)
+          true
+          (unhandled (fun () -> Engine.elapse_on e 5));
+        Alcotest.(check bool)
+          (Printf.sprintf "%s run: elapse unhandled" when_)
+          true
+          (unhandled (fun () -> Engine.elapse 5))
+      in
+      outside "before";
+      Alcotest.(check int) "no clock moved" 0 (Engine.core_time e 0);
+      Engine.spawn e ~core:0 (fun () -> Engine.elapse_on e 3);
+      Engine.run e;
+      outside "after";
+      Alcotest.(check int) "only the run's elapse on the clock" 3 (Engine.core_time e 0);
+      Alcotest.(check int) "only the run's cycles retired" 3
+        (Engine.cycles_retired () - retired);
+      Alcotest.(check int) "elapses handled by the engine" 1
+        (Engine.fused_elapses e + Engine.scheduled_elapses e);
+      let fused', scheduled' = Engine.sched_counters () in
+      Alcotest.(check (pair int int)) "domain elapse counters"
+        (if always_schedule then (0, 1) else (1, 0))
+        (fused' - fused, scheduled' - scheduled);
+      Alcotest.(check int) "events: the start and the elapse" 2 (Engine.events e))
+    [ false; true ]
+
 let test_engine_max_time () =
   let e = Engine.create ~n_cores:4 () in
   for c = 0 to 3 do
@@ -601,10 +641,13 @@ let run_program ~always_schedule (n_cores, threads) =
       (* [who] is [(id, -1)] for the [id]-th top-level thread and
          [(id, i)] for the thread spawned by its step [i]. *)
       let note who i core = log := (who, i, Engine.core_time e core) :: !log in
+      (* Even steps charge the engine they name, odd ones the ambient
+         one: both forms must schedule alike. *)
+      let elapse i d = if i land 1 = 0 then Engine.elapse_on e d else Engine.elapse d in
       let elapses who core delays () =
         List.iteri
           (fun i d ->
-            Engine.elapse d;
+            elapse i d;
             note who i core)
           delays
       in
@@ -615,7 +658,7 @@ let run_program ~always_schedule (n_cores, threads) =
                 (fun i step ->
                   match step with
                   | `Elapse d ->
-                      Engine.elapse d;
+                      elapse i d;
                       note (id, -1) i core
                   | `Spawn (c, d, delays) ->
                       Engine.spawn_at e ~core:c
@@ -1032,6 +1075,8 @@ let () =
           Alcotest.test_case "negative elapse" `Quick test_engine_negative_elapse_rejected;
           Alcotest.test_case "clock overflow" `Quick test_engine_elapse_overflow;
           Alcotest.test_case "max time" `Quick test_engine_max_time;
+          Alcotest.test_case "elapse_on outside run" `Quick
+            test_engine_elapse_on_outside_run;
         ] );
       ( "fusion",
         [

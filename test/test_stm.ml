@@ -323,6 +323,134 @@ let test_wb_matches_wt_results () =
   Alcotest.(check int) "write-through" 600 (run Stm.Write_through);
   Alcotest.(check int) "write-back" 600 (run Stm.Write_back)
 
+(* ------------------------------------------------------------------ *)
+(* Release order and per-access allocation                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Transactional data lives far above the orec table and the clock. *)
+let data_base = 1 lsl 20
+
+(* One transaction acquires [n] distinct orecs, then commits or aborts.
+   The access hook tells the orecs apart from the data: a store's writes
+   are its data word and, when it acquires an orec, that orec's CAS.
+   Returns the orecs in acquisition order and the writes commit or
+   rollback made, in order. *)
+let release_run ~commit n =
+  let e, m, _, stm = setup ~n_cores:1 () in
+  let writes = ref [] in
+  Memsys.set_access_hook m
+    (Some (fun ~core:_ ~addr ~write ~speculative:_ -> if write then writes := addr :: !writes));
+  let acquired = ref [] and n_acquired = ref 0 and released = ref [] in
+  run_threads e
+    [
+      (fun () ->
+        let tx = Stm.make_tx stm ~core:0 in
+        Stm.start tx;
+        let line = ref 0 in
+        while !n_acquired < n do
+          let addr = data_base + (Addr.words_per_line * !line) in
+          writes := [];
+          Stm.store tx addr !line;
+          List.iter
+            (fun a ->
+              if a <> addr then begin
+                acquired := a :: !acquired;
+                incr n_acquired
+              end)
+            !writes;
+          incr line
+        done;
+        writes := [];
+        (if commit then Stm.commit tx else try Stm.abort tx with Stm.Stm_abort _ -> ());
+        released := List.rev !writes);
+    ];
+  (List.rev !acquired, !released)
+
+(* Commit and rollback store the owned orecs in the order [Hashtbl.iter]
+   visits a [Hashtbl.create 64] fed the same [replace] sequence: the
+   simulated output depends on that order. Up to 600 acquisitions cross
+   the table's resizes at 129 and 257 entries; the boundaries themselves
+   are drawn often. *)
+let prop_release_order =
+  QCheck.Test.make ~name:"owned orecs released in Hashtbl.iter order" ~count:60
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         frequency
+           [ (4, int_range 0 600); (1, oneofl [ 1; 2; 128; 129; 130; 256; 257; 258; 512; 513 ]) ]))
+    (fun n ->
+      List.iter
+        (fun commit ->
+          let acquired, writes = release_run ~commit n in
+          let table = Hashtbl.create 64 in
+          List.iter (fun o -> Hashtbl.replace table o ()) acquired;
+          let released = List.filter (Hashtbl.mem table) writes in
+          if Hashtbl.length table <> n then
+            QCheck.Test.fail_reportf "%d acquisitions, %d distinct orecs" n
+              (Hashtbl.length table);
+          let expected = ref [] in
+          Hashtbl.iter (fun o () -> expected := o :: !expected) table;
+          if released <> List.rev !expected then
+            QCheck.Test.fail_reportf "%s of %d orecs: release order differs from Hashtbl.iter"
+              (if commit then "commit" else "rollback")
+              n)
+        [ true; false ];
+      true)
+
+(* A transaction of [n] lines, each loaded, stored and loaded again (the
+   second load finds its orec owned), then committed. *)
+let rw_txn tx n =
+  Stm.start tx;
+  for i = 0 to n - 1 do
+    let a = data_base + (Addr.words_per_line * i) in
+    Stm.store tx a (Stm.load tx a + 1);
+    ignore (Stm.load tx a)
+  done;
+  Stm.commit tx
+
+(* Write-through loads and stores allocate nothing on the host. On one
+   core every elapse fuses, so a transaction of [n] lines must allocate
+   the same minor words as an empty one, once a first transaction has
+   mapped the pages, filled the caches and grown the logs. *)
+let test_access_allocates_nothing () =
+  let n = 200 in
+  let e, _, _, stm = setup ~n_cores:1 () in
+  let base = ref nan and full = ref nan in
+  run_threads e
+    [
+      (fun () ->
+        let tx = Stm.make_tx stm ~core:0 in
+        rw_txn tx n;
+        let w0 = Gc.minor_words () in
+        rw_txn tx 0;
+        let w1 = Gc.minor_words () in
+        rw_txn tx n;
+        let w2 = Gc.minor_words () in
+        base := w1 -. w0;
+        full := w2 -. w1);
+    ];
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "%d loads, %d stores: minor words as an empty transaction" (2 * n) n)
+    !base !full
+
+(* With an observer installed, every access still reports, in program
+   order. *)
+let test_observer_sees_every_access () =
+  let n = 5 in
+  let e, _, _, stm = setup ~n_cores:1 () in
+  let seen = ref [] in
+  Stm.set_observer stm (Some (fun ~core:_ ev -> seen := ev :: !seen));
+  run_threads e [ (fun () -> rw_txn (Stm.make_tx stm ~core:0) n) ];
+  let expected =
+    (Stm.Ev_start
+    :: List.concat_map
+         (fun i ->
+           let a = data_base + (Addr.words_per_line * i) in
+           [ Stm.Ev_read a; Stm.Ev_write a; Stm.Ev_read a ])
+         (List.init n Fun.id))
+    @ [ Stm.Ev_commit ]
+  in
+  Alcotest.(check bool) "events in program order" true (List.rev !seen = expected)
+
 let () =
   Alcotest.run "stm"
     [
@@ -350,5 +478,12 @@ let () =
           Alcotest.test_case "buffered until commit" `Quick test_wb_buffering_invisible_until_commit;
           Alcotest.test_case "abort clean" `Quick test_wb_abort_cheap_and_clean;
           Alcotest.test_case "matches write-through" `Quick test_wb_matches_wt_results;
+        ] );
+      ( "descriptor",
+        [
+          QCheck_alcotest.to_alcotest prop_release_order;
+          Alcotest.test_case "access allocates nothing" `Quick test_access_allocates_nothing;
+          Alcotest.test_case "observer sees every access" `Quick
+            test_observer_sees_every_access;
         ] );
     ]
