@@ -1,12 +1,9 @@
 module Trace = Asf_trace.Trace
 
-(* A queued task, or what a thread hands the run loop when it stops:
-   [Finished] when it returned (never queued), its [Resume] when it
-   yielded. *)
+(* A queued task: a thread not yet started, or a yielded one. *)
 type task =
   | Start of int * (unit -> unit)
-  | Resume of int * (unit, task) Effect.Deep.continuation
-  | Finished
+  | Resume of int * (unit, unit) Effect.Deep.continuation
 
 type t = {
   n_cores : int;
@@ -16,7 +13,7 @@ type t = {
   mutable current : int;
   mutable events : int;
   (* Ablation for the fusion-equivalence battery: [true] makes every
-     elapse yield to the run loop (the reference scheduler). *)
+     elapse yield to the scheduler (the reference scheduler). *)
   always_schedule : bool;
   (* Lookahead window bound: the queue minimum, cached. It is read from
      the queue when a task is dispatched and lowered by every enqueue
@@ -110,7 +107,7 @@ let spawn_at t ~core ~time f =
    dispatched last, so its resumption would carry the largest sequence number
    in the system. If its advanced time is strictly earlier than the queue
    minimum (or the queue is empty), the scheduler round-trip would pop
-   that resumption straight back — enqueue, sift, capture and continue
+   that resumption straight back — enqueue, replay, capture and continue
    would change nothing observable. In that case we advance the clock in
    place and return without performing the effect at all, replaying the
    round-trip's side effects (seq and event counts, the Thread_resume
@@ -124,7 +121,7 @@ let spawn_at t ~core ~time f =
    bound without touching the queue at all.
 
    Either way the clock advances here, in the thread, so a scheduled
-   elapse only has to [Yield]: the run loop finds the new time on the
+   elapse only has to [Yield]: the handler finds the new time on the
    clock. Outside [run] nothing fuses (the lookahead is [outside_run]),
    and the [Yield] raises [Effect.Unhandled] before any clock moves. *)
 let[@inline] elapse_on t n =
@@ -157,33 +154,14 @@ let[@inline] elapse n =
   | None -> Effect.perform Yield
   | Some t -> elapse_on t n
 
-(* The scheduling handler, built once per [run] and shared by every thread
-   it starts, so a yield builds no closure and no option. The thread it
-   serves is always the task the run loop dispatched last, so
-   [t.current] names its core. The handler queues nothing: it hands the
-   loop [Finished] or the yielded [Resume] as the value of the
-   [match_with] or [continue] that ran the thread. *)
-let handler t : (unit, task) Effect.Deep.handler =
-  let resume =
-    Some (fun (k : (unit, task) Effect.Deep.continuation) -> Resume (t.current, k))
-  in
-  {
-    retc =
-      (fun () ->
-        let core = t.current in
-        Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish;
-        Finished);
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Yield -> (resume : ((a, task) Effect.Deep.continuation -> task) option)
-        | _ -> None);
-  }
-
-(* Run [task], the queue's minimum at [time] or a yield resumed at once,
-   until its thread stops; return what the thread hands back. *)
-let dispatch t h ~time task =
+(* Run [task], the queue's minimum at [time] or a yield resumed at once.
+   The handler that takes a thread's yield or its return calls this to
+   switch threads, so the [match_with] and [continue] below, and every
+   call on the way to them from the handler, must stay in tail position,
+   where OCaml compiles them as jumps: a switch then leaves no frame
+   behind. Out of tail position, every switch would leave one
+   (test/stack_guard.ml fails). *)
+let rec dispatch t h ~time task =
   (* Open the next lookahead window: the task is about to run, so the
      fusion bound becomes the queue minimum. *)
   t.lookahead <- Pqueue.min_time t.heap;
@@ -199,36 +177,58 @@ let dispatch t h ~time task =
       Counters.add t.bank Counters.scheduled_elapses 1;
       Trace.emit t.tracer ~core ~cycle:time Trace.Thread_resume;
       Effect.Deep.continue k ()
-  | Finished -> assert false (* never queued, and [loop] never runs it *)
 
-(* The scheduler. After a thread finishes, the loop pops the queue
-   minimum. After a yield, the yielded task takes the next seq at its
-   core's clock, and an enqueue and a pop would sift the queue twice.
-   One [Pqueue.swap_min] does the same in a single sift, because the
+(* After a thread finished: run the queue minimum, or return from [run]
+   once nothing is queued. *)
+and next t h =
+  if not (Pqueue.is_empty t.heap) then begin
+    let time = Pqueue.min_time t.heap in
+    dispatch t h ~time (Pqueue.drop_min t.heap)
+  end
+
+(* After a yield, the yielded thread takes the next seq at its core's
+   clock, and an enqueue and a pop would replay the queue twice. One
+   [Pqueue.swap_min] does the same in a single replay, because the
    yielded task is never the new minimum while the queue holds one: it
    did not fuse, so its time is at least [t.lookahead], the queue
    minimum, and on a tie its newest seq loses. Only under
    [always_schedule], or with nothing queued, can it come first; then it
-   runs at once, as the pop would have returned it. *)
-let rec loop t h = function
-  | Finished ->
-      if not (Pqueue.is_empty t.heap) then begin
-        let time = Pqueue.min_time t.heap in
-        loop t h (dispatch t h ~time (Pqueue.drop_min t.heap))
-      end
-  | Resume (core, _) as yielded ->
-      let time = t.core_time.(core) in
-      t.seq <- t.seq + 1;
-      let pending = Pqueue.length t.heap + 1 in
-      if pending > t.heap_hwm then t.heap_hwm <- pending;
-      let min = Pqueue.min_time t.heap in
-      if time < min || Pqueue.is_empty t.heap then
-        loop t h (dispatch t h ~time yielded)
-      else
-        loop t h
-          (dispatch t h ~time:min
-             (Pqueue.swap_min t.heap ~time ~seq:t.seq yielded))
-  | Start _ -> assert false (* the handler hands back no [Start] *)
+   runs at once, as the pop would have returned it. The thread is the
+   task dispatched last, so [t.current] names its core. *)
+and yielded t h k =
+  let core = t.current in
+  let time = t.core_time.(core) in
+  t.seq <- t.seq + 1;
+  let pending = Pqueue.length t.heap + 1 in
+  if pending > t.heap_hwm then t.heap_hwm <- pending;
+  let min = Pqueue.min_time t.heap in
+  if time < min || Pqueue.is_empty t.heap then
+    dispatch t h ~time (Resume (core, k))
+  else
+    dispatch t h ~time:min
+      (Pqueue.swap_min t.heap ~time ~seq:t.seq (Resume (core, k)))
+
+(* The scheduling handler, built once per [run] and shared by every thread
+   it starts, so a yield builds no closure and no option. *)
+let handler t : (unit, unit) Effect.Deep.handler =
+  let rec h =
+    {
+      Effect.Deep.retc =
+        (fun () ->
+          let core = t.current in
+          Trace.emit t.tracer ~core ~cycle:t.core_time.(core) Trace.Thread_finish;
+          next t h);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Yield -> (resume : ((a, unit) Effect.Deep.continuation -> unit) option)
+          | _ -> None);
+    }
+  and resume : ((unit, unit) Effect.Deep.continuation -> unit) option =
+    Some (fun k -> yielded t h k)
+  in
+  h
 
 let run t =
   let slot = Domain.DLS.get running_key in
@@ -239,7 +239,7 @@ let run t =
     ~finally:(fun () ->
       slot := saved;
       t.lookahead <- outside_run)
-    (fun () -> loop t h Finished)
+    (fun () -> next t h)
 
 let core_time t core = t.core_time.(core)
 

@@ -1,16 +1,24 @@
-(* Event queue: a structure-of-arrays binary min-heap. The (time, seq)
-   keys live in two unboxed int arrays and the payloads in a parallel
-   value array, so a push/pop cycle allocates nothing and key comparisons
-   never chase a pointer. Sifting moves a hole instead of swapping: each
-   level costs three array writes rather than a full element exchange.
-   [swap_min] replaces the minimum in one sift down, where a push and a
-   pop take two: the scheduler's yield uses it.
+(* Event queue: a tournament (winner) tree over payload slots. Slot [s]
+   holds one element's (time, seq) key in two unboxed int arrays and its
+   payload in a parallel value array; [win] holds, for every node of a
+   complete binary tree whose [cap] leaves are the slots, the slot of the
+   smallest key below it (node 1 is the root, node [cap + s] the leaf of
+   slot [s], node [i]'s children [2i] and [2i + 1]). A payload is written
+   once into its slot and never moves, so no operation moves a boxed value
+   level by level. An operation that changes one slot's key replays that
+   slot's leaf-to-root path, one key comparison per level against the
+   sibling's winner; [swap_min] and [drop_min] change the winner's slot.
 
-   Vacated slots: popping an element clears the array slot the sift's
-   displaced copy left behind, by storing a dummy payload captured from
-   the first value ever pushed. Without this, popped payloads — for the
-   scheduler, effect continuations and their closures — stayed reachable
-   from the value array beyond [len] for the rest of a run. The dummy
+   A free slot holds the sentinel key (max_int, max_int) and the dummy
+   payload, so it loses to every element, one at time [max_int] included
+   (its seq is below [max_int]), and the winner's slot is free only when
+   the queue is empty. Free slots sit on a stack; a push that finds none
+   doubles the capacity and rebuilds the tree.
+
+   Vacated slots: popping an element stores a dummy payload captured from
+   the first value ever pushed into its slot. Without this, popped
+   payloads — for the scheduler, effect continuations and their closures —
+   stayed reachable from the value array for the rest of a run. The dummy
    itself pins exactly one payload per queue, which the liveness
    regression test accounts for. *)
 
@@ -18,104 +26,98 @@ type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable vals : 'a array;
+  mutable win : int array;  (* 2 * cap nodes; [win.(cap + s) = s] *)
+  mutable free : int array;  (* free slots, a stack of [cap - len] *)
   mutable len : int;
   mutable dummy : 'a array;  (* [||] until the first push; then [|d|] *)
 }
 
-let create () = { times = [||]; seqs = [||]; vals = [||]; len = 0; dummy = [||] }
+let create () =
+  { times = [||]; seqs = [||]; vals = [||]; win = [||]; free = [||]; len = 0; dummy = [||] }
 
 let[@inline] is_empty q = q.len = 0
 
 let[@inline] length q = q.len
 
+(* Recompute the winners on slot [s]'s path to the root. *)
+let replay q s =
+  let ts = q.times and ss = q.seqs and w = q.win in
+  let node = ref (s + Array.length ts) in
+  let cur = ref s and ct = ref ts.(s) and cs = ref ss.(s) in
+  while !node > 1 do
+    let o = w.(!node lxor 1) in
+    let ot = ts.(o) in
+    if ot < !ct || (ot = !ct && ss.(o) < !cs) then begin
+      cur := o;
+      ct := ot;
+      cs := ss.(o)
+    end;
+    node := !node lsr 1;
+    w.(!node) <- !cur
+  done
+
+(* Double the capacity (from none to one slot on the first push): the old
+   slots keep their indices, the new ones are free, and the tree is
+   rebuilt bottom up. Called only when no slot is free. *)
 let grow q =
   let cap = Array.length q.times in
-  if q.len = cap then begin
-    let d = q.dummy.(0) in
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nt = Array.make ncap 0 and ns = Array.make ncap 0 in
-    let nv = Array.make ncap d in
-    Array.blit q.times 0 nt 0 q.len;
-    Array.blit q.seqs 0 ns 0 q.len;
-    Array.blit q.vals 0 nv 0 q.len;
-    q.times <- nt;
-    q.seqs <- ns;
-    q.vals <- nv
-  end
+  let ncap = if cap = 0 then 1 else 2 * cap in
+  let nt = Array.make ncap max_int and ns = Array.make ncap max_int in
+  let nv = Array.make ncap q.dummy.(0) in
+  Array.blit q.times 0 nt 0 cap;
+  Array.blit q.seqs 0 ns 0 cap;
+  Array.blit q.vals 0 nv 0 cap;
+  let w = Array.make (2 * ncap) 0 in
+  for s = 0 to ncap - 1 do
+    w.(ncap + s) <- s
+  done;
+  for i = ncap - 1 downto 1 do
+    let l = w.(2 * i) and r = w.((2 * i) + 1) in
+    w.(i) <- (if nt.(r) < nt.(l) || (nt.(r) = nt.(l) && ns.(r) < ns.(l)) then r else l)
+  done;
+  (* The new slots, lowest on top; the entries below them are rewritten
+     as pops free slots. *)
+  q.free <- Array.init ncap (fun i -> ncap - 1 - i);
+  q.times <- nt;
+  q.seqs <- ns;
+  q.vals <- nv;
+  q.win <- w
 
 let push q ~time ~seq v =
   if time < 0 then invalid_arg "Pqueue.push: negative time";
   if Array.length q.dummy = 0 then q.dummy <- [| v |];
-  grow q;
-  let ts = q.times and ss = q.seqs and vs = q.vals in
-  (* Sift the hole up from the new leaf. *)
-  let i = ref q.len in
+  if q.len = Array.length q.times then grow q;
+  let s = q.free.(Array.length q.times - q.len - 1) in
   q.len <- q.len + 1;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if time < ts.(p) || (time = ts.(p) && seq < ss.(p)) then begin
-      ts.(!i) <- ts.(p);
-      ss.(!i) <- ss.(p);
-      vs.(!i) <- vs.(p);
-      i := p
-    end
-    else continue := false
-  done;
-  ts.(!i) <- time;
-  ss.(!i) <- seq;
-  vs.(!i) <- v
+  q.times.(s) <- time;
+  q.seqs.(s) <- seq;
+  q.vals.(s) <- v;
+  replay q s
 
-let[@inline] min_time q = if q.len = 0 then max_int else q.times.(0)
-
-(* Place (time, seq, v) by sifting a hole down from the root of the
-   first [n] slots; the root's old occupant must already be taken. *)
-let sift_down q n ~time ~seq v =
-  let ts = q.times and ss = q.seqs and vs = q.vals in
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 in
-    if l >= n then continue := false
-    else begin
-      let r = l + 1 in
-      let c =
-        if r < n && (ts.(r) < ts.(l) || (ts.(r) = ts.(l) && ss.(r) < ss.(l)))
-        then r
-        else l
-      in
-      if ts.(c) < time || (ts.(c) = time && ss.(c) < seq) then begin
-        ts.(!i) <- ts.(c);
-        ss.(!i) <- ss.(c);
-        vs.(!i) <- vs.(c);
-        i := c
-      end
-      else continue := false
-    end
-  done;
-  ts.(!i) <- time;
-  ss.(!i) <- seq;
-  vs.(!i) <- v
+let[@inline] min_time q = if q.len = 0 then max_int else q.times.(q.win.(1))
 
 let[@inline] drop_min q =
   if q.len = 0 then invalid_arg "Pqueue.drop_min: empty";
-  let top = q.vals.(0) in
-  let n = q.len - 1 in
-  q.len <- n;
-  (* The displaced last element sifts down as a hole from the root. *)
-  if n > 0 then sift_down q n ~time:q.times.(n) ~seq:q.seqs.(n) q.vals.(n);
-  (* Vacate the slot the displaced last element left: its only remaining
-     live copy is inside the heap proper. *)
-  q.vals.(n) <- q.dummy.(0);
+  let s = q.win.(1) in
+  let top = q.vals.(s) in
+  q.times.(s) <- max_int;
+  q.seqs.(s) <- max_int;
+  q.vals.(s) <- q.dummy.(0);
+  q.free.(Array.length q.times - q.len) <- s;
+  q.len <- q.len - 1;
+  replay q s;
   top
 
-(* A push followed by a pop would sift twice; when the new element is not
-   the minimum, taking the root and sifting the new element down from it
-   is the same exchange in one pass. The length does not change, so no
-   slot is vacated. *)
+(* A push followed by a pop would replay two paths; when the new element
+   is not the minimum, writing it into the minimum's slot and replaying
+   that one path is the same exchange. The length does not change. *)
 let[@inline] swap_min q ~time ~seq v =
   if q.len = 0 then invalid_arg "Pqueue.swap_min: empty";
   if time < 0 then invalid_arg "Pqueue.swap_min: negative time";
-  let top = q.vals.(0) in
-  sift_down q q.len ~time ~seq v;
+  let s = q.win.(1) in
+  let top = q.vals.(s) in
+  q.times.(s) <- time;
+  q.seqs.(s) <- seq;
+  q.vals.(s) <- v;
+  replay q s;
   top

@@ -5,12 +5,17 @@
     key a monotonically increasing sequence number that makes the schedule
     deterministic (FIFO among simultaneous events).
 
-    The representation is a structure-of-arrays binary min-heap: keys in
-    unboxed int arrays, so steady-state push/drop_min allocates nothing.
+    The representation is a tournament (winner) tree over payload slots:
+    keys in unboxed int arrays, a payload written once into its slot and
+    never moved, and for every tree node the slot of the smallest key
+    below it. {!swap_min} and {!drop_min} replay only the minimum's
+    leaf-to-root path, one key comparison per level; a free slot holds
+    the key [(max_int, max_int)], which every element beats. Only a
+    {!push} that finds no free slot allocates: it doubles the capacity.
 
     Popped slots are vacated: a queue retains (pins) at most one payload
     beyond its live [length] elements — a dummy captured from the first
-    push, used to clear abandoned array slots. *)
+    push, stored in every free slot. *)
 
 type 'a t
 
@@ -34,10 +39,10 @@ val drop_min : 'a t -> 'a
 
 val swap_min : 'a t -> time:int -> seq:int -> 'a -> 'a
 (** [swap_min q ~time ~seq v] removes the minimum element, returns its
-    payload and inserts [v] under [(time, seq)], in one sift down from the
-    root rather than a pop's and a push's two. Read the removed element's
-    time beforehand with {!min_time} if needed. [v] is inserted after the
-    minimum is taken, so the result is the old minimum even when [v]'s key
-    is smaller: to get a push-then-pop, call it only when [(time, seq)] is
-    not below the minimum's key.
+    payload and inserts [v] under [(time, seq)] into the minimum's slot,
+    in one path replay rather than a pop's and a push's two. Read the
+    removed element's time beforehand with {!min_time} if needed. [v] is
+    inserted after the minimum is taken, so the result is the old minimum
+    even when [v]'s key is smaller: to get a push-then-pop, call it only
+    when [(time, seq)] is not below the minimum's key.
     @raise Invalid_argument if the queue is empty or [time] is negative. *)

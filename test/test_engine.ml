@@ -69,15 +69,17 @@ let test_pqueue_negative_time_rejected () =
 
 (* Model battery: a random push/pop/swap sequence must pop the identical
    (time, seq, payload) sequence as a sorted-list reference model, with
-   [min_time] agreeing with every popped element, across four event-time
+   [min_time] agreeing with every popped element, across five event-time
    distributions: dense (many equal times), sparse (huge gaps), clustered
-   (every event at one time, so seq alone orders them) and a
-   near-monotone ramp (the scheduler's own shape). A swap takes the
-   minimum, then inserts its new element with the next seq, whatever
-   that element's key: the model pops, then pushes. *)
+   (every event at one time, so seq alone orders them), a near-monotone
+   ramp (the scheduler's own shape) and times at [max_int], a clock's
+   largest legal value, which is also the time of a free slot's
+   sentinel key: a queued element must still beat every free slot. A
+   swap takes the minimum, then inserts its new element with the next
+   seq, whatever that element's key: the model pops, then pushes. *)
 let pqueue_ops_gen =
   QCheck.Gen.(
-    int_range 0 3 >>= fun dist ->
+    int_range 0 4 >>= fun dist ->
     list_size (int_range 1 600)
       (frequency
          [
@@ -102,7 +104,8 @@ let pqueue_dist_time dist prev t =
   | 0 -> t mod 97 (* dense *)
   | 1 -> t * 1_000_003 (* sparse *)
   | 2 -> 42 (* clustered *)
-  | _ -> prev + (t mod 7) (* ramp *)
+  | 3 -> prev + (t mod 7) (* ramp *)
+  | _ -> if t mod 4 = 0 then t else max_int (* mostly at max_int *)
 
 let run_pqueue_ops (dist, ops) =
   let q = Pqueue.create () in
@@ -171,6 +174,23 @@ let prop_pqueue_matches_model =
     ~count:120
     (QCheck.make ~print:print_pqueue_ops pqueue_ops_gen)
     (fun ops -> run_pqueue_ops ops = run_pqueue_model ops)
+
+(* Capacity across a drain: fill the queue, drain it to empty (every
+   slot free again), refill it past twice the capacity the first fill
+   needed, so it grows while slots freed by the drain are in use, then
+   swap and drain; in every distribution the queue pops what the model
+   pops. *)
+let test_pqueue_drain_refill () =
+  let ops =
+    List.init 100 (fun i -> `Push ((i * 37) mod 1000))
+    @ List.init 100 (fun _ -> `Pop)
+    @ List.init 300 (fun i -> `Push ((i * 53) mod 1000))
+    @ List.init 150 (fun i -> `Swap ((i * 71) mod 1000))
+  in
+  for dist = 0 to 4 do
+    if run_pqueue_ops (dist, ops) <> run_pqueue_model (dist, ops) then
+      Alcotest.failf "dist %d: queue and model pop different sequences" dist
+  done
 
 (* Liveness regression for the vacated-slot fix: after swapping out half
    of the elements and popping every element, the queue may pin at most
@@ -419,6 +439,105 @@ let test_engine_exception_propagates () =
       failwith "boom");
   Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run e)
 
+(* An exception escapes [run] from a thread the handler switched to,
+   whether another thread's yield resumed it or another thread's return
+   started it. Either way the ambient slot is restored on the way out:
+   the ambient [elapse] raises [Effect.Unhandled] again, a fresh engine
+   runs normally, and when the failing engine ran inside another
+   engine's thread, that thread's next ambient [elapse] charges its own
+   engine again. *)
+let test_engine_exception_from_switch () =
+  (* Core 0 yields at cycle 1 to core 1's start, core 1 yields at 3 back
+     to core 0, and core 0's yield at 3 resumes core 1, which raises. *)
+  let resumed () =
+    let e = Engine.create ~n_cores:2 () in
+    Engine.spawn e ~core:0 (fun () ->
+        for _ = 1 to 10 do
+          Engine.elapse 1
+        done);
+    Engine.spawn e ~core:1 (fun () ->
+        Engine.elapse 3;
+        failwith "resumed");
+    Alcotest.check_raises "raised by a resumed thread" (Failure "resumed") (fun () ->
+        Engine.run e);
+    Alcotest.(check int) "two resumes, the second core 1's" 2 (Engine.scheduled_elapses e)
+  in
+  (* Core 0 finishes at cycle 1, and its return starts the thread queued
+     at cycle 10, which raises. *)
+  let started () =
+    let e = Engine.create ~n_cores:2 () in
+    Engine.spawn e ~core:0 (fun () -> Engine.elapse 1);
+    Engine.spawn_at e ~core:1 ~time:10 (fun () -> failwith "started");
+    Alcotest.check_raises "raised by a thread started from a return" (Failure "started")
+      (fun () -> Engine.run e);
+    Alcotest.(check int) "no yield before it" 0 (Engine.scheduled_elapses e)
+  in
+  List.iter
+    (fun (what, escape) ->
+      escape ();
+      Alcotest.(check bool)
+        (what ^ ": ambient elapse unhandled")
+        true
+        (match Engine.elapse 1 with () -> false | exception Effect.Unhandled _ -> true);
+      let e = Engine.create ~n_cores:2 () in
+      for core = 0 to 1 do
+        Engine.spawn e ~core (fun () ->
+            for _ = 1 to 3 do
+              Engine.elapse 2
+            done)
+      done;
+      Engine.run e;
+      Alcotest.(check (pair int int))
+        (what ^ ": a fresh engine runs")
+        (6, 6)
+        (Engine.core_time e 0, Engine.core_time e 1);
+      let outer = Engine.create ~n_cores:1 () in
+      Engine.spawn outer ~core:0 (fun () ->
+          escape ();
+          Engine.elapse 5);
+      Engine.run outer;
+      Alcotest.(check int) (what ^ ": the outer thread's elapse") 5 (Engine.core_time outer 0))
+    [ ("resumed", resumed); ("started", started) ]
+
+(* An engine run to completion inside another engine's thread: the inner
+   threads' ambient elapses charge the inner engine, and once the inner
+   run returns, the outer thread's elapses charge its own core again and
+   interleave with the outer engine's other thread on the right clock. *)
+let test_engine_nested_run () =
+  let outer = Engine.create ~n_cores:2 () in
+  let inner = Engine.create ~n_cores:2 () in
+  let log = ref [] in
+  let note who = log := (who, Engine.now outer) :: !log in
+  Engine.spawn outer ~core:0 (fun () ->
+      Engine.elapse 5;
+      note "x";
+      for core = 0 to 1 do
+        Engine.spawn inner ~core (fun () ->
+            for _ = 1 to 4 do
+              Engine.elapse (core + 1)
+            done)
+      done;
+      Engine.run inner;
+      note "x";
+      Engine.elapse 7;
+      note "x");
+  Engine.spawn outer ~core:1 (fun () ->
+      for _ = 1 to 3 do
+        Engine.elapse 4;
+        note "y"
+      done);
+  Engine.run outer;
+  Alcotest.(check (pair int int)) "inner clocks" (4, 8)
+    (Engine.core_time inner 0, Engine.core_time inner 1);
+  Alcotest.(check bool) "the inner run switched threads" true
+    (Engine.scheduled_elapses inner > 0);
+  Alcotest.(check (pair int int)) "outer clocks" (12, 12)
+    (Engine.core_time outer 0, Engine.core_time outer 1);
+  Alcotest.(check (list (pair string int)))
+    "outer interleaving"
+    [ ("y", 4); ("x", 5); ("x", 5); ("y", 8); ("x", 12); ("y", 12) ]
+    (List.rev !log)
+
 let test_engine_elapse_zero () =
   (* elapse 0 is a pure yield: time unchanged, scheduling still fair. *)
   let e = Engine.create ~n_cores:1 () in
@@ -629,8 +748,7 @@ let test_engine_scheduled_elapse_words () =
    elapses: a spawn from a running thread can land before that thread's
    next elapse, so its enqueue must lower the cached lookahead bound, or
    the next elapse would fuse past it. A quarter of the programs run
-   16-48 threads, so the queue holds enough tasks for a sift to cross
-   several heap levels. *)
+   16-48 threads, so the queue's tree is several levels deep. *)
 
 let run_program ~always_schedule (n_cores, threads) =
   let tracer = Trace.create ~filter:[ "resume"; "spawn"; "finish" ] () in
@@ -1046,6 +1164,8 @@ let () =
             test_pqueue_negative_time_rejected;
           Alcotest.test_case "vacated slots" `Quick test_pqueue_vacate_liveness;
           Alcotest.test_case "swap_min errors" `Quick test_pqueue_swap_min_errors;
+          Alcotest.test_case "drain, refill past twice, swap" `Quick
+            test_pqueue_drain_refill;
           q prop_pqueue_sorted;
           q prop_pqueue_matches_model;
         ] );
@@ -1071,6 +1191,9 @@ let () =
           Alcotest.test_case "atomic sections" `Quick test_engine_atomic_between_elapses;
           Alcotest.test_case "shared core" `Quick test_engine_threads_share_core;
           Alcotest.test_case "exception" `Quick test_engine_exception_propagates;
+          Alcotest.test_case "exception after a switch" `Quick
+            test_engine_exception_from_switch;
+          Alcotest.test_case "nested run" `Quick test_engine_nested_run;
           Alcotest.test_case "elapse zero" `Quick test_engine_elapse_zero;
           Alcotest.test_case "negative elapse" `Quick test_engine_negative_elapse_rejected;
           Alcotest.test_case "clock overflow" `Quick test_engine_elapse_overflow;
