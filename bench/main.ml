@@ -132,20 +132,23 @@ let fused_ratio t =
   if total = 0 then 0.0 else float_of_int fused /. float_of_int total
 
 (* One timed cold-cache regeneration at the given pool width: its
-   reports, host seconds, counter bank and GC words. *)
+   reports, host seconds, counter bank and GC words. Minor words come
+   from [Gc.minor_words ()], which is exact but counts the calling
+   domain only: that is the whole sequential pass, which runs inline.
+   [Gc.quick_stat]'s [minor_words] moves only at a minor collection, so
+   a small experiment would read in steps of the minor heap's size. *)
 let timed_run e ~jobs =
   Experiments.clear_cache ();
   Parallel.set_jobs jobs;
   Parallel.reset_counters ();
   let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let reports = e.Experiments.run ~quick:!quick ~seed:!seed in
   let dt = Unix.gettimeofday () -. t0 in
+  let m1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
-  ( reports,
-    dt,
-    Parallel.counters (),
-    (g1.Gc.minor_words -. g0.Gc.minor_words, g1.Gc.major_words -. g0.Gc.major_words) )
+  (reports, dt, Parallel.counters (), (m1 -. m0, g1.Gc.major_words -. g0.Gc.major_words))
 
 let part1 () =
   print_endline "=============================================================";

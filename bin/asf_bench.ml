@@ -28,7 +28,6 @@ module Xvalidate = Asf_harness.Xvalidate
 module Serve = Asf_serve.Serve
 module Txlin = Asf_txlin.Txlin
 module Params = Asf_machine.Params
-module Sharers = Asf_cache.Sharers
 
 (* ------------------------------------------------------------------ *)
 (* Shared mode parsing                                                  *)
@@ -679,17 +678,23 @@ let floats_at_least lo =
    0.0001, and a load near 0 never ends. *)
 let min_load = 0.001
 
+(* The largest machine the CLI accepts: 512 cores, twice the largest
+   preset ([Params.topo_256c8s]), over at most 16 sockets. The simulator
+   itself has no core or socket cap. *)
+let max_cores = 512
+let max_sockets = 16
+
 let threads_arg =
   Arg.(
     value
-    & opt (int_in 1 ~hi:Sharers.max_limited_cores) 8
+    & opt (int_in 1 ~hi:max_cores) 8
     & info [ "threads"; "t"; "cores" ] ~docv:"N"
         ~doc:"Worker threads (= simulated cores), 1 to 512.")
 
 let sockets_arg =
   Arg.(
     value
-    & opt (int_in 0 ~hi:Sharers.max_sockets) 0
+    & opt (int_in 0 ~hi:max_sockets) 0
     & info [ "sockets" ] ~docv:"N"
         ~doc:
           "Spread the simulated cores over $(docv) sockets (one shared L3 \

@@ -11,11 +11,14 @@ module Counters = Asf_engine.Counters
 let domain_coherence () =
   Array.sub (Counters.bank ()) Counters.invalidations (Counters.n - Counters.invalidations)
 
-(* Directory shard geometry: 512 lines per shard, the span of one
-   4096-word transactional-allocator chunk. Growth allocates two 4 KiB
-   shard arrays at a time (plus an occasional doubling of the small
-   outer pointer arrays), so the directory's host footprint follows
-   the lines a run touches rather than the address range around them. *)
+(* Directory shard geometry. A line takes [1 lsl stride_bits] ints: its
+   dirty owner, then its {!Sharers} words, so the owner and the sharers
+   share a host cache line. Every shard holds 512 ints, 256 lines at up
+   to 62 cores and 64 at 256. Shards are allocated as lines are first
+   touched, so the directory's host footprint follows the lines a run
+   touches rather than the address range around them. A 512-line shard
+   would take 32 KiB at 256 cores, where the touched lines are sparse
+   (DESIGN.md, "Directory representations"). *)
 let shard_bits = 9
 let shard_size = 1 lsl shard_bits
 let shard_mask = shard_size - 1
@@ -27,13 +30,14 @@ type t = {
   l2 : Cache.t array;
   (* One L3 per socket. *)
   l3 : Cache.t array;
-  (* Coherence directory, indexed by line number, sharded by line-index
-     stripe: shard [line lsr shard_bits], slot [line land shard_mask].
-     Each slot holds a packed {!Sharers.t} word (cores holding a copy)
-     and the core owning an exclusive dirty copy ([-1] = none). A
-     zero-length inner array marks an unallocated shard. *)
-  mutable dir_owners : Sharers.t array array;
-  mutable dir_dirty : int array array;
+  (* Coherence directory: line [line] sits at index
+     [i = line lsl stride_bits], in shard [i lsr shard_bits] at slot
+     [i land shard_mask]. The slot holds the core owning an exclusive
+     dirty copy, [-1] if none, or [-2] for a line no access has
+     touched yet; the next {!Sharers.words} slots hold the cores
+     holding a copy. A zero-length shard is unallocated. *)
+  mutable dir : int array array;
+  stride_bits : int;
   sharers : Sharers.ctx;
   evict_hooks : (int -> unit) array;
   l1s : level_stats array;
@@ -47,14 +51,12 @@ type t = {
   mutable forwards : int;
   mutable invalidations : int;
   mutable cross_socket_probes : int;
-  (* Remote cores actually probed by write-invalidations. Under the
-     limited backend in coarse mode this exceeds the true sharer count
-     (spurious probes hit cores that hold nothing — a no-op); it is
-     surfaced for the scale experiment, never in cmp-gated output. *)
+  (* Remote cores probed by write-invalidations: the recorded sharers
+     other than the writer, one per visit. *)
   mutable probes : int;
-  (* Directory lines whose sharer word ever became non-empty. Writes
-     collapse the word to a singleton, never to empty, so this is
-     monotone: occupancy doubles as its own high-water mark. *)
+  (* Directory lines some access has touched. A touched line never
+     turns untouched again, so this is monotone: occupancy doubles as
+     its own high-water mark. *)
   mutable dir_occ : int;
   (* Preallocated invalidation callback: [iter_others] calls it for each
      recorded sharer so the probe loop allocates no closure per event.
@@ -72,17 +74,12 @@ let drop_from_core t ~core line =
   if Cache.invalidate t.l1.(core) line then t.evict_hooks.(core) line;
   ignore (Cache.invalidate t.l2.(core) line)
 
-let create ?sharers (params : Params.t) ~n_cores =
-  let kind =
-    match sharers with
-    | Some k -> k
-    | None ->
-        if n_cores <= Sharers.max_bitmask_cores then Sharers.Bitmask
-        else Sharers.Limited
-  in
-  let sharers =
-    Sharers.make_ctx ~kind ~n_cores ~n_sockets:params.n_sockets
-  in
+let create (params : Params.t) ~n_cores =
+  let sharers = Sharers.make_ctx ~n_cores ~n_sockets:params.n_sockets in
+  let stride_bits = ref 1 in
+  while 1 lsl !stride_bits < Sharers.words sharers + 1 do
+    incr stride_bits
+  done;
   let mk_l1 () =
     Cache.create_bytes ~size_bytes:params.l1_bytes ~assoc:params.l1_assoc
       ~line_bytes:params.line_bytes
@@ -101,8 +98,8 @@ let create ?sharers (params : Params.t) ~n_cores =
         Array.init params.n_sockets (fun _ ->
             Cache.create_bytes ~size_bytes:params.l3_bytes
               ~assoc:params.l3_assoc ~line_bytes:params.line_bytes);
-      dir_owners = Array.make 8 [||];
-      dir_dirty = Array.make 8 [||];
+      dir = Array.make 8 [||];
+      stride_bits = !stride_bits;
       sharers;
       evict_hooks = Array.make n_cores (fun _ -> ());
       l1s = Array.init n_cores (fun _ -> fresh_stats ());
@@ -127,27 +124,32 @@ let create ?sharers (params : Params.t) ~n_cores =
 
 let set_evict_hook t ~core f = t.evict_hooks.(core) <- f
 
-(* Make the shard covering [line] exist (fresh slots: no owners, clean).
-   The outer pointer arrays grow by doubling; that copy moves a few
-   thousand words at most, the shards themselves are never copied. *)
-let[@inline] ensure_dir t line =
-  let si = line lsr shard_bits in
-  (if si >= Array.length t.dir_owners then begin
-     let n = Array.length t.dir_owners in
-     let n' = ref n in
-     while si >= !n' do
-       n' := !n' * 2
-     done;
-     let owners = Array.make !n' [||] and dirty = Array.make !n' [||] in
-     Array.blit t.dir_owners 0 owners 0 n;
-     Array.blit t.dir_dirty 0 dirty 0 n;
-     t.dir_owners <- owners;
-     t.dir_dirty <- dirty
-   end);
-  if Array.length (Array.unsafe_get t.dir_owners si) = 0 then begin
-    t.dir_owners.(si) <- Array.make shard_size Sharers.empty;
-    t.dir_dirty.(si) <- Array.make shard_size (-1)
+(* Allocate shard [si], every line untouched. The outer pointer
+   array grows by doubling; that copy moves a few thousand words at
+   most, the shards themselves are never copied. *)
+let new_shard t si =
+  if si >= Array.length t.dir then begin
+    let n = ref (Array.length t.dir) in
+    while si >= !n do
+      n := !n * 2
+    done;
+    let dir = Array.make !n [||] in
+    Array.blit t.dir 0 dir 0 (Array.length t.dir);
+    t.dir <- dir
+  end;
+  let stride_mask = (1 lsl t.stride_bits) - 1 in
+  let sh = Array.init shard_size (fun i -> if i land stride_mask = 0 then -2 else 0) in
+  t.dir.(si) <- sh;
+  sh
+
+(* The shard holding directory index [i]. *)
+let[@inline] shard t i =
+  let si = i lsr shard_bits in
+  if si < Array.length t.dir then begin
+    let sh = Array.unsafe_get t.dir si in
+    if Array.length sh > 0 then sh else new_shard t si
   end
+  else new_shard t si
 
 let line_in_l1 t ~core ~line = Cache.mem t.l1.(core) line
 
@@ -158,13 +160,11 @@ let[@inline] bump_occupancy t =
 
 let[@inline] access t ~core ~line ~write =
   let p = t.params in
-  ensure_dir t line;
-  let si = line lsr shard_bits in
-  let idx = line land shard_mask in
-  let sh_owners = Array.unsafe_get t.dir_owners si in
-  let sh_dirty = Array.unsafe_get t.dir_dirty si in
-  let owners0 = Array.unsafe_get sh_owners idx in
-  let dirty0 = Array.unsafe_get sh_dirty idx in
+  let i = line lsl t.stride_bits in
+  let sh = shard t i in
+  let slot = i land shard_mask in
+  let ws = slot + 1 in
+  let dirty0 = Array.unsafe_get sh slot in
   (* Latency from the nearest level that holds the line. A miss that must
      be served by a remote dirty copy costs a cache-to-cache forward at
      L3-like latency plus the probe. Each level is scanned once: the way
@@ -178,7 +178,7 @@ let[@inline] access t ~core ~line ~write =
   let i2 = Cache.find_way_idx l2 line in
   let i3 = Cache.find_way_idx l3 line in
   let in_l1 = i1 >= 0 and in_l2 = i2 >= 0 and in_l3 = i3 >= 0 in
-  let remote_dirty = dirty0 <> -1 && dirty0 <> core in
+  let remote_dirty = dirty0 >= 0 && dirty0 <> core in
   let base_latency =
     if in_l1 then begin
       t.l1s.(core).hits <- t.l1s.(core).hits + 1;
@@ -210,25 +210,24 @@ let[@inline] access t ~core ~line ~write =
   in
   let extra = ref 0 in
   if write then begin
-    (* Socket-granular snoop filtering: only recorded sharers (or, in
-       coarse mode, cores of flagged sockets) are probed — never a
-       [0 .. n_cores-1] scan. *)
-    if Sharers.others ctx owners0 ~except:core || remote_dirty then begin
+    (* Only the recorded sharers are probed, never a [0 .. n_cores-1]
+       scan. *)
+    if Sharers.others ctx sh ws ~except:core || remote_dirty then begin
       extra := !extra + p.coherence_probe_latency;
       t.invalidations <- t.invalidations + 1;
       Counters.add t.bank Counters.invalidations 1;
-      let crossed = Sharers.crossed ctx owners0 ~socket ~except:core in
+      let crossed = Sharers.crossed ctx sh ws ~socket in
       t.drop_line <- line;
-      Sharers.iter_others ctx owners0 ~except:core t.drop_fn;
+      Sharers.iter_others ctx sh ws ~except:core t.drop_fn;
       if crossed then begin
         t.cross_socket_probes <- t.cross_socket_probes + 1;
         Counters.add t.bank Counters.cross_socket_probes 1;
         extra := !extra + p.cross_socket_latency
       end
     end;
-    if Sharers.is_empty owners0 then bump_occupancy t;
-    Array.unsafe_set sh_owners idx (Sharers.singleton ctx core);
-    Array.unsafe_set sh_dirty idx core
+    if dirty0 = -2 then bump_occupancy t;
+    Sharers.set_singleton ctx sh ws core;
+    Array.unsafe_set sh slot core
   end
   else begin
     if remote_dirty then begin
@@ -239,11 +238,14 @@ let[@inline] access t ~core ~line ~write =
         Counters.add t.bank Counters.cross_socket_probes 1;
         extra := !extra + p.cross_socket_latency
       end;
-      Array.unsafe_set sh_dirty idx (-1)
+      Array.unsafe_set sh slot (-1)
       (* downgrade to shared; memory is already current *)
+    end
+    else if dirty0 = -2 then begin
+      bump_occupancy t;
+      Array.unsafe_set sh slot (-1)
     end;
-    if Sharers.is_empty owners0 then bump_occupancy t;
-    Array.unsafe_set sh_owners idx (Sharers.add ctx owners0 core)
+    Sharers.add ctx sh ws core
   end;
   (* Fill this core's caches and the shared L3. *)
   (let victim = Cache.touch_evict_at l1 line i1 in
@@ -267,5 +269,3 @@ let cross_socket_probes t = t.cross_socket_probes
 let probes t = t.probes
 
 let dir_high_water t = t.dir_occ
-
-let backend t = Sharers.kind t.sharers

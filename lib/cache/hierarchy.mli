@@ -6,7 +6,10 @@
     hierarchy tracks presence and computes the load-to-use latency of each
     access, including coherence costs: a miss that hits a remote dirty copy
     pays a cache-to-cache forward, a write that finds remote copies pays an
-    invalidation probe and removes the line from the remote L1/L2.
+    invalidation probe and removes the line from the remote L1/L2. The
+    directory keeps each line's dirty owner and its exact set of sharers
+    ({!Sharers}), so a write probes only the cores recorded as holding a
+    copy, at any core count.
 
     L1 evictions and invalidations are reported through a per-core hook —
     the mechanism the hybrid ASF variants use to detect displacement of
@@ -14,15 +17,7 @@
 
 type t
 
-val create : ?sharers:Sharers.kind -> Asf_machine.Params.t -> n_cores:int -> t
-(** The directory's sharer-set backend defaults to {!Sharers.Bitmask}
-    for topologies of at most 62 cores and {!Sharers.Limited} (4
-    exact pointers overflowing to per-socket presence bits) beyond —
-    the old one-bit-per-core representation silently overflowed the
-    tagged int at core 63. The [?sharers] argument forces a backend;
-    forcing [Bitmask] above 62 cores raises [Invalid_argument]. Both
-    backends produce byte-identical runs on every topology the bitmask
-    supports. *)
+val create : Asf_machine.Params.t -> n_cores:int -> t
 
 val set_evict_hook : t -> core:int -> (int -> unit) -> unit
 (** [set_evict_hook t ~core f]: [f line] is called whenever [line] leaves
@@ -56,17 +51,13 @@ val cross_socket_probes : t -> int
     configurations only). *)
 
 val probes : t -> int
-(** Remote cores probed by write-invalidations. Exceeds the true sharer
-    population when the limited backend has degraded a line to a coarse
-    socket vector (spurious probes are semantic no-ops); surfaced for
-    the scale experiment, never part of byte-compared output. *)
+(** Remote cores probed by write-invalidations: for each invalidation,
+    the recorded sharers other than the writer. *)
 
 val dir_high_water : t -> int
 (** Directory occupancy high-water: lines whose sharer set ever became
     non-empty (occupancy is monotone, so this equals current
     occupancy). *)
-
-val backend : t -> Sharers.kind
 
 val domain_coherence : unit -> int array
 (** The calling domain's coherence slots of {!Asf_engine.Counters}, in

@@ -1,94 +1,50 @@
-(** Packed per-line sharer sets for the coherence directory.
+(** Exact per-line sharer sets for the coherence directory.
 
-    A sharer set is a single immutable OCaml int; the layout is chosen
-    per hierarchy by the {!ctx}:
+    A sharer set is a run of {!words} ints inside one of the
+    directory's shard arrays, read and written in place: core [c] is
+    bit [c mod 62] of word [c / 62] (62 bits keep every [1 lsl b] a
+    positive tagged int). A line holds one word at up to 62 cores and
+    five at 256. Every operation takes the array and the offset [off]
+    of the line's first word, and touches no slot outside
+    [off .. off + words - 1].
 
-    - {!Bitmask} — one presence bit per core. Exact at every size it
-      supports, but capped at 62 cores by the tagged-int width. This is
-      the fast path for paper-scale topologies and the reference model
-      for the QCheck equivalence battery.
-    - {!Limited} — limited-pointer directory with coarse-vector
-      overflow (Dir_k-CV): up to 4 exact core pointers, and once a
-      fifth distinct sharer appears the word degrades to a per-socket
-      presence mask. Supports up to 512 cores / 16 sockets. Coarse
-      words over-approximate the sharer set — probes may visit cores
-      that hold nothing, which is a semantic no-op (invalidating an
-      absent line does not touch cache state) — while the cross-socket
-      verdict stays exact because socket bits record precisely the
-      true sharers' sockets.
-
-    All iteration orders are ascending core number in every mode, so a
-    hierarchy built on either backend drops remote copies in the same
-    order. *)
-
-type kind = Bitmask | Limited
+    The set is exact at every core count: it holds precisely the cores
+    recorded as sharers, so a write probe visits only those, in
+    ascending core order. *)
 
 type ctx
-(** Topology-bound interpretation context for sharer words. *)
+(** The topology a set is read under: its word count and socket map. *)
 
-type t = int
-(** A sharer set, packed into one immutable int so the directory can
-    store it in flat [int array] shards. Treat it as abstract: the
-    layout is only meaningful through the [ctx] it was built under. *)
+val make_ctx : n_cores:int -> n_sockets:int -> ctx
+(** Raises [Invalid_argument] when either count is below 1. *)
 
-val max_bitmask_cores : int
-(** 62: the widest topology the bitmask backend can represent. *)
-
-val max_limited_cores : int
-(** 512: the widest topology the limited backend can represent. *)
-
-val max_sockets : int
-(** 16: the most sockets the limited backend's coarse vector holds. *)
-
-val make_ctx : kind:kind -> n_cores:int -> n_sockets:int -> ctx
-(** Raises [Invalid_argument] when the backend cannot represent the
-    topology: [Bitmask] with more than {!max_bitmask_cores} cores,
-    [Limited] with more than {!max_limited_cores} cores or
-    {!max_sockets} sockets. *)
-
-val kind : ctx -> kind
+val words : ctx -> int
+(** [ceil (n_cores / 62)]: the ints one set takes. *)
 
 val socket : ctx -> int -> int
 (** [socket ctx core] is the socket that holds [core]:
     [core * n_sockets / n_cores], read from a table built once, so the
     sockets are contiguous ascending core ranges. *)
 
-val empty : t
+val add : ctx -> int array -> int -> int -> unit
+(** [add ctx a off core] records [core] as a sharer. Idempotent. *)
 
-val is_empty : t -> bool
+val set_singleton : ctx -> int array -> int -> int -> unit
+(** [set_singleton ctx a off core] makes [core] the only sharer. *)
 
-val singleton : ctx -> int -> t
+val others : ctx -> int array -> int -> except:int -> bool
+(** [others ctx a off ~except]: does some core other than [except]
+    share the line? *)
 
-val add : ctx -> t -> int -> t
-(** [add ctx s core] records [core] as a sharer. Idempotent. *)
+val crossed : ctx -> int array -> int -> socket:int -> bool
+(** [crossed ctx a off ~socket]: does some sharer live outside
+    [socket]? A core lies in its own socket, so a writer asking about
+    its socket never counts itself. *)
 
-val mem : ctx -> t -> int -> bool
-(** Membership in the probe set. Exact except for coarse words, where
-    any core of a flagged socket is reported present. *)
-
-val others : ctx -> t -> except:int -> bool
-(** [others ctx s ~except]: does some core other than [except] share
-    the line? Exact in every mode (coarse words always hold at least
-    5 distinct true sharers). *)
-
-val crossed : ctx -> t -> socket:int -> except:int -> bool
-(** [crossed ctx s ~socket ~except]: does some sharer other than
-    [except] live outside [socket]? Exact in every mode. *)
-
-val iter_others : ctx -> t -> except:int -> (int -> unit) -> unit
-(** Visit the probe set minus [except] in ascending core order.
-    Coarse words visit every core of each flagged socket. *)
+val iter_others : ctx -> int array -> int -> except:int -> (int -> unit) -> unit
+(** Visit the sharers other than [except] in ascending core order. The
+    words are read as [f] is called: [f] must not change this set. *)
 
 val lowest_bit : int -> int
-(** Index of the lowest set bit of a non-zero int, read from the same
-    byte table the bitmask backend iterates with. Allocation-free. *)
-
-val exact : ctx -> t -> bool
-(** [true] unless the word has degraded to a coarse vector. *)
-
-val coarse : ctx -> t -> bool
-
-val to_list : ctx -> t -> int list
-(** The probe set, ascending (tests / diagnostics). *)
-
-val cardinal : ctx -> t -> int
+(** Index of the lowest set bit of a non-zero int, read from a byte
+    table. Allocation-free. *)

@@ -869,11 +869,9 @@ let serve_exp ~quick ~seed =
 (* ------------------------------------------------------------------ *)
 
 (* Fig. 4/Fig. 5 slices plus one serve workload on the 64c4s preset —
-   8x the paper's core count, spread over four sockets. Above 62 cores
-   the directory runs on the limited-pointer/coarse-vector sharer
-   backend, so these rows also exercise the representation the bitmask
-   cannot reach. Each row reports its own coherence traffic, read from
-   its cell's counter window. *)
+   8x the paper's core count, spread over four sockets, where every
+   directory sharer set takes two words. Each row reports its own
+   coherence traffic, read from its cell's counter window. *)
 let scale ~quick ~seed =
   let topo = Params.topo_64c4s in
   let threads = topo.Params.topo_cores in
@@ -941,8 +939,7 @@ let scale ~quick ~seed =
     Report.make ~id:"scale"
       ~title:
         (Printf.sprintf
-           "Extension: %d cores / %d sockets (limited-pointer directory) — \
-            fig4/fig5 slices + serving"
+           "Extension: %d cores / %d sockets — fig4/fig5 slices + serving"
            threads topo.Params.topo_params.Params.n_sockets)
       ~notes:
         [

@@ -77,8 +77,7 @@ val topo_64c4s : topology
     topology. *)
 
 val topo_256c8s : topology
-(** 256 cores over 8 sockets — forces the limited-pointer sharer
-    backend (the bitmask caps at 62 cores). *)
+(** 256 cores over 8 sockets: five words per directory sharer set. *)
 
 val cycles_to_us : t -> int -> float
 (** Convert a cycle count to microseconds at the profile's frequency. *)

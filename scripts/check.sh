@@ -57,7 +57,7 @@ dune build @perf-smoke
 
 # The build profile may change host time only. Build asf_bench under the
 # dev profile too and diff a figure, a checked serve run, a checked
-# 256-core run (eight sockets, the limited directory, a deep scheduler
+# 256-core run (eight sockets, five-word sharer sets, a deep scheduler
 # queue), a TinySTM run and a one-core run (every elapse fused) against
 # the default build, dropping the "[... host time]" line.
 dune build --profile dev --build-dir _build_dev ./bin/asf_bench.exe

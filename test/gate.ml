@@ -36,7 +36,9 @@ let table =
      ASF on both LLB-8 and LLB-256), each under --check, plus two ASF
      runs where the per-core conflict signatures do the most work: 256
      cores on 8 sockets (255 remote regions per probe) and the LLB-256 +
-     L1 hybrid, whose read set is tracked outside the LLB. A violated
+     L1 hybrid, whose read set is tracked outside the LLB. A 63-core run
+     on 3 sockets puts core 62 alone in the second word of every
+     directory sharer set and of every signature column. A violated
      guarantee exits 1. The twins that follow are the flag equivalences
      of the determinism contract (DESIGN.md): tracing, --check and
      --faults none only append to the plain run's output, and --jobs 2
@@ -49,6 +51,7 @@ let table =
       "intset -s rb-tree -r 256 -u 20 -t 4 --txns 200 -m stm --check";
       "intset -s rb-tree -r 256 -u 20 -t 4 --txns 200 -m phased --check";
       "intset -s rb-tree -r 8192 -u 20 -t 256 --sockets 8 --txns 4 -m llb256 --check";
+      "intset -s rb-tree -r 1024 -u 20 -t 63 --sockets 3 --txns 20 -m llb256 --check";
       "intset -s rb-tree -r 1024 -u 20 -t 8 --txns 500 -m llb256-l1 --check";
       "stamp -a kmeans-low -m llb8 -t 4 --scale 0.2 --check";
       "stamp -a kmeans-low -m llb256 -t 4 --scale 0.2 --check";
@@ -152,9 +155,8 @@ let table =
       ]
   (* scale-smoke: a 64-core / 4-socket fig4 slice (kmeans-low, LLB-256)
      and a 64-core serve underload run, each twice: the determinism
-     contract at a core count where the directory runs on the
-     limited-pointer / coarse-vector sharer backend, which 64 cores
-     select automatically. *)
+     contract at a core count where every directory sharer set and
+     signature column takes two words. *)
   @ [
       twice "scale-smoke" "stamp -a kmeans-low -m llb256 -t 64 --sockets 4 --scale 0.1";
       twice "scale-smoke"

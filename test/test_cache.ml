@@ -458,14 +458,13 @@ let test_hierarchy_evict_hook () =
   Alcotest.(check (list int)) "LRU line 0 displaced" [ 0 ] !evicted
 
 (* Reference coherence model: the directory as a hashtable of
-   per-line entries (the representation the flat [dir_owners] /
-   [dir_dirty] arrays replaced), over the same cache geometry. Latency,
-   invalidation and cross-socket accounting and the evict-hook trail
-   must be indistinguishable from [Hierarchy.access]. *)
+   per-line entries (the representation the sharded directory array
+   replaced), over the same cache geometry. Latency, invalidation,
+   probe and cross-socket accounting and the evict-hook trail must be
+   indistinguishable from [Hierarchy.access]. *)
 module Ref_hier = struct
   (* Sharers as a plain core list (no packing), so the reference model
-     is valid at any core count — including the 64-core topologies the
-     production bitmask cannot represent. *)
+     is valid at any core count. *)
   type entry = { mutable owners : int list; mutable dirty : int }
 
   type t = {
@@ -479,6 +478,9 @@ module Ref_hier = struct
     mutable forwards : int;
     mutable invalidations : int;
     mutable cross_socket_probes : int;
+    (* Recorded sharers other than the writer, visited per
+       invalidation. *)
+    mutable probes : int;
   }
 
   let create (p : Params.t) ~n_cores =
@@ -496,6 +498,7 @@ module Ref_hier = struct
       forwards = 0;
       invalidations = 0;
       cross_socket_probes = 0;
+      probes = 0;
     }
 
   let entry t line =
@@ -533,6 +536,7 @@ module Ref_hier = struct
         let crossed = ref false in
         List.iter
           (fun c ->
+            t.probes <- t.probes + 1;
             if socket_of t c <> socket then crossed := true;
             if Cache.invalidate t.l1.(c) line then t.evict_hooks.(c) line;
             ignore (Cache.invalidate t.l2.(c) line))
@@ -592,109 +596,23 @@ let prop_hierarchy_vs_hashtbl_directory =
       && !h_evicts = !r_evicts
       && Hierarchy.forwards h = r.Ref_hier.forwards
       && Hierarchy.invalidations h = r.Ref_hier.invalidations
-      && Hierarchy.cross_socket_probes h = r.Ref_hier.cross_socket_probes)
+      && Hierarchy.cross_socket_probes h = r.Ref_hier.cross_socket_probes
+      && Hierarchy.probes h = r.Ref_hier.probes)
 
-(* ------------------------------------------------------------------ *)
-(* Sharer-set representations                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Topologies the battery sweeps: paper scale (bitmask + limited agree
-   exactly) and big topologies only the limited backend can hold. *)
-let sharers_topologies = [ (8, 1); (8, 2); (64, 4); (256, 8) ]
-
-let prop_sharers_vs_reference =
-  QCheck.Test.make
-    ~name:"limited-pointer/coarse-vector sharer sets match reference set"
-    ~count:150
-    QCheck.(pair (int_range 0 3) (list (int_range 0 10_000)))
-    (fun (ti, adds) ->
-      let n_cores, n_sockets = List.nth sharers_topologies ti in
-      let adds = List.map (fun a -> a mod n_cores) adds in
-      let sock c = c * n_sockets / n_cores in
-      let lim = Sharers.make_ctx ~kind:Sharers.Limited ~n_cores ~n_sockets in
-      let bm =
-        if n_cores <= Sharers.max_bitmask_cores then
-          Some (Sharers.make_ctx ~kind:Sharers.Bitmask ~n_cores ~n_sockets)
-        else None
-      in
-      let all_cores = List.init n_cores Fun.id in
-      let check_state s_lim s_bm ref_set last_added =
-        let truth = List.sort_uniq compare ref_set in
-        let probe = Sharers.to_list lim s_lim in
-        let repr_ok =
-          if Sharers.exact lim s_lim then probe = truth
-          else begin
-            (* Coarse probe set: every core of every socket holding a
-               true sharer — a superset of the truth, nothing else. *)
-            let socks = List.sort_uniq compare (List.map sock truth) in
-            probe = List.filter (fun c -> List.mem (sock c) socks) all_cores
-          end
-        in
-        (* Coarse mode only engages past the pointer capacity. *)
-        let overflow_ok =
-          Sharers.exact lim s_lim || List.length truth > 4
-        in
-        let bm_ok =
-          match s_bm with
-          | None -> true
-          | Some s -> Sharers.to_list (Option.get bm) s = truth
-        in
-        (* others / crossed must answer exactly per the true sharer set,
-           coarse or not, for a sample of querying cores. *)
-        let sample =
-          List.sort_uniq compare [ 0; last_added; n_cores - 1 ]
-        in
-        let queries_ok =
-          List.for_all
-            (fun core ->
-              let t_others = List.exists (fun c -> c <> core) truth in
-              let t_crossed =
-                List.exists (fun c -> c <> core && sock c <> sock core) truth
-              in
-              Sharers.others lim s_lim ~except:core = t_others
-              && Sharers.crossed lim s_lim ~socket:(sock core) ~except:core
-                 = t_crossed
-              &&
-              match s_bm with
-              | None -> true
-              | Some s ->
-                  let ctx = Option.get bm in
-                  Sharers.others ctx s ~except:core = t_others
-                  && Sharers.crossed ctx s ~socket:(sock core) ~except:core
-                     = t_crossed)
-            sample
-        in
-        repr_ok && overflow_ok && bm_ok && queries_ok
-      in
-      let rec go s_lim s_bm ref_set = function
-        | [] -> true
-        | c :: rest ->
-            let s_lim = Sharers.add lim s_lim c in
-            let s_bm = Option.map (fun s -> Sharers.add (Option.get bm) s c) s_bm in
-            let ref_set = c :: ref_set in
-            check_state s_lim s_bm ref_set c && go s_lim s_bm ref_set rest
-      in
-      let s_bm0 = Option.map (fun _ -> Sharers.empty) bm in
-      Sharers.is_empty Sharers.empty
-      && (adds = []
-          || Sharers.singleton lim (List.hd adds)
-             = Sharers.add lim Sharers.empty (List.hd adds))
-      && go Sharers.empty s_bm0 [] adds)
-
-(* The same reference-model comparison as above, at 8, 64 and 256 cores
-   (2, 4 and 8 sockets). The latter two run on the auto-selected limited
-   backend, at topologies the old one-int-bitmask directory could not
-   represent ([1 lsl 63] overflows): the coarse vector's spurious probes
-   only hit cores that hold nothing, so latencies, evictions and every
-   counter still match the exact-set reference. Lines fall on both sides
-   of 512-line directory shard boundaries, and in two far shards (258
-   and 20481) that grow the outer shard table and that a shard index cut
-   to 256 to 4096 slots would alias with shards 2 and 1. The caches
+(* The same reference-model comparison as above, at 8, 63, 64 and 256
+   cores (2, 3, 4 and 8 sockets): sharer sets of one, two, two and five
+   words, with core 62 alone in the second word at 63 cores. Latencies,
+   evictions and every counter, probes included, must match the
+   reference. Directory shards hold 256, 128, 128 and 64 lines there.
+   Lines fall on both sides of shard boundaries, and in two far blocks
+   (lines from 258 * 512 and 20481 * 512 on) that grow the outer shard
+   table and that a shard index cut to 256 to 4096 slots would alias
+   with the blocks of lines 1024 and 512. The caches
    shrink to 4, 16 and 64 KiB, so a 256-core pair stays cheap to build
    and evictions are common. Directory occupancy must equal the
    reference's line count: two lines aliasing one slot would show
    there. *)
-let reference_topologies = [| (8, 2); (64, 4); (256, 8) |]
+let reference_topologies = [| (8, 2); (63, 3); (64, 4); (256, 8) |]
 
 let shard_line sel =
   let offsets = [| 0; 1; 2; 255; 256; 509; 510; 511 |] in
@@ -704,11 +622,9 @@ let shard_line sel =
 
 let prop_hierarchy64_vs_reference =
   QCheck.Test.make
-    ~name:
-      "64-core hierarchy (limited directory) matches reference, as do 8 and \
-       256 cores"
-    ~count:180
-    QCheck.(pair (int_range 0 2) (list (triple (int_range 0 255) (int_range 0 63) bool)))
+    ~name:"matches reference across topologies"
+    ~count:240
+    QCheck.(pair (int_range 0 3) (list (triple (int_range 0 255) (int_range 0 63) bool)))
     (fun (ti, ops) ->
       let n_cores, sockets = reference_topologies.(ti) in
       let p =
@@ -736,18 +652,16 @@ let prop_hierarchy64_vs_reference =
             = Ref_hier.access r ~core ~line ~write)
           ops
       in
-      Hierarchy.backend h
-      = (if n_cores > Sharers.max_bitmask_cores then Sharers.Limited
-         else Sharers.Bitmask)
-      && agree
+      agree
       && !h_evicts = !r_evicts
       && Hierarchy.forwards h = r.Ref_hier.forwards
       && Hierarchy.invalidations h = r.Ref_hier.invalidations
       && Hierarchy.cross_socket_probes h = r.Ref_hier.cross_socket_probes
+      && Hierarchy.probes h = r.Ref_hier.probes
       && Hierarchy.dir_high_water h = Hashtbl.length r.Ref_hier.dir)
 
-(* Directory shards hold 512 lines, so lines 511 and 512, and 1023 and
-   1024, sit in different shards. Each keeps its own dirty owner and
+(* At 8 cores directory shards hold 256 lines, so lines 511 and 512, and
+   1023 and 1024, sit in different shards. Each keeps its own dirty owner and
    sharer set: a write or a downgrade on one side of a boundary leaves
    the other side as it was. *)
 let test_hierarchy_shard_boundary () =
@@ -787,63 +701,11 @@ let test_hierarchy_shard_boundary () =
     (Hierarchy.line_in_l1 h ~core:4 ~line:1023);
   Alcotest.(check int) "four directory lines" 4 (Hierarchy.dir_high_water h)
 
-(* Whole-hierarchy backend equivalence on fig4-shaped traffic: mostly
-   per-core private working sets, plus widely-shared read-hot lines
-   (these overflow the 4 pointers and go coarse) and a few contended
-   RMW lines — the access mix STAMP produces. Latency streams, eviction
-   traces, stats and directory occupancy must be identical under both
-   backends; only the probe census may differ (coarse sends spurious
-   probes at cores that hold nothing). *)
-let prop_backends_equivalent_on_fig4_traffic =
-  QCheck.Test.make
-    ~name:"bitmask vs limited backends equivalent on fig4-shaped traffic"
-    ~count:40 QCheck.small_nat
-    (fun seed ->
-      let p = Params.dual_socket in
-      let n_cores = 8 in
-      let hb = Hierarchy.create ~sharers:Sharers.Bitmask p ~n_cores in
-      let hl = Hierarchy.create ~sharers:Sharers.Limited p ~n_cores in
-      let eb = ref [] and el = ref [] in
-      for core = 0 to n_cores - 1 do
-        Hierarchy.set_evict_hook hb ~core (fun l -> eb := (core, l) :: !eb);
-        Hierarchy.set_evict_hook hl ~core (fun l -> el := (core, l) :: !el)
-      done;
-      let st = ref (seed + 1) in
-      let rand m =
-        st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
-        !st mod m
-      in
-      let ok = ref true in
-      for _ = 1 to 1500 do
-        let core = rand n_cores in
-        let r = rand 10 in
-        let line, write =
-          if r < 6 then ((1000 * core) + rand 48, rand 4 = 0)
-          else if r < 8 then (500 + rand 8, false)
-          else (600 + rand 4, true)
-        in
-        if
-          Hierarchy.access hb ~core ~line ~write
-          <> Hierarchy.access hl ~core ~line ~write
-        then ok := false
-      done;
-      !ok
-      && !eb = !el
-      && Hierarchy.forwards hb = Hierarchy.forwards hl
-      && Hierarchy.invalidations hb = Hierarchy.invalidations hl
-      && Hierarchy.cross_socket_probes hb = Hierarchy.cross_socket_probes hl
-      && Hierarchy.dir_high_water hb = Hierarchy.dir_high_water hl
-      && Hierarchy.probes hl >= Hierarchy.probes hb)
-
-(* Regression for the latent >= 63-core overflow: creation and traffic
-   at 64 cores now work (auto-switched representation), and forcing the
-   bitmask there is an explicit error instead of silent bit wraparound. *)
+(* 64 cores on 4 sockets: every core shares one line, then core 0
+   writes it. Cores 62 and 63 sit in the sharer set's second word. *)
 let test_hierarchy_64core () =
   let p = Params.with_sockets Params.barcelona ~sockets:4 in
   let h = Hierarchy.create p ~n_cores:64 in
-  Alcotest.(check bool)
-    "limited backend auto-selected" true
-    (Hierarchy.backend h = Sharers.Limited);
   let line = 42 in
   for core = 0 to 63 do
     ignore (Hierarchy.access h ~core ~line ~write:false)
@@ -864,20 +726,80 @@ let test_hierarchy_64core () =
   Alcotest.(check bool) "distant line landed in L1" true
     (Hierarchy.line_in_l1 h ~core:7 ~line:10_000_000)
 
-let test_bitmask_backend_caps_at_62 () =
-  (match Hierarchy.create ~sharers:Sharers.Bitmask Params.barcelona ~n_cores:64 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bitmask backend accepted 64 cores");
-  (match Sharers.make_ctx ~kind:Sharers.Bitmask ~n_cores:63 ~n_sockets:1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bitmask ctx accepted 63 cores");
-  ignore (Hierarchy.create ~sharers:Sharers.Bitmask Params.barcelona ~n_cores:62);
-  (match Sharers.make_ctx ~kind:Sharers.Limited ~n_cores:513 ~n_sockets:8 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "limited ctx accepted 513 cores");
-  (match Sharers.make_ctx ~kind:Sharers.Limited ~n_cores:256 ~n_sockets:17 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "limited ctx accepted 17 sockets")
+(* ------------------------------------------------------------------ *)
+(* Sharer sets                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One word (1, 8 and 62 cores), core 62 alone in a second word (63),
+   the second word's last core and the third word's first (124, 125),
+   five words (256) and nine (512), on 1 to 16 sockets. *)
+let sharers_topologies =
+  [| (1, 1); (8, 2); (62, 1); (63, 3); (124, 4); (125, 5); (256, 8); (512, 16) |]
+
+(* The exact set against a sorted list, through random [add]s and
+   [set_singleton]s, half of them at cores on either side of a word
+   boundary. After each step [crossed] for every socket, and [others]
+   and the order [iter_others] visits for a sample of excepted cores,
+   must answer as the list does; a second [add] of the same core must
+   change nothing; and the slots on either side of the set, a dirty
+   owner and the next line's owner in the directory, must keep their
+   values. *)
+let prop_sharers_vs_reference =
+  QCheck.Test.make ~name:"exact sets match a sorted-list model"
+    ~count:300
+    QCheck.(pair (int_range 0 7) (list (int_range 0 1_000_000)))
+    (fun (ti, ops) ->
+      let n_cores, n_sockets = sharers_topologies.(ti) in
+      let ctx = Sharers.make_ctx ~n_cores ~n_sockets in
+      let words = Sharers.words ctx in
+      let sock c = c * n_sockets / n_cores in
+      let edges =
+        List.filter (fun c -> c < n_cores) [ 0; 61; 62; 63; 123; 124; 185; 186; n_cores - 1 ]
+      in
+      let pick x =
+        if x land 1 = 0 then (x lsr 1) mod n_cores
+        else List.nth edges ((x lsr 1) mod List.length edges)
+      in
+      let a = Array.make (words + 2) (-1) in
+      Array.fill a 1 words 0;
+      let holds truth last =
+        let visits except =
+          let seen = ref [] in
+          Sharers.iter_others ctx a 1 ~except (fun c -> seen := c :: !seen);
+          List.rev !seen
+        in
+        a.(0) = -1
+        && a.(words + 1) = -1
+        && List.for_all
+             (fun socket ->
+               Sharers.crossed ctx a 1 ~socket
+               = List.exists (fun c -> sock c <> socket) truth)
+             (List.init n_sockets Fun.id)
+        && List.for_all
+             (fun except ->
+               let rest = List.filter (fun c -> c <> except) truth in
+               Sharers.others ctx a 1 ~except = (rest <> []) && visits except = rest)
+             (List.sort_uniq compare [ 0; last; n_cores - 1; min 62 (n_cores - 1) ])
+      in
+      let rec go truth = function
+        | [] -> true
+        | x :: rest ->
+            let c = pick (x lsr 3) in
+            let truth =
+              if x land 7 = 0 then begin
+                Sharers.set_singleton ctx a 1 c;
+                [ c ]
+              end
+              else begin
+                Sharers.add ctx a 1 c;
+                List.sort_uniq compare (c :: truth)
+              end
+            in
+            let once = Array.copy a in
+            Sharers.add ctx a 1 c;
+            a = once && holds truth c && go truth rest
+      in
+      holds [] 0 && go [] ops)
 
 (* ------------------------------------------------------------------ *)
 (* Memsys                                                              *)
@@ -1054,10 +976,7 @@ let () =
           q prop_hierarchy_vs_hashtbl_directory;
           q prop_hierarchy64_vs_reference;
           Alcotest.test_case "shard boundary" `Quick test_hierarchy_shard_boundary;
-          q prop_backends_equivalent_on_fig4_traffic;
           Alcotest.test_case "64-core topology" `Quick test_hierarchy_64core;
-          Alcotest.test_case "backend capacity limits" `Quick
-            test_bitmask_backend_caps_at_62;
         ] );
       ( "sharers",
         [
