@@ -21,8 +21,6 @@ let create_bytes ~size_bytes ~assoc ~line_bytes =
 
 let sets t = t.n_sets
 
-let assoc t = t.assoc
-
 let[@inline] set_of t key = key land (t.n_sets - 1)
 
 (* Index of the way holding [key], or -1. The allocation-free primitive
@@ -55,6 +53,8 @@ let[@inline] find_way_idx t key =
   else find_way_rest tags key base (base + t.assoc)
 
 let mem t key = find_way_idx t key >= 0
+
+let[@inline] is_most_recent t key idx = idx = set_of t key * t.assoc
 
 (* Move the ways in front of the hit way [idx] (or, on a miss, the whole
    set) back by one and put [key] at the front. The shift carries each
@@ -104,8 +104,3 @@ let invalidate t key =
     true
   end
   else false
-
-let iter t f =
-  Array.iter (fun tag -> if tag <> -1 then f tag) t.tags
-
-let clear t = Array.fill t.tags 0 (Array.length t.tags) (-1)

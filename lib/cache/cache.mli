@@ -1,10 +1,10 @@
 (** Generic set-associative cache directory with LRU replacement.
 
     Tracks presence only — data values live in {!Asf_mem.Ram}. Used for the
-    three data-cache levels and (with one set and high associativity) for
-    TLBs. Keys are non-negative cache-line indices (or page indices for TLB
-    use). Each set keeps its ways in recency order, so a lookup scans a set
-    once and LRU needs no timestamps. *)
+    three data-cache levels and the L2 TLB. Keys are non-negative
+    cache-line indices (or page indices for TLB use). Each set keeps its
+    ways in recency order, so a lookup scans a set once and LRU needs no
+    timestamps. *)
 
 type t
 
@@ -16,8 +16,6 @@ val create_bytes : size_bytes:int -> assoc:int -> line_bytes:int -> t
 
 val sets : t -> int
 
-val assoc : t -> int
-
 val mem : t -> int -> bool
 (** Presence test without touching LRU state. *)
 
@@ -25,7 +23,12 @@ val find_way_idx : t -> int -> int
 (** Index of the way holding the key, or [-1] — the allocation-free form
     of a presence/lookup test for per-access hot paths. Does not touch
     LRU state. The index stays valid for {!touch_evict_at} on the same
-    key until this cache is next touched, invalidated or cleared. *)
+    key until this cache is next touched or invalidated. *)
+
+val is_most_recent : t -> int -> int -> bool
+(** [is_most_recent t key idx], with [idx = find_way_idx t key]: whether
+    the key sits in its set's most-recent way, where a touch changes
+    nothing. *)
 
 val touch : t -> int -> bool * int option
 (** [touch t key] performs an access: on hit, updates LRU and returns
@@ -46,9 +49,3 @@ val touch_evict_at : t -> int -> int -> int
 
 val invalidate : t -> int -> bool
 (** Removes an entry; returns whether it was present. *)
-
-val iter : t -> (int -> unit) -> unit
-(** Iterates over all resident keys (diagnostics, flash-clear helpers), in
-    an unspecified order. *)
-
-val clear : t -> unit

@@ -28,6 +28,9 @@ type t = {
   n_cores : int;
   l1 : Cache.t array;
   l2 : Cache.t array;
+  (* Whether an L1 hit in its set's most-recent way skips L2 (see
+     [create]). *)
+  l2_skip : bool;
   (* One L3 per socket. *)
   l3 : Cache.t array;
   (* Coherence directory: line [line] sits at index
@@ -88,12 +91,26 @@ let create (params : Params.t) ~n_cores =
     Cache.create_bytes ~size_bytes:params.l2_bytes ~assoc:params.l2_assoc
       ~line_bytes:params.line_bytes
   in
+  (* A core's access fills or touches its line in its L1 and L2
+     together, [drop_from_core] removes a line from both, and nothing
+     else changes either. When L1's set count divides L2's, the lines
+     of one L2 set all map to one L1 set, so L2 holds them in L1's
+     recency order; when L1 is also no more associative than L2, L2
+     cannot evict a line while L1 holds it. A line in its L1 set's
+     most-recent way is then in its L2 set's most-recent way, where a
+     touch changes nothing, and an L1 hit never reads the L2 lookup. *)
+  let sets bytes assoc = bytes / (assoc * params.line_bytes) in
+  let l2_skip =
+    sets params.l2_bytes params.l2_assoc mod sets params.l1_bytes params.l1_assoc = 0
+    && params.l1_assoc <= params.l2_assoc
+  in
   let t =
     {
       params;
       n_cores;
       l1 = Array.init n_cores (fun _ -> mk_l1 ());
       l2 = Array.init n_cores (fun _ -> mk_l2 ());
+      l2_skip;
       l3 =
         Array.init params.n_sockets (fun _ ->
             Cache.create_bytes ~size_bytes:params.l3_bytes
@@ -170,12 +187,15 @@ let[@inline] access t ~core ~line ~write =
      L3-like latency plus the probe. Each level is scanned once: the way
      indices found here feed the fills at the end. They stay valid
      because in between only *other* cores' L1 and L2 are invalidated
-     ([iter_others ~except:core]), and the evict hooks touch no cache. *)
+     ([iter_others ~except:core]), and the evict hooks touch no cache.
+     An L1 hit in the set's most-recent way skips L2 where [create]
+     allows it. *)
   let ctx = t.sharers in
   let socket = Sharers.socket ctx core in
   let l1 = t.l1.(core) and l2 = t.l2.(core) and l3 = t.l3.(socket) in
   let i1 = Cache.find_way_idx l1 line in
-  let i2 = Cache.find_way_idx l2 line in
+  let skip_l2 = t.l2_skip && Cache.is_most_recent l1 line i1 in
+  let i2 = if skip_l2 then -1 else Cache.find_way_idx l2 line in
   let i3 = Cache.find_way_idx l3 line in
   let in_l1 = i1 >= 0 and in_l2 = i2 >= 0 and in_l3 = i3 >= 0 in
   let remote_dirty = dirty0 >= 0 && dirty0 <> core in
@@ -250,7 +270,7 @@ let[@inline] access t ~core ~line ~write =
   (* Fill this core's caches and the shared L3. *)
   (let victim = Cache.touch_evict_at l1 line i1 in
    if victim <> -1 then t.evict_hooks.(core) victim);
-  ignore (Cache.touch_evict_at l2 line i2);
+  if not skip_l2 then ignore (Cache.touch_evict_at l2 line i2);
   ignore (Cache.touch_evict_at l3 line i3);
   base_latency + !extra
 

@@ -6,11 +6,19 @@
     walk reports a fault instead of filling the TLB — first-touch minor
     faults, which inside an ASF speculative region abort the region (unlike
     mere TLB misses, which ASF tolerates; cf. the Rock comparison in the
-    paper). The [abort_on_tlb_miss] flag enables the Rock-style ablation. *)
+    paper). The [abort_on_tlb_miss] flag enables the Rock-style ablation.
+
+    Each core's L1 TLB is fully associative with exact LRU replacement,
+    kept as a recency list over its ways with a page-to-way index, so a
+    hit, a fill and a shootdown each do constant work; a hit in the
+    most-recent way is one compare inline in the caller. The L2 TLB is a
+    set-associative {!Cache}. A translation allocates only when a fill
+    grows its core's index, which at least doubles each time. *)
 
 type t
 
 val create : Asf_machine.Params.t -> n_cores:int -> t
+(** Raises [Invalid_argument] unless [tlb_l1_entries] is in 1..255. *)
 
 type outcome =
   | Translated of int  (** extra latency in cycles *)

@@ -188,6 +188,29 @@ let test_tlb_map_range () =
   Alcotest.(check bool) "second page" true (Tlb.page_mapped t 1);
   Alcotest.(check int) "exactly two" 2 (Tlb.mapped_pages t)
 
+(* The L1 TLB's list links are bytes, so its way count is capped at
+   255. At the cap, 300 page walks leave the last 255 pages in the L1
+   TLB and the first 45 in the L2 TLB only. *)
+let test_tlb_l1_entries_bound () =
+  let with_entries n = { Params.barcelona with tlb_l1_entries = n } in
+  let p = with_entries 255 in
+  let t = Tlb.create p ~n_cores:1 in
+  Tlb.map_range t 0 (300 * Addr.words_per_page);
+  let extra page =
+    match Tlb.translate t ~core:0 (Addr.page_base page) ~speculative:false with
+    | Tlb.Translated x -> x
+    | _ -> Alcotest.fail "expected a translation"
+  in
+  for page = 0 to 299 do
+    ignore (extra page)
+  done;
+  Alcotest.(check bool) "pages 45-299 hit" true
+    (List.for_all (fun page -> extra page = 0) (List.init 255 (( + ) 45)));
+  Alcotest.(check int) "page 44 was evicted" p.tlb_l2_latency (extra 44);
+  Alcotest.check_raises "256 L1 TLB entries"
+    (Invalid_argument "Tlb.create: tlb_l1_entries must be in 1..255") (fun () ->
+      ignore (Tlb.create (with_entries 256) ~n_cores:1))
+
 let prop_tlb_vs_reference_model =
   (* The flat page-table bitmap against a hashtable page set (the old
      representation) with LRU-model TLB caches: translate outcomes,
@@ -246,11 +269,14 @@ let prop_tlb_vs_reference_model =
               && Tlb.mapped_pages t = Hashtbl.length pages)
         ops)
 
-(* [Tlb.translate] on two cores against a two-level LRU list model,
+(* [Tlb.translate] on three cores against a two-level LRU list model,
    with shootdowns ([flush_page]), unmaps and remaps interleaved and the
    Rock-style miss abort on or off. Pages come from 0..63, more than the
    48-entry L1 TLB holds, and from one L2 TLB set, more than its ways
-   hold, so both levels evict. *)
+   hold, so both levels evict. Those are mapped up front. Eight more lie
+   past the page table's initial 4096 pages, up to 16 times past it;
+   they are mapped only by [Map] ops, so the page table and every core's
+   L1 TLB index grow while translations are live. *)
 type tlb_op =
   | Translate of int * int * bool (* core, page, speculative *)
   | Flush of int
@@ -267,16 +293,18 @@ let prop_tlb_vs_two_level_model =
   let p = Params.barcelona in
   let l2_sets = p.tlb_l2_entries / p.tlb_l2_assoc in
   let pool = List.init 64 Fun.id @ List.init 8 (fun k -> 100 + (k * l2_sets)) in
+  let far = [ 4095; 4096; 4097; 5000; 8191; 8192; 20_000; 65_000 ] in
   let gen =
     let open QCheck.Gen in
-    let page = oneofl pool in
+    let page = frequency [ (9, oneofl pool); (1, oneofl far) ] in
     let op =
       frequency
         [
-          (12, map3 (fun c pg s -> Translate (c, pg, s)) (int_bound 1) page bool);
+          (12, map3 (fun c pg s -> Translate (c, pg, s)) (int_bound 2) page bool);
           (1, map (fun pg -> Flush pg) page);
           (1, map (fun pg -> Unmap pg) page);
           (1, map (fun pg -> Map pg) page);
+          (1, map (fun pg -> Map pg) (oneofl far));
         ]
     in
     pair bool (list_size (int_bound 400) op)
@@ -288,7 +316,7 @@ let prop_tlb_vs_two_level_model =
   QCheck.Test.make ~name:"translate matches two-level LRU model" ~count:200
     (QCheck.make ~print gen)
     (fun (abort, ops) ->
-      let t = Tlb.create p ~n_cores:2 in
+      let t = Tlb.create p ~n_cores:3 in
       Tlb.set_abort_on_tlb_miss t abort;
       let mapped = Hashtbl.create 64 in
       List.iter
@@ -296,9 +324,9 @@ let prop_tlb_vs_two_level_model =
           Tlb.map_page t pg;
           Hashtbl.replace mapped pg ())
         pool;
-      let l1m = Array.init 2 (fun _ -> Lru_model.create ~sets:1 ~assoc:p.tlb_l1_entries) in
+      let l1m = Array.init 3 (fun _ -> Lru_model.create ~sets:1 ~assoc:p.tlb_l1_entries) in
       let l2m =
-        Array.init 2 (fun _ -> Lru_model.create ~sets:l2_sets ~assoc:p.tlb_l2_assoc)
+        Array.init 3 (fun _ -> Lru_model.create ~sets:l2_sets ~assoc:p.tlb_l2_assoc)
       in
       let flush pg =
         Array.iter (fun m -> ignore (Lru_model.invalidate m pg)) l1m;
@@ -344,6 +372,52 @@ let prop_tlb_vs_two_level_model =
               Hashtbl.replace mapped pg ();
               true)
         ops)
+
+(* [Tlb.translate] allocates nothing: not on a hit in the most-recent
+   way or elsewhere in the L1 TLB, not on an L2-TLB hit or a page walk
+   whose fill evicts, and not after a shootdown ([flush_page]). Every
+   page is mapped first, so the page table does not grow. Two cores
+   take turns of 16 steps. A step translates one of 16 hot pages twice
+   in a row, the second time in the most-recent way; a hot page comes
+   back to its core after 15 other hot pages and 4 cold ones, so it
+   hits further down the 48 ways. Every fourth step translates one of
+   100 cold pages, which the L1 TLB cannot hold and the L2 TLB can, and
+   every 16th step shoots down a hot page, which then pays a page walk.
+   A first pass grows each core's page index to span those pages (the
+   only allocation a translation makes); the second must allocate
+   nothing. *)
+let test_tlb_translate_allocates_nothing () =
+  let p = Params.barcelona in
+  let t = Tlb.create p ~n_cores:2 in
+  Tlb.map_range t 0 (200 * Addr.words_per_page);
+  let counts = Array.make 3 0 in
+  let translate core page =
+    match Tlb.translate t ~core (Addr.page_base page) ~speculative:false with
+    | Tlb.Translated 0 -> counts.(0) <- counts.(0) + 1
+    | Tlb.Translated x when x = p.tlb_l2_latency -> counts.(1) <- counts.(1) + 1
+    | _ -> counts.(2) <- counts.(2) + 1
+  in
+  let steps = 20_000 in
+  let pass () =
+    for i = 0 to steps - 1 do
+      let core = (i / 16) land 1 and hot = (i * 7) land 15 in
+      translate core hot;
+      translate core hot;
+      if i land 3 = 0 then translate core (100 + (i / 4 * 13 mod 100));
+      if i land 15 = 15 then Tlb.flush_page t hot
+    done
+  in
+  pass ();
+  Array.fill counts 0 3 0;
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "hits %d, L2-TLB hits %d, walks %d all occur" counts.(0) counts.(1)
+       counts.(2))
+    true
+    (counts.(0) > steps && counts.(1) > steps / 8 && counts.(2) > steps / 32);
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy                                                           *)
@@ -611,7 +685,16 @@ let prop_hierarchy_vs_hashtbl_directory =
    shrink to 4, 16 and 64 KiB, so a 256-core pair stays cheap to build
    and evictions are common. Directory occupancy must equal the
    reference's line count: two lines aliasing one slot would show
-   there. *)
+   there.
+
+   Two more inputs make L2's recency order visible. The 4 KiB L1 has
+   32 sets and the 16 KiB L2 16, so L2 is not inclusive of L1 in set
+   mapping and the hierarchy must touch L2 on every access. The second
+   pool, lines [16 * k] for k < 64 on cores 0 and 1, overflows one
+   16-way L2 set from two L1 sets, so an L2 order that missed a touch
+   evicts the wrong line.
+   A 32 KiB L2 has 32 sets like L1, and there an L1 hit in its set's
+   most-recent way skips L2. *)
 let reference_topologies = [| (8, 2); (63, 3); (64, 4); (256, 8) |]
 
 let shard_line sel =
@@ -624,14 +707,15 @@ let prop_hierarchy64_vs_reference =
   QCheck.Test.make
     ~name:"matches reference across topologies"
     ~count:240
-    QCheck.(pair (int_range 0 3) (list (triple (int_range 0 255) (int_range 0 63) bool)))
-    (fun (ti, ops) ->
+    QCheck.(
+      quad (int_range 0 3) bool bool (list (triple (int_range 0 255) (int_range 0 63) bool)))
+    (fun (ti, one_set, inclusive, ops) ->
       let n_cores, sockets = reference_topologies.(ti) in
       let p =
         {
           (Params.with_sockets Params.barcelona ~sockets) with
           l1_bytes = 4096;
-          l2_bytes = 16384;
+          l2_bytes = (if inclusive then 32768 else 16384);
           l3_bytes = 65536;
         }
       in
@@ -647,7 +731,9 @@ let prop_hierarchy64_vs_reference =
       let agree =
         List.for_all
           (fun (c, sel, write) ->
-            let core = c mod n_cores and line = shard_line sel in
+            let core, line =
+              if one_set then (c land 1, 16 * sel) else (c mod n_cores, shard_line sel)
+            in
             Hierarchy.access h ~core ~line ~write
             = Ref_hier.access r ~core ~line ~write)
           ops
@@ -960,8 +1046,11 @@ let () =
           Alcotest.test_case "fault then hit" `Quick test_tlb_fault_then_hit;
           Alcotest.test_case "rock ablation" `Quick test_tlb_rock_ablation;
           Alcotest.test_case "map range" `Quick test_tlb_map_range;
+          Alcotest.test_case "L1 entries bound" `Quick test_tlb_l1_entries_bound;
           q prop_tlb_vs_reference_model;
           q prop_tlb_vs_two_level_model;
+          Alcotest.test_case "translate allocates nothing" `Quick
+            test_tlb_translate_allocates_nothing;
         ] );
       ( "hierarchy",
         [
