@@ -2,11 +2,20 @@
 
     Tracks presence only — data values live in {!Asf_mem.Ram}. Used for the
     three data-cache levels and the L2 TLB. Keys are non-negative
-    cache-line indices (or page indices for TLB use). Each set keeps its
-    ways in recency order, so a lookup scans a set once and LRU needs no
-    timestamps. *)
+    cache-line indices (or page indices for TLB use) below 2{^31} - 1: a
+    lookup or a fill of any other key raises [Invalid_argument] rather
+    than aliasing a truncated tag. Each set keeps its ways in recency
+    order, so a lookup scans a set once and LRU needs no timestamps.
 
-type t
+    The tags are signed 32-bit entries in one [Bytes] block, [-1] for an
+    invalid way: 4 bytes a way, in a block the GC never scans. A scan
+    compares each entry, sign-extended once as it is loaded, with the
+    key converted once per call, both unboxed (DESIGN.md, "The tag
+    store"). The type is a private record that no other module reads:
+    it tells the compiler that an array of caches is not a float array,
+    so indexing one needs no float-array test. *)
+
+type t = private { n_sets : int; assoc : int; tags : Bytes.t }
 
 val create : sets:int -> assoc:int -> t
 (** [sets] and [assoc] must be positive; [sets] must be a power of two. *)

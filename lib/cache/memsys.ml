@@ -86,9 +86,11 @@ let service_fault t ~page =
 
 (* Translate, retrying after OS-serviced minor faults. Returns the extra
    translation latency. A registered fault hook that raises (ASF abort)
-   interrupts the access before any state change. The first translation
-   is inlined into every access; an outcome that aborts or faults, and
-   the retries after it, run out of line in [translate_retry]. *)
+   interrupts the access before any state change. A hit in the L1 TLB's
+   most-recent way is answered inline with 0, so the hot path reads no
+   outcome block; every other translation runs out of line, and an
+   outcome that aborts or faults, with the retries after it, in
+   [translate_retry]. *)
 let rec translate_retry t ~core ~speculative addr = function
   | Tlb.Translated extra -> extra
   | Tlb.Tlb_miss_abort extra ->
@@ -107,9 +109,11 @@ let rec translate_retry t ~core ~speculative addr = function
         ((Tlb.translate [@inlined never]) t.tlb ~core addr ~speculative)
 
 let[@inline] translate t ~core ~speculative addr =
-  match Tlb.translate t.tlb ~core addr ~speculative with
-  | Tlb.Translated extra -> extra
-  | outcome -> translate_retry t ~core ~speculative addr outcome
+  if Tlb.mru_hit t.tlb ~core addr then 0
+  else
+    match Tlb.translate_rest t.tlb ~core addr ~speculative with
+    | Tlb.Translated extra -> extra
+    | outcome -> translate_retry t ~core ~speculative addr outcome
 
 (* Every access runs [access_pre], its own data transfer inline, then
    [access_post] — the transfer must take effect at the access's commit

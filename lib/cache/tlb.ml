@@ -192,7 +192,9 @@ let unmap_page t page =
 
 (* Everything but a hit in the most-recent way: a hit elsewhere in the
    L1 TLB, then the L2 TLB, the page table and the fills. *)
-let translate_rest t c page ~speculative =
+let translate_rest t ~core addr ~speculative =
+  let page = Addr.page_of addr in
+  let c = t.cores.(core) in
   let w = way_of c page in
   if w <> 0 then begin
     to_front c w;
@@ -216,10 +218,11 @@ let translate_rest t c page ~speculative =
       t.walk
     end
 
+let[@inline] mru_hit t ~core addr =
+  Array.unsafe_get t.cores.(core).pages 0 = Addr.page_of addr
+
 let[@inline] translate t ~core addr ~speculative =
-  let page = Addr.page_of addr in
-  let c = t.cores.(core) in
-  if Array.unsafe_get c.pages 0 = page then Translated 0
-  else translate_rest t c page ~speculative
+  if mru_hit t ~core addr then Translated 0
+  else translate_rest t ~core addr ~speculative
 
 let mapped_pages t = t.mapped

@@ -28,6 +28,17 @@ type outcome =
           extra latency already incurred *)
 
 val translate : t -> core:int -> Asf_mem.Addr.t -> speculative:bool -> outcome
+(** [mru_hit] inline, else [translate_rest]. *)
+
+val mru_hit : t -> core:int -> Asf_mem.Addr.t -> bool
+(** Whether the address's page sits in the core's most-recent L1-TLB way:
+    such a translation is [Translated 0] and changes nothing. One compare,
+    inlined into the caller, so a caller can answer that hit with the int
+    0 instead of matching on an outcome. *)
+
+val translate_rest : t -> core:int -> Asf_mem.Addr.t -> speculative:bool -> outcome
+(** {!translate} for an address that {!mru_hit} rejects: a hit elsewhere in
+    the L1 TLB, the L2 TLB, the page table and the fills, out of line. *)
 
 val map_page : t -> int -> unit
 (** OS page-table update: marks a page present. *)

@@ -2,6 +2,7 @@
 # The full verification gate. Run from the repo root:
 # - a grep: library code charges the engine it holds;
 # - every build target (libraries, executables, examples, benches);
+# - a disassembly guard on the per-access path of the benchmark binary;
 # - `dune runtest`: the unit tests plus every asf_bench gate group of
 #   test/gate.ml (@check, @analyze, @soak, @serve-smoke, @lin-smoke,
 #   @scale-smoke and @fixtures, each row with its exact exit code);
@@ -23,6 +24,37 @@ if grep -rnE 'Engine\.elapse([^_]|$)' lib --include='*.ml' | grep -v '^lib/engin
 fi
 
 dune build @all
+
+# The per-access path indexes its three arrays of caches without a
+# float-array test (Cache.t is a private record, not an abstract type)
+# and answers a hit in the L1 TLB's most-recent way with the int 0
+# instead of matching on a static Tlb outcome block. Count both in the
+# disassembly of the benchmark binary's Memsys.load_inner and
+# store_inner: a `cmp $0xfe` and a reference to a camlAsf_cache__Tlb.N
+# block.
+if command -v objdump > /dev/null 2>&1; then
+  objdump -d --no-show-raw-insn _build/default/bench/perf/perf.exe | awk '
+    /^[0-9a-f]+ <camlAsf_cache__Memsys\.(load|store)_inner_[0-9]+>:$/ {
+      f = $2; found++; fe[f] = 0; tlb[f] = 0; next }
+    /^[0-9a-f]+ </ { f = "" }
+    f != "" && /cmp +\$0xfe,/ { fe[f]++ }
+    f != "" && /<camlAsf_cache__Tlb\.[0-9]+>/ { tlb[f]++ }
+    END {
+      bad = (found != 2)
+      for (g in fe) {
+        printf "check.sh: %s float-array tests %d, Tlb static blocks %d\n", g, fe[g], tlb[g]
+        if (fe[g] + tlb[g] > 0) bad = 1
+      }
+      if (found != 2) print "check.sh: Memsys.load_inner/store_inner not found in perf.exe"
+      exit bad
+    }' || {
+    echo "check.sh: the per-access path holds a float-array test or a Tlb static-block read (see above)" >&2
+    exit 1
+  }
+else
+  echo "check.sh: objdump not found; skipping the disassembly guard on Memsys.load_inner/store_inner"
+fi
+
 dune runtest
 
 tmp=$(mktemp -d)

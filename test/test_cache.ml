@@ -97,17 +97,19 @@ end
    after an invalidation, absent): uniform keys alone hit that way about
    once in 16 ops, and once in 64 at 48 ways, and it is the way the
    probe and the touch each decide without a scan. Hits, evicted tags
-   and membership must all agree. *)
-let touch_evict_matches_model ~name ~sets ~assoc ~keys ~len =
+   and membership must all agree. Keys are [base + k] for the drawn
+   [k]: a [base] just below the key bound makes an encoding that
+   truncates or mis-extends a tag fail. *)
+let touch_evict_matches_model ?(base = 0) ~name ~sets ~assoc ~keys ~len () =
   QCheck.Test.make ~name ~count:200
     QCheck.(list_of_size len (pair (int_range 0 4) (int_range 0 (keys - 1))))
     (fun ops ->
       let c = Cache.create ~sets ~assoc in
       let m = Lru_model.create ~sets ~assoc in
-      let prev = ref 0 in
+      let prev = ref base in
       List.for_all
         (fun (op, k) ->
-          let op, k = if op = 4 then (2, !prev) else (op, k) in
+          let op, k = if op = 4 then (2, !prev) else (op, base + k) in
           prev := k;
           if op = 0 then Cache.invalidate c k = Lru_model.invalidate m k
           else begin
@@ -125,14 +127,86 @@ let touch_evict_matches_model ~name ~sets ~assoc ~keys ~len =
 
 let prop_touch_evict_vs_model =
   touch_evict_matches_model ~name:"touch_evict/invalidate match reference LRU model"
-    ~sets:4 ~assoc:3 ~keys:64 ~len:QCheck.Gen.nat
+    ~sets:4 ~assoc:3 ~keys:64 ~len:QCheck.Gen.nat ()
+
+(* Keys are below 2^31 - 1 (see cache.mli). *)
+let key_bound = 0x7FFF_FFFF
+
+(* The same model on the 64 keys just below the bound, whose tags use
+   all 31 bits: 16-bit entries return truncated evicted tags, and
+   zero-extended ones read the invalid way as 2^32 - 1. *)
+let prop_touch_evict_high_keys =
+  touch_evict_matches_model ~base:(key_bound - 64)
+    ~name:"LRU model on keys just below the bound" ~sets:4 ~assoc:3 ~keys:64
+    ~len:QCheck.Gen.nat ()
 
 (* The L1 TLB's shape: one set of 48 ways. Its 64 keys are a third more
    than its ways, so the set hovers near full and invalidations land in
    the middle of full sets. *)
 let prop_touch_evict_48_ways =
   touch_evict_matches_model ~name:"recency order matches LRU model, 1 set x 48 ways"
-    ~sets:1 ~assoc:48 ~keys:64 ~len:(QCheck.Gen.int_bound 600)
+    ~sets:1 ~assoc:48 ~keys:64 ~len:(QCheck.Gen.int_bound 600) ()
+
+let prop_touch_evict_48_ways_high_keys =
+  touch_evict_matches_model ~base:(key_bound - 64)
+    ~name:"1 set x 48 ways on keys just below the bound" ~sets:1 ~assoc:48 ~keys:64
+    ~len:(QCheck.Gen.int_bound 600) ()
+
+(* A key at the bound, or a negative one, raises [Invalid_argument] on
+   a lookup (into an empty set, whose first way is invalid, and into a
+   set whose first way holds another key: the two miss paths) and on a
+   fill without a lookup, and leaves the cache as it was; the largest
+   valid key works. *)
+let test_cache_key_bound () =
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let c = Cache.create ~sets:4 ~assoc:2 in
+  let bad = [ key_bound; key_bound + 4; max_int; -1; min_int ] in
+  List.iter
+    (fun k ->
+      let name what = Printf.sprintf "%s of key %d raises" what k in
+      Alcotest.(check bool) (name "lookup in an empty set") true
+        (raises (fun () -> Cache.find_way_idx c k));
+      Alcotest.(check bool) (name "fill") true (raises (fun () -> Cache.touch_evict_at c k (-1))))
+    bad;
+  for s = 0 to 3 do
+    ignore (Cache.touch_evict c (key_bound - 1 - s))
+  done;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lookup of key %d past a valid way raises" k)
+        true
+        (raises (fun () -> Cache.mem c k));
+      Alcotest.(check bool)
+        (Printf.sprintf "touch of key %d raises" k)
+        true
+        (raises (fun () -> Cache.touch_evict c k)))
+    bad;
+  Alcotest.(check bool) "largest key stays" true (Cache.mem c (key_bound - 1));
+  Alcotest.(check int) "set of the largest key holds one way" (-1)
+    (Cache.touch_evict c (key_bound - 5));
+  Alcotest.(check int) "next fill evicts the largest key" (key_bound - 1)
+    (Cache.touch_evict c (key_bound - 9))
+
+(* The tag store's footprint: 512 sets of 16 ways (the L2 geometry) take
+   4 bytes a way, 4096 words and a few of header, record and padding.
+   One int per way would take 8192. The second reading's own
+   allocation is subtracted. *)
+let test_cache_footprint () =
+  let a0 = Gc.allocated_bytes () in
+  let a1 = Gc.allocated_bytes () in
+  let c = Cache.create ~sets:512 ~assoc:16 in
+  let a2 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity c);
+  let words = (a2 -. a1 -. (a1 -. a0)) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Cache.create ~sets:512 ~assoc:16 allocates %.0f words" words)
+    true
+    (words > 4096. && words <= 4096. +. 8.)
 
 (* A full 48-way set: an invalidation in the middle makes room for one
    fill without eviction, and the next miss evicts the least recent way. *)
@@ -1040,6 +1114,10 @@ let () =
           q prop_cache_vs_reference_lru;
           q prop_touch_evict_vs_model;
           q prop_touch_evict_48_ways;
+          q prop_touch_evict_high_keys;
+          q prop_touch_evict_48_ways_high_keys;
+          Alcotest.test_case "key bound" `Quick test_cache_key_bound;
+          Alcotest.test_case "footprint" `Quick test_cache_footprint;
         ] );
       ( "tlb",
         [
