@@ -1,6 +1,7 @@
 module Engine = Asf_engine.Engine
 module Addr = Asf_mem.Addr
 module Ram = Asf_mem.Ram
+module Inttab = Asf_mem.Inttab
 module Memsys = Asf_cache.Memsys
 module Abort = Asf_core.Abort
 module Asf = Asf_core.Asf
@@ -57,9 +58,9 @@ type attempt_profile = {
 
 (* {1 Flat tables}
 
-   Every per-access structure is a flat array of ints, so an observed
-   access hashes no key through [Hashtbl] and allocates only when it
-   meets a new line or outgrows a table. *)
+   Every per-access structure is a flat array of ints or an [Inttab],
+   so an observed access hashes no key through [Hashtbl] and allocates
+   only when it meets a new line or outgrows a table. *)
 
 (* A growable int array: [a.(0 .. n - 1)] are its elements. *)
 type vec = { mutable a : int array; mutable n : int }
@@ -75,58 +76,11 @@ let push v x =
   Array.unsafe_set v.a v.n x;
   v.n <- v.n + 1
 
-(* A map from non-negative ints to ints, the [Llb] pattern: open
-   addressing with Fibonacci hashing and linear probing. [keys.(i)] is 0
-   for an empty slot, else the key plus one. There is no deletion; a
-   table is only ever cleared whole. *)
-type itab = {
-  mutable keys : int array;
-  mutable vals : int array;
-  mutable shift : int;  (* [63 - log2 (Array.length keys)] *)
-  mutable count : int;
-}
-
-let itab_alloc t size =
-  t.keys <- Array.make size 0;
-  t.vals <- Array.make size 0;
-  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
-  t.shift <- Sys.int_size - log2 size;
-  t.count <- 0
-
-let itab () =
-  let t = { keys = [||]; vals = [||]; shift = 0; count = 0 } in
-  itab_alloc t 16;
-  t
-
-(* The slot holding [key], or the empty slot that ends its chain. *)
-let rec probe keys k i =
-  let s = Array.unsafe_get keys i in
-  if s = 0 || s = k then i else probe keys k ((i + 1) land (Array.length keys - 1))
-
-let slot t key = probe t.keys (key + 1) ((key * 0x4F1BBCDCBFA53E0B) lsr t.shift)
-
-(* The value bound to [key], or -1. *)
-let itab_find t key =
-  let i = slot t key in
-  if Array.unsafe_get t.keys i = 0 then -1 else Array.unsafe_get t.vals i
-
-(* Binds [key], which must be absent; doubles the table past half full. *)
-let rec itab_add t key v =
-  if 2 * (t.count + 1) > Array.length t.keys then begin
-    let keys = t.keys and vals = t.vals in
-    itab_alloc t (2 * Array.length keys);
-    Array.iteri (fun i k -> if k <> 0 then itab_add t (k - 1) vals.(i)) keys
-  end;
-  let i = slot t key in
-  t.keys.(i) <- key + 1;
-  t.vals.(i) <- v;
-  t.count <- t.count + 1
-
-let itab_clear t =
-  if t.count > 0 then begin
-    Array.fill t.keys 0 (Array.length t.keys) 0;
-    t.count <- 0
-  end
+(* The value bound to [key] in an int table of non-negative values, or
+   -1. *)
+let lookup tab key =
+  let i = Inttab.find tab key in
+  if i < 0 then -1 else Inttab.value tab i
 
 (* What the checker knows about one line over a run. *)
 type line_rec = {
@@ -162,7 +116,7 @@ type attempt = {
   mutable id : int;  (* per-core attempt number, 1-based *)
   mutable live : int;  (* ops not dropped by RELEASE *)
   mutable peak : int;  (* peak [live], survives RELEASE *)
-  op_of : itab;  (* line index -> op *)
+  op_of : Inttab.t;  (* line index -> op *)
   op_read : vec;
   op_write : vec;
   pre_line : vec;
@@ -175,7 +129,7 @@ let fresh_attempt () =
     id = 0;
     live = 0;
     peak = 0;
-    op_of = itab ();
+    op_of = Inttab.create 16;
     op_read = vec ();
     op_write = vec ();
     pre_line = vec ();
@@ -192,7 +146,7 @@ type t = {
   mutable asf : Asf.t option;
   mutable variant : Variant.t option;
   mutable cur : attempt array;  (* one per core *)
-  line_ids : itab;  (* line -> index into [lines] *)
+  line_ids : Inttab.t;  (* line -> index into [lines] *)
   mutable lines : line_rec array;  (* this run, in first-access order *)
   mutable n_lines : int;
   (* Every first read and first write of a line by an attempt of this run
@@ -219,7 +173,7 @@ let create ?(parts = all_parts) () =
     asf = None;
     variant = None;
     cur = [||];
-    line_ids = itab ();
+    line_ids = Inttab.create 16;
     lines = [||];
     n_lines = 0;
     seq_op = vec ();
@@ -240,7 +194,7 @@ let parts t =
 (* Empty the per-run tables, keeping their arrays; the T numbers of the
    finished run stay given out. *)
 let new_run t =
-  itab_clear t.line_ids;
+  Inttab.clear t.line_ids;
   Array.fill t.lines 0 t.n_lines no_line;
   t.n_lines <- 0;
   t.seq_op.n <- 0;
@@ -272,7 +226,7 @@ let popcount m =
 
 (* The newest accesses to [line], oldest first. *)
 let trail_of t line =
-  let id = itab_find t.line_ids line in
+  let id = lookup t.line_ids line in
   if id < 0 then []
   else
     let r = t.lines.(id) in
@@ -343,7 +297,7 @@ let attempt_profiles t = List.rev t.profiles
 
 (* The index of line [l]'s record in this run, created on first sight. *)
 let line_index t l =
-  let id = itab_find t.line_ids l in
+  let id = lookup t.line_ids l in
   if id >= 0 then id
   else begin
     let id = t.n_lines in
@@ -363,7 +317,7 @@ let line_index t l =
         readers = -1;
       };
     t.n_lines <- id + 1;
-    itab_add t.line_ids l id;
+    Inttab.add t.line_ids l id;
     id
   end
 
@@ -379,7 +333,7 @@ let push_history r mem ~core ~write ~speculative =
   r.seen <- r.seen + 1
 
 let clear_ops cur =
-  itab_clear cur.op_of;
+  Inttab.clear cur.op_of;
   cur.op_read.n <- 0;
   cur.op_write.n <- 0;
   cur.pre_line.n <- 0;
@@ -405,14 +359,14 @@ let ensure_attempt t core =
 let record_op t cur id ~write =
   if not (t.chk_serial || t.chk_lint) then false
   else begin
-    let k = itab_find cur.op_of id in
+    let k = lookup cur.op_of id in
     let k =
       if k >= 0 then k
       else begin
         let k = cur.op_read.n in
         push cur.op_read (-1);
         push cur.op_write (-1);
-        itab_add cur.op_of id k;
+        Inttab.add cur.op_of id k;
         k
       end
     in
@@ -576,7 +530,7 @@ let on_asf_event t mem ~core ev =
          protection. Peak footprint keeps the slot it used. An inactive
          attempt has no ops. *)
       let cur = t.cur.(core) in
-      let k = itab_find cur.op_of id in
+      let k = lookup cur.op_of id in
       if k >= 0 && cur.op_read.a.(k) >= 0 && cur.op_write.a.(k) < 0 then begin
         cur.op_read.a.(k) <- -1;
         cur.live <- cur.live - 1

@@ -1,6 +1,7 @@
 module Engine = Asf_engine.Engine
 module Addr = Asf_mem.Addr
 module Ram = Asf_mem.Ram
+module Inttab = Asf_mem.Inttab
 module Memsys = Asf_cache.Memsys
 module Tlb = Asf_cache.Tlb
 module Sharers = Asf_cache.Sharers
@@ -25,8 +26,9 @@ type region = {
   mutable nesting : int;
   mutable doomed : Abort.t option;
   llb : Llb.t;
-  (* Hybrid variants: speculatively-read lines tracked via the L1. *)
-  tracked : (int, unit) Hashtbl.t;
+  (* Hybrid variants: speculatively-read lines tracked via the L1 (the
+     values are unused). *)
+  tracked : Inttab.t;
   (* The first cycle of the timer quantum after the one the outermost
      SPECULATE ran in: the region is interrupted once its core's clock
      reaches it. *)
@@ -138,7 +140,7 @@ let doom ?line t core reason =
     if t.rollback_on_abort then
       Llb.iter_written r.llb (fun line backup -> Ram.write_line ram line backup);
     Llb.clear r.llb;
-    Hashtbl.reset r.tracked;
+    Inttab.clear r.tracked;
     clear_sigs t core;
     notify t ~core (Obs_doom reason)
   end
@@ -149,7 +151,7 @@ let[@inline] region_conflicts t r ~line ~write =
   Llb.written r.llb line
   || (write
      && (Llb.mem r.llb line
-        || (t.variant.Variant.l1_read_set && Hashtbl.mem r.tracked line)))
+        || (t.variant.Variant.l1_read_set && Inttab.mem r.tracked line)))
 
 (* The probe: visit the cores whose signatures have the line's bit (its
    writers, plus its readers on a write probe), in ascending core order,
@@ -270,7 +272,7 @@ let create ?(requester_wins = true)
               nesting = 0;
               doomed = None;
               llb = Llb.create ~capacity:variant.Variant.llb_entries;
-              tracked = Hashtbl.create 64;
+              tracked = Inttab.create (if variant.Variant.l1_read_set then 64 else 2);
               tick_end = 0;
               last_conflict = None;
             });
@@ -302,7 +304,7 @@ let create ?(requester_wins = true)
           if r.active && r.doomed = None then begin
             let written = Llb.written r.llb line in
             if
-              (Hashtbl.mem r.tracked line && not written)
+              (Inttab.mem r.tracked line && not written)
               || (written && variant.Variant.l1_write_set)
             then begin
               Trace.emit t.tracer ~core
@@ -368,7 +370,7 @@ let commit ?(extra = 0) t ~core =
     (* Outermost commit: speculative values in RAM become authoritative;
        flash-clear the protected sets. *)
     Llb.clear r.llb;
-    Hashtbl.reset r.tracked;
+    Inttab.clear r.tracked;
     clear_sigs t core;
     r.active <- false;
     r.nesting <- 0;
@@ -383,7 +385,7 @@ let[@inline] track_read t core line =
   let r = region t core in
   if t.variant.Variant.l1_read_set then begin
     if not (Llb.written r.llb line) then begin
-      Hashtbl.replace r.tracked line ();
+      Inttab.add r.tracked line 0;
       add_sig t t.rsig t.rhold core line
     end
   end
@@ -392,6 +394,10 @@ let[@inline] track_read t core line =
     | Llb.Protected -> add_sig t t.rsig t.rhold core line
     | Llb.Written -> ()
     | Llb.Full -> self_abort ~line t ~core Abort.Capacity
+
+let untrack r line =
+  let i = Inttab.find r.tracked line in
+  if i >= 0 then Inttab.remove_at r.tracked i
 
 (* Requester-loses ablation: a speculative access that would conflict
    with another region aborts itself before touching memory, leaving the
@@ -429,7 +435,7 @@ let prepare_store t ~core addr =
     if not (Llb.protect_write r.llb line ~backup) then
       self_abort ~line t ~core Abort.Capacity;
     add_sig t t.wsig t.whold core line;
-    if t.variant.Variant.l1_read_set then Hashtbl.remove r.tracked line
+    if t.variant.Variant.l1_read_set then untrack r line
   end
 
 let[@inline] lock_store t ~core addr v =
@@ -451,7 +457,7 @@ let release t ~core addr =
   let r = region t core in
   let line = Addr.line_of addr in
   if t.variant.Variant.l1_read_set then begin
-    if not (Llb.written r.llb line) then Hashtbl.remove r.tracked line
+    if not (Llb.written r.llb line) then untrack r line
   end
   else ignore (Llb.release r.llb line);
   notify t ~core (Obs_release line);
@@ -474,7 +480,7 @@ let line_protected t ~core line =
   let r = region t core in
   r.active && r.doomed = None
   && (Llb.mem r.llb line
-     || (t.variant.Variant.l1_read_set && Hashtbl.mem r.tracked line))
+     || (t.variant.Variant.l1_read_set && Inttab.mem r.tracked line))
 
 let line_written t ~core line =
   let r = region t core in
@@ -485,7 +491,7 @@ let last_conflict t ~core =
 
 let protected_lines t ~core =
   let r = region t core in
-  Llb.entries r.llb + Hashtbl.length r.tracked
+  Llb.entries r.llb + Inttab.length r.tracked
 
 let written_lines t ~core = Llb.written_count (region t core).llb
 

@@ -4,7 +4,11 @@
     whether it has been speculatively written and — if so — a backup of the
     line's pre-transactional contents, written back on abort. Because it is
     fully associative it is not subject to cache-index conflicts; its only
-    limit is the entry count. *)
+    limit is the entry count.
+
+    The protected lines are an {!Asf_mem.Inttab} from line to written
+    flag, which the conflict probe asks on every coherence event; the
+    backups are a log of their own, in write order. *)
 
 type t
 
@@ -79,7 +83,7 @@ val set_index : Asf_machine.Params.t -> int -> int
 
 val iter_written : t -> (int -> int array -> unit) -> unit
 (** Iterates over written lines and their backups (abort rollback), in
-    an unspecified order. *)
+    the order the lines were first written. *)
 
 val written_count : t -> int
 

@@ -1,6 +1,7 @@
 module Engine = Asf_engine.Engine
 module Addr = Asf_mem.Addr
 module Alloc = Asf_mem.Alloc
+module Inttab = Asf_mem.Inttab
 module Memsys = Asf_cache.Memsys
 module Trace = Asf_trace.Trace
 
@@ -53,21 +54,20 @@ type t = {
 }
 
 (* The descriptor keeps its logs in flat int arrays that grow by
-   doubling and are reused by every transaction it runs, so a
-   write-through load or store allocates nothing and calls no
-   polymorphic hash:
+   doubling, and its sets in int tables ([Inttab]), all reused by every
+   transaction it runs, so a write-through load or store allocates
+   nothing and calls no polymorphic hash:
    - [reads]: (orec, observed word) pairs, oldest first;
    - [undo]: write-through (address, old word) pairs, oldest first;
-   - [owned]: (orec, word observed before acquisition, [oset] slot)
-     triples in acquisition order;
-   - [oset]: an open-addressing set of the owned orecs for O(1)
-     membership, a slot holding [orec + 1] or 0 when empty. It has a
-     power-of-two size, at least twice the owned count, and no deletion:
-     [start] empties the slots [owned] names.
-   Both logs are walked newest first: rollback must undo in reverse,
-   and validation's loads are simulated accesses whose order is part of
-   the output. So is the order of the owned orecs' release stores (see
-   [release_order]). *)
+   - [owned]: (orec, word observed before acquisition) pairs in
+     acquisition order;
+   - [oset]: the owned orecs, for O(1) membership (values unused);
+   - write-back only: [wlog], (address, buffered value) pairs in
+     first-write order, and [wset], each buffered address's pair.
+   The read and undo logs are walked newest first: rollback must undo
+   in reverse, and validation's loads are simulated accesses whose
+   order is part of the output. So is the order of the owned orecs'
+   release stores (see [release_order]) and of the write-back. *)
 type tx = {
   stm : t;
   core : int;
@@ -80,16 +80,14 @@ type tx = {
   mutable nwrites : int;
   mutable owned : int array;
   mutable nowned : int;
-  mutable oset : int array;
-  (* [Array.length oset - 1] and [63 - log2 (Array.length oset)]. *)
-  mutable omask : int;
-  mutable oshift : int;
+  oset : Inttab.t;
   (* Scratch for [release_order]: one sort key per owned entry. *)
   mutable order : int array;
-  (* Write-back only: buffered values, their program order, and the
-     simulated-memory redo log the buffering is charged against. *)
-  wlog : (Addr.t, int) Hashtbl.t;
-  mutable worder : Addr.t list;
+  (* Write-back only: the buffered stores and the simulated-memory redo
+     log the buffering is charged against. *)
+  mutable wlog : int array;
+  mutable nwlog : int;
+  wset : Inttab.t;
   mutable log_base : Addr.t;
   log_capacity : int;
   (* The conflicting orec behind this descriptor's most recent abort,
@@ -133,10 +131,8 @@ let[@inline] notify_read tx addr =
 let[@inline] notify_write tx addr =
   match tx.stm.observer with Some f -> f ~core:tx.core (Ev_write addr) | None -> ()
 
-(* A fresh owned-orec set has [2^oset_bits] slots. *)
-let oset_bits = 5
-
 let make_tx t ~core =
+  let wb = t.strategy = Write_back in
   {
     stm = t;
     core;
@@ -147,14 +143,13 @@ let make_tx t ~core =
     undo = Array.make 64 0;
     nundo = 0;
     nwrites = 0;
-    owned = Array.make 48 0;
+    owned = Array.make 32 0;
     nowned = 0;
-    oset = Array.make (1 lsl oset_bits) 0;
-    omask = (1 lsl oset_bits) - 1;
-    oshift = Sys.int_size - oset_bits;
+    oset = Inttab.create 32;
     order = Array.make 16 0;
-    wlog = Hashtbl.create 64;
-    worder = [];
+    wlog = Array.make (if wb then 64 else 2) 0;
+    nwlog = 0;
+    wset = Inttab.create (if wb then 64 else 2);
     log_base = 0;
     log_capacity = 512;
     last_conflict = None;
@@ -181,48 +176,14 @@ let[@inline] log_undo tx addr old_value =
   tx.undo.(i + 1) <- old_value;
   tx.nundo <- tx.nundo + 1
 
-(* Fibonacci hashing: the top bits of [orec * 2^63/phi]. *)
-let[@inline] home tx orec = (orec * 0x4F1BBCDCBFA53E0B) lsr tx.oshift
-
-(* Whether [oset] holds [key] ([orec + 1]), probing on from slot [i].
-   Top-level, so the probe builds no closure; the home slot is compared
-   inline in [owns]. *)
-let rec owns_rest oset mask key i =
-  let s = Array.unsafe_get oset i in
-  s = key || (s <> 0 && owns_rest oset mask key ((i + 1) land mask))
-
-let[@inline] owns tx orec =
-  let key = orec + 1 in
-  let i = home tx orec in
-  let s = Array.unsafe_get tx.oset i in
-  s = key || (s <> 0 && owns_rest tx.oset tx.omask key ((i + 1) land tx.omask))
-
-let rec free_slot oset mask i =
-  if Array.unsafe_get oset i = 0 then i else free_slot oset mask ((i + 1) land mask)
-
-(* Put owned entry [j]'s orec into [oset] and record its slot. *)
-let place tx j =
-  let orec = tx.owned.(3 * j) in
-  let i = free_slot tx.oset tx.omask (home tx orec) in
-  tx.oset.(i) <- orec + 1;
-  tx.owned.((3 * j) + 2) <- i
-
-let[@inline never] grow_oset tx =
-  let size = 2 * Array.length tx.oset in
-  tx.oset <- Array.make size 0;
-  tx.omask <- size - 1;
-  tx.oshift <- tx.oshift - 1;
-  for j = 0 to tx.nowned - 1 do
-    place tx j
-  done
+let[@inline] owns tx orec = Inttab.mem tx.oset orec
 
 let acquire tx orec old_word =
   let j = tx.nowned in
-  if 3 * (j + 1) > Array.length tx.owned then tx.owned <- grow tx.owned;
-  if 2 * (j + 1) > Array.length tx.oset then grow_oset tx;
-  tx.owned.(3 * j) <- orec;
-  tx.owned.((3 * j) + 1) <- old_word;
-  place tx j;
+  if 2 * (j + 1) > Array.length tx.owned then tx.owned <- grow tx.owned;
+  tx.owned.(2 * j) <- orec;
+  tx.owned.((2 * j) + 1) <- old_word;
+  Inttab.add tx.oset orec 0;
   tx.nowned <- j + 1
 
 (* The bucket count of a [Hashtbl.create 64] after [n] fresh [replace]s:
@@ -246,11 +207,11 @@ let hashtbl_buckets n =
    key back to its entry. *)
 let release_order tx =
   let n = tx.nowned in
-  if Array.length tx.order < n then tx.order <- Array.make (Array.length tx.owned / 3) 0;
+  if Array.length tx.order < n then tx.order <- Array.make (Array.length tx.owned / 2) 0;
   let mask = hashtbl_buckets n - 1 in
   let order = tx.order in
   for j = 0 to n - 1 do
-    let key = ((Hashtbl.hash tx.owned.(3 * j) land mask) lsl 32) lor (n - 1 - j) in
+    let key = ((Hashtbl.hash tx.owned.(2 * j) land mask) lsl 32) lor (n - 1 - j) in
     let i = ref (j - 1) in
     while !i >= 0 && order.(!i) > key do
       order.(!i + 1) <- order.(!i);
@@ -290,13 +251,11 @@ let start tx =
   tx.nreads <- 0;
   tx.nundo <- 0;
   tx.nwrites <- 0;
-  for j = 0 to tx.nowned - 1 do
-    tx.oset.(tx.owned.((3 * j) + 2)) <- 0
-  done;
+  Inttab.clear tx.oset;
   tx.nowned <- 0;
   if tx.stm.strategy = Write_back then begin
-    Hashtbl.reset tx.wlog;
-    tx.worder <- [];
+    Inttab.clear tx.wset;
+    tx.nwlog <- 0;
     if tx.log_base = 0 then
       tx.log_base <- Alloc.alloc tx.stm.alloc ~align:Addr.words_per_line tx.log_capacity
   end;
@@ -315,7 +274,7 @@ let rollback ?conflict tx =
   done;
   for r = 0 to release_order tx - 1 do
     let j = release_entry tx r in
-    mem_store tx tx.owned.(3 * j) tx.owned.((3 * j) + 1)
+    mem_store tx tx.owned.(2 * j) tx.owned.((2 * j) + 1)
   done;
   tx.running <- false;
   tx.last_conflict <- conflict;
@@ -368,13 +327,14 @@ let rec load_attempt tx addr orec tries =
     if locked o1 then
       if owner o1 = tx.core && owns tx orec then begin
         notify_read tx addr;
-        if tx.stm.strategy = Write_back then
-          match Hashtbl.find_opt tx.wlog addr with
-          | Some v ->
-              (* Write-back: the buffered value shadows memory. *)
-              Engine.elapse_on (engine tx) 4;
-              v
-          | None -> mem_load tx addr
+        let i =
+          if tx.stm.strategy = Write_back then Inttab.find tx.wset addr else -1
+        in
+        if i >= 0 then begin
+          (* Write-back: the buffered value shadows memory. *)
+          Engine.elapse_on (engine tx) 4;
+          tx.wlog.((2 * Inttab.value tx.wset i) + 1)
+        end
         else mem_load tx addr
       end
       else abort_on ~conflict:orec tx (* suicide contention management *)
@@ -408,12 +368,18 @@ let effectuate_store tx addr value =
       log_undo tx addr (mem_load tx addr);
       mem_store tx addr value
   | Write_back ->
-      if not (Hashtbl.mem tx.wlog addr) then begin
-        tx.worder <- addr :: tx.worder;
+      let i = Inttab.find tx.wset addr in
+      if i >= 0 then tx.wlog.((2 * Inttab.value tx.wset i) + 1) <- value
+      else begin
+        let k = tx.nwlog in
+        if 2 * (k + 1) > Array.length tx.wlog then tx.wlog <- grow tx.wlog;
+        tx.wlog.(2 * k) <- addr;
+        tx.wlog.((2 * k) + 1) <- value;
+        tx.nwlog <- k + 1;
+        Inttab.add tx.wset addr k;
         let slot = (tx.nwrites - 1) land (tx.log_capacity - 1) in
         mem_store tx (tx.log_base + slot) value
-      end;
-      Hashtbl.replace tx.wlog addr value
+      end
 
 let store tx addr value =
   assert tx.running;
@@ -448,12 +414,11 @@ let commit tx =
     let stale = if ts > tx.start_ts + 1 then validate tx else -1 in
     if stale >= 0 then abort_on ~conflict:stale tx
     else begin
-      if tx.stm.strategy = Write_back then
-        List.iter
-          (fun addr -> mem_store tx addr (Hashtbl.find tx.wlog addr))
-          (List.rev tx.worder);
+      for k = 0 to tx.nwlog - 1 do
+        mem_store tx tx.wlog.(2 * k) tx.wlog.((2 * k) + 1)
+      done;
       for r = 0 to release_order tx - 1 do
-        mem_store tx tx.owned.(3 * release_entry tx r) (version_word ts)
+        mem_store tx tx.owned.(2 * release_entry tx r) (version_word ts)
       done;
       tx.running <- false;
       tx.stm.commits <- tx.stm.commits + 1;

@@ -21,8 +21,8 @@
     Host-side bookkeeping: a descriptor keeps its read log (orec,
     observed word), undo log (address, old word) and owned orecs in flat
     int arrays that every transaction it runs reuses, plus an
-    open-addressing int set of the owned orecs, so a write-through load
-    or store allocates nothing on the host and calls no polymorphic hash.
+    {!Asf_mem.Inttab} of the owned orecs, so a write-through load or
+    store allocates nothing on the host and calls no polymorphic hash.
     The logs are walked newest first. Commit and rollback store the owned
     orecs in the order [Hashtbl.iter] visits a [Hashtbl.create 64] fed
     the same acquisitions: buckets in ascending order of

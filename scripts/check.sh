@@ -1,6 +1,7 @@
 #!/bin/sh
 # The full verification gate. Run from the repo root:
-# - a grep: library code charges the engine it holds;
+# - two greps: library code charges the engine it holds, and keeps its
+#   int-keyed hash tables in Inttab;
 # - every build target (libraries, executables, examples, benches);
 # - a disassembly guard on the per-access path of the benchmark binary;
 # - `dune runtest`: the unit tests plus every asf_bench gate group of
@@ -20,6 +21,17 @@ cd "$(dirname "$0")/.."
 # every call; it is for the benchmark's replay and the tests.
 if grep -rnE 'Engine\.elapse([^_]|$)' lib --include='*.ml' | grep -v '^lib/engine/'; then
   echo "check.sh: lib/ calls the ambient Engine.elapse above; charge the engine the caller holds with Engine.elapse_on" >&2
+  exit 1
+fi
+
+# One int table: Inttab (lib/mem/inttab.ml) is the simulator's only
+# open-addressing hash table, and Asf.sig_bit the only other user of the
+# Fibonacci multiplier. The multiplier anywhere else under lib/ is a
+# hand-rolled table; put it on Inttab instead.
+if grep -rniE '0x4F1BBCDCBFA53E0B' lib --include='*.ml' \
+  | grep -v '^lib/mem/inttab\.ml:' \
+  | grep -v '^lib/core/asf\.ml:[0-9]*:let\[@inline\] sig_bit '; then
+  echo "check.sh: lib/ hashes with the Fibonacci multiplier above; use Asf_mem.Inttab" >&2
   exit 1
 fi
 

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event engine, PRNG, priority queue, and the
-   simulated-memory substrate (RAM, addressing, allocator). *)
+   simulated-memory substrate (RAM, addressing, int table, allocator). *)
 
 module Engine = Asf_engine.Engine
 module Prng = Asf_engine.Prng
@@ -7,6 +7,7 @@ module Pqueue = Asf_engine.Pqueue
 module Addr = Asf_mem.Addr
 module Ram = Asf_mem.Ram
 module Alloc = Asf_mem.Alloc
+module Inttab = Asf_mem.Inttab
 module Trace = Asf_trace.Trace
 
 (* ------------------------------------------------------------------ *)
@@ -1039,6 +1040,26 @@ let test_alloc_double_free_rejected () =
   Alcotest.check_raises "double free"
     (Invalid_argument "Alloc.free: double free") (fun () -> Alloc.free al a)
 
+(* [free] and [size_of] take addresses from simulated programs, so any
+   int the allocator never handed out is unknown: 0 (the null pointer)
+   and negative ones included. *)
+let test_alloc_foreign_addresses () =
+  let al = Alloc.create () in
+  let a = Alloc.alloc al 4 in
+  ignore (Alloc.alloc al 4);
+  Alloc.free al a;
+  List.iter
+    (fun addr ->
+      Alcotest.check_raises
+        (Printf.sprintf "free %d" addr)
+        (Invalid_argument "Alloc.free: unknown address")
+        (fun () -> Alloc.free al addr);
+      Alcotest.check_raises
+        (Printf.sprintf "size_of %d" addr)
+        (Invalid_argument "Alloc.size_of: unknown address")
+        (fun () -> ignore (Alloc.size_of al addr)))
+    [ 0; -1; min_int ]
+
 let test_alloc_lines_alignment () =
   let al = Alloc.create () in
   let _ = Alloc.alloc al 3 in
@@ -1152,6 +1173,184 @@ let prop_alloc_matches_model =
           && Alloc.live_words al = m.Alloc_model.live)
         ops)
 
+(* ------------------------------------------------------------------ *)
+(* Inttab                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type inttab_op =
+  | Add of int * int
+  | Bind of int
+  | Find of int
+  | Set of int * int
+  | Remove of int
+  | Clear
+  | Iter
+
+let show_inttab_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Bind k -> Printf.sprintf "bind %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Set (k, v) -> Printf.sprintf "set %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+  | Iter -> "iter"
+
+(* [fill] adds, then up to [max_len] random ops, in which [clears] is
+   the weight of [Clear] against 21 for the others. *)
+let inttab_ops key ~fill ~clears ~max_len =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k v -> Add (k, v)) key (int_bound 1000));
+        (2, map (fun k -> Bind k) key);
+        (4, map (fun k -> Find k) key);
+        (2, map2 (fun k v -> Set (k, v)) key (int_bound 1000));
+        (5, map (fun k -> Remove k) key);
+        (clears, return Clear);
+        (1, return Iter);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_inttab_op ops))
+    ~shrink:QCheck.Shrink.list
+    (map2 ( @ )
+       (list_repeat fill (map (fun k -> Add (k, k)) key))
+       (list_size (int_range 1 max_len) op))
+
+(* Random operations against a [Hashtbl] model, from a 2-slot table, so
+   every case runs through several growths. After each operation the
+   table holds exactly the model's bindings: its length, every model
+   key's value through [find] and [mem], and [iter]'s bindings. *)
+let inttab_matches_model ops =
+  let t = Inttab.create 2 and m = Hashtbl.create 16 in
+  let fail step fmt =
+    Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "step %d: %s" step s) fmt
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Add (k, v) ->
+          Inttab.add t k v;
+          Hashtbl.replace m k v
+      | Bind k ->
+          let want = Option.value ~default:0 (Hashtbl.find_opt m k) in
+          let got = Inttab.value t (Inttab.bind t k) in
+          if got <> want then fail step "bind %d: value %d, model %d" k got want;
+          Hashtbl.replace m k want
+      | Find k ->
+          let i = Inttab.find t k in
+          if (i >= 0) <> Hashtbl.mem m k then fail step "find %d: slot %d" k i
+      | Set (k, v) ->
+          let i = Inttab.find t k in
+          if i >= 0 then begin
+            Inttab.set_value t i v;
+            Hashtbl.replace m k v
+          end
+      | Remove k ->
+          let i = Inttab.find t k in
+          if i >= 0 then begin
+            Inttab.remove_at t i;
+            Hashtbl.remove m k
+          end
+      | Clear ->
+          Inttab.clear t;
+          Hashtbl.reset m
+      | Iter ->
+          let got = ref [] in
+          Inttab.iter (fun k v -> got := (k, v) :: !got) t;
+          let want = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] in
+          if List.sort compare !got <> List.sort compare want then
+            fail step "iter differs from the model");
+      if Inttab.length t <> Hashtbl.length m then
+        fail step "after %s: length %d, model %d" (show_inttab_op op) (Inttab.length t)
+          (Hashtbl.length m);
+      Hashtbl.iter
+        (fun k v ->
+          let i = Inttab.find t k in
+          if i < 0 || not (Inttab.mem t k) then
+            fail step "after %s: key %d lost" (show_inttab_op op) k;
+          if Inttab.value t i <> v then
+            fail step "after %s: key %d holds %d, model %d" (show_inttab_op op) k
+              (Inttab.value t i) v)
+        m)
+    ops;
+  true
+
+(* Keys 0..15 crowd a table of at most 32 slots, so probe chains and
+   backward shifts wrap past its last slot. *)
+let prop_inttab_small_keys =
+  QCheck.Test.make ~name:"matches Hashtbl, keys 0..15" ~count:500
+    (inttab_ops (QCheck.Gen.int_bound 15) ~fill:0 ~clears:1 ~max_len:300)
+    inttab_matches_model
+
+(* 512 keys spread over 0..2^39 beside the 16 small ones. 600 adds
+   take the table through eight or nine growths, to 512 or 1024 slots;
+   the random ops that follow never clear it. *)
+let prop_inttab_wide_keys =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [ (1, int_bound 15); (3, map (fun i -> i * 1_000_000_007) (int_bound 511)) ])
+  in
+  QCheck.Test.make ~name:"matches Hashtbl, wide keys" ~count:30
+    (inttab_ops key ~fill:600 ~clears:0 ~max_len:1500)
+    inttab_matches_model
+
+(* Lookups, updates, removals, re-insertions below the growth threshold
+   and [clear] allocate nothing. *)
+let test_inttab_no_alloc () =
+  let t = Inttab.create 256 in
+  let key k = k * 7919 in
+  for k = 0 to 99 do
+    Inttab.add t (key k) k
+  done;
+  let w0 = Gc.minor_words () in
+  for round = 1 to 50 do
+    for k = 0 to 149 do
+      let i = Inttab.find t (key k) in
+      if i >= 0 then Inttab.set_value t i (Inttab.value t i + round);
+      if Inttab.mem t (-k - 1) then Alcotest.fail "negative key found"
+    done;
+    for k = 0 to 49 do
+      Inttab.remove_at t (Inttab.find t (key k))
+    done;
+    for k = 0 to 49 do
+      Inttab.add t (key k) k;
+      ignore (Inttab.bind t (key k))
+    done
+  done;
+  Inttab.clear t;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words" 0. words;
+  Alcotest.(check int) "cleared" 0 (Inttab.length t)
+
+(* The table stores [key + 1], so the key -1 would be the empty marker:
+   a negative key is never found and never stored. *)
+let test_inttab_negative_keys () =
+  let t = Inttab.create 4 in
+  let absent name =
+    List.iter
+      (fun k ->
+        Alcotest.(check int) (Printf.sprintf "%s: find %d" name k) (-1) (Inttab.find t k);
+        Alcotest.(check bool) (Printf.sprintf "%s: mem %d" name k) false (Inttab.mem t k))
+      [ -1; -2; min_int ]
+  in
+  absent "empty";
+  List.iter (fun k -> Inttab.add t k k) [ 0; 1; 2; 3; 1 lsl 40 ];
+  absent "five keys";
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Printf.sprintf "add %d" k) (Invalid_argument "Inttab: negative key")
+        (fun () -> Inttab.add t k 0);
+      Alcotest.check_raises (Printf.sprintf "bind %d" k) (Invalid_argument "Inttab: negative key")
+        (fun () -> ignore (Inttab.bind t k)))
+    [ -1; min_int ];
+  Alcotest.(check int) "length unchanged" 5 (Inttab.length t);
+  Alcotest.check_raises "remove_at an empty slot"
+    (Invalid_argument "Inttab.remove_at: empty slot")
+    (fun () -> Inttab.remove_at (Inttab.create 4) 0)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine+mem"
@@ -1225,7 +1424,15 @@ let () =
           Alcotest.test_case "reuse" `Quick test_alloc_reuse_after_free;
           Alcotest.test_case "double free" `Quick test_alloc_double_free_rejected;
           Alcotest.test_case "line align" `Quick test_alloc_lines_alignment;
+          Alcotest.test_case "foreign addresses" `Quick test_alloc_foreign_addresses;
           q prop_alloc_no_overlap;
           q prop_alloc_matches_model;
+        ] );
+      ( "inttab",
+        [
+          Alcotest.test_case "allocates nothing" `Quick test_inttab_no_alloc;
+          Alcotest.test_case "negative keys" `Quick test_inttab_negative_keys;
+          q prop_inttab_small_keys;
+          q prop_inttab_wide_keys;
         ] );
     ]

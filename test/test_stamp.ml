@@ -42,27 +42,43 @@ let digests =
     ("genome", "llb8", (435370, 7194, 5), [| 60; 5; 27; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("genome", "llb256", (438100, 7194, 0), [| 60; 0; 27; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("genome", "stm", (832470, 7194, 0), [| 53; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("genome", "llb8-l1", (438100, 7194, 0), [| 60; 0; 27; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("genome", "llb256-l1", (438100, 7194, 0), [| 60; 0; 27; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("intruder", "llb8", (90591, 580, 2), [| 273; 0; 3; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("intruder", "llb256", (90591, 580, 2), [| 273; 0; 3; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("intruder", "stm", (190556, 580, 0), [| 297; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("intruder", "llb8-l1", (90591, 580, 2), [| 273; 0; 3; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("intruder", "llb256-l1", (90591, 580, 2), [| 273; 0; 3; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("kmeans-low", "llb8", (522190, 792, 0), [| 18; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("kmeans-low", "llb256", (522190, 792, 0), [| 18; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("kmeans-low", "stm", (674277, 792, 0), [| 42; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-low", "llb8-l1", (522190, 792, 0), [| 18; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-low", "llb256-l1", (522190, 792, 0), [| 18; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("kmeans-high", "llb8", (240086, 792, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("kmeans-high", "llb256", (240086, 792, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("kmeans-high", "stm", (405309, 792, 0), [| 217; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-high", "llb8-l1", (240086, 792, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("kmeans-high", "llb256-l1", (240086, 792, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("labyrinth", "llb8", (275195, 36, 16), [| 9; 16; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("labyrinth", "llb256", (317613, 36, 16), [| 25; 16; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("labyrinth", "stm", (1846568, 36, 0), [| 63; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("labyrinth", "llb8-l1", (355416, 36, 11), [| 41; 9; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("labyrinth", "llb256-l1", (240960, 36, 2), [| 40; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("ssca2", "llb8", (101112, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("ssca2", "llb256", (101112, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("ssca2", "stm", (206446, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("ssca2", "llb8-l1", (101112, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("ssca2", "llb256-l1", (101112, 1536, 0), [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("vacation-low", "llb8", (934100, 512, 512), [| 43; 510; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("vacation-low", "llb256", (239908, 512, 0), [| 33; 0; 11; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("vacation-low", "stm", (686296, 512, 0), [| 7; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-low", "llb8-l1", (923277, 512, 512), [| 4; 512; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-low", "llb256-l1", (923277, 512, 512), [| 4; 512; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("vacation-high", "llb8", (1229929, 512, 512), [| 27; 511; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("vacation-high", "llb256", (323783, 512, 0), [| 101; 0; 9; 0; 0; 0; 0; 0; 0; 0; 0 |]);
     ("vacation-high", "stm", (1030297, 512, 0), [| 66; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-high", "llb8-l1", (1197655, 512, 512), [| 5; 512; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
+    ("vacation-high", "llb256-l1", (1197655, 512, 512), [| 5; 512; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]);
   ]
 
 let test_digest (app, mname, counts, aborts) () =
